@@ -26,12 +26,10 @@ from .errors import (
     NonFiniteJacobian,
     ZenoSuspected,
 )
-from .extended import ExtendedNonneg
 from .hybrid import (
     FlowSegment,
     HybridArc,
     HybridSystemDef,
-    HybridTime,
     HybridTimeDomain,
     JumpRecord,
     SolverConfig,
@@ -43,9 +41,7 @@ from .hybrid import (
 from .synergistic import (
     AffinePlant,
     ControllerData,
-    GapReport,
     MonitorViolation,
-    PlantModel,
     build_closed_loop,
     gap_value,
     min_over_candidates,
@@ -55,28 +51,22 @@ from .synergistic import (
 )
 from .adaptive import (
     AdaptiveController,
-    AdaptiveState,
     BackstepController,
     BackstepGains,
-    BackstepState,
     ParamBall,
     adaptive_true_potential,
-    backstep_drive,
     backstep_true_potential,
     ball_distance,
     ball_excess,
+    central_difference,
     estimate_flow,
-    feedback_jacobian_fd,
-    input_flow,
     lift_adaptive,
     lift_backstep,
-    potential_gradient_fd,
     project_rate,
     reset_estimate,
     robust_gap,
 )
 from .obstacle import (
-    CylinderPoint,
     ObstacleDisk,
     Scenario,
     build_nominal_controller,
@@ -84,7 +74,6 @@ from .obstacle import (
     chart_jacobian,
     chart_potential,
     chart_potential_gradient,
-    cylinder_jacobian,
     from_cylinder,
     gradient_feedback,
     gradient_feedback_jacobian,

@@ -92,46 +92,6 @@ class ParamBall:
 
 
 @dataclass(frozen=True)
-class AdaptiveState:
-    """Adaptive controller state: nominal part plus parameter estimate."""
-
-    base: np.ndarray
-    estimate: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [np.atleast_1d(np.asarray(self.base, dtype=float)),
-             np.atleast_1d(np.asarray(self.estimate, dtype=float))]
-        )
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n_base: int) -> "AdaptiveState":
-        vec = np.asarray(vec, dtype=float)
-        return cls(base=vec[:n_base], estimate=vec[n_base:])
-
-
-@dataclass(frozen=True)
-class BackstepState:
-    """Backstepping controller state: adaptive part plus the held input."""
-
-    inner: AdaptiveState
-    input: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.inner.to_vector(), np.atleast_1d(np.asarray(self.input, dtype=float))]
-        )
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n_base: int, n_theta: int) -> "BackstepState":
-        vec = np.asarray(vec, dtype=float)
-        return cls(
-            inner=AdaptiveState.from_vector(vec[: n_base + n_theta], n_base),
-            input=vec[n_base + n_theta:],
-        )
-
-
-@dataclass(frozen=True)
 class BackstepGains:
     """Backstepping gains: input-error metric ``gain`` and damping rate."""
 
@@ -252,48 +212,19 @@ def robust_gap(
     return gap0 + 0.5 * ball_distance(theta_hat, ball)[0]
 
 
-def potential_gradient_fd(
-    potential: Callable[[np.ndarray, np.ndarray], float],
+def central_difference(
+    fun: Callable[[np.ndarray], object],
     x: np.ndarray,
-    xi_c: np.ndarray,
     rel_step: float = FD_REL_STEP,
 ) -> np.ndarray:
-    """Central-difference gradient of a potential in the plant state.
+    """Central-difference derivative of ``fun`` at ``x``.
 
-    Steps ``rel_step * max(1, norm(x))`` along each ambient coordinate.
-    Raises :class:`NonFiniteJacobian` if a probe lands on an infinite
-    branch of the potential.
-    """
-    x = np.asarray(x, dtype=float)
-    h = rel_step * max(1.0, float(np.linalg.norm(x)))
-    grad = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        try:
-            vp = float(potential(xp, xi_c))
-            vm = float(potential(xm, xi_c))
-        except (ChartSingular, InsideObstacle) as exc:
-            raise NonFiniteJacobian(f"gradient probe {i} hit a singularity") from exc
-        if not (math.isfinite(vp) and math.isfinite(vm)):
-            raise NonFiniteJacobian(f"gradient probe {i} produced a non-finite value")
-        grad[i] = (vp - vm) / (2.0 * h)
-    return grad
-
-
-def feedback_jacobian_fd(
-    feedback: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    xi_c: np.ndarray,
-    rel_step: float = FD_REL_STEP,
-) -> np.ndarray:
-    """Central-difference Jacobian of a feedback law in the plant state.
-
-    Probes are taken in the ambient coordinates of the plant state; an
-    analytic Jacobian may replace this provider and must agree with it
-    to within 1e-6 relative at nonsingular states.
+    Steps ``rel_step * max(1, norm(x))`` along each ambient coordinate of
+    ``x``.  Returns the gradient (n,) of a scalar ``fun`` or the Jacobian
+    (m, n) of a vector-valued one; an analytic derivative may replace it
+    and must agree to within 1e-6 relative at nonsingular points.
+    Raises :class:`NonFiniteJacobian` if a probe hits a singularity or an
+    infinite branch.
     """
     x = np.asarray(x, dtype=float)
     h = rel_step * max(1.0, float(np.linalg.norm(x)))
@@ -304,14 +235,14 @@ def feedback_jacobian_fd(
         xm = x.copy()
         xm[i] -= h
         try:
-            fp = np.asarray(feedback(xp, xi_c), dtype=float)
-            fm = np.asarray(feedback(xm, xi_c), dtype=float)
+            fp = np.asarray(fun(xp), dtype=float)
+            fm = np.asarray(fun(xm), dtype=float)
         except (ChartSingular, InsideObstacle) as exc:
-            raise NonFiniteJacobian(f"jacobian probe {i} hit a singularity") from exc
+            raise NonFiniteJacobian(f"probe {i} hit a singularity") from exc
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NonFiniteJacobian(f"jacobian probe {i} produced a non-finite value")
+            raise NonFiniteJacobian(f"probe {i} produced a non-finite value")
         cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def estimate_flow(
@@ -366,8 +297,8 @@ def lift_adaptive(
     plant state; central finite differences are used when omitted.
     """
     if grad_potential is None:
-        def grad_potential(x, xi_c, _v=nominal.potential):
-            return potential_gradient_fd(_v, x, xi_c)
+        def grad_potential(x, xi_c):
+            return central_difference(lambda p: nominal.potential(p, xi_c), x)
 
     n_nom = nominal.n_state
 
@@ -388,10 +319,10 @@ def lift_adaptive(
     def candidates(x, xi_c1):
         xi_c, th = _split(xi_c1)
         target = reset_estimate(th, ball)
-        report = min_over_candidates(nominal, x, xi_c)
+        _, minimizers, _ = min_over_candidates(nominal, x, xi_c)
         return [
             np.concatenate([np.asarray(g, dtype=float), target])
-            for g in report.minimizers
+            for g in minimizers
         ]
 
     def controller_flow(x, xi_c1):
@@ -421,72 +352,6 @@ def lift_adaptive(
     )
 
 
-def _backstep_terms(x, xi_c2, adaptive: AdaptiveController, gains: BackstepGains, jac):
-    """Shared evaluation for the backstepping drive and input rate."""
-    n1 = adaptive.n_state
-    xi_c1, u = xi_c2[:n1], xi_c2[n1:]
-    xi_c, th = adaptive.split(xi_c1)
-    plant = adaptive.plant
-    ball = adaptive.ball
-
-    kappa1 = adaptive.feedback(x, xi_c1)
-    u_err = u - kappa1
-    jac_k1 = jac(x, xi_c1)
-    grad_v = adaptive.grad_potential(x, xi_c)
-    psi_theta = plant.disturbance_matrix(x, xi_c)
-
-    drive = psi_theta.T @ grad_v - psi_theta.T @ (
-        jac_k1.T @ (gains.gain_inv @ u_err)
-    )
-    projected = project_rate(drive, th, ball)
-    estimate_rate = ball.gain @ projected
-
-    input_rate = (
-        -plant.matched_matrix(x, xi_c) @ estimate_rate
-        - gains.damping * u_err
-        - gains.gain @ (plant.input_matrix(x, xi_c).T @ grad_v)
-        + jac_k1 @ plant.f(x, xi_c, u, th)
-    )
-    return xi_c, th, u, drive, estimate_rate, input_rate
-
-
-def backstep_drive(
-    x: np.ndarray,
-    xi_c2: np.ndarray,
-    adaptive: AdaptiveController,
-    gains: BackstepGains,
-    jac: Optional[Callable] = None,
-) -> np.ndarray:
-    """Adaptation drive for the backstepping controller.
-
-    Reduces to the plain gradient drive when the input sits on the
-    adaptive feedback; otherwise subtracts the input-error correction
-    through the feedback Jacobian.
-    """
-    if jac is None:
-        jac = lambda xx, xi1: feedback_jacobian_fd(adaptive.feedback, xx, xi1)
-    return _backstep_terms(x, xi_c2, adaptive, gains, jac)[3]
-
-
-def input_flow(
-    x: np.ndarray,
-    xi_c2: np.ndarray,
-    adaptive: AdaptiveController,
-    gains: BackstepGains,
-    jac: Optional[Callable] = None,
-) -> np.ndarray:
-    """Designed rate of the held input.
-
-    Combines damping toward the adaptive feedback, the potential-descent
-    coupling term, compensation of the estimate motion, and feedforward
-    of the feedback's drift along the certainty-equivalent model (the
-    true parameter replaced by the estimate).
-    """
-    if jac is None:
-        jac = lambda xx, xi1: feedback_jacobian_fd(adaptive.feedback, xx, xi1)
-    return _backstep_terms(x, xi_c2, adaptive, gains, jac)[5]
-
-
 @dataclass(frozen=True)
 class BackstepController(ControllerData):
     """Backstepping lift of an adaptive synergistic controller."""
@@ -508,8 +373,13 @@ def lift_backstep(
 ) -> BackstepController:
     """Build the backstepping controller from an adaptive one.
 
-    The controller state gains the input as a component; its rate is
-    :func:`input_flow` and the estimate flows with the corrected drive.
+    The controller state gains the input as a component.  The estimate
+    flows with the gradient drive corrected for the input error through
+    the feedback Jacobian; the input rate combines damping toward the
+    adaptive feedback, the potential-descent coupling term, compensation
+    of the estimate motion, and feedforward of the feedback's drift along
+    the certainty-equivalent model (the true parameter replaced by the
+    estimate).
     Jump candidates pair each adaptive candidate with the input value
     the adaptive feedback would command there, so the input error is
     reset to exactly zero at every jump and the implementable gap gains
@@ -523,10 +393,11 @@ def lift_backstep(
     """
     if jac is None:
         def jac(x, xi_c1):
-            return feedback_jacobian_fd(adaptive.feedback, x, xi_c1)
+            return central_difference(lambda p: adaptive.feedback(p, xi_c1), x)
 
     n1 = adaptive.n_state
-    n_u = adaptive.plant.n_u
+    plant = adaptive.plant
+    ball = adaptive.ball
 
     def _split(xi_c2):
         return xi_c2[:n1], xi_c2[n1:]
@@ -550,9 +421,22 @@ def lift_backstep(
         ]
 
     def controller_flow(x, xi_c2):
-        xi_c1, _ = _split(xi_c2)
-        xi_c, _, _, _, estimate_rate, input_rate = _backstep_terms(
-            x, xi_c2, adaptive, gains, jac
+        xi_c1, u = _split(xi_c2)
+        xi_c, th = adaptive.split(xi_c1)
+        u_err = u - adaptive.feedback(x, xi_c1)
+        jac_k1 = jac(x, xi_c1)
+        grad_v = adaptive.grad_potential(x, xi_c)
+        psi_theta = plant.disturbance_matrix(x, xi_c)
+
+        drive = psi_theta.T @ grad_v - psi_theta.T @ (
+            jac_k1.T @ (gains.gain_inv @ u_err)
+        )
+        estimate_rate = ball.gain @ project_rate(drive, th, ball)
+        input_rate = (
+            -plant.matched_matrix(x, xi_c) @ estimate_rate
+            - gains.damping * u_err
+            - gains.gain @ (plant.input_matrix(x, xi_c).T @ grad_v)
+            + jac_k1 @ plant.f(x, xi_c, u, th)
         )
         f_c = np.asarray(adaptive.nominal.controller_flow(x, xi_c), dtype=float)
         if controller_jacobian is not None:
@@ -569,7 +453,7 @@ def lift_backstep(
         return adaptive.margin(x, xi_c1)
 
     return BackstepController(
-        n_state=n1 + n_u,
+        n_state=n1 + plant.n_u,
         feedback=feedback,
         potential=potential,
         candidates=candidates,

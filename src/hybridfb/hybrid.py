@@ -16,7 +16,6 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
@@ -41,20 +40,6 @@ MAX_BISECT = 60
 # exhausts its jump budget is flagged as suspected Zeno behavior.
 ZENO_WINDOW = 1e-6
 ZENO_JUMPS = 10
-
-
-@dataclass(frozen=True)
-class HybridTime:
-    """A point (t, j) in hybrid time."""
-
-    t: float
-    j: int
-
-    def __post_init__(self):
-        if self.t < 0.0 or math.isnan(self.t):
-            raise ValueError(f"hybrid time requires t >= 0, got {self.t}")
-        if self.j < 0:
-            raise ValueError(f"hybrid time requires j >= 0, got {self.j}")
 
 
 @dataclass(frozen=True)
@@ -84,11 +69,6 @@ class HybridTimeDomain:
     @property
     def jump_count(self) -> int:
         return self.intervals[-1][2] - self.intervals[0][2]
-
-    def contains(self, when: HybridTime) -> bool:
-        return any(
-            j == when.j and a <= when.t <= b for a, b, j in self.intervals
-        )
 
 
 @dataclass(frozen=True)

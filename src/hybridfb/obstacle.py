@@ -84,31 +84,6 @@ class ObstacleDisk:
         )
 
 
-@dataclass(frozen=True)
-class CylinderPoint:
-    """Typed view of a cylinder state: height and unit bearing vector."""
-
-    height: float
-    direction: np.ndarray
-
-    def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float).reshape(2)
-        object.__setattr__(self, "direction", direction)
-        norm = float(np.linalg.norm(direction))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(
-                f"cylinder direction must be a unit vector (norm {norm})"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([[float(self.height)], self.direction])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "CylinderPoint":
-        x = np.asarray(x, dtype=float).reshape(3)
-        return cls(height=float(x[0]), direction=x[1:])
-
-
 def to_cylinder(z: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """Map a planar point outside the obstacle to cylinder coordinates.
 
@@ -131,29 +106,13 @@ def from_cylinder(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     return obstacle.center + (math.exp(x[0]) + obstacle.radius) * x[1:]
 
 
-def cylinder_jacobian(z: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
-    """Jacobian (3 x 2) of :func:`to_cylinder` at a planar point."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    w = z - obstacle.center
-    rho = float(np.linalg.norm(w))
-    if rho <= obstacle.radius + SINGULAR_GUARD:
-        raise InsideObstacle(
-            f"point at distance {rho} from the obstacle center "
-            f"(radius {obstacle.radius})"
-        )
-    s = w / rho
-    jac = np.empty((3, 2))
-    jac[0] = s / (rho - obstacle.radius)
-    jac[1:] = (np.eye(2) - np.outer(s, s)) / rho
-    return jac
-
-
 def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """Input matrix of the cylinder-coordinates plant at a cylinder point.
 
-    This is :func:`cylinder_jacobian` evaluated at the planar preimage,
-    written directly in the ambient cylinder coordinates (so its
-    finite-difference derivatives are taken of this same expression).
+    This is the Jacobian (3 x 2) of :func:`to_cylinder` at the planar
+    preimage :func:`from_cylinder` ``(x)``, written directly in the
+    ambient cylinder coordinates (so its finite-difference derivatives
+    are taken of this same expression).
     """
     x = np.asarray(x, dtype=float).reshape(3)
     s = x[1:]
@@ -528,10 +487,7 @@ def make_scenario(
             x0 = np.concatenate([x_init, xi1_init, u_init])
 
     system = build_closed_loop(
-        plant.as_plant_model(),
-        theta,
-        controller,
-        project_state=renormalize_circle,
+        plant, theta, controller, project_state=renormalize_circle
     )
     return Scenario(
         kind=kind,

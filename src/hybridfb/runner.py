@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adaptive as adaptive_mod
 from . import obstacle as obstacle_mod
-from .adaptive import ParamBall, ball_distance, reset_estimate
+from .adaptive import ParamBall, ball_distance, central_difference, reset_estimate
 from .errors import ChartSingular, ConfigError, InsideObstacle
 from .hybrid import HybridArc, SolverConfig, solve, validate_domain
 from .obstacle import ObstacleDisk, Scenario, make_scenario
@@ -53,7 +53,8 @@ class ScenarioConfig:
     """Everything needed to reproduce one run.
 
     ``seed`` only affects the randomized verification suites; the
-    simulation itself is deterministic.
+    simulation itself is deterministic.  Every float and two-component
+    field must be finite.
     """
 
     scenario: str = "obstacle"
@@ -94,6 +95,10 @@ class ScenarioConfig:
             raise ConfigError(f"q0 must be -1 or 1, got {self.q0}")
         if self.u0_policy not in ("feedback", "zero"):
             raise ConfigError(f"unknown u0 policy {self.u0_policy!r}")
+        for name, parser in _FIELD_PARSERS.items():
+            value = getattr(self, name)
+            if parser in (float, _parse_vec2) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -515,16 +520,15 @@ def gap_enumeration_suite(seed: int, n: int = 500) -> SuiteResult:
         )
         x = np.zeros(1)
         xi = np.array([float(here_idx)])
-        report = min_over_candidates(ctrl, x, xi)
+        min_value, minimizers, gap = min_over_candidates(ctrl, x, xi)
 
         here = values[here_idx]
         best = min(values)
         argmin = [k for k, v in enumerate(values) if v <= best + 1e-12]
-        gap = math.inf if math.isinf(here) else here - best
         ok = (
-            float(report.min_value) == best
-            and [int(g[0]) for g in report.minimizers] == argmin
-            and float(report.gap) == gap
+            min_value == best
+            and [int(g[0]) for g in minimizers] == argmin
+            and gap == (math.inf if math.isinf(here) else here - best)
         )
         if not ok:
             failures += 1
@@ -665,37 +669,29 @@ def jacobian_suite(seed: int, n: int = 1000, tol: float = 1e-6) -> SuiteResult:
     rng = np.random.default_rng(seed)
     obstacle = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
     worst = 0.0
-
-    def fd(fun, point, h):
-        cols = []
-        for i in range(point.shape[0]):
-            pp = point.copy()
-            pp[i] += h
-            pm = point.copy()
-            pm[i] -= h
-            cols.append((np.atleast_1d(fun(pp)) - np.atleast_1d(fun(pm))) / (2 * h))
-        return np.column_stack(cols)
-
     for x, q in _random_cylinder_states(rng, obstacle, n):
-        z = obstacle_mod.from_cylinder(x, obstacle)
-        h = 1e-6 * max(1.0, float(np.linalg.norm(z)))
-        jac = obstacle_mod.cylinder_jacobian(z, obstacle)
-        num = fd(lambda p: obstacle_mod.to_cylinder(p, obstacle), z, h)
+        # The input matrix is the Jacobian of to_cylinder at the preimage.
+        jac = obstacle_mod.cylinder_input_matrix(x, obstacle)
+        num = central_difference(
+            lambda p: obstacle_mod.to_cylinder(p, obstacle),
+            obstacle_mod.from_cylinder(x, obstacle),
+        )
         worst = max(worst, _rel_err(jac, num))
 
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
         jac = obstacle_mod.chart_jacobian(x, q)
-        num = fd(lambda p: obstacle_mod.chart(p, q), x, h)
+        num = central_difference(lambda p: obstacle_mod.chart(p, q), x)
         worst = max(worst, _rel_err(jac, num))
 
         jac = obstacle_mod.gradient_feedback_jacobian(x, q, obstacle)
-        num = fd(lambda p: obstacle_mod.gradient_feedback(p, q, obstacle), x, h)
+        num = central_difference(
+            lambda p: obstacle_mod.gradient_feedback(p, q, obstacle), x
+        )
         worst = max(worst, _rel_err(jac, num))
 
         grad = obstacle_mod.chart_potential_gradient(x, q, obstacle)
-        num = fd(
-            lambda p: np.array([obstacle_mod.chart_potential(p, q, obstacle)]), x, h
-        ).ravel()
+        num = central_difference(
+            lambda p: obstacle_mod.chart_potential(p, q, obstacle), x
+        )
         worst = max(worst, _rel_err(grad, num))
     return SuiteResult(
         name="jacobian_fd",

@@ -1,9 +1,9 @@
 """Synergistic controller algebra and closed-loop assembly.
 
-A synergistic controller is a 4-tuple: a feedback law, an extended-real
-potential, a finite ordered list of reset candidates for the controller
-state, and a controller-state flow, together with a positive hysteresis
-margin.  The synergy gap at ``(x, xi_c)`` is the potential's current
+A synergistic controller is a 4-tuple: a feedback law, a potential
+valued in [0, +inf], a finite ordered list of reset candidates for the
+controller state, and a controller-state flow, together with a positive
+hysteresis margin.  The synergy gap at ``(x, xi_c)`` is the potential's current
 value minus the best value reachable by resetting ``xi_c`` to a
 candidate; a jump is triggered once the gap reaches the margin, and the
 reset picks a minimizing candidate.
@@ -21,24 +21,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleCandidates
-from .extended import ExtendedNonneg
 from .hybrid import HybridArc, HybridSystemDef
 
 # Absolute tolerance for membership in the argmin (candidate ties).
 TIE_TOL = 1e-12
 # Finite stand-in for an infinite gap inside scalar indicators only;
-# potentials and gap reports keep exact extended arithmetic.
+# potentials and gaps elsewhere stay floats, with ``math.inf`` exact.
 GAP_SENTINEL = 1e18
-
-
-@dataclass(frozen=True)
-class PlantModel:
-    """Plant dynamics ``f(x, xi_c, u, theta)`` with state/input/parameter dims."""
-
-    f: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    n_x: int
-    n_u: int
-    n_theta: int
 
 
 @dataclass(frozen=True)
@@ -68,9 +57,6 @@ class AffinePlant:
 
     def f_unperturbed(self, x, xi_c, u) -> np.ndarray:
         return self.drift(x, xi_c) + self.input_matrix(x, xi_c) @ u
-
-    def as_plant_model(self) -> PlantModel:
-        return PlantModel(f=self.f, n_x=self.n_x, n_u=self.n_u, n_theta=self.n_theta)
 
     def check_matched(self, states: Sequence[tuple], tol: float = 1e-10) -> list[str]:
         """Verify the matched-uncertainty factorization on sampled states."""
@@ -105,15 +91,6 @@ class ControllerData:
     margin: Callable[[np.ndarray, np.ndarray], float]
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Minimum potential over the candidates, all minimizers, and the gap."""
-
-    min_value: ExtendedNonneg
-    minimizers: tuple
-    gap: ExtendedNonneg
-
-
 def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
     """Shared float-valued core of the gap computation.
 
@@ -142,12 +119,15 @@ def gap_value(ctrl: ControllerData, x, xi_c) -> float:
     return value_here - min_value
 
 
-def min_over_candidates(ctrl: ControllerData, x, xi_c) -> GapReport:
+def min_over_candidates(
+    ctrl: ControllerData, x, xi_c
+) -> tuple[float, tuple, float]:
     """Evaluate the potential on every reset candidate at ``(x, xi_c)``.
 
-    Returns the minimum, every minimizer within the absolute tie
-    tolerance ``1e-12`` (in candidate-list order), and the synergy gap.
-    The gap is ``+inf`` when the current potential is infinite.
+    Returns ``(min_value, minimizers, gap)``: the minimum, every
+    minimizer within the absolute tie tolerance ``1e-12`` (in
+    candidate-list order), and the synergy gap.  The gap is
+    ``math.inf`` when the current potential is infinite.
 
     Raises :class:`InfeasibleCandidates` when no candidate has finite
     potential.
@@ -160,11 +140,7 @@ def min_over_candidates(ctrl: ControllerData, x, xi_c) -> GapReport:
             f"(gap {gap}); synergistic controllers keep the current state "
             "reachable from its own candidate list"
         )
-    return GapReport(
-        min_value=ExtendedNonneg(min_value),
-        minimizers=tuple(minimizers),
-        gap=ExtendedNonneg(gap),
-    )
+    return min_value, tuple(minimizers), gap
 
 
 def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
@@ -174,7 +150,7 @@ def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
 
 
 def build_closed_loop(
-    plant: PlantModel,
+    plant: AffinePlant,
     theta_true: np.ndarray,
     ctrl: ControllerData,
     project_state: Optional[Callable[[np.ndarray], np.ndarray]] = None,

@@ -6,29 +6,24 @@ import numpy as np
 import pytest
 
 from hybridfb import (
-    AdaptiveState,
     AffinePlant,
     BackstepGains,
-    BackstepState,
     ControllerData,
     NonFiniteJacobian,
     ParamBall,
     SolverConfig,
     adaptive_true_potential,
-    backstep_drive,
     ball_distance,
     ball_excess,
+    central_difference,
     estimate_flow,
-    feedback_jacobian_fd,
     gap_value,
-    input_flow,
     lift_adaptive,
     lift_backstep,
     make_scenario,
     monitor_flow_decrease,
     monitor_jump_decrease,
     min_over_candidates,
-    potential_gradient_fd,
     project_rate,
     reset_estimate,
     robust_gap,
@@ -67,22 +62,6 @@ class TestBallTypes:
             BackstepGains(gain=np.eye(2), damping=0.0)
         with pytest.raises(ValueError):
             BackstepGains(gain=-np.eye(2), damping=1.0)
-
-    def test_state_vector_round_trip(self):
-        st = AdaptiveState(base=np.array([1.0]), estimate=np.array([2.0, 3.0]))
-        vec = st.to_vector()
-        assert vec.tolist() == [1.0, 2.0, 3.0]
-        back = AdaptiveState.from_vector(vec, n_base=1)
-        assert back.base.tolist() == [1.0]
-        assert back.estimate.tolist() == [2.0, 3.0]
-
-        st2 = BackstepState(inner=st, input=np.array([4.0, 5.0]))
-        vec2 = st2.to_vector()
-        assert vec2.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        back2 = BackstepState.from_vector(vec2, n_base=1, n_theta=2)
-        assert back2.input.tolist() == [4.0, 5.0]
-        assert back2.inner.estimate.tolist() == [2.0, 3.0]
-
 
 class TestBallExcess:
     def test_at_origin(self):
@@ -350,32 +329,33 @@ class TestLiftAdaptive:
         assert rate[1:] == pytest.approx(x)
 
     def test_finite_difference_gradient_default(self):
-        nominal = quadratic_nominal()
-        grad = potential_gradient_fd(nominal.potential, np.array([1.0, -2.0]), np.zeros(1))
-        assert grad == pytest.approx(np.array([1.0, -2.0]), abs=1e-8)
+        ctrl = lift_adaptive(quadratic_nominal(), simple_plant(), UNIT_BALL)
+        x = np.array([1.0, -2.0])
+        assert ctrl.grad_potential(x, np.zeros(1)) == pytest.approx(x, abs=1e-8)
+        grad = central_difference(lambda p: 0.5 * float(p @ p), x)
+        assert grad.shape == (2,)
+        assert grad == pytest.approx(x, abs=1e-8)
 
 
 class TestFeedbackJacobian:
     def test_linear_feedback_exact(self):
         mat = np.array([[1.0, 2.0], [-0.5, 0.3]])
-        jac = feedback_jacobian_fd(lambda x, xi: mat @ x, np.array([0.4, 0.8]), None)
+        jac = central_difference(lambda x: mat @ x, np.array([0.4, 0.8]))
         assert jac == pytest.approx(mat, abs=1e-9)
 
     def test_constant_feedback_zero(self):
-        jac = feedback_jacobian_fd(
-            lambda x, xi: np.array([2.0, 3.0]), np.array([1.0, 1.0]), None
-        )
+        jac = central_difference(lambda x: np.array([2.0, 3.0]), np.array([1.0, 1.0]))
         assert jac == pytest.approx(np.zeros((2, 2)), abs=1e-12)
 
     def test_singular_probe_raises(self):
-        def feedback(x, xi):
+        def feedback(x):
             if x[0] > 1.0:
                 raise_from = math.inf
                 return np.array([raise_from])
             return np.array([0.0])
 
         with pytest.raises(NonFiniteJacobian):
-            feedback_jacobian_fd(feedback, np.array([1.0]), None)
+            central_difference(feedback, np.array([1.0]))
 
     def test_obstacle_analytic_matches_fd(self):
         scenario = make_scenario("adaptive", q0=1.0)
@@ -383,9 +363,20 @@ class TestFeedbackJacobian:
         x = scenario.x0[:3]
         xi1 = np.array([1.0, 0.2, -0.1])
         analytic = gradient_feedback_jacobian(x, 1.0, scenario.obstacle)
-        numeric = feedback_jacobian_fd(ctrl.feedback, x, xi1)
+        numeric = central_difference(lambda p: ctrl.feedback(p, xi1), x)
         scale = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
+
+
+def _backstep_rates(adaptive, gains, x, xi2, jac=None):
+    """Estimate and input rates of the backstepping controller flow.
+
+    With a unit adaptation gain and the estimate inside the admissible
+    ball, the estimate rate equals the adaptation drive.
+    """
+    n_nom = adaptive.nominal.n_state
+    flow = lift_backstep(adaptive, gains, jac=jac).controller_flow(x, xi2)
+    return flow[n_nom:adaptive.n_state], flow[adaptive.n_state:]
 
 
 class TestBackstepDrive:
@@ -400,7 +391,7 @@ class TestBackstepDrive:
         xi1 = np.concatenate([[0.0], theta_hat])
         u = adaptive.feedback(x, xi1)
         xi2 = np.concatenate([xi1, u])
-        drive = backstep_drive(x, xi2, adaptive, gains)
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
         assert drive == pytest.approx(x, abs=1e-9)
 
     def test_zero_at_origin_on_manifold(self):
@@ -413,9 +404,8 @@ class TestBackstepDrive:
         xi1 = np.array([0.0, 0.3, 0.1])
         u = adaptive.feedback(x, xi1)
         xi2 = np.concatenate([xi1, u])
-        assert backstep_drive(x, xi2, adaptive, gains) == pytest.approx(
-            np.zeros(2), abs=1e-9
-        )
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
+        assert drive == pytest.approx(np.zeros(2), abs=1e-9)
 
     def test_correction_term_sign(self):
         # With V = |x|^2/2 the lifted feedback has x-Jacobian -I, so the
@@ -431,7 +421,7 @@ class TestBackstepDrive:
         u_err = np.array([0.4, -0.2])
         u = adaptive.feedback(x, xi1) + u_err
         xi2 = np.concatenate([xi1, u])
-        drive = backstep_drive(x, xi2, adaptive, gains)
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
         expected = x + np.linalg.inv(gamma2) @ u_err
         assert drive == pytest.approx(expected, abs=1e-9)
 
@@ -466,7 +456,7 @@ class TestInputFlow:
         xi1 = np.array([0.0, 0.1, 0.2])
         u = const + np.array([0.5, 0.0])
         xi2 = np.concatenate([xi1, u])
-        rate = input_flow(x, xi2, adaptive, gains)
+        _, rate = _backstep_rates(adaptive, gains, x, xi2)
         assert rate == pytest.approx(-3.0 * np.array([0.5, 0.0]), abs=1e-9)
 
     def test_matches_assembly_from_fd_jacobian(self):
@@ -484,7 +474,7 @@ class TestInputFlow:
         u = np.array([0.5, 0.8])
         xi2 = np.concatenate([xi1, u])
 
-        jac_fd = feedback_jacobian_fd(adaptive.feedback, x, xi1)
+        jac_fd = central_difference(lambda p: adaptive.feedback(p, xi1), x)
         xi_c = np.array([1.0])
         grad_v = adaptive.grad_potential(x, xi_c)
         psi_t = plant.disturbance_matrix(x, xi_c)
@@ -497,7 +487,7 @@ class TestInputFlow:
             - gains.gain @ (plant.input_matrix(x, xi_c).T @ grad_v)
             + jac_fd @ plant.f(x, xi_c, u, theta_hat)
         )
-        actual = input_flow(x, xi2, adaptive, gains, jac=ctrl.feedback_jacobian)
+        actual = ctrl.controller_flow(x, xi2)[3:]
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(actual - expected)) / scale <= 1e-6
 
@@ -602,14 +592,15 @@ class TestLiftBackstep:
         u = adaptive.feedback(x, xi1) + np.array([0.3, 0.0])
         xi2 = np.concatenate([xi1, u])
         flow = backstep.controller_flow(x, xi2)
-        gains = backstep.gains
-        drive = backstep_drive(x, xi2, adaptive, gains, jac=backstep.feedback_jacobian)
-        assert flow[1:3] == pytest.approx(
-            UNIT_BALL.gain @ project_rate(drive, xi1[1:], UNIT_BALL)
-        )
-        assert flow[3:] == pytest.approx(
-            input_flow(x, xi2, adaptive, gains, jac=backstep.feedback_jacobian)
-        )
+        # V = |x|^2/2 and feedback -x - theta_hat: the feedback's
+        # x-Jacobian is -I, so the drive gains gain^{-1} u_err over the
+        # plain drive x.
+        u_err = u - adaptive.feedback(x, xi1)
+        drive = x + u_err
+        estimate_rate = UNIT_BALL.gain @ project_rate(drive, xi1[1:], UNIT_BALL)
+        assert flow[1:3] == pytest.approx(estimate_rate)
+        # -matched @ rate - damping * u_err - gain @ grad V + jac @ xdot
+        assert flow[3:] == pytest.approx(-estimate_rate - u_err - x - u)
 
 
 class TestBallInvarianceOnArcs:
@@ -688,8 +679,8 @@ class TestGapOrderingOnArcs:
         arc = solve(scenario.system, scenario.x0, scenario.config)
         for _, _, state in arc.iter_samples():
             x, xi1 = state[:3], state[3:]
-            report = min_over_candidates(nominal, x, xi1[:1])
-            true_gap = scenario.true_potential(state) - float(report.min_value)
+            min_value, _, _ = min_over_candidates(nominal, x, xi1[:1])
+            true_gap = scenario.true_potential(state) - min_value
             assert scenario.switching_gap(state) <= true_gap + 1e-9
 
 
@@ -716,9 +707,7 @@ class TestJumpDecreaseBound:
         ctrl = scenario.controller
         x = scenario.x0[:3]
         xi2 = np.concatenate([[1.0], [0.3, -0.2], [0.4, 0.1]])
-        with_fd = backstep_drive(x, xi2, ctrl.adaptive, ctrl.gains)
-        with_analytic = backstep_drive(
-            x, xi2, ctrl.adaptive, ctrl.gains, jac=ctrl.feedback_jacobian
-        )
+        with_fd, _ = _backstep_rates(ctrl.adaptive, ctrl.gains, x, xi2)
+        with_analytic = ctrl.controller_flow(x, xi2)[1:3]
         scale = max(1.0, float(np.max(np.abs(with_analytic))))
         assert np.max(np.abs(with_fd - with_analytic)) / scale <= 1e-6

@@ -44,6 +44,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(u0_policy="random")
 
+    def test_infinite_horizon_rejected(self):
+        # An infinite t_max would never end; it is refused before any run.
+        with pytest.raises(ConfigError, match="t_max"):
+            config_from_sources({"t_max": math.inf})
+        with pytest.raises(ConfigError, match="obstacle_center"):
+            config_from_sources({"obstacle_center": (math.inf, 0.0)})
+
     def test_parameter_outside_ball_rejected_at_build(self):
         cfg = ScenarioConfig(theta=(1.3, 0.0))
         with pytest.raises(ConfigError):
@@ -331,6 +338,30 @@ class TestCli:
 
     def test_config_error_exit_four(self, capsys):
         assert main(["--controller", "nominal", "--q0", "0.5"]) == 4
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("theta", "nan 0.5"),
+            ("z_init", "2.0 nan"),
+            ("obstacle_radius", "nan"),
+            ("eps", "nan"),
+            ("gamma1", "nan"),
+            ("abs_tol", "nan"),
+            ("delta", "nan"),
+            ("t_max", "nan"),
+        ],
+    )
+    @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
+    def test_non_finite_config_value_exit_four(
+        self, tmp_path, capsys, key, value, controller
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"controller = {controller}\n{key} = {value}\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be finite" in err
+        assert "Traceback" not in err
 
     def test_unknown_flag_exit_four(self, capsys):
         assert main(["--warp", "9"]) == 4

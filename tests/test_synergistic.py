@@ -1,4 +1,4 @@
-"""Gap algebra, closed-loop assembly, Lyapunov monitors, extended values."""
+"""Gap algebra, closed-loop assembly, Lyapunov monitors."""
 
 import math
 
@@ -8,10 +8,8 @@ import pytest
 from hybridfb import (
     AffinePlant,
     ControllerData,
-    ExtendedNonneg,
     HybridSystemDef,
     InfeasibleCandidates,
-    PlantModel,
     SolverConfig,
     build_closed_loop,
     gap_value,
@@ -45,48 +43,27 @@ def toggle_controller(values, margin=1.0, current_extra=None):
     )
 
 
-class TestExtendedNonneg:
-    def test_validation(self):
-        assert ExtendedNonneg(0.0).value == 0.0
-        assert not ExtendedNonneg.infinity().is_finite
-        with pytest.raises(ValueError):
-            ExtendedNonneg(-1.0)
-        with pytest.raises(ValueError):
-            ExtendedNonneg(float("nan"))
-
-    def test_infinity_absorbs_addition(self):
-        inf = ExtendedNonneg.infinity()
-        assert (inf + 5.0) == math.inf
-        assert (inf + ExtendedNonneg(2.0)).value == math.inf
-        assert (ExtendedNonneg(2.0) + 3.0).value == 5.0
-
-    def test_infinity_compares_above_all_finite(self):
-        inf = ExtendedNonneg.infinity()
-        assert inf > ExtendedNonneg(1e300)
-        assert inf > 1e300
-        assert ExtendedNonneg(3.0) < inf
-        assert float(inf) == math.inf
-
-
 class TestMinOverCandidates:
     def test_two_candidate_example(self):
         # Candidates (-1, +1) with values 1 and 3, current state +1.
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0})
-        report = min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
-        assert float(report.min_value) == 1.0
-        assert [float(g[0]) for g in report.minimizers] == [-1.0]
-        assert float(report.gap) == 2.0
+        min_value, minimizers, gap = min_over_candidates(
+            ctrl, np.zeros(1), np.array([1.0])
+        )
+        assert min_value == 1.0
+        assert [float(g[0]) for g in minimizers] == [-1.0]
+        assert gap == 2.0
 
     def test_gap_zero_at_minimizer(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0})
-        report = min_over_candidates(ctrl, np.zeros(1), np.array([-1.0]))
-        assert float(report.gap) == 0.0
+        _, _, gap = min_over_candidates(ctrl, np.zeros(1), np.array([-1.0]))
+        assert gap == 0.0
 
     def test_infinite_current_value(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: math.inf})
-        report = min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
-        assert float(report.gap) == math.inf
-        assert report.gap == ExtendedNonneg.infinity()
+        min_value, _, gap = min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
+        assert min_value == 1.0
+        assert gap == math.inf
 
     def test_all_candidates_infinite(self):
         ctrl = toggle_controller({-1.0: math.inf, 1.0: math.inf})
@@ -104,6 +81,13 @@ class TestMinOverCandidates:
         )
         with pytest.raises(InfeasibleCandidates):
             min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
+
+    def test_current_value_below_every_candidate_raises(self):
+        # A current state better than all of its own candidates breaks
+        # the synergistic structure; the gap would be negative.
+        ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0}, current_extra={0.0: 0.5})
+        with pytest.raises(ValueError):
+            min_over_candidates(ctrl, np.zeros(1), np.array([0.0]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -124,10 +108,10 @@ class TestMinOverCandidates:
         xi = np.array([3.0])
         base = min_over_candidates(make(range(6)), np.zeros(1), xi)
         shuffled = min_over_candidates(make([4, 2, 0, 5, 1, 3]), np.zeros(1), xi)
-        assert float(base.min_value) == float(shuffled.min_value)
-        assert float(base.gap) == float(shuffled.gap)
-        assert sorted(float(g[0]) for g in base.minimizers) == sorted(
-            float(g[0]) for g in shuffled.minimizers
+        assert base[0] == shuffled[0]
+        assert base[2] == shuffled[2]
+        assert sorted(float(g[0]) for g in base[1]) == sorted(
+            float(g[0]) for g in shuffled[1]
         )
 
     def test_constant_shift_leaves_gap_and_argmin(self):
@@ -148,18 +132,15 @@ class TestMinOverCandidates:
         xi = np.array([2.0])
         base = min_over_candidates(make(0.0), np.zeros(1), xi)
         shifted = min_over_candidates(make(4.25), np.zeros(1), xi)
-        assert float(shifted.min_value) == pytest.approx(
-            float(base.min_value) + 4.25, abs=1e-12
-        )
-        assert float(shifted.gap) == pytest.approx(float(base.gap), abs=1e-12)
-        assert [float(g[0]) for g in shifted.minimizers] == [
-            float(g[0]) for g in base.minimizers
-        ]
+        assert shifted[0] == pytest.approx(base[0] + 4.25, abs=1e-12)
+        assert shifted[2] == pytest.approx(base[2], abs=1e-12)
+        assert [float(g[0]) for g in shifted[1]] == [float(g[0]) for g in base[1]]
 
     def test_gap_zero_for_each_minimizer(self):
         # Constant candidate lists: every minimizer has zero gap itself.
         ctrl = toggle_controller({-1.0: 2.0, 1.0: 2.0})
-        for g in min_over_candidates(ctrl, np.zeros(1), np.array([1.0])).minimizers:
+        _, minimizers, _ = min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
+        for g in minimizers:
             assert gap_value(ctrl, np.zeros(1), g) == 0.0
 
     def test_enumeration_oracle(self):
@@ -180,8 +161,12 @@ class TestSelectJump:
 
 
 def scalar_plant():
-    return PlantModel(
-        f=lambda x, xi, u, theta: -x + u,
+    """xdot = -x + u, with no disturbance channel."""
+    return AffinePlant(
+        drift=lambda x, xi: -x,
+        input_matrix=lambda x, xi: np.eye(1),
+        disturbance_matrix=lambda x, xi: np.zeros((1, 1)),
+        matched_matrix=lambda x, xi: np.zeros((1, 1)),
         n_x=1,
         n_u=1,
         n_theta=1,
