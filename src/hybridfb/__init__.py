@@ -23,6 +23,7 @@ from .errors import (
     InsideObstacle,
     IntegrationStalled,
     JumpOutsideJumpSet,
+    MalformedArc,
     NonFiniteJacobian,
     ZenoSuspected,
 )

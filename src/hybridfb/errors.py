@@ -10,7 +10,7 @@ class IntegrationStalled(HybridFeedbackError):
 
 
 class DomainEscape(HybridFeedbackError):
-    """The flow left the flow set without entering the jump set.
+    """The flow left the flow set without entering the jump set, or the state space.
 
     Carries the offending state and time so callers can diagnose or
     recover.
@@ -26,12 +26,16 @@ class JumpOutsideJumpSet(HybridFeedbackError):
     """A jump was requested at a state outside the jump set."""
 
 
+class MalformedArc(HybridFeedbackError):
+    """The solver returned an arc that fails ``validate_domain``."""
+
+
 class ZenoSuspected(HybridFeedbackError):
     """Jump budget exhausted with almost no flow time between recent jumps."""
 
 
 class InfeasibleCandidates(HybridFeedbackError):
-    """Every reset candidate has infinite potential (feasibility violated)."""
+    """No reset candidate has finite potential, or all lie above the current one."""
 
 
 class InsideObstacle(HybridFeedbackError):

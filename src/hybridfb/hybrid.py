@@ -16,6 +16,7 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
@@ -29,7 +30,6 @@ from .errors import (
     ZenoSuspected,
 )
 
-Priority = Literal["jump_first", "flow_first"]
 ExitReason = Literal["time", "jump_boundary", "converged"]
 
 # Step sizes below this (seconds) count as an integrator stall.
@@ -144,7 +144,7 @@ class SolverConfig:
 
     ``stop_ball`` is an optional ``(distance_fn, radius)`` pair; the run
     stops with exit reason ``converged`` once ``distance_fn(state) <=
-    radius`` at an accepted sample.
+    radius`` at an accepted sample.  ``t_max`` and tolerances must be finite.
     """
 
     t_max: float = 10.0
@@ -153,22 +153,19 @@ class SolverConfig:
     rel_tol: float = 1e-9
     event_tol: float = 1e-10
     max_step: float = 0.01
-    priority: Priority = "jump_first"
     stop_ball: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.t_max < 0.0:
-            raise ValueError("t_max must be nonnegative")
+        if not 0.0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be nonnegative and finite")
         if self.j_max < 0:
             raise ValueError("j_max must be nonnegative")
         for name in ("abs_tol", "rel_tol", "event_tol", "max_step"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.priority not in ("jump_first", "flow_first"):
-            raise ValueError(f"unknown priority {self.priority!r}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.stop_ball is not None:
             _, radius = self.stop_ball
-            if radius < 0.0:
+            if not radius >= 0.0:
                 raise ValueError("stop_ball radius must be nonnegative")
 
 
@@ -375,7 +372,7 @@ def solve(
 
     The solver alternates :func:`advance_flow` and :func:`apply_jump`.
     Where both actions are admissible (the shared boundary of the flow
-    and jump sets), ``cfg.priority`` decides.  The run stops at
+    and jump sets), the jump wins.  The run stops at
     ``cfg.t_max``, when the jump budget ``cfg.j_max`` is exhausted, or
     when the optional stop ball is entered.
 
@@ -422,20 +419,15 @@ def solve(
         g = float(sys.jump_indicator(y))
         f = float(sys.flow_indicator(y))
         jump_admissible = g >= -cfg.event_tol
-        flow_admissible = f <= cfg.event_tol
-        if not jump_admissible and not flow_admissible:
+        if not jump_admissible and f > cfg.event_tol:
             raise DomainEscape(
                 "state outside both the flow and jump sets "
                 f"(flow indicator {f:.3e}, jump indicator {g:.3e})",
                 state=y,
                 t=t,
             )
-        if cfg.priority == "jump_first":
-            do_jump = jump_admissible
-        else:
-            do_jump = jump_admissible and not flow_admissible
 
-        if do_jump:
+        if jump_admissible:
             if j >= cfg.j_max:
                 _check_zeno()
                 break

@@ -30,7 +30,7 @@ from .adaptive import (
     lift_adaptive,
     lift_backstep,
 )
-from .errors import ChartSingular, InsideObstacle
+from .errors import ChartSingular, DomainEscape, InsideObstacle
 from .hybrid import HybridSystemDef, SolverConfig
 from .synergistic import (
     AffinePlant,
@@ -66,8 +66,10 @@ class ObstacleDisk:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(2)
         object.__setattr__(self, "center", center)
-        if self.radius <= 0.0:
-            raise ValueError("obstacle radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"obstacle center must be finite, got {center}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("obstacle radius must be positive and finite")
         dist = float(np.linalg.norm(center))
         if dist <= self.radius:
             raise ValueError(
@@ -321,7 +323,7 @@ def renormalize_circle(state: np.ndarray) -> np.ndarray:
     out = state.copy()
     norm = math.hypot(out[1], out[2])
     if not norm > 0.0:
-        raise ValueError("circle component collapsed to zero")
+        raise DomainEscape("circle component collapsed to zero", state=state)
     out[1] /= norm
     out[2] /= norm
     return out
@@ -350,9 +352,6 @@ class Scenario:
     config: SolverConfig
     ball: Optional[ParamBall] = None
     gains: Optional[BackstepGains] = None
-
-    def plant_state(self, state: np.ndarray) -> np.ndarray:
-        return state[:3]
 
     def chart_index(self, state: np.ndarray) -> float:
         return float(state[3])

@@ -20,7 +20,7 @@ import numpy as np
 from . import adaptive as adaptive_mod
 from . import obstacle as obstacle_mod
 from .adaptive import ParamBall, ball_distance, central_difference, reset_estimate
-from .errors import ChartSingular, ConfigError, InsideObstacle
+from .errors import ChartSingular, ConfigError, InsideObstacle, MalformedArc
 from .hybrid import HybridArc, SolverConfig, solve, validate_domain
 from .obstacle import ObstacleDisk, Scenario, make_scenario
 from .synergistic import (
@@ -78,7 +78,6 @@ class ScenarioConfig:
     rel_tol: float = 1e-9
     event_tol: float = 1e-10
     max_step: float = 0.01
-    priority: str = "jump_first"
     flow_tol: float = 1e-6
     jump_tol: float = 1e-9
     out: Optional[str] = None
@@ -108,7 +107,6 @@ class ScenarioConfig:
             rel_tol=self.rel_tol,
             event_tol=self.event_tol,
             max_step=self.max_step,
-            priority=self.priority,
         )
 
 
@@ -150,7 +148,6 @@ _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
     "rel_tol": float,
     "event_tol": float,
     "max_step": float,
-    "priority": str,
     "flow_tol": float,
     "jump_tol": float,
     "out": str,
@@ -280,7 +277,7 @@ def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
     )
     domain_problems = validate_domain(arc)
     if domain_problems:
-        raise AssertionError(
+        raise MalformedArc(
             "solver produced an ill-formed arc: " + "; ".join(domain_problems)
         )
 
@@ -546,17 +543,20 @@ def _grid_disk(resolution: float, radius: float) -> np.ndarray:
     return pts[np.einsum("ij,ij->i", pts, pts) <= radius**2]
 
 
+def _generic_ball(rng: np.random.Generator) -> ParamBall:
+    # Generic (non-scalar) SPD gain; the eigenvalue floor keeps the
+    # inverse metric gentle enough that the grid's own discretization
+    # bias stays below the agreement tolerance.
+    basis = rng.normal(size=(2, 2))
+    return ParamBall(radius=1.0, eps=1.0, gain=basis @ basis.T + 2.0 * np.eye(2))
+
+
 def ball_distance_oracle_suite(
     seed: int, n: int = 1000, resolution: float = 1e-3, tol: float = 1e-3
 ) -> SuiteResult:
     """Worst-case distance term against a grid search over the ball."""
     rng = np.random.default_rng(seed)
-    # Generic (non-scalar) SPD gain; the eigenvalue floor keeps the
-    # inverse metric gentle enough that the grid's own discretization
-    # bias stays below the agreement tolerance.
-    basis = rng.normal(size=(2, 2))
-    gain = basis @ basis.T + 2.0 * np.eye(2)
-    ball = ParamBall(radius=1.0, eps=1.0, gain=gain)
+    ball = _generic_ball(rng)
     grid = _grid_disk(resolution, ball.radius)
     # gain_inv = L L^T, so the metric is the Euclidean one after mapping
     # points through L^T; grid rows become grid @ L.  Single precision is
@@ -592,7 +592,7 @@ def ball_distance_oracle_suite(
     return SuiteResult(
         name="ball_distance_oracle",
         passed=worst <= tol,
-        detail=f"max |bisection - grid| = {worst:.2e} over {n} inputs (tol {tol})",
+        detail=f"max |solver - grid| = {worst:.2e} over {n} inputs (tol {tol})",
     )
 
 
@@ -607,12 +607,7 @@ def reset_estimate_oracle_suite(
     ``-2 * radius * |metric @ (g - theta_hat)|``.
     """
     rng = np.random.default_rng(seed)
-    # Generic (non-scalar) SPD gain; the eigenvalue floor keeps the
-    # inverse metric gentle enough that the grid's own discretization
-    # bias stays below the agreement tolerance.
-    basis = rng.normal(size=(2, 2))
-    gain = basis @ basis.T + 2.0 * np.eye(2)
-    ball = ParamBall(radius=1.0, eps=1.0, gain=gain)
+    ball = _generic_ball(rng)
     metric = ball.gain_inv
     grid = _grid_disk(resolution, ball.radius + ball.eps)
     grid_metric = grid @ metric.T

@@ -130,12 +130,12 @@ def min_over_candidates(
     ``math.inf`` when the current potential is infinite.
 
     Raises :class:`InfeasibleCandidates` when no candidate has finite
-    potential.
+    potential or the gap is negative.
     """
     value_here, min_value, minimizers = _evaluate_candidates(ctrl, x, xi_c)
     gap = math.inf if math.isinf(value_here) else value_here - min_value
     if gap < 0.0:
-        raise ValueError(
+        raise InfeasibleCandidates(
             "current potential lies below every reset candidate "
             f"(gap {gap}); synergistic controllers keep the current state "
             "reachable from its own candidate list"

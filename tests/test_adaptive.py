@@ -52,6 +52,21 @@ class TestBallTypes:
         with pytest.raises(ValueError):
             ParamBall(radius=1.0, eps=1.0, gain=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "radius, eps, gain",
+        [
+            (math.nan, 1.0, np.eye(2)),
+            (math.inf, 1.0, np.eye(2)),
+            (1.0, math.nan, np.eye(2)),
+            (1.0, math.inf, np.eye(2)),
+            (1.0, 1.0, np.diag([math.inf, 1.0])),
+        ],
+        ids=["radius-nan", "radius-inf", "eps-nan", "eps-inf", "gain-inf"],
+    )
+    def test_param_ball_rejects_non_finite(self, radius, eps, gain):
+        with pytest.raises(ValueError, match="finite"):
+            ParamBall(radius=radius, eps=eps, gain=gain)
+
     def test_scalar_gain_detection(self):
         assert ParamBall(1.0, 1.0, 2.5 * np.eye(3)).scalar_gain == 2.5
         general = ParamBall(1.0, 1.0, np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -126,21 +141,36 @@ class TestBallDistance:
         assert dist_sq == pytest.approx(0.5**2 / 4.0)
 
     def test_general_gain_kkt_conditions(self):
-        ball = ParamBall(
-            radius=1.0, eps=1.0, gain=np.array([[2.0, 0.4], [0.4, 0.7]])
-        )
-        theta_hat = np.array([1.6, -0.9])
-        dist_sq, nearest = ball_distance(theta_hat, ball)
-        # nearest sits on the ball boundary ...
-        assert np.linalg.norm(nearest) == pytest.approx(1.0, abs=1e-9)
-        # ... and the metric residual is anti-parallel to it (KKT with
-        # a nonnegative multiplier)
-        residual = ball.gain_inv @ (nearest - theta_hat)
-        lam = -float(residual @ nearest) / float(nearest @ nearest)
-        assert lam >= 0.0
-        assert residual + lam * nearest == pytest.approx(np.zeros(2), abs=1e-8)
-        diff = theta_hat - nearest
-        assert dist_sq == pytest.approx(float(diff @ ball.gain_inv @ diff))
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        ill_3x3 = (basis * np.array([1e-4, 1.0, 1e3])) @ basis.T
+        tilted = np.array([[2.0, 0.4], [0.4, 0.7]])
+        eigvec = np.linalg.eigh(tilted)[1][:, 0]
+        cases = [
+            (tilted, np.array([1.6, -0.9])),
+            # Nearly singular gain: a multiplier near 5e12.
+            (np.diag([1e-13, 1.0]), np.array([1.5, 0.3])),
+            # 3x3 gain with condition number 1e7.
+            (0.5 * (ill_3x3 + ill_3x3.T), np.array([1.2, -0.7, 0.9])),
+            # Estimate along a gain eigenvector.
+            (tilted, 1.7 * eigvec),
+        ]
+        for gain, theta_hat in cases:
+            ball = ParamBall(radius=1.0, eps=1.0, gain=gain)
+            dist_sq, nearest = ball_distance(theta_hat, ball)
+            # nearest sits on the ball boundary, never outside it ...
+            assert np.linalg.norm(nearest) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(nearest) <= ball.radius + 1e-9
+            # ... and the metric residual is anti-parallel to it (KKT with
+            # a nonnegative multiplier)
+            residual = ball.gain_inv @ (nearest - theta_hat)
+            lam = -float(residual @ nearest) / float(nearest @ nearest)
+            assert lam >= 0.0
+            assert residual + lam * nearest == pytest.approx(
+                np.zeros(len(theta_hat)), abs=1e-8
+            )
+            diff = theta_hat - nearest
+            assert dist_sq == pytest.approx(float(diff @ ball.gain_inv @ diff))
 
     def test_general_gain_grid_oracle(self):
         result = ball_distance_oracle_suite(seed=5, n=100)

@@ -1,6 +1,9 @@
-"""Every ``from hybridfb... import X`` in the demos and the README resolves.
+"""The demos and the README match the package.
 
-The sources are parsed, not run: running the demos takes seconds each.
+Every ``from hybridfb... import X`` in the demos and the README resolves;
+the sources are parsed, not run: running the demos takes seconds each.
+The README's configuration defaults list every config key and each
+key's default.
 """
 
 import ast
@@ -9,6 +12,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from hybridfb.runner import _FIELD_PARSERS, ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -50,3 +55,25 @@ def test_package_imports_resolve(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def _readme_defaults():
+    """``key = value`` pairs of the README block that follows "Keys and defaults"."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Keys\nand defaults:", 1)[1].split("```", 2)[1]
+    pairs = re.findall(r"(\w+) =(.*?)(?=\s+\w+ =|$)", block, re.MULTILINE)
+    return {key: value.strip() for key, value in pairs}
+
+
+def test_readme_config_defaults_match():
+    listed = _readme_defaults()
+    assert set(listed) == set(_FIELD_PARSERS)
+    defaults = ScenarioConfig()
+    for key, text in listed.items():
+        expected = getattr(defaults, key)
+        if not text:
+            assert expected is None, key
+        elif key == "theta":  # printed rounded to four digits
+            assert _FIELD_PARSERS[key](text) == pytest.approx(expected, abs=1e-4)
+        else:
+            assert _FIELD_PARSERS[key](text) == expected, key

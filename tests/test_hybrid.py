@@ -163,10 +163,9 @@ class TestSolve:
         assert len(arc.domain.intervals) == 1
         assert arc.domain.intervals[0] == (0.0, 2.0, 0)
 
-    @pytest.mark.parametrize("priority", ["jump_first", "flow_first"])
-    def test_initial_state_in_jump_set_jumps_at_zero(self, priority):
+    def test_initial_state_in_jump_set_jumps_at_zero(self):
         # tau starts beyond the threshold: only a jump is admissible.
-        cfg = SolverConfig(t_max=2.0, priority=priority)
+        cfg = SolverConfig(t_max=2.0)
         arc = solve(timer_system(), np.array([1.5]), cfg)
         assert arc.jump_records[0].t == 0.0
         assert arc.jump_records[0].before[0] == 1.5
@@ -246,35 +245,27 @@ class TestSolve:
         assert abs(arc.final_state[0]) <= 0.01
         assert validate_domain(arc) == []
 
-    def test_flow_first_from_boundary_still_progresses(self):
-        # Equal indicators, start exactly on the shared boundary with an
-        # outward field: flow_first takes one step into the jump set, the
-        # segment ends as a boundary arrival, and the jump fires there.
-        cfg = SolverConfig(t_max=2.5, priority="flow_first")
+    def test_start_on_shared_boundary_jumps_first(self):
+        # Start exactly on the shared boundary of the flow and jump sets:
+        # the jump wins at t = 0, then the timer flows to the next one.
+        cfg = SolverConfig(t_max=2.5)
         arc = solve(timer_system(), np.array([1.0]), cfg)
-        assert arc.jump_count >= 2
-        assert arc.jump_records[0].t <= cfg.max_step + 1e-12
+        assert arc.jump_records[0].t == 0.0
+        assert arc.jump_records[0].after[0] == 0.0
+        assert arc.jump_count == 3
         assert validate_domain(arc) == []
 
     def test_priority_on_overlapping_sets(self):
-        # Flow and jump sets overlap everywhere.  flow_first must keep
-        # flowing; jump_first jumps in place until the Zeno guard trips.
+        # Flow and jump sets overlap everywhere: jumps win, so the state
+        # jumps in place until the Zeno guard trips.
         sys = HybridSystemDef(
             flow_map=lambda y: np.ones(1),
             flow_indicator=lambda y: -1.0,
             jump_indicator=lambda y: 1.0,
             jump_map=lambda y: np.zeros(1),
         )
-        arc = solve(
-            sys, np.array([0.0]), SolverConfig(t_max=1.0, priority="flow_first")
-        )
-        assert arc.jump_count == 0
         with pytest.raises(ZenoSuspected):
-            solve(
-                sys,
-                np.array([0.0]),
-                SolverConfig(t_max=1.0, j_max=20, priority="jump_first"),
-            )
+            solve(sys, np.array([0.0]), SolverConfig(t_max=1.0, j_max=20))
 
 
 class TestDomainValidation:
@@ -352,6 +343,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             SolverConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(priority="sometimes")
-        with pytest.raises(ValueError):
             SolverConfig(j_max=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_max", math.nan),
+            ("t_max", math.inf),
+            ("abs_tol", math.nan),
+            ("abs_tol", math.inf),
+            ("rel_tol", math.nan),
+            ("event_tol", math.nan),
+            ("max_step", math.nan),
+            ("max_step", math.inf),
+            ("stop_ball", (abs, math.nan)),
+        ],
+    )
+    def test_solver_config_rejects_non_finite(self, field, value):
+        # t_max = inf would make solve run forever.
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: value})

@@ -7,6 +7,7 @@ import pytest
 
 from hybridfb import (
     ChartSingular,
+    DomainEscape,
     SolverConfig,
     InsideObstacle,
     ObstacleDisk,
@@ -26,7 +27,7 @@ from hybridfb import (
     solve,
     to_cylinder,
 )
-from hybridfb.obstacle import cylinder_input_matrix
+from hybridfb.obstacle import cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
 
 OBS = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
@@ -39,6 +40,19 @@ class TestObstacleDisk:
             ObstacleDisk(center=np.array([0.3, 0.0]), radius=0.5)
         with pytest.raises(ValueError):
             ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.0)
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            ((math.nan, 0.0), 0.5),
+            ((1.0, math.inf), 0.5),
+            ((1.0, 0.0), math.nan),
+        ],
+        ids=["center-nan", "center-inf", "radius-nan"],
+    )
+    def test_non_finite_rejected(self, center, radius):
+        with pytest.raises(ValueError, match="finite"):
+            ObstacleDisk(center=np.array(center), radius=radius)
 
     def test_target_is_origin_image(self):
         assert OBS.target == pytest.approx(np.array([LOG_HALF, -1.0, 0.0]))
@@ -332,6 +346,12 @@ class TestScenarioFactory:
 
 
 class TestClosedLoopGeometry:
+    def test_renormalize_collapsed_circle_raises(self):
+        state = np.array([0.2, 0.0, 0.0, 1.0])
+        with pytest.raises(DomainEscape, match="collapsed") as info:
+            renormalize_circle(state)
+        assert info.value.state is state
+
     def test_agrees_with_independent_integrator(self):
         # Method-independent check of the whole closed-loop right-hand
         # side: a jump-free window integrated by LSODA at tight tolerance

@@ -9,8 +9,11 @@ import hybridfb.adaptive as adaptive_mod
 import hybridfb.runner as runner_mod
 from hybridfb import (
     ConfigError,
+    DomainEscape,
     HybridTimeDomain,
     HybridArc,
+    InfeasibleCandidates,
+    MalformedArc,
     ScenarioConfig,
     ZenoSuspected,
     build_scenario,
@@ -22,7 +25,7 @@ from hybridfb import (
     read_summary,
     run,
 )
-from hybridfb.cli import main
+from hybridfb.cli import main, run_config_file
 from hybridfb.runner import CSV_HEADER
 
 
@@ -384,6 +387,18 @@ class TestCli:
 
         monkeypatch.setattr("hybridfb.cli.run", explode)
         assert main(["--t-max", "1.0"]) == 3
+
+    @pytest.mark.parametrize("error", [MalformedArc, InfeasibleCandidates, DomainEscape])
+    def test_batch_worker_solver_error_exit_three(self, tmp_path, monkeypatch, error):
+        # The batch worker reports each typed failure instead of raising it
+        # into the process pool.
+        def explode(config):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr("hybridfb.cli.run", explode)
+        path = tmp_path / "run.cfg"
+        path.write_text("t_max = 0.5\n")
+        assert run_config_file(str(path)) == (str(path), 3, "synthetic failure")
 
     def test_property_suite_flag(self, capsys):
         assert main(["--property-suite", "--seed", "1"]) == 0

@@ -86,7 +86,7 @@ class TestMinOverCandidates:
         # A current state better than all of its own candidates breaks
         # the synergistic structure; the gap would be negative.
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0}, current_extra={0.0: 0.5})
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleCandidates, match="below every reset candidate"):
             min_over_candidates(ctrl, np.zeros(1), np.array([0.0]))
 
     def test_permutation_invariance(self):
