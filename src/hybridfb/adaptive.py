@@ -430,20 +430,22 @@ def lift_backstep(
     def controller_flow(x, xi_c2):
         xi_c1, u = _split(xi_c2)
         xi_c, th = adaptive.split(xi_c1)
+        # Every term shared by the rates is evaluated once per call.
         u_err = u - adaptive.feedback(x, xi_c1)
         jac_k1 = jac(x, xi_c1)
         grad_v = adaptive.grad_potential(x, xi_c)
+        input_mat = plant.input_matrix(x, xi_c)
         psi_theta = plant.disturbance_matrix(x, xi_c)
+        # plant.f with the estimate in place of the true parameter.
+        model = plant.drift(x, xi_c) + input_mat @ u + psi_theta @ th
 
-        drive = psi_theta.T @ grad_v - psi_theta.T @ (
-            jac_k1.T @ (gains.gain_inv @ u_err)
-        )
+        drive = psi_theta.T @ (grad_v - jac_k1.T @ (gains.gain_inv @ u_err))
         estimate_rate = ball.gain @ project_rate(drive, th, ball)
         input_rate = (
             -plant.matched_matrix(x, xi_c) @ estimate_rate
             - gains.damping * u_err
-            - gains.gain @ (plant.input_matrix(x, xi_c).T @ grad_v)
-            + jac_k1 @ plant.f(x, xi_c, u, th)
+            - gains.gain @ (input_mat.T @ grad_v)
+            + jac_k1 @ model
         )
         f_c = np.asarray(adaptive.nominal.controller_flow(x, xi_c), dtype=float)
         if controller_jacobian is not None:

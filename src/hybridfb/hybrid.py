@@ -417,17 +417,7 @@ def solve(
             break
 
         g = float(sys.jump_indicator(y))
-        f = float(sys.flow_indicator(y))
-        jump_admissible = g >= -cfg.event_tol
-        if not jump_admissible and f > cfg.event_tol:
-            raise DomainEscape(
-                "state outside both the flow and jump sets "
-                f"(flow indicator {f:.3e}, jump indicator {g:.3e})",
-                state=y,
-                t=t,
-            )
-
-        if jump_admissible:
+        if g >= -cfg.event_tol:
             if j >= cfg.j_max:
                 _check_zeno()
                 break
@@ -442,6 +432,15 @@ def solve(
             cur_states = [y]
             continue
 
+        # Outside the jump set, so the state must lie in the flow set.
+        f = float(sys.flow_indicator(y))
+        if f > cfg.event_tol:
+            raise DomainEscape(
+                "state outside both the flow and jump sets "
+                f"(flow indicator {f:.3e}, jump indicator {g:.3e})",
+                state=y,
+                t=t,
+            )
         segment, reason = advance_flow(y, sys, cfg, t0=t)
         # The segment repeats the entry sample; skip the duplicate.
         cur_times.extend(segment.times[1:].tolist())

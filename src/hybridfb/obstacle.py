@@ -57,7 +57,10 @@ def _check_chart_index(q) -> float:
 class ObstacleDisk:
     """Closed disk obstacle ``center + radius * unit ball``.
 
-    The origin (the stabilization target) must lie strictly outside.
+    The origin (the stabilization target) must lie strictly outside, and
+    the center off the vertical axis through the origin.  Caches
+    ``target`` (the origin's cylinder coordinates) and ``chart_targets``
+    (its chart coordinates as float pairs, keyed by chart index).
     """
 
     center: np.ndarray
@@ -77,13 +80,23 @@ class ObstacleDisk:
                 f"(|center| = {dist} <= radius = {self.radius})"
             )
         # Cylinder coordinates of the origin: the stabilization target.
-        object.__setattr__(
-            self,
-            "target",
-            np.concatenate(
-                [[math.log(dist - self.radius)], -center / dist]
-            ),
-        )
+        target = np.concatenate([[math.log(dist - self.radius)], -center / dist])
+        object.__setattr__(self, "target", target)
+        # Its chart coordinates, per chart index.  A center on the
+        # vertical axis through the origin puts the target on one chart's
+        # excluded point, where that chart's potential is infinite
+        # everywhere and the chart pair is no longer synergistic.
+        height, t2, t3 = target.tolist()
+        chart_targets = {}
+        for q in CHART_INDICES:
+            denom = 1.0 - q * t3
+            if denom < SINGULAR_GUARD:
+                raise ValueError(
+                    f"obstacle center {center.tolist()} puts the target on "
+                    f"the excluded point of chart q={q:+.0f}"
+                )
+            chart_targets[q] = (height, t2 / denom)
+        object.__setattr__(self, "chart_targets", chart_targets)
 
 
 def to_cylinder(z: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
@@ -108,22 +121,62 @@ def from_cylinder(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     return obstacle.center + (math.exp(x[0]) + obstacle.radius) * x[1:]
 
 
+def _coords(x) -> list:
+    """The three floats of a cylinder point."""
+    return np.asarray(x, dtype=float).reshape(3).tolist()
+
+
 def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """Input matrix of the cylinder-coordinates plant at a cylinder point.
 
     This is the Jacobian (3 x 2) of :func:`to_cylinder` at the planar
     preimage :func:`from_cylinder` ``(x)``, written directly in the
     ambient cylinder coordinates (so its finite-difference derivatives
-    are taken of this same expression).
+    are taken of this same expression): the height row is ``s / exp(x1)``
+    and the circle rows are ``(I - s s^T) / rho``, with ``s = (x2, x3)``
+    and ``rho = exp(x1) + radius`` the distance to the disk center.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    s = x[1:]
-    boundary_dist = math.exp(x[0])
+    x1, x2, x3 = _coords(x)
+    boundary_dist = math.exp(x1)
     rho = boundary_dist + obstacle.radius
-    mat = np.empty((3, 2))
-    mat[0] = s / boundary_dist
-    mat[1:] = (np.eye(2) - np.outer(s, s)) / rho
-    return mat
+    cross = -(x2 * x3) / rho
+    return np.array(
+        [
+            [x2 / boundary_dist, x3 / boundary_dist],
+            [(1.0 - x2 * x2) / rho, cross],
+            [cross, (1.0 - x3 * x3) / rho],
+        ]
+    )
+
+
+def _chart_point(x, q) -> tuple:
+    """Checked chart index, the point's floats and the chart denominator."""
+    q = _check_chart_index(q)
+    x1, x2, x3 = _coords(x)
+    denom = 1.0 - q * x3
+    if denom < SINGULAR_GUARD:
+        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
+    return q, x1, x2, x3, denom
+
+
+def _chart_gradient(x, q, obstacle: ObstacleDisk) -> tuple:
+    """Chart index, point floats, denominator, chart error and gradient.
+
+    Returns ``(q, x1, x2, x3, denom, e2, e1, v1, v2)``: ``e2`` is the
+    error of the second chart coordinate, and the last three are the
+    ambient gradient of :func:`chart_potential`, its height error ``e1``
+    followed by its circle components ``v``.
+    """
+    q, x1, x2, x3, denom = _chart_point(x, q)
+    c1, c2 = obstacle.chart_targets[q]
+    e2 = x2 / denom - c2
+    return q, x1, x2, x3, denom, e2, x1 - c1, e2 / denom, q * x2 / denom**2 * e2
+
+
+def _tangential(x2: float, x3: float, y1: float, y2: float) -> tuple:
+    """``(I - s s^T) y`` for the circle point ``s = (x2, x3)``."""
+    along = x2 * y1 + x3 * y2
+    return y1 - x2 * along, y2 - x3 * along
 
 
 def chart(x: np.ndarray, q) -> np.ndarray:
@@ -132,101 +185,100 @@ def chart(x: np.ndarray, q) -> np.ndarray:
     Defined where ``q * x3 != 1``; raises :class:`ChartSingular` within
     the ``1e-12`` guard band of the excluded point.
     """
-    q = _check_chart_index(q)
-    x = np.asarray(x, dtype=float).reshape(3)
-    denom = 1.0 - q * x[2]
-    if denom < SINGULAR_GUARD:
-        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x[2]}")
-    return np.array([x[0], x[1] / denom])
+    _, x1, x2, _, denom = _chart_point(x, q)
+    return np.array([x1, x2 / denom])
 
 
 def chart_jacobian(x: np.ndarray, q) -> np.ndarray:
     """Jacobian (2 x 3) of :func:`chart` in the ambient cylinder coordinates."""
-    q = _check_chart_index(q)
-    x = np.asarray(x, dtype=float).reshape(3)
-    denom = 1.0 - q * x[2]
-    if denom < SINGULAR_GUARD:
-        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x[2]}")
+    q, _, x2, _, denom = _chart_point(x, q)
     return np.array(
         [
             [1.0, 0.0, 0.0],
-            [0.0, 1.0 / denom, q * x[1] / denom**2],
+            [0.0, 1.0 / denom, q * x2 / denom**2],
         ]
     )
 
 
 def chart_target(q, obstacle: ObstacleDisk) -> np.ndarray:
     """Chart coordinates of the stabilization target."""
-    return chart(obstacle.target, q)
+    return np.array(obstacle.chart_targets[_check_chart_index(q)])
 
 
 def chart_potential(x: np.ndarray, q, obstacle: ObstacleDisk) -> float:
     """Quadratic chart potential; +inf off the chart's domain."""
     try:
-        err = chart(x, q) - chart_target(q, obstacle)
+        e2, e1 = _chart_gradient(x, q, obstacle)[5:7]
     except ChartSingular:
         return math.inf
-    return 0.5 * float(err @ err)
+    return 0.5 * (e1 * e1 + e2 * e2)
 
 
 def chart_potential_gradient(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
     """Ambient gradient (3,) of :func:`chart_potential` on the chart domain."""
-    err = chart(x, q) - chart_target(q, obstacle)
-    return chart_jacobian(x, q).T @ err
+    return np.array(_chart_gradient(x, q, obstacle)[-3:])
 
 
 def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
     """Chart gradient-descent feedback pulled back to the plane (2,).
 
-    Along the unperturbed closed loop the potential's flow derivative is
-    minus the squared norm of this input.
+    Minus the transposed :func:`cylinder_input_matrix` times the chart
+    potential's gradient.  Along the unperturbed closed loop the
+    potential's flow derivative is minus the squared norm of this input.
     """
-    grad = chart_potential_gradient(x, q, obstacle)
-    return -(cylinder_input_matrix(x, obstacle).T @ grad)
+    _, x1, x2, x3, _, _, e1, v1, v2 = _chart_gradient(x, q, obstacle)
+    boundary_dist = math.exp(x1)
+    rho = boundary_dist + obstacle.radius
+    t1, t2 = _tangential(x2, x3, v1, v2)
+    return np.array(
+        [
+            -(x2 / boundary_dist * e1 + t1 / rho),
+            -(x3 / boundary_dist * e1 + t2 / rho),
+        ]
+    )
 
 
 def gradient_feedback_jacobian(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
     """Analytic ambient Jacobian (2 x 3) of :func:`gradient_feedback`."""
-    q = _check_chart_index(q)
-    x = np.asarray(x, dtype=float).reshape(3)
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    denom = 1.0 - q * x3
-    if denom < SINGULAR_GUARD:
-        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
-
-    s = x[1:]
+    q, x1, x2, x3, denom, e2, e1, v1, v2 = _chart_gradient(x, q, obstacle)
     a = math.exp(-x1)
-    rho = math.exp(x1) + obstacle.radius
-    c = chart_target(q, obstacle)
-    e1 = x1 - float(c[0])
-    e2 = x2 / denom - float(c[1])
+    boundary_dist = math.exp(x1)
+    rho = boundary_dist + obstacle.radius
+    w = x2 / denom  # second chart coordinate
+    d2 = denom * denom
 
-    # Gradient split: first component e1, circle components v.
-    v = np.array([e2 / denom, q * x2 * e2 / denom**2])
-    proj = np.eye(2) - np.outer(s, s)
-    ea = np.array([1.0, 0.0])
-    eb = np.array([0.0, 1.0])
+    # Derivatives of the gradient's circle components v along x2 and x3
+    # (the potential's Hessian is symmetric, so dv2/dx2 = dv1/dx3).
+    cross = q * (e2 + w) / d2
+    dv1_dx2, dv2_dx2 = 1.0 / d2, cross
+    dv1_dx3, dv2_dx3 = cross, w * (w + 2.0 * e2) / d2
 
-    dv_dx2 = np.array(
-        [1.0 / denom**2, q * (e2 + x2 / denom) / denom**2]
-    )
-    dv_dx3 = np.array(
+    # Column 1: the height derivative; columns 2-3: the circle
+    # derivatives, where d(I - s s^T)/dx2 v = -(2 x2 v1 + x3 v2, x3 v1)
+    # and d(I - s s^T)/dx3 v = -(x2 v2, x2 v1 + 2 x3 v2).
+    pv1, pv2 = _tangential(x2, x3, v1, v2)
+    p21, p22 = _tangential(x2, x3, dv1_dx2, dv2_dx2)
+    p31, p32 = _tangential(x2, x3, dv1_dx3, dv2_dx3)
+    height = a * (1.0 - e1)
+    shrink = boundary_dist / rho**2
+    return -np.array(
         [
-            q * x2 / denom**3 + q * e2 / denom**2,
-            (q * x2) ** 2 / denom**4 + 2.0 * q * q * x2 * e2 / denom**3,
+            [
+                height * x2 - pv1 * shrink,
+                e1 * a + (p21 - (2.0 * x2 * v1 + x3 * v2)) / rho,
+                (p31 - x2 * v2) / rho,
+            ],
+            [
+                height * x3 - pv2 * shrink,
+                (p22 - x3 * v1) / rho,
+                e1 * a + (p32 - (x2 * v1 + 2.0 * x3 * v2)) / rho,
+            ],
         ]
     )
-    dproj_dx2 = -(np.outer(ea, s) + np.outer(s, ea))
-    dproj_dx3 = -(np.outer(eb, s) + np.outer(s, eb))
-
-    col1 = a * (1.0 - e1) * s - (proj @ v) * (rho - obstacle.radius) / rho**2
-    col2 = e1 * a * ea + (dproj_dx2 @ v + proj @ dv_dx2) / rho
-    col3 = e1 * a * eb + (dproj_dx3 @ v + proj @ dv_dx3) / rho
-    return -np.column_stack([col1, col2, col3])
 
 
 def make_affine_plant(obstacle: ObstacleDisk) -> AffinePlant:

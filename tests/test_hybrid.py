@@ -255,6 +255,26 @@ class TestSolve:
         assert arc.jump_count == 3
         assert validate_domain(arc) == []
 
+    def test_jump_decision_skips_flow_indicator(self):
+        # The flow indicator only decides the outside-both-sets error, so
+        # a state the jump indicator admits never needs it.
+        admitted = []
+
+        def flow_indicator(y):
+            assert y[0] < 1.0, "flow indicator evaluated at an admitted jump"
+            admitted.append(y[0])
+            return y[0] - 1.0
+
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=flow_indicator,
+            jump_indicator=lambda y: y[0] - 1.0,
+            jump_map=lambda y: np.zeros(1),
+        )
+        arc = solve(sys, np.array([1.0]), SolverConfig(t_max=2.5))
+        assert arc.jump_count == 3
+        assert admitted
+
     def test_priority_on_overlapping_sets(self):
         # Flow and jump sets overlap everywhere: jumps win, so the state
         # jumps in place until the Zeno guard trips.

@@ -57,6 +57,21 @@ class TestObstacleDisk:
     def test_target_is_origin_image(self):
         assert OBS.target == pytest.approx(np.array([LOG_HALF, -1.0, 0.0]))
 
+    def test_chart_targets_cached(self):
+        for q in (-1.0, 1.0):
+            assert OBS.chart_targets[q] == tuple(chart(OBS.target, q).tolist())
+
+    @pytest.mark.parametrize("center", [(0.0, 1.0), (0.0, -1.0), (0.0, 3.0)])
+    def test_center_on_vertical_axis_rejected(self, center):
+        # The target then sits on one chart's excluded point, so that
+        # chart's potential is infinite everywhere.
+        with pytest.raises(ValueError, match="excluded point"):
+            ObstacleDisk(center=np.array(center), radius=0.5)
+
+    def test_center_just_off_vertical_axis_accepted(self):
+        disk = ObstacleDisk(center=np.array([1e-3, 1.0]), radius=0.5)
+        assert all(math.isfinite(c) for t in disk.chart_targets.values() for c in t)
+
 
 class TestCoordinateChange:
     def test_origin_maps_to_target(self):
@@ -257,6 +272,161 @@ class TestGradientFeedback:
         with pytest.raises(ChartSingular):
             gradient_feedback_jacobian(np.array([0.0, 0.0, 1.0]), 1.0, OBS)
 
+
+
+# The numpy expressions of the geometry before its rewrite in scalar
+# math, kept verbatim as the reference the rewrite must reproduce.
+def _ref_cylinder_input_matrix(x, obstacle):
+    x = np.asarray(x, dtype=float).reshape(3)
+    s = x[1:]
+    boundary_dist = math.exp(x[0])
+    rho = boundary_dist + obstacle.radius
+    mat = np.empty((3, 2))
+    mat[0] = s / boundary_dist
+    mat[1:] = (np.eye(2) - np.outer(s, s)) / rho
+    return mat
+
+
+def _ref_chart(x, q):
+    x = np.asarray(x, dtype=float).reshape(3)
+    denom = 1.0 - q * x[2]
+    return np.array([x[0], x[1] / denom])
+
+
+def _ref_chart_jacobian(x, q):
+    x = np.asarray(x, dtype=float).reshape(3)
+    denom = 1.0 - q * x[2]
+    return np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0 / denom, q * x[1] / denom**2],
+        ]
+    )
+
+
+def _ref_chart_potential_gradient(x, q, obstacle):
+    err = _ref_chart(x, q) - _ref_chart(obstacle.target, q)
+    return _ref_chart_jacobian(x, q).T @ err
+
+
+def _ref_gradient_feedback(x, q, obstacle):
+    grad = _ref_chart_potential_gradient(x, q, obstacle)
+    return -(_ref_cylinder_input_matrix(x, obstacle).T @ grad)
+
+
+def _ref_gradient_feedback_jacobian(x, q, obstacle):
+    x = np.asarray(x, dtype=float).reshape(3)
+    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    denom = 1.0 - q * x3
+
+    s = x[1:]
+    a = math.exp(-x1)
+    rho = math.exp(x1) + obstacle.radius
+    c = _ref_chart(obstacle.target, q)
+    e1 = x1 - float(c[0])
+    e2 = x2 / denom - float(c[1])
+
+    # Gradient split: first component e1, circle components v.
+    v = np.array([e2 / denom, q * x2 * e2 / denom**2])
+    proj = np.eye(2) - np.outer(s, s)
+    ea = np.array([1.0, 0.0])
+    eb = np.array([0.0, 1.0])
+
+    dv_dx2 = np.array(
+        [1.0 / denom**2, q * (e2 + x2 / denom) / denom**2]
+    )
+    dv_dx3 = np.array(
+        [
+            q * x2 / denom**3 + q * e2 / denom**2,
+            (q * x2) ** 2 / denom**4 + 2.0 * q * q * x2 * e2 / denom**3,
+        ]
+    )
+    dproj_dx2 = -(np.outer(ea, s) + np.outer(s, ea))
+    dproj_dx3 = -(np.outer(eb, s) + np.outer(s, eb))
+
+    col1 = a * (1.0 - e1) * s - (proj @ v) * (rho - obstacle.radius) / rho**2
+    col2 = e1 * a * ea + (dproj_dx2 @ v + proj @ dv_dx2) / rho
+    col3 = e1 * a * eb + (dproj_dx3 @ v + proj @ dv_dx3) / rho
+    return -np.column_stack([col1, col2, col3])
+
+
+REFERENCE_OBSTACLES = (
+    OBS,
+    ObstacleDisk(center=np.array([-0.7, 1.3]), radius=0.9),
+)
+REFERENCE_RTOL = 1e-12
+
+
+class TestAgainstReferenceFormulas:
+    """The scalar geometry against its earlier numpy form, both charts."""
+
+    @staticmethod
+    def _states(seed, n=500):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            yield np.array(
+                [rng.uniform(-3.0, 3.0), math.cos(angle), math.sin(angle)]
+            )
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert got.shape == ref.shape
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert float(np.max(np.abs(got - ref))) <= REFERENCE_RTOL * scale
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["published", "shifted"])
+    def test_matches_reference_on_random_states(self, which):
+        obstacle = REFERENCE_OBSTACLES[which]
+        for x in self._states(seed=40 + which):
+            self._assert_close(
+                cylinder_input_matrix(x, obstacle),
+                _ref_cylinder_input_matrix(x, obstacle),
+            )
+            for q in (-1.0, 1.0):
+                self._assert_close(chart(x, q), _ref_chart(x, q))
+                self._assert_close(chart_jacobian(x, q), _ref_chart_jacobian(x, q))
+                grad = _ref_chart_potential_gradient(x, q, obstacle)
+                self._assert_close(chart_potential_gradient(x, q, obstacle), grad)
+                err = _ref_chart(x, q) - _ref_chart(obstacle.target, q)
+                assert chart_potential(x, q, obstacle) == pytest.approx(
+                    0.5 * float(err @ err), rel=REFERENCE_RTOL
+                )
+                self._assert_close(
+                    gradient_feedback(x, q, obstacle),
+                    _ref_gradient_feedback(x, q, obstacle),
+                )
+                self._assert_close(
+                    gradient_feedback_jacobian(x, q, obstacle),
+                    _ref_gradient_feedback_jacobian(x, q, obstacle),
+                )
+
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    @pytest.mark.parametrize("gap", [0.0, 5e-13], ids=["pole", "in-band"])
+    def test_guard_band_at_excluded_point(self, q, gap):
+        x3 = q * (1.0 - gap)
+        x = np.array([0.3, math.sqrt(1.0 - x3 * x3), x3])
+        assert chart_potential(x, q, OBS) == math.inf
+        for fn in (
+            lambda: chart(x, q),
+            lambda: chart_jacobian(x, q),
+            lambda: chart_potential_gradient(x, q, OBS),
+            lambda: gradient_feedback(x, q, OBS),
+            lambda: gradient_feedback_jacobian(x, q, OBS),
+        ):
+            with pytest.raises(ChartSingular):
+                fn()
+        # The other chart is finite there, and so is the input matrix.
+        assert math.isfinite(chart_potential(x, -q, OBS))
+        assert np.all(np.isfinite(gradient_feedback_jacobian(x, -q, OBS)))
+        assert np.all(np.isfinite(cylinder_input_matrix(x, OBS)))
+
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    def test_just_outside_guard_band_is_finite(self, q):
+        x3 = q * (1.0 - 1e-11)
+        x = np.array([0.3, math.sqrt(1.0 - x3 * x3), x3])
+        assert math.isfinite(chart_potential(x, q, OBS))
+        assert np.all(np.isfinite(gradient_feedback_jacobian(x, q, OBS)))
 
 class TestNominalController:
     def test_gap_zero_on_equator(self):

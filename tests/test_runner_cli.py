@@ -366,6 +366,20 @@ class TestCli:
         assert f"configuration error: {key} must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("z_init", ["0.001, 2", "0, 2", "2, 0"])
+    def test_obstacle_on_vertical_axis_exit_four(self, tmp_path, capsys, z_init):
+        # The target would sit on chart q = -1's excluded point, so the
+        # charts are not synergistic; the run is refused before it starts.
+        path = tmp_path / "axis.cfg"
+        path.write_text(
+            "controller = adaptive\nobstacle_center = 0, 1\n"
+            f"z_init = {z_init}\nt_max = 1\n"
+        )
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "excluded point of chart q=-1" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_four(self, capsys):
         assert main(["--warp", "9"]) == 4
 
