@@ -162,8 +162,7 @@ def ball_distance(
     Stops at ``norm(p) <= (1 + NEWTON_RTOL) * radius`` or NEWTON_ITERS.
     """
     th = np.asarray(theta_hat, dtype=float)
-    norm = float(np.linalg.norm(th))
-    if norm <= ball.radius:
+    if math.sqrt(float(th.dot(th))) <= ball.radius:
         return 0.0, th.copy()
     r = ball.radius
     comps = th.tolist()

@@ -32,6 +32,10 @@ from hybridfb import (
 from hybridfb.adaptive import ball_excess_gradient
 from hybridfb.obstacle import gradient_feedback_jacobian
 from hybridfb.runner import (
+    _generic_ball,
+    _grid_disk,
+    _grid_min_distance,
+    _random_ball,
     ball_distance_oracle_suite,
     projection_inequality_suite,
     projection_lipschitz_suite,
@@ -130,6 +134,25 @@ class TestBallDistance:
         assert dist_sq == 0.0
         assert nearest.tolist() == [0.3, 0.4]
 
+    def test_inside_test_is_numpy_norm(self):
+        # The inside-ball test must agree bit for bit with np.linalg.norm,
+        # so no estimate (least of all a just-reset one on the sphere)
+        # changes sides.
+        rng = np.random.default_rng(11)
+        states = rng.normal(scale=2.0, size=(300, 8))
+        vectors = [rng.normal(scale=s, size=d) for s in (1e-3, 1.0, 1e3) for d in (2, 3)]
+        vectors += [row[4:6] for row in states]
+        vectors += [row[1::3] for row in states] + [row[::-4] for row in states]
+        # Norms 5, 1 and 7 exactly.
+        vectors += [np.array([3.0, 4.0]), np.array([0.0, -1.0]), np.array([2.0, 3.0, 6.0])]
+        for v in vectors:
+            norm = float(np.linalg.norm(v))
+            assert math.sqrt(float(v.dot(v))) == norm
+            on_sphere = ParamBall(radius=norm, eps=1.0, gain=np.eye(len(v)))
+            dist_sq, nearest = ball_distance(v, on_sphere)
+            assert dist_sq == 0.0
+            assert nearest.tolist() == v.tolist()
+
     def test_scalar_gain_closed_form(self):
         dist_sq, nearest = ball_distance(np.array([2.0, 0.0]), UNIT_BALL)
         assert dist_sq == pytest.approx(1.0)
@@ -175,6 +198,43 @@ class TestBallDistance:
     def test_general_gain_grid_oracle(self):
         result = ball_distance_oracle_suite(seed=5, n=100)
         assert result.passed, result.detail
+
+
+class TestGridMinDistance:
+    # Off-diagonal 9.9 times the leading entry: on most grid rows the
+    # parabola's vertex lies outside the row, so a row end wins.
+    ANISOTROPIC = np.array([[1.0, 9.9], [9.9, 100.0]])
+
+    @pytest.mark.parametrize("resolution", [2e-2, 1e-2])
+    def test_matches_brute_force(self, resolution):
+        rng = np.random.default_rng(21)
+        metrics = [_generic_ball(rng).gain_inv for _ in range(3)]
+        metrics += [self.ANISOTROPIC, self.ANISOTROPIC * [[1.0, -1.0], [-1.0, 1.0]]]
+        grid = _grid_disk(resolution, 1.0)
+        points = np.array(
+            [_random_ball(rng, 2, 2.0) for _ in range(60)]
+            + [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.3, -0.7], grid[7], grid[-3]]
+        )
+        assert np.any(np.linalg.norm(points, axis=1) < 1.0)
+        assert np.any(np.linalg.norm(points, axis=1) > 1.0)
+        for metric in metrics:
+            fast = _grid_min_distance(grid, resolution, metric, points)
+            for p, value in zip(points, fast):
+                diff = grid - p
+                brute = float(np.min(np.einsum("ij,jk,ik->i", diff, metric, diff)))
+                assert abs(value - brute) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "resolution, radius", [(1e-3, 1.0), (1e-2, 2.0), (2e-2, 1.0), (3e-3, 0.7)]
+    )
+    def test_grid_disk_matches_meshgrid_reference(self, resolution, radius):
+        axis = np.arange(-radius, radius + resolution / 2.0, resolution)
+        gx, gy = np.meshgrid(axis, axis)
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        reference = pts[np.einsum("ij,ij->i", pts, pts) <= radius**2]
+        grid = _grid_disk(resolution, radius)
+        assert grid.shape == reference.shape
+        assert np.array_equal(grid, reference)
 
 
 class TestResetEstimate:

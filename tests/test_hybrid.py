@@ -224,8 +224,24 @@ class TestSolve:
             jump_indicator=lambda y: -1.0,
             jump_map=lambda y: y,
         )
-        with pytest.raises(DomainEscape):
+        with pytest.raises(DomainEscape) as excinfo:
             solve(sys, np.array([0.0]), SolverConfig())
+        assert excinfo.value.state.tolist() == [0.0]
+        assert excinfo.value.t == 0.0
+
+    def test_post_jump_state_outside_both_sets(self):
+        # Flow on [-1, 1], jump at 1 to -5, which is in neither set.
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: abs(y[0]) - 1.0,
+            jump_indicator=lambda y: y[0] - 1.0,
+            jump_map=lambda y: np.array([-5.0]),
+        )
+        cfg = SolverConfig(t_max=3.0)
+        with pytest.raises(DomainEscape) as excinfo:
+            solve(sys, np.array([0.0]), cfg)
+        assert excinfo.value.state.tolist() == [-5.0]
+        assert abs(excinfo.value.t - 1.0) <= cfg.event_tol
 
     def test_zero_horizon_echoes_initial_state(self):
         cfg = SolverConfig(t_max=0.0)

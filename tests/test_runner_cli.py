@@ -290,9 +290,26 @@ class TestPropertySuite:
         } <= names
 
     def test_determinism(self):
-        a = property_suite(3)
-        b = property_suite(3)
-        assert [r.detail for r in a.results] == [r.detail for r in b.results]
+        assert property_suite(3).lines() == property_suite(3).lines()
+
+    def test_ball_distance_mutation_detected(self, monkeypatch):
+        original = runner_mod.ball_distance
+
+        def biased(theta_hat, ball):
+            dist_sq, nearest = original(theta_hat, ball)
+            return (dist_sq + 3e-3 if dist_sq > 0.0 else dist_sq), nearest
+
+        monkeypatch.setattr(runner_mod, "ball_distance", biased)
+        assert not runner_mod.ball_distance_oracle_suite(seed=0, n=100).passed
+
+    def test_reset_estimate_mutation_detected(self, monkeypatch):
+        original = runner_mod.reset_estimate
+
+        def shrunk(theta_hat, ball):
+            return 0.9 * original(theta_hat, ball)
+
+        monkeypatch.setattr(runner_mod, "reset_estimate", shrunk)
+        assert not runner_mod.reset_estimate_oracle_suite(seed=0, n=100).passed
 
     def test_projection_mutation_detected(self, monkeypatch):
         original = adaptive_mod.project_rate
