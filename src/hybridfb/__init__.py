@@ -28,7 +28,6 @@ from .errors import (
     ZenoSuspected,
 )
 from .hybrid import (
-    FlowSegment,
     HybridArc,
     HybridSystemDef,
     HybridTimeDomain,

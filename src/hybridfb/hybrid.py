@@ -12,6 +12,12 @@ pair (``scipy.integrate.RK45``) stepped manually so the solver can
 project states back onto a manifold after each accepted step, locate
 jump-set boundary crossings by bisection on the jump indicator, and stay
 bit-for-bit deterministic.
+
+Each state the solver records is projected once, where it is made, and
+its jump indicator is evaluated once.  The value travels with the state
+into the jump decision, :func:`apply_jump` and the next flow interval.
+When a projection moves an accepted state, the stepper is reseated on it
+in place instead of being rebuilt.
 """
 
 from __future__ import annotations
@@ -169,23 +175,6 @@ class SolverConfig:
                 raise ValueError("stop_ball radius must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FlowSegment:
-    """Samples of one flow interval, in increasing time order."""
-
-    times: np.ndarray
-    states: np.ndarray
-    exit_reason: ExitReason
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def _locate_crossing(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
     """Bisect the jump indicator over one accepted step.
 
@@ -212,18 +201,26 @@ def _locate_crossing(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
 
 def advance_flow(
     state: np.ndarray,
+    g: float,
     sys: HybridSystemDef,
     cfg: SolverConfig,
     t0: float = 0.0,
-) -> tuple[FlowSegment, ExitReason]:
-    """Integrate one flow interval starting from ``state`` at time ``t0``.
+) -> tuple[tuple, float, ExitReason]:
+    """Integrate one flow interval from ``state`` at time ``t0``.
 
-    Returns the sampled segment (including the initial sample) and the
-    exit reason: ``time`` when ``cfg.t_max`` is reached, ``converged``
-    when the optional stop ball is entered, or ``jump_boundary`` when the
-    jump indicator crosses zero from below.  Boundary crossings are
-    located by bisection so that the final sample satisfies
-    ``|jump_indicator| <= cfg.event_tol``.
+    ``state`` is taken as already projected and ``g`` as its jump
+    indicator value; neither is recomputed.  Returns ``(samples, g_end,
+    reason)``: ``samples`` is the pair ``(times, states)`` of the
+    interval, entry sample included; ``g_end`` is the jump indicator at
+    the last sample; ``reason`` is ``time`` when ``cfg.t_max`` is
+    reached, ``converged`` when the optional stop ball is entered, or
+    ``jump_boundary`` when the jump indicator crosses zero from below.
+    Boundary crossings are located by bisection so that the final sample
+    satisfies ``|jump_indicator| <= cfg.event_tol``.
+
+    Each accepted state is projected once and its jump indicator
+    evaluated once.  When the projection moves the state, the stepper is
+    reseated on the projected state in place, keeping its step size.
 
     Raises
     ------
@@ -233,7 +230,7 @@ def advance_flow(
     IntegrationStalled
         If the adaptive step size underflows (below ``1e-14`` s).
     """
-    y0 = sys.project(np.asarray(state, dtype=float))
+    y0 = np.asarray(state, dtype=float)
     f0 = float(sys.flow_indicator(y0))
     if f0 > cfg.event_tol:
         raise DomainEscape(
@@ -245,25 +242,21 @@ def advance_flow(
     times = [float(t0)]
     states = [y0]
 
-    def _segment(reason: ExitReason):
-        seg = FlowSegment(
-            times=np.asarray(times, dtype=float),
-            states=np.asarray(states, dtype=float),
-            exit_reason=reason,
-        )
-        return seg, reason
+    def _exit(g_end: float, reason: ExitReason):
+        samples = (np.asarray(times, dtype=float), np.asarray(states, dtype=float))
+        return samples, g_end, reason
 
     if t0 >= cfg.t_max:
-        return _segment("time")
+        return _exit(g, "time")
     if cfg.stop_ball is not None:
         dist_fn, radius = cfg.stop_ball
         if float(dist_fn(y0)) <= radius:
-            return _segment("converged")
+            return _exit(g, "converged")
 
     def rhs(_t, y):
         return sys.flow_map(y)
 
-    g_prev = float(sys.jump_indicator(y0))
+    g_prev = g
     t_prev = float(t0)
     solver = RK45(
         rhs,
@@ -276,8 +269,6 @@ def advance_flow(
     )
 
     while True:
-        if solver.status == "finished":
-            return _segment("time")
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationStalled(
@@ -296,13 +287,13 @@ def advance_flow(
         g_new = float(sys.jump_indicator(y_new))
 
         if g_prev < 0.0 <= g_new:
-            dense = solver.dense_output()
-            t_star, y_star, _ = _locate_crossing(
-                dense, sys, t_prev, t_new, y_new, g_new, cfg.event_tol
+            t_star, y_star, g_star = _locate_crossing(
+                solver.dense_output(), sys, t_prev, t_new, y_new, g_new,
+                cfg.event_tol,
             )
             times.append(t_star)
             states.append(y_star)
-            return _segment("jump_boundary")
+            return _exit(g_star, "jump_boundary")
 
         f_new = float(sys.flow_indicator(y_new))
         if f_new > cfg.event_tol:
@@ -312,7 +303,7 @@ def advance_flow(
                 # boundary, so hand over to the jump logic here.
                 times.append(t_new)
                 states.append(y_new)
-                return _segment("jump_boundary")
+                return _exit(g_new, "jump_boundary")
             raise DomainEscape(
                 f"flow left the flow set at t={t_new:.6g} without entering "
                 f"the jump set (flow indicator {f_new:.3e})",
@@ -326,38 +317,30 @@ def advance_flow(
         if cfg.stop_ball is not None:
             dist_fn, radius = cfg.stop_ball
             if float(dist_fn(y_new)) <= radius:
-                return _segment("converged")
+                return _exit(g_new, "converged")
         if solver.status == "finished":
-            return _segment("time")
+            return _exit(g_new, "time")
 
         if sys.project_state is not None and not np.array_equal(y_new, y_raw):
-            # Projection moved the state; restart the stepper from the
-            # projected point, keeping the proposed step size (clipped to
-            # the remaining horizon, which is positive here since the
-            # solver has not finished).
-            first_step = min(float(solver.h_abs), cfg.max_step, cfg.t_max - t_new)
-            solver = RK45(
-                rhs,
-                t_new,
-                y_new,
-                t_bound=cfg.t_max,
-                max_step=cfg.max_step,
-                rtol=cfg.rel_tol,
-                atol=cfg.abs_tol,
-                first_step=first_step,
-            )
+            # Projection moved the state: reseat the stepper on it.  Besides
+            # t and h_abs, RK45 carries only y and f (the first stage of
+            # the next step) between steps, and clips h_abs to max_step
+            # and to the horizon itself, so it then steps as one built
+            # fresh from (t_new, y_new, h_abs) would (TestStepperReseat).
+            solver.y = y_new
+            solver.f = solver.fun(t_new, y_new)
         t_prev, g_prev = t_new, g_new
 
 
 def apply_jump(
-    state: np.ndarray, sys: HybridSystemDef, cfg: SolverConfig
+    state: np.ndarray, g: float, sys: HybridSystemDef, cfg: SolverConfig
 ) -> np.ndarray:
-    """Apply the jump map at ``state``.
+    """Apply the jump map at ``state``, whose jump indicator value is ``g``.
 
-    Raises :class:`JumpOutsideJumpSet` when the jump indicator is below
-    ``-cfg.event_tol`` at ``state``.
+    ``g`` is the value the caller evaluated at ``state``; it is checked,
+    not recomputed.  Raises :class:`JumpOutsideJumpSet` when it is below
+    ``-cfg.event_tol``.  The result is not projected.
     """
-    g = float(sys.jump_indicator(state))
     if g < -cfg.event_tol:
         raise JumpOutsideJumpSet(
             f"jump requested outside the jump set (indicator {g:.3e})"
@@ -376,6 +359,11 @@ def solve(
     ``cfg.t_max``, when the jump budget ``cfg.j_max`` is exhausted, or
     when the optional stop ball is entered.
 
+    Every recorded state is projected once, where it is made (``x0``,
+    each accepted step, each jump), and its jump indicator is evaluated
+    once.  That value decides the jump, is checked by :func:`apply_jump`
+    and starts the next flow interval.
+
     Raises
     ------
     DomainEscape
@@ -385,6 +373,7 @@ def solve(
         since the 10th-to-last jump.
     """
     y = sys.project(np.asarray(x0, dtype=float))
+    g = float(sys.jump_indicator(y))
     t = 0.0
     j = 0
 
@@ -412,17 +401,13 @@ def solve(
                     f"{window:.3e} s of flow over the last {ZENO_JUMPS} jumps"
                 )
 
-    while True:
-        if t >= cfg.t_max:
-            break
-
-        g = float(sys.jump_indicator(y))
+    while t < cfg.t_max:
         if g >= -cfg.event_tol:
             if j >= cfg.j_max:
                 _check_zeno()
                 break
-            y_next = apply_jump(y, sys, cfg)
-            y_next = sys.project(y_next)
+            y_next = sys.project(apply_jump(y, g, sys, cfg))
+            g = float(sys.jump_indicator(y_next))
             jump_records.append(JumpRecord(t=t, j=j, before=y, after=y_next))
             _close_interval()
             j += 1
@@ -434,15 +419,14 @@ def solve(
 
         # Outside the jump set: advance_flow raises DomainEscape if the
         # state is outside the flow set too.
-        segment, reason = advance_flow(y, sys, cfg, t0=t)
-        # The segment repeats the entry sample; skip the duplicate.
-        cur_times.extend(segment.times[1:].tolist())
-        cur_states.extend(list(segment.states[1:]))
-        t = segment.t_end
-        y = segment.final_state
-        if reason in ("time", "converged"):
+        (times, states), g, reason = advance_flow(y, g, sys, cfg, t0=t)
+        # The interval already holds the entry sample; skip the duplicate.
+        cur_times.extend(times[1:].tolist())
+        cur_states.extend(list(states[1:]))
+        t = float(times[-1])
+        y = states[-1]
+        if reason != "jump_boundary":
             break
-        # reason == "jump_boundary": loop around to the jump decision.
 
     _close_interval()
     return HybridArc(

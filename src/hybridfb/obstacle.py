@@ -200,11 +200,6 @@ def chart_jacobian(x: np.ndarray, q) -> np.ndarray:
     )
 
 
-def chart_target(q, obstacle: ObstacleDisk) -> np.ndarray:
-    """Chart coordinates of the stabilization target."""
-    return np.array(obstacle.chart_targets[_check_chart_index(q)])
-
-
 def chart_potential(x: np.ndarray, q, obstacle: ObstacleDisk) -> float:
     """Quadratic chart potential; +inf off the chart's domain."""
     try:
@@ -390,7 +385,8 @@ class Scenario:
 
     The closed-loop state stacks the cylinder point (3), the chart index
     (1), and, depending on ``kind``, the parameter estimate (2) and the
-    held input (2).
+    held input (2).  ``true_potential(state)`` is the Lyapunov value at
+    the true parameter; :func:`make_scenario` builds it once.
     """
 
     kind: str
@@ -402,6 +398,7 @@ class Scenario:
     x0: np.ndarray
     theta: np.ndarray
     config: SolverConfig
+    true_potential: Callable[[np.ndarray], float]
     ball: Optional[ParamBall] = None
     gains: Optional[BackstepGains] = None
 
@@ -434,15 +431,6 @@ class Scenario:
 
     def margin_at(self, state: np.ndarray) -> float:
         return float(self.controller.margin(state[:3], state[3:]))
-
-    def true_potential(self, state: np.ndarray) -> float:
-        """Lyapunov value at the scenario's true parameter."""
-        x, xi_c = state[:3], state[3:]
-        if self.kind == "nominal":
-            return float(self.nominal.potential(x, xi_c))
-        if self.kind == "adaptive":
-            return adaptive_true_potential(self.controller, self.theta)(x, xi_c)
-        return backstep_true_potential(self.controller, self.theta)(x, xi_c)
 
 
 def make_scenario(
@@ -497,6 +485,7 @@ def make_scenario(
 
     if kind == "nominal":
         controller: ControllerData = nominal
+        potential = nominal.potential
         x0 = np.concatenate([x_init, [q0]])
         ball = None
         gains = None
@@ -513,6 +502,7 @@ def make_scenario(
         adaptive_ctrl = lift_adaptive(nominal, plant, ball, grad_potential)
         if kind == "adaptive":
             controller = adaptive_ctrl
+            potential = adaptive_true_potential(controller, theta)
             gains = None
             x0 = np.concatenate([x_init, [q0], theta_hat0])
         else:
@@ -525,6 +515,7 @@ def make_scenario(
                 return gradient_feedback_jacobian(x, xi_c1[0], obstacle)
 
             controller = lift_backstep(adaptive_ctrl, gains, jac=feedback_jac)
+            potential = backstep_true_potential(controller, theta)
             xi1_init = np.concatenate([[q0], theta_hat0])
             if isinstance(u0, str):
                 if u0 == "feedback":
@@ -540,6 +531,10 @@ def make_scenario(
     system = build_closed_loop(
         plant, theta, controller, project_state=renormalize_circle
     )
+
+    def true_potential(state):
+        return float(potential(state[:3], state[3:]))
+
     return Scenario(
         kind=kind,
         obstacle=obstacle,
@@ -550,6 +545,7 @@ def make_scenario(
         x0=x0,
         theta=theta,
         config=config,
+        true_potential=true_potential,
         ball=ball,
         gains=gains,
     )

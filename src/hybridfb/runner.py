@@ -54,7 +54,8 @@ class ScenarioConfig:
 
     ``seed`` only affects the randomized verification suites; the
     simulation itself is deterministic.  Every float and two-component
-    field must be finite.
+    field must be finite, and the monitor tolerances ``flow_tol`` and
+    ``jump_tol`` nonnegative.
     """
 
     scenario: str = "obstacle"
@@ -98,6 +99,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if parser in (float, _parse_vec2) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("flow_tol", "jump_tol"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(

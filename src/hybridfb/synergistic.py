@@ -55,9 +55,6 @@ class AffinePlant:
             + self.disturbance_matrix(x, xi_c) @ theta
         )
 
-    def f_unperturbed(self, x, xi_c, u) -> np.ndarray:
-        return self.drift(x, xi_c) + self.input_matrix(x, xi_c) @ u
-
     def check_matched(self, states: Sequence[tuple], tol: float = 1e-10) -> list[str]:
         """Verify the matched-uncertainty factorization on sampled states."""
         violations = []

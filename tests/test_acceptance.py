@@ -242,8 +242,8 @@ def test_criterion_10_solver_suite(case_runs, switching_runs):
         jump_indicator=lambda y: -1.0,
         jump_map=lambda y: y,
     )
-    seg, _ = advance_flow(np.array([1.0]), decay, SolverConfig(t_max=1.0))
-    decay_err = abs(float(seg.final_state[0]) - math.exp(-1.0))
+    (_, states), _, _ = advance_flow(np.array([1.0]), -1.0, decay, SolverConfig(t_max=1.0))
+    decay_err = abs(float(states[-1][0]) - math.exp(-1.0))
 
     arcs = [a for _, a, _ in case_runs.values()]
     arcs += [a for _, a in switching_runs]

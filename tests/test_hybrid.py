@@ -1,5 +1,6 @@
 """Solver-level tests: flow integration, event location, jumps, domains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hybridfb import (
     ZenoSuspected,
     advance_flow,
     apply_jump,
+    hybrid,
     solve,
     validate_domain,
 )
@@ -42,9 +44,10 @@ def timer_system(reset=None):
 class TestAdvanceFlow:
     def test_exponential_decay_endpoint(self):
         cfg = SolverConfig(t_max=1.0)
-        seg, reason = advance_flow(np.array([1.0]), decay_system(), cfg)
+        (_, states), g, reason = advance_flow(np.array([1.0]), -1.0, decay_system(), cfg)
         assert reason == "time"
-        assert abs(seg.final_state[0] - math.exp(-1.0)) <= cfg.abs_tol
+        assert g == -1.0
+        assert abs(states[-1][0] - math.exp(-1.0)) <= cfg.abs_tol
 
     def test_zero_dynamics_constant_segment(self):
         sys = HybridSystemDef(
@@ -54,18 +57,22 @@ class TestAdvanceFlow:
             jump_map=lambda y: y,
         )
         cfg = SolverConfig(t_max=5.0)
-        seg, reason = advance_flow(np.array([3.0, -2.0]), sys, cfg)
+        (times, states), _, reason = advance_flow(np.array([3.0, -2.0]), -1.0, sys, cfg)
         assert reason == "time"
-        assert seg.t_end == 5.0
-        assert np.all(seg.states == np.array([3.0, -2.0]))
+        assert times[-1] == 5.0
+        assert np.all(states == np.array([3.0, -2.0]))
 
     def test_timer_boundary_location(self):
         cfg = SolverConfig(t_max=5.0)
-        seg, reason = advance_flow(np.array([0.0]), timer_system(), cfg)
+        sys = timer_system()
+        (times, states), g, reason = advance_flow(np.array([0.0]), -1.0, sys, cfg)
         assert reason == "jump_boundary"
-        assert abs(seg.t_end - 1.0) <= cfg.event_tol
+        assert abs(times[-1] - 1.0) <= cfg.event_tol
         # located boundary sample sits on the indicator zero within tolerance
-        assert abs(seg.final_state[0] - 1.0) <= cfg.event_tol
+        assert abs(states[-1][0] - 1.0) <= cfg.event_tol
+        # the returned value is the jump indicator at that sample
+        assert g == sys.jump_indicator(states[-1])
+        assert 0.0 <= g <= cfg.event_tol
 
     def test_precondition_outside_flow_set(self):
         cfg = SolverConfig(t_max=1.0)
@@ -76,7 +83,7 @@ class TestAdvanceFlow:
             jump_map=lambda y: y,
         )
         with pytest.raises(DomainEscape):
-            advance_flow(np.array([1.0]), sys, cfg)
+            advance_flow(np.array([1.0]), -1.0, sys, cfg)
 
     def test_domain_escape_mid_flow(self):
         # Flow set is x <= 1 but the jump set is far away: leaving C is an error.
@@ -88,7 +95,7 @@ class TestAdvanceFlow:
         )
         cfg = SolverConfig(t_max=5.0)
         with pytest.raises(DomainEscape) as excinfo:
-            advance_flow(np.array([0.0]), sys, cfg)
+            advance_flow(np.array([0.0]), -100.0, sys, cfg)
         assert excinfo.value.state is not None
 
     def test_stop_ball_converged(self):
@@ -97,26 +104,53 @@ class TestAdvanceFlow:
             max_step=0.1,
             stop_ball=(lambda y: abs(float(y[0])), 0.01),
         )
-        seg, reason = advance_flow(np.array([1.0]), decay_system(), cfg)
+        (times, states), _, reason = advance_flow(
+            np.array([1.0]), -1.0, decay_system(), cfg
+        )
         assert reason == "converged"
-        assert abs(seg.final_state[0]) <= 0.01
-        assert seg.t_end < 50.0
+        assert abs(states[-1][0]) <= 0.01
+        assert times[-1] < 50.0
 
     def test_t0_already_at_horizon(self):
         cfg = SolverConfig(t_max=1.0)
-        seg, reason = advance_flow(np.array([2.0]), decay_system(), cfg, t0=1.0)
+        (times, _), g, reason = advance_flow(
+            np.array([2.0]), -1.0, decay_system(), cfg, t0=1.0
+        )
         assert reason == "time"
-        assert len(seg.times) == 1
+        assert len(times) == 1
+        assert g == -1.0
 
     def test_order_improves_with_tolerance(self):
         errors = []
         for tol in (1e-5, 1e-7, 1e-9, 1e-11):
             cfg = SolverConfig(t_max=1.0, abs_tol=tol, rel_tol=tol, max_step=1.0)
-            seg, _ = advance_flow(np.array([1.0]), decay_system(), cfg)
-            err = abs(seg.final_state[0] - math.exp(-1.0))
+            (_, states), _, _ = advance_flow(np.array([1.0]), -1.0, decay_system(), cfg)
+            err = abs(states[-1][0] - math.exp(-1.0))
             assert err <= 10.0 * tol
             errors.append(err)
         assert all(b <= a for a, b in zip(errors, errors[1:]))
+
+    def test_indicator_value_taken_not_recomputed(self):
+        # The entry state's jump indicator comes from the caller, and the
+        # entry state is taken as already projected.
+        seen = []
+
+        def jump_indicator(y):
+            seen.append(y[0])
+            return y[0] - 1.0
+
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: y[0] - 1.0,
+            jump_indicator=jump_indicator,
+            jump_map=lambda y: np.zeros(1),
+            project_state=lambda y: y + 0.0,
+        )
+        cfg = SolverConfig(t_max=0.5)
+        (_, states), _, _ = advance_flow(np.array([0.25]), -0.75, sys, cfg)
+        assert states[0][0] == 0.25
+        assert 0.25 not in seen
+        assert len(seen) == len(states) - 1
 
 
 class TestApplyJump:
@@ -127,7 +161,7 @@ class TestApplyJump:
             jump_indicator=lambda y: 1.0,
             jump_map=lambda y: y / 2.0,
         )
-        out = apply_jump(np.array([8.0]), sys, SolverConfig())
+        out = apply_jump(np.array([8.0]), 1.0, sys, SolverConfig())
         assert out[0] == 4.0
 
     def test_identity_map(self):
@@ -138,12 +172,28 @@ class TestApplyJump:
             jump_map=lambda y: y,
         )
         state = np.array([1.0, 2.0])
-        out = apply_jump(state, sys, SolverConfig())
+        out = apply_jump(state, 0.0, sys, SolverConfig())
         assert np.array_equal(out, state)
 
     def test_outside_jump_set_raises(self):
         with pytest.raises(JumpOutsideJumpSet):
-            apply_jump(np.array([0.0]), timer_system(), SolverConfig())
+            apply_jump(np.array([0.0]), -1.0, timer_system(), SolverConfig())
+
+    def test_checks_the_value_passed_in(self):
+        # The value is checked as given: the indicator is never called.
+        def jump_indicator(y):
+            raise AssertionError("jump indicator evaluated by apply_jump")
+
+        sys = HybridSystemDef(
+            flow_map=lambda y: y,
+            flow_indicator=lambda y: 1.0,
+            jump_indicator=jump_indicator,
+            jump_map=lambda y: y + 1.0,
+        )
+        cfg = SolverConfig()
+        assert apply_jump(np.array([0.0]), -cfg.event_tol, sys, cfg)[0] == 1.0
+        with pytest.raises(JumpOutsideJumpSet):
+            apply_jump(np.array([0.0]), -2.0 * cfg.event_tol, sys, cfg)
 
 
 class TestSolve:
@@ -302,6 +352,139 @@ class TestSolve:
         )
         with pytest.raises(ZenoSuspected):
             solve(sys, np.array([0.0]), SolverConfig(t_max=1.0, j_max=20))
+
+
+def clock_timer_system(project_state, log=None):
+    """Timer ``tau`` with a clock ``t`` that no jump resets.
+
+    The clock keeps every state of a run distinct.  ``log``, when given,
+    collects ``("flow", state)`` per flow-map call and ``("jump", state)``
+    per jump.
+    """
+
+    def flow_map(y):
+        if log is not None:
+            log.append(("flow", y.copy()))
+        return np.ones(2)
+
+    def jump_map(y):
+        if log is not None:
+            log.append(("jump", y.copy()))
+        return np.array([0.0, y[1]])
+
+    return HybridSystemDef(
+        flow_map=flow_map,
+        flow_indicator=lambda y: y[0] - 1.0,
+        jump_indicator=lambda y: y[0] - 1.0,
+        jump_map=jump_map,
+        project_state=project_state,
+    )
+
+
+class TestOnePassPerState:
+    def test_jump_indicator_never_repeats_a_state(self):
+        seen = []
+        base = clock_timer_system(lambda y: y.copy())
+
+        def jump_indicator(y):
+            seen.append(y.tobytes())
+            return base.jump_indicator(y)
+
+        sys = dataclasses.replace(base, jump_indicator=jump_indicator)
+        arc = solve(sys, np.array([0.0, 0.0]), SolverConfig(t_max=3.5))
+        assert arc.jump_count == 3
+        assert len(seen) == len(set(seen))
+
+    def test_flow_starts_from_the_recorded_sample(self):
+        # A projection that moves every state it is given: each state
+        # must be projected exactly once, so the stepper starts each
+        # interval from the sample the arc records.
+        log = []
+        sys = clock_timer_system(lambda y: y + 2.0**-30, log)
+        arc = solve(sys, np.array([0.25, 0.0]), SolverConfig(t_max=3.5))
+        assert arc.jump_count == 3
+        firsts = [log[0][1]]
+        firsts += [log[k + 1][1] for k, (kind, _) in enumerate(log) if kind == "jump"]
+        assert len(firsts) == len(arc.samples)
+        for k, first in enumerate(firsts):
+            assert np.array_equal(first, arc.samples[k][1][0]), k
+
+
+class TestStepperReseat:
+    """advance_flow reseats ``hybrid.RK45`` in place after a projection."""
+
+    @staticmethod
+    def _pendulum(t, y):
+        return np.array([y[1], -math.sin(y[0]) - 0.3 * y[1]])
+
+    def test_reseated_rk45_steps_like_a_fresh_one(self):
+        kwargs = dict(t_bound=50.0, max_step=0.5, rtol=1e-6, atol=1e-8)
+        reseated = hybrid.RK45(self._pendulum, 0.0, np.array([2.0, 0.0]), **kwargs)
+        for _ in range(4):
+            reseated.step()
+        t, h = reseated.t, reseated.h_abs
+        y = reseated.y * (1.0 + 1e-9)
+        reseated.y = y
+        reseated.f = reseated.fun(t, y)
+        fresh = hybrid.RK45(self._pendulum, t, y, first_step=h, **kwargs)
+        for _ in range(30):
+            reseated.step()
+            fresh.step()
+            assert reseated.t == fresh.t
+            assert reseated.h_abs == fresh.h_abs
+            assert np.array_equal(reseated.y, fresh.y)
+            assert np.array_equal(reseated.f, fresh.f)
+            mid = 0.5 * (reseated.t_old + reseated.t)
+            assert np.array_equal(
+                reseated.dense_output()(mid), fresh.dense_output()(mid)
+            )
+
+    def test_advance_flow_builds_one_stepper(self, monkeypatch):
+        # Renormalized rotation: every projection moves the state.
+        def project(y):
+            return y / math.hypot(y[0], y[1])
+
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.array([-y[1], y[0]]) + 0.05 * y,
+            flow_indicator=lambda y: -1.0,
+            jump_indicator=lambda y: -1.0,
+            jump_map=lambda y: y,
+            project_state=project,
+        )
+        cfg = SolverConfig(t_max=2.0, max_step=0.1, abs_tol=1e-8, rel_tol=1e-8)
+        built = []
+
+        class CountingRK45(hybrid.RK45):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "RK45", CountingRK45)
+        (times, states), _, reason = advance_flow(
+            np.array([1.0, 0.0]), -1.0, sys, cfg
+        )
+        monkeypatch.undo()
+        assert reason == "time"
+        assert built == [0.0]
+
+        # Reference: a fresh stepper from (t, projected y, h) after every step.
+        def rhs(_t, y):
+            return sys.flow_map(y)
+
+        kwargs = dict(max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        ref = hybrid.RK45(rhs, 0.0, np.array([1.0, 0.0]), cfg.t_max, **kwargs)
+        ref_times, ref_states = [0.0], [np.array([1.0, 0.0])]
+        while ref.status == "running":
+            ref.step()
+            y = project(ref.y.copy())
+            assert not np.array_equal(y, ref.y)
+            ref_times.append(ref.t)
+            ref_states.append(y)
+            if ref.status == "running":
+                first = min(ref.h_abs, cfg.t_max - ref.t)
+                ref = hybrid.RK45(rhs, ref.t, y, cfg.t_max, first_step=first, **kwargs)
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(states, np.array(ref_states))
 
 
 class TestDomainValidation:

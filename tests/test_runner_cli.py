@@ -383,6 +383,26 @@ class TestCli:
         assert f"configuration error: {key} must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
+    @pytest.mark.parametrize("key", ["flow_tol", "jump_tol"])
+    def test_negative_monitor_tolerance_exit_four(
+        self, tmp_path, capsys, key, controller
+    ):
+        # A negative slack flags every sample of a clean run as a monitor
+        # violation; it is refused before the run starts.
+        path = tmp_path / "neg.cfg"
+        path.write_text(
+            f"controller = {controller}\nt_max = 0.1\nstrict = true\n{key} = -1\n"
+        )
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be nonnegative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["flow_tol", "jump_tol"])
+    def test_zero_monitor_tolerance_accepted(self, key):
+        assert getattr(ScenarioConfig(**{key: 0.0}), key) == 0.0
+
     @pytest.mark.parametrize("z_init", ["0.001, 2", "0, 2", "2, 0"])
     def test_obstacle_on_vertical_axis_exit_four(self, tmp_path, capsys, z_init):
         # The target would sit on chart q = -1's excluded point, so the

@@ -250,7 +250,6 @@ class TestAffinePlant:
             n_theta=1,
         )
         x, xi = np.zeros(1), np.zeros(1)
-        assert plant.f_unperturbed(x, xi, np.array([3.0]))[0] == 7.0
         assert plant.f(x, xi, np.array([3.0]), np.array([1.0]))[0] == 9.0
 
 
