@@ -43,7 +43,6 @@ from .synergistic import (
     ControllerData,
     MonitorViolation,
     build_closed_loop,
-    gap_value,
     min_over_candidates,
     monitor_flow_decrease,
     monitor_jump_decrease,
@@ -64,7 +63,6 @@ from .adaptive import (
     lift_backstep,
     project_rate,
     reset_estimate,
-    robust_gap,
 )
 from .obstacle import (
     ObstacleDisk,

@@ -9,7 +9,9 @@ synergy gap: the nominal gap plus half the squared metric distance of
 the estimate to the admissible ball.  The backstepping lift then turns
 the input into a controller state with a designed rate so the composite
 potential still decreases, resetting the input onto the adaptive
-feedback at every jump.
+feedback at every jump; its gap adds half the input error's squared
+metric norm.  Both lifts compute their gap by this identity in closed
+form; their reset candidates define the reset.
 
 The parameter-ball subproblem (metric projection / worst-case distance)
 is solved exactly by Newton on the secular equation of the ball
@@ -26,12 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartSingular, InsideObstacle, NonFiniteJacobian
-from .synergistic import (
-    AffinePlant,
-    ControllerData,
-    gap_value,
-    min_over_candidates,
-)
+from .synergistic import AffinePlant, ControllerData, min_over_candidates
 
 # Secular-equation Newton: relative norm tolerance and step budget.
 NEWTON_RTOL = 1e-12
@@ -102,8 +99,8 @@ class BackstepGains:
     damping: float
 
     def __post_init__(self):
-        if self.damping <= 0.0:
-            raise ValueError("damping gain must be positive")
+        if not 0.0 < self.damping < math.inf:
+            raise ValueError("damping gain must be positive and finite")
         gain = _check_spd("backstepping gain", self.gain)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "gain_inv", np.linalg.inv(gain))
@@ -199,25 +196,6 @@ def reset_estimate(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
     return ball_distance(theta_hat, ball)[1]
 
 
-def robust_gap(
-    nominal: ControllerData,
-    ball: ParamBall,
-    x: np.ndarray,
-    xi_c: np.ndarray,
-    theta_hat: np.ndarray,
-) -> float:
-    """Implementable synergy gap: worst case over admissible parameters.
-
-    Equals the nominal gap plus half the squared gain-metric distance of
-    the estimate to the admissible ball; it never depends on the true
-    parameter and lower-bounds the true-parameter gap.
-    """
-    gap0 = gap_value(nominal, x, xi_c)
-    if math.isinf(gap0):
-        return math.inf
-    return gap0 + 0.5 * ball_distance(theta_hat, ball)[0]
-
-
 def central_difference(
     fun: Callable[[np.ndarray], object],
     x: np.ndarray,
@@ -281,6 +259,18 @@ class AdaptiveController(ControllerData):
         n = self.nominal.n_state
         return xi_c1[:n], xi_c1[n:]
 
+    def gap(self, x, xi_c1) -> float:
+        """Nominal gap plus half the estimate's squared distance to the ball.
+
+        The worst case over admissible parameters: it never depends on the
+        true parameter and lower-bounds the true-parameter gap.
+        """
+        xi_c, th = self.split(xi_c1)
+        gap0 = self.nominal.gap(x, xi_c)
+        if math.isinf(gap0):
+            return math.inf
+        return gap0 + 0.5 * ball_distance(th, self.ball)[0]
+
 
 def lift_adaptive(
     nominal: ControllerData,
@@ -295,9 +285,10 @@ def lift_adaptive(
     ``matched_matrix @ estimate``; the estimate flows with the projected
     gradient law; jumps reset the nominal part to a potential minimizer
     and the estimate to its ball projection.  The lifted potential is
-    the worst case over admissible parameters, so the generic candidate
-    machinery reproduces the implementable (robust) gap, never the
-    true-parameter gap.
+    the worst case over admissible parameters, so its gap is the
+    implementable (robust) one, never the true-parameter gap; the lift
+    computes it in closed form, and enumerating its candidates gives
+    the same value.
 
     ``grad_potential`` supplies the nominal potential's gradient in the
     plant state; central finite differences are used when omitted.
@@ -369,6 +360,15 @@ class BackstepController(ControllerData):
     def split(self, xi_c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.adaptive.n_state
         return xi_c2[:n], xi_c2[n:]
+
+    def gap(self, x, xi_c2) -> float:
+        """The adaptive gap plus ``0.5 * u_err^T gain^{-1} u_err``."""
+        xi_c1, u = self.split(xi_c2)
+        gap1 = self.adaptive.gap(x, xi_c1)
+        if math.isinf(gap1):  # the feedback is singular here
+            return math.inf
+        u_err = u - self.adaptive.feedback(x, xi_c1)
+        return gap1 + 0.5 * float(u_err @ self.gains.gain_inv @ u_err)
 
 
 def lift_backstep(

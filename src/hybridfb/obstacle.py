@@ -32,12 +32,7 @@ from .adaptive import (
 )
 from .errors import ChartSingular, DomainEscape, InsideObstacle
 from .hybrid import HybridSystemDef, SolverConfig
-from .synergistic import (
-    AffinePlant,
-    ControllerData,
-    build_closed_loop,
-    gap_value,
-)
+from .synergistic import AffinePlant, ControllerData, build_closed_loop
 
 # Guard band on chart denominators and on the distance to the disk
 # boundary: closer evaluations raise typed errors instead of overflowing.
@@ -335,10 +330,10 @@ def build_nominal_controller(
     for probe in _probe_states(obstacle):
         for q in CHART_INDICES:
             value = float(margin_fn(probe, np.array([q])))
-            if value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise ValueError(
-                    f"hysteresis margin must be positive; got {value} at a "
-                    "probe state"
+                    f"hysteresis margin must be positive and finite; got "
+                    f"{value} at a probe state"
                 )
 
     cands = [np.array([-1.0]), np.array([1.0])]
@@ -427,7 +422,7 @@ class Scenario:
 
     def switching_gap(self, state: np.ndarray) -> float:
         """The implementable synergy gap driving the switching logic."""
-        return gap_value(self.controller, state[:3], state[3:])
+        return self.controller.gap(state[:3], state[3:])
 
     def margin_at(self, state: np.ndarray) -> float:
         return float(self.controller.margin(state[:3], state[3:]))
@@ -466,6 +461,8 @@ def make_scenario(
     if obstacle is None:
         obstacle = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
     theta = DEFAULT_THETA.copy() if theta is None else np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"true parameter must be finite, got {theta.tolist()}")
     if float(np.linalg.norm(theta)) > theta_bound + 1e-12:
         raise ValueError(
             f"true parameter norm {np.linalg.norm(theta)} exceeds the "
@@ -527,6 +524,8 @@ def make_scenario(
             else:
                 u_init = np.asarray(u0, dtype=float).reshape(2)
             x0 = np.concatenate([x_init, xi1_init, u_init])
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
     system = build_closed_loop(
         plant, theta, controller, project_state=renormalize_circle

@@ -25,7 +25,6 @@ from .hybrid import HybridArc, SolverConfig, solve, validate_domain
 from .obstacle import ObstacleDisk, Scenario, make_scenario
 from .synergistic import (
     ControllerData,
-    gap_value,
     min_over_candidates,
     monitor_flow_decrease,
     monitor_jump_decrease,
@@ -725,16 +724,18 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResult:
-    """Backstep gap = robust adaptive gap + input-error quadratic.
+    """Each lift's closed-form gap = enumeration over its reset candidates.
 
-    The identity is algebraic; in floats it holds to machine precision
-    relative to the potential magnitudes involved (which grow without
-    bound near a chart's excluded point), so the comparison is scaled.
+    Compares ``ctrl.gap`` with ``ControllerData.gap(ctrl, ...)`` for the
+    backstep lift and its adaptive lift on the same draws.  The identity
+    is algebraic; in floats it holds to machine precision relative to the
+    potential magnitudes involved (which grow without bound near a
+    chart's excluded point), so the comparison is scaled.
     """
     rng = np.random.default_rng(seed)
     scenario = make_scenario("backstep", q0=-1.0)
-    ctrl = scenario.controller
-    adaptive_ctrl = ctrl.adaptive
+    backstep = scenario.controller
+    adaptive_ctrl = backstep.adaptive
     nominal = scenario.nominal
     ball = adaptive_ctrl.ball
     worst = 0.0
@@ -743,16 +744,15 @@ def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResu
         u = rng.normal(scale=2.0, size=2)
         xi1 = np.concatenate([[q], theta_hat])
         xi2 = np.concatenate([xi1, u])
-        gap2 = gap_value(ctrl, x, xi2)
-        robust = adaptive_mod.robust_gap(nominal, ball, x, np.array([q]), theta_hat)
-        u_err = u - adaptive_ctrl.feedback(x, xi1)
-        expected = robust + 0.5 * float(u_err @ ctrl.gains.gain_inv @ u_err)
-        if math.isinf(gap2) or math.isinf(expected):
-            if gap2 != expected:
-                worst = math.inf
-            continue
-        scale = 1.0 + abs(expected) + float(nominal.potential(x, np.array([q])))
-        worst = max(worst, abs(gap2 - expected) / scale)
+        for ctrl, xi in ((backstep, xi2), (adaptive_ctrl, xi1)):
+            closed = ctrl.gap(x, xi)
+            enumerated = ControllerData.gap(ctrl, x, xi)
+            if math.isinf(closed) or math.isinf(enumerated):
+                if closed != enumerated:
+                    worst = math.inf
+                continue
+            scale = 1.0 + abs(enumerated) + float(nominal.potential(x, np.array([q])))
+            worst = max(worst, abs(closed - enumerated) / scale)
     return SuiteResult(
         name="gap_identity",
         passed=worst <= tol,

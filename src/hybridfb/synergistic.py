@@ -8,8 +8,10 @@ value minus the best value reachable by resetting ``xi_c`` to a
 candidate; a jump is triggered once the gap reaches the margin, and the
 reset picks a minimizing candidate.
 
-This module evaluates the gap, builds the closed-loop hybrid system for
-a given plant, and provides post-hoc Lyapunov monitors on hybrid arcs.
+This module evaluates the gap by enumerating the candidates (the
+adaptive and backstepped lifts override it with their closed form),
+builds the closed-loop hybrid system for a given plant, and provides
+post-hoc Lyapunov monitors on hybrid arcs.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ class ControllerData:
     """One synergistic controller: (feedback, potential, candidates, flow).
 
     ``potential`` returns a float in [0, +inf]; ``candidates`` returns a
-    finite ordered list of controller states (order fixes tie-breaking);
-    ``margin`` is the positive hysteresis threshold the synergy gap must
-    reach to trigger a jump.
+    finite ordered list of controller states (order fixes tie-breaking)
+    and defines the reset; ``margin`` is the positive hysteresis
+    threshold the synergy gap must reach to trigger a jump.  The lifts
+    override :meth:`gap` with the closed form; calling
+    ``ControllerData.gap(lift, x, xi_c)`` enumerates their candidates.
     """
 
     n_state: int
@@ -86,6 +90,13 @@ class ControllerData:
     candidates: Callable[[np.ndarray, np.ndarray], list]
     controller_flow: Callable[[np.ndarray, np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray, np.ndarray], float]
+
+    def gap(self, x, xi_c) -> float:
+        """Synergy gap as a float (``math.inf`` when the potential is infinite)."""
+        value_here, min_value, _ = _evaluate_candidates(self, x, xi_c)
+        if math.isinf(value_here):
+            return math.inf
+        return value_here - min_value
 
 
 def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
@@ -106,14 +117,6 @@ def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
     minimizers = [g for g, v in zip(cands, values) if v <= min_value + TIE_TOL]
     value_here = float(ctrl.potential(x, xi_c))
     return value_here, min_value, minimizers
-
-
-def gap_value(ctrl: ControllerData, x, xi_c) -> float:
-    """Synergy gap as a float (``math.inf`` when the potential is infinite)."""
-    value_here, min_value, _ = _evaluate_candidates(ctrl, x, xi_c)
-    if math.isinf(value_here):
-        return math.inf
-    return value_here - min_value
 
 
 def min_over_candidates(
@@ -172,7 +175,7 @@ def build_closed_loop(
 
     def indicator(state: np.ndarray) -> float:
         x, xi_c = state[:n_x], state[n_x:]
-        gap = gap_value(ctrl, x, xi_c)
+        gap = ctrl.gap(x, xi_c)
         return min(gap, GAP_SENTINEL) - float(ctrl.margin(x, xi_c))
 
     def jump_map(state: np.ndarray) -> np.ndarray:

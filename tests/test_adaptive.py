@@ -1,4 +1,4 @@
-"""Projection law, robust gap, adaptive and backstepping lifts."""
+"""Projection law, adaptive and backstepping lifts and their gaps."""
 
 import math
 
@@ -17,7 +17,6 @@ from hybridfb import (
     ball_excess,
     central_difference,
     estimate_flow,
-    gap_value,
     lift_adaptive,
     lift_backstep,
     make_scenario,
@@ -26,7 +25,6 @@ from hybridfb import (
     min_over_candidates,
     project_rate,
     reset_estimate,
-    robust_gap,
     solve,
 )
 from hybridfb.adaptive import ball_excess_gradient
@@ -36,6 +34,7 @@ from hybridfb.runner import (
     _grid_disk,
     _grid_min_distance,
     _random_ball,
+    _random_cylinder_states,
     ball_distance_oracle_suite,
     projection_inequality_suite,
     projection_lipschitz_suite,
@@ -81,6 +80,12 @@ class TestBallTypes:
             BackstepGains(gain=np.eye(2), damping=0.0)
         with pytest.raises(ValueError):
             BackstepGains(gain=-np.eye(2), damping=1.0)
+
+    @pytest.mark.parametrize("damping", [math.nan, math.inf])
+    def test_backstep_damping_must_be_finite(self, damping):
+        with pytest.raises(ValueError, match="finite"):
+            BackstepGains(gain=np.eye(2), damping=damping)
+
 
 class TestBallExcess:
     def test_at_origin(self):
@@ -265,16 +270,21 @@ class TestRobustGap:
             margin=lambda x, xi: 1.0,
         )
 
+    @staticmethod
+    def _robust_gap(nominal, x, xi_c, theta_hat):
+        lifted = lift_adaptive(nominal, simple_plant(), UNIT_BALL)
+        return lifted.gap(x, np.concatenate([xi_c, theta_hat]))
+
     def test_estimate_inside_gives_nominal_gap(self):
         nominal = self._nominal()
         x = np.zeros(1)
-        gap = robust_gap(nominal, UNIT_BALL, x, np.array([1.0]), np.array([0.5, 0.0]))
-        assert gap == gap_value(nominal, x, np.array([1.0])) == 2.0
+        gap = self._robust_gap(nominal, x, np.array([1.0]), np.array([0.5, 0.0]))
+        assert gap == nominal.gap(x, np.array([1.0])) == 2.0
 
     def test_estimate_outside_adds_half_distance(self):
         nominal = self._nominal()
-        gap = robust_gap(
-            nominal, UNIT_BALL, np.zeros(1), np.array([1.0]), np.array([2.0, 0.0])
+        gap = self._robust_gap(
+            nominal, np.zeros(1), np.array([1.0]), np.array([2.0, 0.0])
         )
         assert gap == pytest.approx(2.0 + 0.5)
 
@@ -286,10 +296,10 @@ class TestRobustGap:
             theta_hat = rng.normal(size=2) * 1.5
             theta = rng.normal(size=2)
             theta *= min(1.0, 1.0 / np.linalg.norm(theta))
-            true_gap = gap_value(nominal, x, np.array([1.0])) + 0.5 * float(
+            true_gap = nominal.gap(x, np.array([1.0])) + 0.5 * float(
                 (theta - theta_hat) @ (theta - theta_hat)
             )
-            robust = robust_gap(nominal, UNIT_BALL, x, np.array([1.0]), theta_hat)
+            robust = self._robust_gap(nominal, x, np.array([1.0]), theta_hat)
             assert robust <= true_gap + 1e-12
 
 
@@ -402,8 +412,8 @@ class TestLiftAdaptive:
             x = rng.normal(size=2)
             theta_hat = rng.normal(size=2) * 1.2
             xi1 = np.concatenate([[0.0], theta_hat])
-            lifted = gap_value(ctrl, x, xi1)
-            direct = robust_gap(nominal, ball, x, np.array([0.0]), theta_hat)
+            lifted = ControllerData.gap(ctrl, x, xi1)
+            direct = ctrl.gap(x, xi1)
             assert lifted == pytest.approx(direct, abs=1e-12)
 
     def test_controller_flow_stacks_estimate_law(self):
@@ -633,9 +643,7 @@ class TestLiftBackstep:
         xi1 = np.array([0.0, 0.4, 0.0])
         u = adaptive.feedback(x, xi1)
         xi2 = np.concatenate([xi1, u])
-        assert gap_value(backstep, x, xi2) == pytest.approx(
-            gap_value(adaptive, x, xi1), abs=1e-14
-        )
+        assert backstep.gap(x, xi2) == pytest.approx(adaptive.gap(x, xi1), abs=1e-14)
 
     def test_unit_gain_gap_increment(self):
         adaptive, backstep = self._controllers()
@@ -643,7 +651,7 @@ class TestLiftBackstep:
         xi1 = np.array([0.0, 0.0, 0.0])
         u = adaptive.feedback(x, xi1) + np.array([0.2, 0.0])
         xi2 = np.concatenate([xi1, u])
-        increment = gap_value(backstep, x, xi2) - gap_value(adaptive, x, xi1)
+        increment = backstep.gap(x, xi2) - adaptive.gap(x, xi1)
         assert increment == pytest.approx(0.02, abs=1e-12)
 
     def test_jump_resets_input_onto_feedback_exactly(self):
@@ -755,6 +763,65 @@ class TestGeneralGainClosedLoop:
             )
             == []
         )
+
+
+class TestClosedFormGap:
+    # Each lift's closed-form gap against enumeration over its own reset
+    # candidates, ControllerData.gap called through the base class, with
+    # the scaled tolerance of gap_identity_suite.
+    GAINS = {
+        "scalar": {},
+        "general": {
+            "gamma1": np.array([[2.0, 0.3], [0.3, 1.0]]),
+            "gamma2": np.array([[1.5, -0.2], [-0.2, 0.8]]),
+        },
+    }
+    # Estimate norms: inside the admissible ball, in the inflated shell,
+    # and beyond the inflated ball (radius 1, eps 1).
+    SHELLS = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
+
+    @classmethod
+    def _lifts(cls, gains):
+        scenario = make_scenario("backstep", q0=-1.0, **cls.GAINS[gains])
+        return scenario, scenario.controller.adaptive, scenario.controller
+
+    @pytest.mark.parametrize("gains", ["scalar", "general"])
+    def test_matches_enumeration(self, gains):
+        scenario, adaptive, backstep = self._lifts(gains)
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        compared = 0
+        for x, _ in _random_cylinder_states(rng, scenario.obstacle, 150, 1e-3):
+            for q in (-1.0, 1.0):
+                v0 = float(scenario.nominal.potential(x, np.array([q])))
+                for lo, hi in self.SHELLS:
+                    direction = rng.normal(size=2)
+                    norm = rng.uniform(lo, hi)
+                    theta_hat = norm * direction / np.linalg.norm(direction)
+                    xi1 = np.concatenate([[q], theta_hat])
+                    xi2 = np.concatenate([xi1, rng.normal(scale=2.0, size=2)])
+                    for ctrl, xi in ((adaptive, xi1), (backstep, xi2)):
+                        closed = ctrl.gap(x, xi)
+                        enumerated = ControllerData.gap(ctrl, x, xi)
+                        assert math.isfinite(enumerated)
+                        scale = 1.0 + abs(enumerated) + v0
+                        worst = max(worst, abs(closed - enumerated) / scale)
+                        compared += 1
+        assert compared == 150 * 2 * 3 * 2
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("gains", ["scalar", "general"])
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    def test_infinite_at_excluded_point(self, gains, q):
+        _, adaptive, backstep = self._lifts(gains)
+        for h in (-1.0, 0.0, 0.8):
+            x = np.array([h, 0.0, q])
+            for theta_hat in ((0.3, -0.2), (1.2, 0.9), (0.0, -2.5)):
+                xi1 = np.concatenate([[q], theta_hat])
+                xi2 = np.concatenate([xi1, [0.7, -1.3]])
+                for ctrl, xi in ((adaptive, xi1), (backstep, xi2)):
+                    assert ctrl.gap(x, xi) == math.inf
+                    assert ControllerData.gap(ctrl, x, xi) == math.inf
 
 
 class TestGapOrderingOnArcs:

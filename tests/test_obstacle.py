@@ -18,7 +18,6 @@ from hybridfb import (
     chart_potential,
     chart_potential_gradient,
     from_cylinder,
-    gap_value,
     gradient_feedback,
     gradient_feedback_jacobian,
     make_scenario,
@@ -205,7 +204,7 @@ class TestChartPotential:
             )
             for q in (-1.0, 1.0):
                 assert math.isfinite(chart_potential(x, q, OBS))
-                assert math.isfinite(gap_value(ctrl, x, np.array([q])))
+                assert math.isfinite(ctrl.gap(x, np.array([q])))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -433,12 +432,12 @@ class TestNominalController:
         ctrl = build_nominal_controller(OBS)
         x = np.array([0.7, 1.0, 0.0])
         for q in (-1.0, 1.0):
-            assert gap_value(ctrl, x, np.array([q])) == 0.0
+            assert ctrl.gap(x, np.array([q])) == 0.0
 
     def test_gap_infinite_at_chart_boundary(self):
         ctrl = build_nominal_controller(OBS)
         x = np.array([0.2, 0.0, 1.0])
-        assert gap_value(ctrl, x, np.array([1.0])) == math.inf
+        assert ctrl.gap(x, np.array([1.0])) == math.inf
 
     def test_argmin_is_other_chart_when_better(self):
         ctrl = build_nominal_controller(OBS)
@@ -458,6 +457,13 @@ class TestNominalController:
             build_nominal_controller(OBS, margin=0.0)
         with pytest.raises(ValueError):
             build_nominal_controller(OBS, margin=lambda x, xi: -1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_margin_rejected_at_construction(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            build_nominal_controller(OBS, margin=value)
+        with pytest.raises(ValueError, match="finite"):
+            build_nominal_controller(OBS, margin=lambda x, xi: value)
 
     def test_state_dependent_margin_accepted(self):
         ctrl = build_nominal_controller(OBS, margin=lambda x, xi: 1.0 + 0.1 * x[0] ** 2)
@@ -513,6 +519,29 @@ class TestScenarioFactory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_scenario("magic", q0=1.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"damping": math.nan},
+            {"damping": math.inf},
+            {"theta": [math.nan, 0.0]},
+            {"margin": math.nan},
+            {"margin": math.inf},
+            {"theta_hat0": [math.nan, 0.0]},
+            {"u0": np.array([math.nan, 0.0])},
+            {"z_init": (math.nan, 0.0)},
+        ],
+        ids=[
+            "damping-nan", "damping-inf", "theta-nan", "margin-nan",
+            "margin-inf", "theta_hat0-nan", "u0-nan", "z_init-nan",
+        ],
+    )
+    def test_non_finite_input_rejected(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            make_scenario(
+                "backstep", q0=1.0, config=SolverConfig(t_max=0.05), **overrides
+            )
 
 
 class TestClosedLoopGeometry:

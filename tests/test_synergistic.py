@@ -12,7 +12,6 @@ from hybridfb import (
     InfeasibleCandidates,
     SolverConfig,
     build_closed_loop,
-    gap_value,
     min_over_candidates,
     monitor_flow_decrease,
     monitor_jump_decrease,
@@ -141,7 +140,7 @@ class TestMinOverCandidates:
         ctrl = toggle_controller({-1.0: 2.0, 1.0: 2.0})
         _, minimizers, _ = min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
         for g in minimizers:
-            assert gap_value(ctrl, np.zeros(1), g) == 0.0
+            assert ctrl.gap(np.zeros(1), g) == 0.0
 
     def test_enumeration_oracle(self):
         result = gap_enumeration_suite(seed=123, n=500)
