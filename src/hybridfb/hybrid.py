@@ -7,17 +7,22 @@ count ``j``.  Flow and jump sets are described by scalar indicator
 functions; the flow set is where ``flow_indicator <= 0`` and the jump
 set where ``jump_indicator >= 0``.
 
-Flow segments are integrated with an adaptive embedded Runge-Kutta 4(5)
-pair (``scipy.integrate.RK45``) stepped manually so the solver can
-project states back onto a manifold after each accepted step, locate
-jump-set boundary crossings by bisection on the jump indicator, and stay
-bit-for-bit deterministic.
+Flow segments are integrated with :class:`RK45`, the Dormand-Prince
+5(4) pair with Shampine's quartic dense output, stepped manually so the
+solver can project states back onto a manifold after each accepted step,
+locate jump-set boundary crossings by bisection on the jump indicator,
+and stay bit-for-bit deterministic.  It repeats the arithmetic of the
+reference ``RK45`` implementation operation for operation, so its steps
+match that reference bit for bit (``TestRK45Oracle`` in the tests);
+numpy is the only runtime dependency.
 
 Each state the solver records is projected once, where it is made, and
 its jump indicator is evaluated once.  The value travels with the state
 into the jump decision, :func:`apply_jump` and the next flow interval.
 When a projection moves an accepted state, the stepper is reseated on it
-in place instead of being rebuilt.
+in place instead of being rebuilt.  A non-finite state or indicator
+value raises :class:`DomainEscape`, and one solve takes at most
+``MAX_STEPS`` accepted steps.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .errors import (
     DomainEscape,
@@ -40,6 +44,8 @@ ExitReason = Literal["time", "jump_boundary", "converged"]
 
 # Step sizes below this (seconds) count as an integrator stall.
 MIN_STEP = 1e-14
+# Accepted steps one solve may take; the published runs take ~1000.
+MAX_STEPS = 10**7
 # Maximum bisection iterations when locating a jump-set crossing.
 MAX_BISECT = 60
 # Flow time (seconds) over the trailing 10 jumps below which a run that
@@ -150,7 +156,8 @@ class SolverConfig:
 
     ``stop_ball`` is an optional ``(distance_fn, radius)`` pair; the run
     stops with exit reason ``converged`` once ``distance_fn(state) <=
-    radius`` at an accepted sample.  ``t_max`` and tolerances must be finite.
+    radius`` at an accepted sample.  ``t_max`` and tolerances must be
+    finite, and ``t_max / max_step`` at most ``MAX_STEPS``.
     """
 
     t_max: float = 10.0
@@ -169,10 +176,179 @@ class SolverConfig:
         for name in ("abs_tol", "rel_tol", "event_tol", "max_step"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.t_max / self.max_step > MAX_STEPS:
+            raise ValueError(
+                f"t_max / max_step exceeds the step budget MAX_STEPS={MAX_STEPS}"
+            )
         if self.stop_ball is not None:
             _, radius = self.stop_ball
             if not radius >= 0.0:
                 raise ValueError("stop_ball radius must be nonnegative")
+
+
+def _rms(x: np.ndarray) -> np.float64:
+    """Root-mean-square norm, computed as the reference stepper computes it.
+
+    The result stays a numpy scalar, so dividing by a zero norm gives inf
+    with a warning, as in the reference, instead of raising.
+    """
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+class RK45:
+    """Dormand-Prince 5(4) stepper with Shampine's dense output, forward in time.
+
+    A replica, operation for operation, of the reference ``RK45`` that
+    the tests step beside it (``TestRK45Oracle``): the tableau, stage
+    sums, RMS error norm, step-size rule, initial step, ``rtol`` floor
+    and dense-output polynomial are the reference's, so every step and
+    interpolant is bit-identical to it (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.4-II.6).  ``t_bound`` must exceed ``t0``.
+
+    Between steps the caller may reassign ``y`` together with ``f``
+    (``fun`` at ``(t, y)``, the first stage of the next step).  ``step``
+    returns ``None``, or a message when the step size fell below ten
+    times the spacing of floats at ``t``; ``status`` is then
+    ``"failed"``.  A non-finite ``y0`` raises :class:`DomainEscape`.
+    """
+
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    # Shampine's dense-output coefficients, for the optimum c_6.
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+    ])
+    SAFETY = 0.9
+    MIN_FACTOR = 0.2
+    MAX_FACTOR = 10
+    ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+    RTOL_FLOOR = 100 * np.finfo(float).eps
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol, first_step=None):
+        y = np.asarray(y0, dtype=float)
+        if not np.isfinite(y).all():
+            raise DomainEscape(
+                f"flow started from a non-finite state at t={t0:.6g}",
+                state=y,
+                t=t0,
+            )
+        self.fun, self.t, self.y, self.t_bound = fun, t0, y, t_bound
+        self.max_step, self.atol = max_step, atol
+        self.rtol = max(rtol, self.RTOL_FLOOR)
+        self.t_old = self.y_old = None
+        self.status = "running"
+        self.f = np.asarray(fun(t0, y), dtype=float)
+        self.K = np.empty((len(self.C) + 1, y.size))
+        self.h_abs = self._initial_step() if first_step is None else first_step
+
+    def _initial_step(self) -> float:
+        """Empirical initial step of Hairer et al., II.4."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval_length = abs(self.t_bound - t0)
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self.fun(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, interval_length, self.max_step)
+
+    def step(self) -> Optional[str]:
+        """Advance by one accepted step, retrying rejected ones."""
+        t, y, K = self.t, self.y, self.K
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+
+            K[0] = self.f
+            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = self.fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            K[-1] = f_new = self.fun(t + h, y_new)
+
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(np.dot(K.T, self.E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(
+                        self.MAX_FACTOR,
+                        self.SAFETY * error_norm ** self.ERROR_EXPONENT,
+                    )
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(
+                self.MIN_FACTOR, self.SAFETY * error_norm ** self.ERROR_EXPONENT
+            )
+            rejected = True
+
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        if t_new >= self.t_bound:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> Callable[[float], np.ndarray]:
+        """Shampine's quartic interpolant over the last accepted step."""
+        t_old, y_old = self.t_old, self.y_old
+        h = self.t - t_old
+        Q = self.K.T.dot(self.P)
+
+        def interpolant(t: float) -> np.ndarray:
+            p = np.cumprod(np.tile((t - t_old) / h, 4))
+            return h * np.dot(Q, p) + y_old
+
+        return interpolant
+
+
+def _indicator_value(indicator, y: np.ndarray, t: float, kind: str) -> float:
+    """Evaluate a flow or jump indicator; a non-finite value is a DomainEscape."""
+    value = float(indicator(y))
+    if not math.isfinite(value):
+        raise DomainEscape(
+            f"{kind} indicator is {value} at t={t:.6g}", state=y, t=t
+        )
+    return value
 
 
 def _locate_crossing(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
@@ -191,7 +367,7 @@ def _locate_crossing(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
         if m <= a or m >= b:  # interval exhausted at float resolution
             break
         y_m = sys.project(np.asarray(dense(m), dtype=float))
-        g_m = float(sys.jump_indicator(y_m))
+        g_m = _indicator_value(sys.jump_indicator, y_m, m, "jump")
         if g_m >= 0.0:
             b, y_b, g_b = m, y_m, g_m
         else:
@@ -205,6 +381,7 @@ def advance_flow(
     sys: HybridSystemDef,
     cfg: SolverConfig,
     t0: float = 0.0,
+    max_steps: int = MAX_STEPS,
 ) -> tuple[tuple, float, ExitReason]:
     """Integrate one flow interval from ``state`` at time ``t0``.
 
@@ -226,12 +403,14 @@ def advance_flow(
     ------
     DomainEscape
         If the flow indicator exceeds ``event_tol`` at the initial state
-        or at an accepted step whose state is also outside the jump set.
+        or at an accepted step whose state is also outside the jump set,
+        or if a state or an indicator value is not finite.
     IntegrationStalled
-        If the adaptive step size underflows (below ``1e-14`` s).
+        If the adaptive step size underflows (below ``1e-14`` s), or the
+        interval would take more than ``max_steps`` accepted steps.
     """
     y0 = np.asarray(state, dtype=float)
-    f0 = float(sys.flow_indicator(y0))
+    f0 = _indicator_value(sys.flow_indicator, y0, t0, "flow")
     if f0 > cfg.event_tol:
         raise DomainEscape(
             f"flow started outside the flow set (indicator {f0:.3e})",
@@ -268,7 +447,7 @@ def advance_flow(
         atol=cfg.abs_tol,
     )
 
-    while True:
+    for _ in range(max_steps):
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationStalled(
@@ -284,7 +463,13 @@ def advance_flow(
             )
         y_raw = solver.y
         y_new = sys.project(np.array(y_raw, dtype=float))
-        g_new = float(sys.jump_indicator(y_new))
+        if not np.isfinite(y_new).all():
+            raise DomainEscape(
+                f"flow reached a non-finite state at t={t_new:.6g}",
+                state=y_new,
+                t=t_new,
+            )
+        g_new = _indicator_value(sys.jump_indicator, y_new, t_new, "jump")
 
         if g_prev < 0.0 <= g_new:
             t_star, y_star, g_star = _locate_crossing(
@@ -295,7 +480,7 @@ def advance_flow(
             states.append(y_star)
             return _exit(g_star, "jump_boundary")
 
-        f_new = float(sys.flow_indicator(y_new))
+        f_new = _indicator_value(sys.flow_indicator, y_new, t_new, "flow")
         if f_new > cfg.event_tol:
             if g_new >= -cfg.event_tol:
                 # Left the flow set but already inside the jump set: the
@@ -330,6 +515,10 @@ def advance_flow(
             solver.y = y_new
             solver.f = solver.fun(t_new, y_new)
         t_prev, g_prev = t_new, g_new
+    raise IntegrationStalled(
+        f"step budget exhausted at t={t_prev:.6g}: one solve takes at most "
+        f"MAX_STEPS={MAX_STEPS} accepted steps"
+    )
 
 
 def apply_jump(
@@ -357,7 +546,8 @@ def solve(
     Where both actions are admissible (the shared boundary of the flow
     and jump sets), the jump wins.  The run stops at
     ``cfg.t_max``, when the jump budget ``cfg.j_max`` is exhausted, or
-    when the optional stop ball is entered.
+    when the optional stop ball is entered.  The accepted flow steps of
+    all intervals together may not exceed ``MAX_STEPS``.
 
     Every recorded state is projected once, where it is made (``x0``,
     each accepted step, each jump), and its jump indicator is evaluated
@@ -367,15 +557,19 @@ def solve(
     Raises
     ------
     DomainEscape
-        If ``x0`` (or a post-jump state) lies outside both sets.
+        If ``x0`` (or a post-jump state) lies outside both sets, or a
+        state or an indicator value is not finite.
+    IntegrationStalled
+        If the step size underflows or the step budget is exhausted.
     ZenoSuspected
         If the jump budget is exhausted with less than ``1e-6`` s of flow
         since the 10th-to-last jump.
     """
     y = sys.project(np.asarray(x0, dtype=float))
-    g = float(sys.jump_indicator(y))
     t = 0.0
+    g = _indicator_value(sys.jump_indicator, y, t, "jump")
     j = 0
+    steps = 0
 
     intervals: list[tuple] = []
     all_samples: list[tuple] = []
@@ -407,7 +601,7 @@ def solve(
                 _check_zeno()
                 break
             y_next = sys.project(apply_jump(y, g, sys, cfg))
-            g = float(sys.jump_indicator(y_next))
+            g = _indicator_value(sys.jump_indicator, y_next, t, "jump")
             jump_records.append(JumpRecord(t=t, j=j, before=y, after=y_next))
             _close_interval()
             j += 1
@@ -419,7 +613,10 @@ def solve(
 
         # Outside the jump set: advance_flow raises DomainEscape if the
         # state is outside the flow set too.
-        (times, states), g, reason = advance_flow(y, g, sys, cfg, t0=t)
+        (times, states), g, reason = advance_flow(
+            y, g, sys, cfg, t0=t, max_steps=MAX_STEPS - steps
+        )
+        steps += len(times) - 1
         # The interval already holds the entry sample; skip the duplicate.
         cur_times.extend(times[1:].tolist())
         cur_states.extend(list(states[1:]))

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hybridfb import (
     HybridArc,
     HybridSystemDef,
     HybridTimeDomain,
+    IntegrationStalled,
     JumpOutsideJumpSet,
     JumpRecord,
     SolverConfig,
@@ -485,6 +489,202 @@ class TestStepperReseat:
                 ref = hybrid.RK45(rhs, ref.t, y, cfg.t_max, first_step=first, **kwargs)
         assert np.array_equal(times, ref_times)
         assert np.array_equal(states, np.array(ref_states))
+
+
+def _pendulum(t, y):
+    return np.array([y[1], -math.sin(y[0]) - 0.3 * y[1]])
+
+
+def _van_der_pol(t, y):
+    return np.array([y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def _forced_oscillator(t, y):
+    return np.array([y[1], -y[0] + math.sin(3.0 * t)])
+
+
+def _nan_after_half(t, y):
+    return np.array([math.nan if t > 0.5 else 1.0])
+
+
+class TestRK45Oracle:
+    """``hybrid.RK45`` against the reference RK45 it replicates, bit for bit."""
+
+    @staticmethod
+    def _reference():
+        return pytest.importorskip("scipy.integrate").RK45
+
+    @staticmethod
+    def _step_beside(ours, ref, max_steps):
+        """Step both until the reference stops; return the step count."""
+        assert ours.h_abs == ref.h_abs
+        steps = 0
+        while ref.status == "running" and steps < max_steps:
+            assert ours.step() == ref.step()
+            steps += 1
+            assert ours.status == ref.status
+            assert ours.t == ref.t
+            assert ours.h_abs == ref.h_abs
+            assert np.array_equal(ours.y, ref.y)
+            assert np.array_equal(ours.f, ref.f)
+            if ours.status != "failed":  # the stages then hold the failed tries
+                mid = 0.5 * (ours.t_old + ours.t)
+                assert np.array_equal(ours.dense_output()(mid), ref.dense_output()(mid))
+        return steps
+
+    @pytest.mark.parametrize(
+        "fun, y0, t_bound, max_step, rtol, atol",
+        [
+            (_pendulum, [2.0, 0.0], 50.0, 0.5, 1e-6, 1e-8),
+            (_van_der_pol, [2.0, 0.0], 20.0, math.inf, 1e-6, 1e-8),
+            (_forced_oscillator, [0.0, 0.0], 10.0, 0.5, 1e-8, 1e-10),
+            (_pendulum, [2.0, 0.0], 1.2345, 0.1, 1e-9, 1e-9),
+            (_nan_after_half, [0.0], 1.0, 0.1, 1e-6, 1e-8),
+        ],
+        ids=["pendulum", "rejections", "time_dependent", "truncated_horizon", "fails"],
+    )
+    def test_steps_bit_identical(self, fun, y0, t_bound, max_step, rtol, atol):
+        kwargs = dict(t_bound=t_bound, max_step=max_step, rtol=rtol, atol=atol)
+        ours = hybrid.RK45(fun, 0.0, np.array(y0), **kwargs)
+        ref = self._reference()(fun, 0.0, np.array(y0), **kwargs)
+        steps = self._step_beside(ours, ref, max_steps=400)
+        if fun is _van_der_pol:
+            # The reference spends 6 RHS calls per try plus 2 at set-up,
+            # so more than that means some steps were rejected.
+            assert ref.nfev > 6 * steps + 2
+        elif fun is _nan_after_half:
+            assert ours.status == "failed"
+        else:
+            assert ours.status == "finished"
+            assert ours.t == t_bound
+            if t_bound == 1.2345:  # the last step is cut short at the horizon
+                assert ours.t - ours.t_old < max_step
+
+    def test_rtol_floor(self):
+        kwargs = dict(t_bound=5.0, max_step=0.5, rtol=1e-16, atol=1e-12)
+        ours = hybrid.RK45(_pendulum, 0.0, np.array([2.0, 0.0]), **kwargs)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = self._reference()(_pendulum, 0.0, np.array([2.0, 0.0]), **kwargs)
+        assert ours.rtol == ref.rtol > 1e-16
+        assert self._step_beside(ours, ref, max_steps=200) == 200
+
+    def test_backstep_flow_with_reseats(self):
+        from hybridfb.obstacle import make_scenario, renormalize_circle
+
+        sc = make_scenario("backstep", q0=-1.0)
+        cfg = sc.config
+
+        def rhs(_t, y):
+            return sc.system.flow_map(y)
+
+        kwargs = dict(
+            t_bound=cfg.t_max, max_step=cfg.max_step, rtol=cfg.rel_tol, atol=cfg.abs_tol
+        )
+        ours = hybrid.RK45(rhs, 0.0, sc.x0, **kwargs)
+        ref = self._reference()(rhs, 0.0, sc.x0, **kwargs)
+        reseats = 0
+        for _ in range(200):
+            assert self._step_beside(ours, ref, max_steps=1) == 1
+            y = renormalize_circle(ours.y)
+            if not np.array_equal(y, ours.y):
+                reseats += 1
+                ours.y, ours.f = y, ours.fun(ours.t, y)
+                ref.y, ref.f = y, ref.fun(ref.t, y)
+        assert reseats > 0
+
+    def test_non_finite_start_is_domain_escape(self):
+        with pytest.raises(DomainEscape) as info:
+            hybrid.RK45(_pendulum, 0.5, np.array([math.nan, 0.0]), 1.0, 0.1, 1e-6, 1e-8)
+        assert info.value.t == 0.5
+        assert math.isnan(info.value.state[0])
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hybridfb; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _threshold(y):
+    """+1 at and beyond y = 1, -1 before it and at NaN."""
+    return 1.0 if y[0] >= 1.0 else -1.0
+
+
+class TestNonFinite:
+    """A non-finite state or indicator value ends the solve with DomainEscape."""
+
+    def test_nan_indicator_band(self):
+        def indicator(y):
+            return math.nan if 0.3 < y[0] < 0.4 else y[0] - 1.0
+
+        sys = dataclasses.replace(
+            timer_system(), flow_indicator=indicator, jump_indicator=indicator
+        )
+        cfg = SolverConfig(t_max=2.0, max_step=0.05)
+        with pytest.raises(DomainEscape, match="indicator is nan") as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert 0.3 < info.value.t < 0.4
+        assert 0.3 < info.value.state[0] < 0.4
+
+    def test_nan_indicator_at_start(self):
+        sys = dataclasses.replace(decay_system(), jump_indicator=lambda y: math.nan)
+        with pytest.raises(DomainEscape, match="jump indicator is nan") as info:
+            solve(sys, np.array([1.0]), SolverConfig(t_max=1.0))
+        assert info.value.t == 0.0
+
+    def test_jump_to_non_finite_state(self):
+        # The indicators read NaN as "flow", so only the stepper sees it.
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=_threshold,
+            jump_indicator=_threshold,
+            jump_map=lambda y: np.array([math.nan]),
+        )
+        with pytest.raises(DomainEscape, match="non-finite state") as info:
+            solve(sys, np.array([0.0]), SolverConfig(t_max=2.0))
+        assert abs(info.value.t - 1.0) <= 0.01
+        assert math.isnan(info.value.state[0])
+
+    def test_projection_to_non_finite_state(self):
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: -1.0,
+            jump_indicator=lambda y: -1.0,
+            jump_map=lambda y: y,
+            project_state=lambda y: y * math.nan if y[0] > 0.5 else y,
+        )
+        cfg = SolverConfig(t_max=1.0, max_step=0.1)
+        with pytest.raises(DomainEscape, match="non-finite state") as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert 0.5 < info.value.t <= 0.6 + 1e-12
+        assert math.isnan(info.value.state[0])
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("field, value", [("t_max", 1e9), ("max_step", 1e-12)])
+    def test_config_refuses_more_steps_than_budget(self, field, value):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            SolverConfig(**{field: value})
+
+    def test_budget_counts_accepted_steps_of_the_whole_solve(self, monkeypatch):
+        sys, cfg = timer_system(), SolverConfig(t_max=3.5, max_step=0.1)
+        arc = solve(sys, np.array([0.0]), cfg)
+        steps = sum(len(times) - 1 for times, _ in arc.samples)
+        assert arc.jump_count == 3
+        assert max(len(times) - 1 for times, _ in arc.samples) < steps - 1
+        monkeypatch.setattr(hybrid, "MAX_STEPS", steps)
+        rerun = solve(sys, np.array([0.0]), cfg)
+        assert np.array_equal(rerun.final_state, arc.final_state)
+        monkeypatch.setattr(hybrid, "MAX_STEPS", steps - 1)
+        with pytest.raises(IntegrationStalled, match="step budget"):
+            solve(sys, np.array([0.0]), cfg)
 
 
 class TestDomainValidation:

@@ -555,7 +555,7 @@ class TestClosedLoopGeometry:
         # Method-independent check of the whole closed-loop right-hand
         # side: a jump-free window integrated by LSODA at tight tolerance
         # must land on the same endpoint.
-        from scipy.integrate import solve_ivp
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
         sc = make_scenario("backstep", q0=-1.0, config=SolverConfig(t_max=2.0))
         arc = solve(sc.system, sc.x0, sc.config)

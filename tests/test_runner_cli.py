@@ -1,5 +1,6 @@
 """Scenario runner, CSV/summary formats, configuration, CLI exit codes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -415,6 +416,46 @@ class TestCli:
         assert main(["--config", str(path)]) == 4
         err = capsys.readouterr().err
         assert "excluded point of chart q=-1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("t_max", "1e9"), ("max_step", "1e-12")])
+    def test_step_budget_overrun_exit_four(self, tmp_path, capsys, key, value):
+        path = tmp_path / "long.cfg"
+        path.write_text(f"controller = backstep\n{key} = {value}\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "configuration error: t_max / max_step exceeds the step budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["nan_margin_band", "nan_estimate_after_jump"])
+    def test_non_finite_solve_exit_three(self, tmp_path, monkeypatch, capsys, fault):
+        make_scenario = runner_mod.make_scenario
+
+        def faulty_scenario(*args, **kwargs):
+            if fault == "nan_margin_band":
+                # Finite where make_scenario probes it, NaN along the run.
+                kwargs["margin"] = lambda x, xi: (
+                    1.0 if x[0] > -0.6 or x[0] < -0.69 else math.nan
+                )
+                return make_scenario(*args, **kwargs)
+            sc = make_scenario(*args, **kwargs)
+
+            def jump_map(state):
+                after = sc.system.jump_map(state)
+                return np.concatenate([after[:4], after[4:] * math.nan])
+
+            return dataclasses.replace(
+                sc, system=dataclasses.replace(sc.system, jump_map=jump_map)
+            )
+
+        monkeypatch.setattr(runner_mod, "make_scenario", faulty_scenario)
+        path = tmp_path / "forced.cfg"
+        path.write_text(
+            "controller = backstep\nq0 = -1\nt_max = 1\nz_init = 1.8, -1\n"
+        )
+        assert main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "solver error: jump indicator is nan" in err
         assert "Traceback" not in err
 
     def test_unknown_flag_exit_four(self, capsys):
