@@ -20,9 +20,9 @@ Each state the solver records is projected once, where it is made, and
 its jump indicator is evaluated once.  The value travels with the state
 into the jump decision, :func:`apply_jump` and the next flow interval.
 When a projection moves an accepted state, the stepper is reseated on it
-in place instead of being rebuilt.  A non-finite state or indicator
-value raises :class:`DomainEscape`, and one solve takes at most
-``MAX_STEPS`` accepted steps.
+in place instead of being rebuilt.  A non-finite state, indicator value
+or flow-map value raises :class:`DomainEscape`, and one solve takes at
+most ``MAX_STEPS`` accepted steps.
 """
 
 from __future__ import annotations
@@ -335,8 +335,12 @@ class RK45:
         Q = self.K.T.dot(self.P)
 
         def interpolant(t: float) -> np.ndarray:
-            p = np.cumprod(np.tile((t - t_old) / h, 4))
-            return h * np.dot(Q, p) + y_old
+            # The powers x, x^2, x^3, x^4 multiplied left to right, as the
+            # reference's cumulative product forms them.
+            x = (t - t_old) / h
+            x2 = x * x
+            x3 = x2 * x
+            return h * np.dot(Q, np.array([x, x2, x3, x3 * x])) + y_old
 
         return interpolant
 
@@ -404,9 +408,11 @@ def advance_flow(
     DomainEscape
         If the flow indicator exceeds ``event_tol`` at the initial state
         or at an accepted step whose state is also outside the jump set,
-        or if a state or an indicator value is not finite.
+        if a state or an indicator value is not finite, or if the flow
+        map returns a non-finite value at a finite state.
     IntegrationStalled
-        If the adaptive step size underflows (below ``1e-14`` s), or the
+        If an interior accepted step is shorter than ``1e-14`` s, if the
+        stepper fails on its minimum step with finite stages, or if the
         interval would take more than ``max_steps`` accepted steps.
     """
     y0 = np.asarray(state, dtype=float)
@@ -435,6 +441,14 @@ def advance_flow(
     def rhs(_t, y):
         return sys.flow_map(y)
 
+    def check_flow_values(values):
+        if not np.isfinite(values).all():
+            raise DomainEscape(
+                f"flow map returned a non-finite value near t={solver.t:.6g}",
+                state=solver.y,
+                t=solver.t,
+            )
+
     g_prev = g
     t_prev = float(t0)
     solver = RK45(
@@ -446,10 +460,16 @@ def advance_flow(
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
     )
+    # A non-finite first stage would make the initial step size NaN, and
+    # the stepper would then reject its tries forever.
+    check_flow_values(solver.f)
 
     for _ in range(max_steps):
         message = solver.step()
         if solver.status == "failed":
+            # The stages hold the last try: a non-finite one means the flow
+            # map, not the step size, ended the step.
+            check_flow_values(solver.K)
             raise IntegrationStalled(
                 f"integrator failed at t={solver.t:.6g}: {message}"
             )
@@ -514,6 +534,7 @@ def advance_flow(
             # fresh from (t_new, y_new, h_abs) would (TestStepperReseat).
             solver.y = y_new
             solver.f = solver.fun(t_new, y_new)
+            check_flow_values(solver.f)
         t_prev, g_prev = t_new, g_new
     raise IntegrationStalled(
         f"step budget exhausted at t={t_prev:.6g}: one solve takes at most "
@@ -558,7 +579,7 @@ def solve(
     ------
     DomainEscape
         If ``x0`` (or a post-jump state) lies outside both sets, or a
-        state or an indicator value is not finite.
+        state, an indicator value or a flow-map value is not finite.
     IntegrationStalled
         If the step size underflows or the step budget is exhausted.
     ZenoSuspected

@@ -121,6 +121,50 @@ def _coords(x) -> list:
     return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
+def _tangential(x2: float, x3: float, y1: float, y2: float) -> tuple:
+    """``(I - s s^T) y`` for the circle point ``s = (x2, x3)``."""
+    along = x2 * y1 + x3 * y2
+    return y1 - x2 * along, y2 - x3 * along
+
+
+def _input_entries(x2: float, x3: float, boundary_dist: float, rho: float) -> tuple:
+    """The six entries of :func:`cylinder_input_matrix`, row by row."""
+    cross = -(x2 * x3) / rho
+    return (
+        x2 / boundary_dist, x3 / boundary_dist,
+        (1.0 - x2 * x2) / rho, cross,
+        cross, (1.0 - x3 * x3) / rho,
+    )
+
+
+def _transpose_times(entries: tuple, y1: float, y2: float, y3: float) -> tuple:
+    """``B^T y`` for the input matrix ``B`` given by its entries."""
+    b11, b12, b21, b22, b31, b32 = entries
+    return b11 * y1 + b21 * y2 + b31 * y3, b12 * y1 + b22 * y2 + b32 * y3
+
+
+def _feedback(
+    x2: float, x3: float, boundary_dist: float, rho: float,
+    e1: float, v1: float, v2: float,
+) -> tuple:
+    """The two floats of :func:`gradient_feedback` from the chart gradient."""
+    t1, t2 = _tangential(x2, x3, v1, v2)
+    return (
+        -(x2 / boundary_dist * e1 + t1 / rho),
+        -(x3 / boundary_dist * e1 + t2 / rho),
+    )
+
+
+def _input_sum(entries: tuple, u1: float, u2: float, p1: float, p2: float) -> list:
+    """``B u + B p`` for the input matrix ``B`` given by its entries."""
+    b11, b12, b21, b22, b31, b32 = entries
+    return [
+        b11 * u1 + b12 * u2 + (b11 * p1 + b12 * p2),
+        b21 * u1 + b22 * u2 + (b21 * p1 + b22 * p2),
+        b31 * u1 + b32 * u2 + (b31 * p1 + b32 * p2),
+    ]
+
+
 def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """Input matrix of the cylinder-coordinates plant at a cylinder point.
 
@@ -133,15 +177,8 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """
     x1, x2, x3 = _coords(x)
     boundary_dist = math.exp(x1)
-    rho = boundary_dist + obstacle.radius
-    cross = -(x2 * x3) / rho
-    return np.array(
-        [
-            [x2 / boundary_dist, x3 / boundary_dist],
-            [(1.0 - x2 * x2) / rho, cross],
-            [cross, (1.0 - x3 * x3) / rho],
-        ]
-    )
+    entries = _input_entries(x2, x3, boundary_dist, boundary_dist + obstacle.radius)
+    return np.array(entries).reshape(3, 2)
 
 
 def _chart_point(x, q) -> tuple:
@@ -166,12 +203,6 @@ def _chart_gradient(x, q, obstacle: ObstacleDisk) -> tuple:
     c1, c2 = obstacle.chart_targets[q]
     e2 = x2 / denom - c2
     return q, x1, x2, x3, denom, e2, x1 - c1, e2 / denom, q * x2 / denom**2 * e2
-
-
-def _tangential(x2: float, x3: float, y1: float, y2: float) -> tuple:
-    """``(I - s s^T) y`` for the circle point ``s = (x2, x3)``."""
-    along = x2 * y1 + x3 * y2
-    return y1 - x2 * along, y2 - x3 * along
 
 
 def chart(x: np.ndarray, q) -> np.ndarray:
@@ -221,13 +252,7 @@ def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
     _, x1, x2, x3, _, _, e1, v1, v2 = _chart_gradient(x, q, obstacle)
     boundary_dist = math.exp(x1)
     rho = boundary_dist + obstacle.radius
-    t1, t2 = _tangential(x2, x3, v1, v2)
-    return np.array(
-        [
-            -(x2 / boundary_dist * e1 + t1 / rho),
-            -(x3 / boundary_dist * e1 + t2 / rho),
-        ]
-    )
+    return np.array(_feedback(x2, x3, boundary_dist, rho, e1, v1, v2))
 
 
 def gradient_feedback_jacobian(
@@ -371,6 +396,104 @@ def renormalize_circle(state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closed_loop_flow(
+    kind: str,
+    obstacle: ObstacleDisk,
+    theta: np.ndarray,
+    ball: Optional[ParamBall] = None,
+    gains: Optional[BackstepGains] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed-loop flow map of one controller kind, on floats.
+
+    The vector field that :func:`build_closed_loop` composes from
+    ``plant.f`` and the lift's ``controller_flow``, written out for this
+    plant: the chart gradient and the input matrix are evaluated once per
+    call, the disturbance enters through the input matrix (the matched
+    matrix is the identity), and the gains are unpacked to floats here,
+    once.  The tests compare it with the generic composition.
+    """
+    radius = obstacle.radius
+    theta1, theta2 = theta.tolist()
+
+    def geometry(state):
+        q, x1, x2, x3, _, _, e1, v1, v2 = _chart_gradient(
+            state[:3], state[3], obstacle
+        )
+        boundary_dist = math.exp(x1)
+        rho = boundary_dist + radius
+        entries = _input_entries(x2, x3, boundary_dist, rho)
+        feedback = _feedback(x2, x3, boundary_dist, rho, e1, v1, v2)
+        return q, (e1, v1, v2), entries, feedback
+
+    if kind == "nominal":
+        def nominal_flow(state):
+            _, _, entries, (k1, k2) = geometry(state)
+            return np.array([*_input_sum(entries, k1, k2, theta1, theta2), 0.0])
+
+        return nominal_flow
+
+    (a11, a12), (a21, a22) = ball.gain.tolist()
+    radius_sq, excess_scale = ball.radius**2, ball.excess_scale
+
+    def estimate_rate(d1, d2, th1, th2):
+        """The adaptation gain times :func:`project_rate` of the drive ``d``."""
+        excess = (th1 * th1 + th2 * th2 - radius_sq) / excess_scale
+        if excess > 0.0:
+            n1, n2 = 2.0 * th1 / excess_scale, 2.0 * th2 / excess_scale
+            outward = n1 * d1 + n2 * d2
+            if outward > 0.0:
+                shrink = excess * outward / (n1 * n1 + n2 * n2)
+                d1, d2 = d1 - shrink * n1, d2 - shrink * n2
+        return a11 * d1 + a12 * d2, a21 * d1 + a22 * d2
+
+    if kind == "adaptive":
+        def adaptive_flow(state):
+            _, grad, entries, (k1, k2) = geometry(state)
+            th1, th2 = state[4:].tolist()
+            return np.array([
+                *_input_sum(entries, k1 - th1, k2 - th2, theta1, theta2),
+                0.0,
+                *estimate_rate(*_transpose_times(entries, *grad), th1, th2),
+            ])
+
+        return adaptive_flow
+
+    (c11, c12), (c21, c22) = gains.gain.tolist()
+    (w11, w12), (w21, w22) = gains.gain_inv.tolist()
+    damping = float(gains.damping)
+
+    def backstep_flow(state):
+        q, (e1, v1, v2), entries, (k1, k2) = geometry(state)
+        th1, th2, u1, u2 = state[4:].tolist()
+        err1, err2 = u1 - (k1 - th1), u2 - (k2 - th2)
+        (j11, j12, j13), (j21, j22, j23) = gradient_feedback_jacobian(
+            state[:3], q, obstacle
+        ).tolist()
+        s1, s2 = w11 * err1 + w12 * err2, w21 * err1 + w22 * err2
+        r1, r2 = estimate_rate(
+            *_transpose_times(
+                entries,
+                e1 - (j11 * s1 + j21 * s2),
+                v1 - (j12 * s1 + j22 * s2),
+                v2 - (j13 * s1 + j23 * s2),
+            ),
+            th1, th2,
+        )
+        g1, g2 = _transpose_times(entries, e1, v1, v2)
+        # The plant's rate with the estimate in place of the true parameter.
+        m1, m2, m3 = _input_sum(entries, u1, u2, th1, th2)
+        return np.array([
+            *_input_sum(entries, u1, u2, theta1, theta2),
+            0.0,
+            r1,
+            r2,
+            -r1 - damping * err1 - (c11 * g1 + c12 * g2) + (j11 * m1 + j12 * m2 + j13 * m3),
+            -r2 - damping * err2 - (c21 * g1 + c22 * g2) + (j21 * m1 + j22 * m2 + j23 * m3),
+        ])
+
+    return backstep_flow
+
+
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
 
 
@@ -454,6 +577,10 @@ def make_scenario(
     estimate.  For the backstepping controller, "at rest" initializes
     the held input on the adaptive feedback (``u0="feedback"``); pass
     ``u0="zero"`` or an explicit vector to override.
+
+    The closed loop comes from :func:`build_closed_loop`, with the flow
+    map written out on floats for ``kind``; the switching indicator, the
+    jump map and the monitors use the controllers.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -528,7 +655,11 @@ def make_scenario(
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
     system = build_closed_loop(
-        plant, theta, controller, project_state=renormalize_circle
+        plant,
+        theta,
+        controller,
+        project_state=renormalize_circle,
+        flow_map=_closed_loop_flow(kind, obstacle, theta, ball, gains),
     )
 
     def true_potential(state):

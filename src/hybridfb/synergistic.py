@@ -154,6 +154,8 @@ def build_closed_loop(
     theta_true: np.ndarray,
     ctrl: ControllerData,
     project_state: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    flow_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> HybridSystemDef:
     """Interconnect a plant and a synergistic controller.
 
@@ -162,11 +164,16 @@ def build_closed_loop(
     same function, gap minus margin, so the flow and jump sets cover the
     state space by construction; an infinite gap is clamped to the
     ``1e18`` sentinel inside the indicator only, forcing a jump.
+
+    The flow map composes ``plant.f`` at the controller's feedback with
+    ``ctrl.controller_flow``.  A caller that has the same vector field
+    written out for its plant passes it as ``flow_map`` instead; the
+    obstacle world's :func:`~hybridfb.obstacle.make_scenario` does.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     n_x = plant.n_x
 
-    def flow_map(state: np.ndarray) -> np.ndarray:
+    def composed_flow_map(state: np.ndarray) -> np.ndarray:
         x, xi_c = state[:n_x], state[n_x:]
         u = ctrl.feedback(x, xi_c)
         return np.concatenate(
@@ -183,7 +190,7 @@ def build_closed_loop(
         return np.concatenate([x, select_jump(ctrl, x, xi_c)])
 
     return HybridSystemDef(
-        flow_map=flow_map,
+        flow_map=composed_flow_map if flow_map is None else flow_map,
         flow_indicator=indicator,
         jump_indicator=indicator,
         jump_map=jump_map,

@@ -1,17 +1,20 @@
-"""Golden endpoints of the nine case-study runs.
+"""Golden endpoints of the case-study, general-gain and switching runs.
 
 The published nominal, adaptive and backstepped runs from z = (2, 0)
 with both initial charts, and the three forced switches from
 z = (1.8, -1) with q0 = -1, each to t = 10, built from the same config
-values the command line uses.  A rewrite of the geometry, the lifts or
-the solver must land every run on the recorded final state to 1e-10
-with the recorded number of jumps.
+values the command line uses.  Besides those: adaptive and backstep runs
+with general SPD gains and an initial estimate outside the admissible
+ball (t = 6), and two backstep runs with margin 1e-3 that jump 41 and 64
+times by t = 2.  A rewrite of the geometry, the lifts or the solver must
+land every run on the recorded final state to 1e-10 with the recorded
+number of jumps.
 """
 
 import numpy as np
 import pytest
 
-from hybridfb import runner, solve
+from hybridfb import SolverConfig, make_scenario, runner, solve
 
 GOLDEN_TOL = 1e-10
 
@@ -77,5 +80,83 @@ def test_case_study_endpoint(kind, q0, z_init):
     arc = solve(scenario.system, scenario.x0, scenario.config)
     final_state, jumps = GOLDEN[(kind, q0, z_init)]
     assert arc.final_time == 10.0
+    assert arc.jump_count == jumps
+    assert np.max(np.abs(arc.final_state - np.array(final_state))) <= GOLDEN_TOL
+
+
+GAMMA1 = np.array([[2.0, 0.3], [0.3, 1.0]])
+GAMMA2 = np.array([[1.5, -0.2], [-0.2, 0.8]])
+
+GENERAL_GAIN = {
+    ("adaptive", (1.189791099759238, 1.0542719149080342)): (
+        [-0.6994343880908859, -0.9974919172457317, -0.07078047067824848, -1.0,
+         0.6947416507263051, 0.7152150074941046],
+        0,
+    ),
+    ("backstep", (1.3154917861386868, 0.8823473289949773)): (
+        [-0.698730054182801, -0.9999932996854177, 0.0036606808479134573, -1.0,
+         0.6992534749871101, 0.7331523628970534, -0.702710789216875,
+         -0.7767566238489488],
+        0,
+    ),
+    ("adaptive", (0.9824753684634528, 1.2913907775222835)): (
+        [-0.699439763714868, -0.9973668915920005, -0.072520918058934, -1.0,
+         0.6948134146666591, 0.7166257361356618],
+        0,
+    ),
+    ("backstep", (1.3091121769537506, 0.732687053578092)): (
+        [-0.6990577806691338, -0.9999959145822198, 0.0028584644251285407, -1.0,
+         0.6985583361123625, 0.7325629994848254, -0.7020560337577438,
+         -0.77529527139407],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, theta_hat0", list(GENERAL_GAIN),
+    ids=[f"{k}-th{t[0]:.3f},{t[1]:.3f}" for k, t in GENERAL_GAIN],
+)
+def test_general_gain_endpoint(kind, theta_hat0):
+    scenario = make_scenario(
+        kind, q0=-1.0, theta_hat0=np.array(theta_hat0), gamma1=GAMMA1,
+        gamma2=GAMMA2, config=SolverConfig(t_max=6.0),
+    )
+    arc = solve(scenario.system, scenario.x0, scenario.config)
+    final_state, jumps = GENERAL_GAIN[(kind, theta_hat0)]
+    assert arc.final_time == 6.0
+    assert arc.jump_count == jumps
+    assert np.max(np.abs(arc.final_state - np.array(final_state))) <= GOLDEN_TOL
+
+
+SWITCHING = {
+    (-1.0, (-0.6732911896168576, 0.9642926804211792)): (
+        [-0.6911420376514545, -0.2808861373241814, 0.959741099390404, -1.0,
+         0.2500660193590535, 0.5278940123884529, -0.6942579703439934,
+         -0.6661051564484269],
+        41,
+    ),
+    (1.0, (2.431591456777412, 0.023308339735769405)): (
+        [-0.0951488811109896, -0.021858291632830772, 0.9997610790018254, -1.0,
+         0.9660117500464215, 0.29052967837877325, -1.312671379979522,
+         -0.9625834077627713],
+        64,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "q0, z_init", list(SWITCHING),
+    ids=[f"q{q:+.0f}-z{z[0]:.3f},{z[1]:.3f}" for q, z in SWITCHING],
+)
+def test_switching_endpoint(q0, z_init):
+    values = {
+        "controller": "backstep", "q0": q0, "z_init": z_init, "t_max": 2.0,
+        "delta": 1e-3, "j_max": 1000,
+    }
+    scenario = runner.build_scenario(runner.config_from_sources({}, values))
+    arc = solve(scenario.system, scenario.x0, scenario.config)
+    final_state, jumps = SWITCHING[(q0, z_init)]
+    assert arc.final_time == 2.0
     assert arc.jump_count == jumps
     assert np.max(np.abs(arc.final_state - np.array(final_state))) <= GOLDEN_TOL

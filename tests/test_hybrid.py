@@ -667,6 +667,48 @@ class TestNonFinite:
         assert math.isnan(info.value.state[0])
 
 
+    @pytest.mark.parametrize(
+        "flow_map, y0, project_state, t_fail",
+        [
+            # NaN past y = 10: the stepper rejects its tries until the step
+            # is below ten spacings of t and fails with NaN stages.
+            (lambda y: np.array([math.nan if y[0] > 10.0 else 1.0]), 0.0, None, 10.0),
+            # NaN at the start: the first stage is NaN before any step.
+            (lambda y: np.array([math.nan]), 1.0, None, 0.0),
+            # NaN where a projection moves the state: the reseated stage.
+            (
+                lambda y: np.array([math.nan if y[0] > 0.55 else 1.0]),
+                0.0,
+                lambda y: y + 0.1 if y[0] > 0.5 else y,
+                0.5111,
+            ),
+        ],
+        ids=["stages", "start", "reseat"],
+    )
+    def test_non_finite_flow_map(self, flow_map, y0, project_state, t_fail):
+        sys = HybridSystemDef(
+            flow_map=flow_map,
+            flow_indicator=lambda y: -1.0,
+            jump_indicator=lambda y: -1.0,
+            jump_map=lambda y: y,
+            project_state=project_state,
+        )
+        cfg = SolverConfig(t_max=20.0, max_step=0.1)
+        with pytest.raises(DomainEscape, match="flow map returned a non-finite") as info:
+            solve(sys, np.array([y0]), cfg)
+        assert abs(info.value.t - t_fail) <= 1e-9
+        assert np.isfinite(info.value.state).all()
+
+    def test_finite_stall_is_integration_stalled(self):
+        sys = dataclasses.replace(
+            decay_system(), flow_map=lambda y: np.array([-1e12 if y[0] > 10.0 else 1.0])
+        )
+        cfg = SolverConfig(t_max=20.0, max_step=0.1)
+        with pytest.raises(IntegrationStalled, match="Required step size") as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert "t=10" in str(info.value)
+
+
 class TestStepBudget:
     @pytest.mark.parametrize("field, value", [("t_max", 1e9), ("max_step", 1e-12)])
     def test_config_refuses_more_steps_than_budget(self, field, value):

@@ -11,6 +11,7 @@ from hybridfb import (
     SolverConfig,
     InsideObstacle,
     ObstacleDisk,
+    build_closed_loop,
     build_nominal_controller,
     central_difference,
     chart,
@@ -542,6 +543,80 @@ class TestScenarioFactory:
             make_scenario(
                 "backstep", q0=1.0, config=SolverConfig(t_max=0.05), **overrides
             )
+
+
+GAMMA1 = np.array([[2.0, 0.3], [0.3, 1.0]])
+GAMMA2 = np.array([[1.5, -0.2], [-0.2, 0.8]])
+GAINS = {
+    "unit": {},
+    "general": {"gamma1": GAMMA1, "gamma2": GAMMA2, "damping": 0.7},
+}
+# Estimate norms inside the admissible ball, in the inflated shell and
+# beyond it.
+ESTIMATE_NORMS = (0.5, 1.5, 2.5)
+
+
+class TestFlowKernel:
+    """``make_scenario``'s flow map against ``build_closed_loop``'s composition."""
+
+    @staticmethod
+    def _pair(kind, gains):
+        sc = make_scenario(kind, q0=-1.0, **GAINS[gains])
+        return sc, build_closed_loop(sc.plant, sc.theta, sc.controller).flow_map
+
+    @staticmethod
+    def _states(sc, rng, n):
+        for x, q in _random_cylinder_states(rng, OBS, n, chart_clearance=1e-6):
+            xi = np.array([q])
+            if sc.kind == "nominal":
+                yield np.concatenate([x, xi])
+                continue
+            # The adaptive estimate's drive is minus the nominal feedback:
+            # an estimate along it or against it takes each projection
+            # branch once the estimate is outside the admissible ball.
+            drive = -gradient_feedback(x, q, OBS)
+            direction = drive / np.linalg.norm(drive)
+            for norm in ESTIMATE_NORMS:
+                for sign in (1.0, -1.0):
+                    xi1 = np.concatenate([xi, sign * norm * direction])
+                    if sc.kind == "adaptive":
+                        yield np.concatenate([x, xi1])
+                    else:
+                        u_err = rng.normal(size=2)
+                        u = sc.controller.adaptive.feedback(x, xi1) + u_err
+                        yield np.concatenate([x, xi1, u])
+
+    @pytest.mark.parametrize(
+        "kind, gains",
+        [
+            ("nominal", "unit"),
+            ("adaptive", "unit"),
+            ("adaptive", "general"),
+            ("backstep", "unit"),
+            ("backstep", "general"),
+        ],
+    )
+    def test_matches_composed_flow(self, kind, gains):
+        sc, composed = self._pair(kind, gains)
+        charts = set()
+        for state in self._states(sc, np.random.default_rng(11), n=400):
+            charts.add(float(state[3]))
+            expected = composed(state)
+            got = sc.system.flow_map(state)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert charts == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("band", [0.0, 5e-13], ids=["excluded", "guard_band"])
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_singular_on_both_sides(self, kind, q, band):
+        sc, composed = self._pair(kind, "general")
+        x3 = q * (1.0 - band)
+        state = sc.x0.copy()
+        state[:4] = [0.1, math.sqrt(1.0 - x3 * x3), x3, q]
+        for flow in (composed, sc.system.flow_map):
+            with pytest.raises(ChartSingular):
+                flow(state)
 
 
 class TestClosedLoopGeometry:
