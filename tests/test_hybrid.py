@@ -666,7 +666,6 @@ class TestNonFinite:
         assert 0.5 < info.value.t <= 0.6 + 1e-12
         assert math.isnan(info.value.state[0])
 
-
     @pytest.mark.parametrize(
         "flow_map, y0, project_state, t_fail",
         [
