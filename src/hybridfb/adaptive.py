@@ -332,8 +332,7 @@ def lift_adaptive(
         )
 
     def margin(x, xi_c1):
-        xi_c, _ = _split(xi_c1)
-        return nominal.margin(x, xi_c)
+        return nominal.margin(x, xi_c1[:n_nom])
 
     return AdaptiveController(
         n_state=n_nom + ball.gain.shape[0],
@@ -457,8 +456,7 @@ def lift_backstep(
         return np.concatenate([f_c, estimate_rate, input_rate])
 
     def margin(x, xi_c2):
-        xi_c1, _ = _split(xi_c2)
-        return adaptive.margin(x, xi_c1)
+        return adaptive.margin(x, xi_c2[:n1])
 
     return BackstepController(
         n_state=n1 + plant.n_u,

@@ -209,7 +209,10 @@ class RK45:
     (``fun`` at ``(t, y)``, the first stage of the next step).  ``step``
     returns ``None``, or a message when the step size fell below ten
     times the spacing of floats at ``t``; ``status`` is then
-    ``"failed"``.  A non-finite ``y0`` raises :class:`DomainEscape`.
+    ``"failed"``.  ``nonfinite_rejection`` tells whether the last
+    ``step`` call rejected a try whose error norm was not finite (the
+    flow map returned a non-finite stage).  A non-finite ``y0`` raises
+    :class:`DomainEscape`.
     """
 
     C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
@@ -257,6 +260,7 @@ class RK45:
         self.rtol = max(rtol, self.RTOL_FLOOR)
         self.t_old = self.y_old = None
         self.status = "running"
+        self.nonfinite_rejection = False
         self.f = np.asarray(fun(t0, y), dtype=float)
         self.K = np.empty((len(self.C) + 1, y.size))
         self.h_abs = self._initial_step() if first_step is None else first_step
@@ -288,7 +292,7 @@ class RK45:
         else:
             h_abs = self.h_abs
 
-        rejected = False
+        rejected = self.nonfinite_rejection = False
         while True:
             if h_abs < min_step:
                 self.status = "failed"
@@ -321,6 +325,8 @@ class RK45:
                 self.MIN_FACTOR, self.SAFETY * error_norm ** self.ERROR_EXPONENT
             )
             rejected = True
+            if not math.isfinite(error_norm):
+                self.nonfinite_rejection = True
 
         self.t_old, self.y_old = t, y
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
@@ -400,8 +406,12 @@ def advance_flow(
     satisfies ``|jump_indicator| <= cfg.event_tol``.
 
     Each accepted state is projected once and its jump indicator
-    evaluated once.  When the projection moves the state, the stepper is
-    reseated on the projected state in place, keeping its step size.
+    evaluated once.  When ``sys.flow_indicator is sys.jump_indicator``
+    (as :func:`~hybridfb.synergistic.build_closed_loop` builds them), the
+    flow indicator's value at a state is that jump value, so the entry
+    state and each accepted state cost one indicator call.  When the
+    projection moves the state, the stepper is reseated on the projected
+    state in place, keeping its step size.
 
     Raises
     ------
@@ -409,14 +419,17 @@ def advance_flow(
         If the flow indicator exceeds ``event_tol`` at the initial state
         or at an accepted step whose state is also outside the jump set,
         if a state or an indicator value is not finite, or if the flow
-        map returns a non-finite value at a finite state.
+        map returns a non-finite value at a finite state, also when the
+        step size underflows while the stepper rejects such values.
     IntegrationStalled
-        If an interior accepted step is shorter than ``1e-14`` s, if the
-        stepper fails on its minimum step with finite stages, or if the
-        interval would take more than ``max_steps`` accepted steps.
+        If an interior accepted step is shorter than ``1e-14`` s, or the
+        stepper fails on its minimum step, with the flow map finite on
+        every try; or if the interval would take more than ``max_steps``
+        accepted steps.
     """
     y0 = np.asarray(state, dtype=float)
-    f0 = _indicator_value(sys.flow_indicator, y0, t0, "flow")
+    shared = sys.flow_indicator is sys.jump_indicator
+    f0 = g if shared else _indicator_value(sys.flow_indicator, y0, t0, "flow")
     if f0 > cfg.event_tol:
         raise DomainEscape(
             f"flow started outside the flow set (indicator {f0:.3e})",
@@ -441,13 +454,16 @@ def advance_flow(
     def rhs(_t, y):
         return sys.flow_map(y)
 
+    def flow_map_escape():
+        return DomainEscape(
+            f"flow map returned a non-finite value near t={solver.t:.6g}",
+            state=solver.y,
+            t=solver.t,
+        )
+
     def check_flow_values(values):
         if not np.isfinite(values).all():
-            raise DomainEscape(
-                f"flow map returned a non-finite value near t={solver.t:.6g}",
-                state=solver.y,
-                t=solver.t,
-            )
+            raise flow_map_escape()
 
     g_prev = g
     t_prev = float(t0)
@@ -467,16 +483,23 @@ def advance_flow(
     for _ in range(max_steps):
         message = solver.step()
         if solver.status == "failed":
-            # The stages hold the last try: a non-finite one means the flow
-            # map, not the step size, ended the step.
+            # The stages hold the last try: a non-finite one, or a try
+            # rejected on a non-finite error norm, means the flow map, not
+            # the step size, ended the step.
+            if solver.nonfinite_rejection:
+                raise flow_map_escape()
             check_flow_values(solver.K)
             raise IntegrationStalled(
                 f"integrator failed at t={solver.t:.6g}: {message}"
             )
         t_new = float(solver.t)
         # The final step is truncated to land on t_bound and may be tiny;
-        # only an interior micro-step signals a stall.
+        # only an interior micro-step signals a stall.  Micro-steps that
+        # creep up to a region where the flow map is not finite come from
+        # rejecting tries into it.
         if t_new - t_prev < MIN_STEP and solver.status != "finished":
+            if solver.nonfinite_rejection:
+                raise flow_map_escape()
             raise IntegrationStalled(
                 f"step size underflow at t={t_new:.6g} "
                 f"(step {t_new - t_prev:.3e} s)"
@@ -500,7 +523,10 @@ def advance_flow(
             states.append(y_star)
             return _exit(g_star, "jump_boundary")
 
-        f_new = _indicator_value(sys.flow_indicator, y_new, t_new, "flow")
+        f_new = (
+            g_new if shared
+            else _indicator_value(sys.flow_indicator, y_new, t_new, "flow")
+        )
         if f_new > cfg.event_tol:
             if g_new >= -cfg.event_tol:
                 # Left the flow set but already inside the jump set: the

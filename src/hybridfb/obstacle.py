@@ -22,14 +22,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .adaptive import (
-    BackstepGains,
-    ParamBall,
-    adaptive_true_potential,
-    backstep_true_potential,
-    lift_adaptive,
-    lift_backstep,
-)
+from . import adaptive
+from .adaptive import BackstepGains, ParamBall, lift_adaptive, lift_backstep
 from .errors import ChartSingular, DomainEscape, InsideObstacle
 from .hybrid import HybridSystemDef, SolverConfig
 from .synergistic import AffinePlant, ControllerData, build_closed_loop
@@ -494,6 +488,104 @@ def _closed_loop_flow(
     return backstep_flow
 
 
+def _closed_loop_scalars(
+    kind: str,
+    obstacle: ObstacleDisk,
+    theta: np.ndarray,
+    ball: Optional[ParamBall] = None,
+    gains: Optional[BackstepGains] = None,
+) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], float]]:
+    """The switching gap and the true potential of one controller kind, on floats.
+
+    Returns ``(gap, true_potential)``, both of the closed-loop state:
+    the controller's :meth:`~hybridfb.synergistic.ControllerData.gap`
+    and the true-parameter Lyapunov value (:func:`chart_potential`,
+    :func:`~hybridfb.adaptive.adaptive_true_potential` or
+    :func:`~hybridfb.adaptive.backstep_true_potential`), written out for
+    this plant.  Both chart potentials come from the state's three floats
+    with :func:`chart_potential`'s operations; the estimate term is
+    :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms stay
+    numpy products, so every value equals the controllers' bit for bit.
+    The tests compare them with ``==``.
+    """
+    targets = obstacle.chart_targets
+    radius = obstacle.radius
+
+    def chart_value(x1, x2, x3, q):
+        """:func:`chart_potential` of chart ``q`` at the point's floats."""
+        denom = 1.0 - q * x3
+        if denom < SINGULAR_GUARD:
+            return math.inf
+        c1, c2 = targets[q]
+        e2 = x2 / denom - c2
+        e1 = x1 - c1
+        return 0.5 * (e1 * e1 + e2 * e2)
+
+    def nominal_gap(state):
+        # The two excluded points are antipodal, so one candidate is finite.
+        x1, x2, x3, q = state.tolist()[:4]
+        low, high = chart_value(x1, x2, x3, -1.0), chart_value(x1, x2, x3, 1.0)
+        here = high if _check_chart_index(q) > 0.0 else low
+        if math.isinf(here):
+            return math.inf
+        return here - min(low, high)
+
+    def nominal_potential(state):
+        x1, x2, x3, q = state.tolist()[:4]
+        return chart_value(x1, x2, x3, _check_chart_index(q))
+
+    if kind == "nominal":
+        return nominal_gap, nominal_potential
+
+    def adaptive_gap(state):
+        gap0 = nominal_gap(state)
+        if math.isinf(gap0):
+            return math.inf
+        return gap0 + 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
+
+    estimate_gain_inv = ball.gain_inv
+
+    def adaptive_potential(state):
+        v0 = nominal_potential(state)
+        if math.isinf(v0):
+            return math.inf
+        diff = theta - state[4:6]
+        return v0 + 0.5 * float(diff @ estimate_gain_inv @ diff)
+
+    if kind == "adaptive":
+        return adaptive_gap, adaptive_potential
+
+    input_gain_inv = gains.gain_inv
+
+    def input_error_term(state):
+        """Half the input error's squared metric norm; the chart is nonsingular."""
+        x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
+        denom = 1.0 - q * x3
+        c1, c2 = targets[q]
+        e2 = x2 / denom - c2
+        boundary_dist = math.exp(x1)
+        k1, k2 = _feedback(
+            x2, x3, boundary_dist, boundary_dist + radius,
+            x1 - c1, e2 / denom, q * x2 / denom**2 * e2,
+        )
+        u_err = np.array([u1 - (k1 - th1), u2 - (k2 - th2)])
+        return 0.5 * float(u_err @ input_gain_inv @ u_err)
+
+    def backstep_gap(state):
+        gap1 = adaptive_gap(state)
+        if math.isinf(gap1):  # the feedback is singular here
+            return math.inf
+        return gap1 + input_error_term(state)
+
+    def backstep_potential(state):
+        v1 = adaptive_potential(state)
+        if math.isinf(v1):
+            return math.inf
+        return v1 + input_error_term(state)
+
+    return backstep_gap, backstep_potential
+
+
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
 
 
@@ -504,7 +596,10 @@ class Scenario:
     The closed-loop state stacks the cylinder point (3), the chart index
     (1), and, depending on ``kind``, the parameter estimate (2) and the
     held input (2).  ``true_potential(state)`` is the Lyapunov value at
-    the true parameter; :func:`make_scenario` builds it once.
+    the true parameter (the monitors' and the CSV's), and
+    ``switching_gap(state)`` the implementable synergy gap that drives
+    the switching logic (the CSV's ``gap_robust``); :func:`make_scenario`
+    builds both once, on floats, and hands the same gap to the indicator.
     """
 
     kind: str
@@ -517,6 +612,7 @@ class Scenario:
     theta: np.ndarray
     config: SolverConfig
     true_potential: Callable[[np.ndarray], float]
+    switching_gap: Callable[[np.ndarray], float]
     ball: Optional[ParamBall] = None
     gains: Optional[BackstepGains] = None
 
@@ -542,10 +638,6 @@ class Scenario:
             return self.controller.feedback(state[:3], state[3:])
         except ChartSingular:
             return np.full(2, math.nan)
-
-    def switching_gap(self, state: np.ndarray) -> float:
-        """The implementable synergy gap driving the switching logic."""
-        return self.controller.gap(state[:3], state[3:])
 
     def margin_at(self, state: np.ndarray) -> float:
         return float(self.controller.margin(state[:3], state[3:]))
@@ -579,8 +671,11 @@ def make_scenario(
     ``u0="zero"`` or an explicit vector to override.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
-    map written out on floats for ``kind``; the switching indicator, the
-    jump map and the monitors use the controllers.
+    map, the switching gap and the true potential written out on floats
+    for ``kind`` (``_closed_loop_flow`` and ``_closed_loop_scalars``) and
+    built once here.  The indicator (gap minus margin), the CSV's gap
+    column and the monitors use these; the margin, the jump map and the
+    applied input use the controllers.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -609,7 +704,6 @@ def make_scenario(
 
     if kind == "nominal":
         controller: ControllerData = nominal
-        potential = nominal.potential
         x0 = np.concatenate([x_init, [q0]])
         ball = None
         gains = None
@@ -626,7 +720,6 @@ def make_scenario(
         adaptive_ctrl = lift_adaptive(nominal, plant, ball, grad_potential)
         if kind == "adaptive":
             controller = adaptive_ctrl
-            potential = adaptive_true_potential(controller, theta)
             gains = None
             x0 = np.concatenate([x_init, [q0], theta_hat0])
         else:
@@ -639,7 +732,6 @@ def make_scenario(
                 return gradient_feedback_jacobian(x, xi_c1[0], obstacle)
 
             controller = lift_backstep(adaptive_ctrl, gains, jac=feedback_jac)
-            potential = backstep_true_potential(controller, theta)
             xi1_init = np.concatenate([[q0], theta_hat0])
             if isinstance(u0, str):
                 if u0 == "feedback":
@@ -654,17 +746,15 @@ def make_scenario(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
+    gap, true_potential = _closed_loop_scalars(kind, obstacle, theta, ball, gains)
     system = build_closed_loop(
         plant,
         theta,
         controller,
         project_state=renormalize_circle,
         flow_map=_closed_loop_flow(kind, obstacle, theta, ball, gains),
+        gap=gap,
     )
-
-    def true_potential(state):
-        return float(potential(state[:3], state[3:]))
-
     return Scenario(
         kind=kind,
         obstacle=obstacle,
@@ -676,6 +766,7 @@ def make_scenario(
         theta=theta,
         config=config,
         true_potential=true_potential,
+        switching_gap=gap,
         ball=ball,
         gains=gains,
     )

@@ -156,22 +156,29 @@ def build_closed_loop(
     project_state: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     *,
     flow_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    gap: Optional[Callable[[np.ndarray], float]] = None,
 ) -> HybridSystemDef:
     """Interconnect a plant and a synergistic controller.
 
     The closed-loop state stacks the plant state (first ``plant.n_x``
     entries) and the controller state.  Flow and jump indicators are the
-    same function, gap minus margin, so the flow and jump sets cover the
-    state space by construction; an infinite gap is clamped to the
-    ``1e18`` sentinel inside the indicator only, forcing a jump.
+    same function object, gap minus margin, so the flow and jump sets
+    cover the state space by construction and the solver evaluates it
+    once per state; an infinite gap is clamped to the ``1e18`` sentinel
+    inside the indicator only, forcing a jump.
 
     The flow map composes ``plant.f`` at the controller's feedback with
-    ``ctrl.controller_flow``.  A caller that has the same vector field
-    written out for its plant passes it as ``flow_map`` instead; the
-    obstacle world's :func:`~hybridfb.obstacle.make_scenario` does.
+    ``ctrl.controller_flow``, and the gap is ``ctrl.gap``.  A caller that
+    has the same vector field, or the same gap, written out for its plant
+    passes it as ``flow_map`` or ``gap`` (a function of the closed-loop
+    state) instead; the obstacle world's
+    :func:`~hybridfb.obstacle.make_scenario` passes both.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     n_x = plant.n_x
+    if gap is None:
+        def gap(state: np.ndarray) -> float:
+            return ctrl.gap(state[:n_x], state[n_x:])
 
     def composed_flow_map(state: np.ndarray) -> np.ndarray:
         x, xi_c = state[:n_x], state[n_x:]
@@ -181,9 +188,9 @@ def build_closed_loop(
         )
 
     def indicator(state: np.ndarray) -> float:
-        x, xi_c = state[:n_x], state[n_x:]
-        gap = ctrl.gap(x, xi_c)
-        return min(gap, GAP_SENTINEL) - float(ctrl.margin(x, xi_c))
+        return min(gap(state), GAP_SENTINEL) - float(
+            ctrl.margin(state[:n_x], state[n_x:])
+        )
 
     def jump_map(state: np.ndarray) -> np.ndarray:
         x, xi_c = state[:n_x], state[n_x:]

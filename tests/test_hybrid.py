@@ -102,6 +102,42 @@ class TestAdvanceFlow:
             advance_flow(np.array([0.0]), -100.0, sys, cfg)
         assert excinfo.value.state is not None
 
+    def test_left_flow_set_without_entering_jump_set(self):
+        # Flow set y <= 0.5, jump set y >= 1: the timer leaves the flow
+        # set with the jump set still ahead.
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: y[0] - 0.5,
+            jump_indicator=lambda y: y[0] - 1.0,
+            jump_map=lambda y: np.zeros(1),
+        )
+        cfg = SolverConfig(t_max=2.0)
+        with pytest.raises(
+            DomainEscape, match="left the flow set at t=0.5.* without entering"
+        ) as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert 0.5 < info.value.t <= 0.5 + cfg.max_step + 1e-12
+        assert info.value.state[0] == pytest.approx(info.value.t, abs=1e-12)
+
+    def test_left_flow_set_within_event_tol_of_jump_set(self):
+        # The jump indicator sits just below zero, within event_tol: on
+        # leaving the flow set y <= 0.5 the interval hands over to the
+        # jump logic at the first step past 0.5.
+        near = -0.5e-10
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: y[0] - 0.5,
+            jump_indicator=lambda y: near,
+            jump_map=lambda y: np.zeros(1),
+        )
+        cfg = SolverConfig(t_max=2.0)
+        (times, states), g, reason = advance_flow(np.array([0.0]), near, sys, cfg)
+        assert reason == "jump_boundary"
+        assert g == near
+        assert 0.5 < times[-1] <= 0.5 + cfg.max_step + 1e-12
+        assert times[-2] <= 0.5
+        assert states[-1][0] == pytest.approx(times[-1], abs=1e-12)
+
     def test_stop_ball_converged(self):
         cfg = SolverConfig(
             t_max=50.0,
@@ -697,6 +733,49 @@ class TestNonFinite:
             solve(sys, np.array([y0]), cfg)
         assert abs(info.value.t - t_fail) <= 1e-9
         assert np.isfinite(info.value.state).all()
+
+    @pytest.mark.parametrize("threshold", [0.5, 3.0])
+    def test_non_finite_region_reached_by_micro_steps(self, threshold):
+        # Below t = 8 the minimum step (ten spacings of t) is below
+        # MIN_STEP, so the stepper creeps up to the region through accepted
+        # micro-steps, rejecting every try into it.
+        sys = dataclasses.replace(
+            decay_system(),
+            flow_map=lambda y: np.array([math.nan if y[0] > threshold else 1.0]),
+        )
+        cfg = SolverConfig(t_max=20.0, max_step=0.1)
+        with pytest.raises(DomainEscape, match="flow map returned a non-finite") as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert abs(info.value.t - threshold) <= 1e-9
+        assert np.isfinite(info.value.state).all()
+
+    @pytest.mark.parametrize("threshold", [0.5, 3.0])
+    def test_finite_micro_step_stall_is_integration_stalled(self, threshold):
+        sys = dataclasses.replace(
+            decay_system(),
+            flow_map=lambda y: np.array([-1e12 if y[0] > threshold else 1.0]),
+        )
+        cfg = SolverConfig(t_max=20.0, max_step=0.1)
+        with pytest.raises(IntegrationStalled, match="step size underflow") as info:
+            solve(sys, np.array([0.0]), cfg)
+        assert f"t={threshold:g}" in str(info.value)
+
+    def test_stepper_flags_non_finite_rejections(self):
+        # A step call that rejected a try into t > 0.5 is flagged; the next
+        # call that rejects no such try clears the flag.
+        solver = hybrid.RK45(
+            _nan_after_half, 0.0, np.array([0.0]), 1.0, max_step=0.3,
+            rtol=1e-6, atol=1e-8,
+        )
+        assert solver.step() is None
+        assert not solver.nonfinite_rejection
+        while not solver.nonfinite_rejection:
+            assert solver.step() is None
+        assert solver.t <= 0.5
+        assert np.isfinite(solver.y).all()
+        solver.fun = lambda t, y: np.ones(1)
+        assert solver.step() is None
+        assert not solver.nonfinite_rejection
 
     def test_finite_stall_is_integration_stalled(self):
         sys = dataclasses.replace(

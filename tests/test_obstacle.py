@@ -7,10 +7,13 @@ import pytest
 
 from hybridfb import (
     ChartSingular,
+    ControllerData,
     DomainEscape,
     SolverConfig,
     InsideObstacle,
     ObstacleDisk,
+    adaptive_true_potential,
+    backstep_true_potential,
     build_closed_loop,
     build_nominal_controller,
     central_difference,
@@ -29,6 +32,7 @@ from hybridfb import (
 )
 from hybridfb.obstacle import cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
+from hybridfb.synergistic import GAP_SENTINEL
 
 OBS = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
 LOG_HALF = math.log(0.5)
@@ -617,6 +621,117 @@ class TestFlowKernel:
         for flow in (composed, sc.system.flow_map):
             with pytest.raises(ChartSingular):
                 flow(state)
+
+
+class TestClosedLoopScalars:
+    """``make_scenario``'s float gap and true potential against the controllers.
+
+    Both must equal the controllers' values bit for bit: the lifts' closed
+    form gap, enumeration for the nominal one, and the true potentials of
+    ``chart_potential``, ``adaptive_true_potential`` and
+    ``backstep_true_potential``.
+    """
+
+    # The offset obstacle gives the two charts different target
+    # coordinates; the published one gives both the same.
+    OBSTACLES = {
+        "published": OBS,
+        "offset": ObstacleDisk(center=np.array([1.0, 0.6]), radius=0.5),
+    }
+    # Estimate norms inside the admissible ball, in the inflated shell and
+    # beyond it (radius 1, eps 1).
+    SHELLS = ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
+
+    @classmethod
+    def _scenario(cls, kind, gains="general", obstacle="offset"):
+        return make_scenario(
+            kind, q0=-1.0, obstacle=cls.OBSTACLES[obstacle], **GAINS[gains]
+        )
+
+    @staticmethod
+    def _reference_potential(sc):
+        if sc.kind == "nominal":
+            return lambda x, xi: chart_potential(x, xi[0], sc.obstacle)
+        if sc.kind == "adaptive":
+            return adaptive_true_potential(sc.controller, sc.theta)
+        return backstep_true_potential(sc.controller, sc.theta)
+
+    @classmethod
+    def _states(cls, sc, rng, n):
+        for x, q in _random_cylinder_states(rng, sc.obstacle, n, 1e-6):
+            xi = np.array([q])
+            if sc.kind == "nominal":
+                yield np.concatenate([x, xi])
+                continue
+            for lo, hi in cls.SHELLS:
+                direction = rng.normal(size=2)
+                norm = rng.uniform(lo, hi)
+                xi1 = np.concatenate([xi, norm * direction / np.linalg.norm(direction)])
+                if sc.kind == "adaptive":
+                    yield np.concatenate([x, xi1])
+                else:
+                    u = sc.controller.adaptive.feedback(x, xi1) + rng.normal(size=2)
+                    yield np.concatenate([x, xi1, u])
+
+    @pytest.mark.parametrize("obstacle", ["published", "offset"])
+    @pytest.mark.parametrize("gains", ["unit", "general"])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_equal_to_controllers(self, kind, gains, obstacle):
+        sc = self._scenario(kind, gains, obstacle)
+        ctrl = sc.controller
+        potential = self._reference_potential(sc)
+        indicator = build_closed_loop(sc.plant, sc.theta, ctrl).jump_indicator
+        charts, shells = set(), set()
+        for state in self._states(sc, np.random.default_rng(29), n=150):
+            x, xi = state[:3], state[3:]
+            gap = sc.switching_gap(state)
+            assert gap == ctrl.gap(x, xi)
+            assert sc.true_potential(state) == potential(x, xi)
+            assert sc.system.jump_indicator(state) == indicator(state)
+            # The lifts' closed form agrees with enumerating their candidates
+            # to the last few ulps only (TestClosedFormGap).
+            enumerated = ControllerData.gap(ctrl, x, xi)
+            assert abs(gap - enumerated) <= 1e-12 * (1.0 + abs(enumerated))
+            charts.add(float(state[3]))
+            if kind != "nominal":
+                shells.add(int(np.linalg.norm(state[4:6])))
+        assert charts == {-1.0, 1.0}
+        assert shells == ({0, 1, 2} if kind != "nominal" else set())
+
+    @pytest.mark.parametrize("band", [0.0, 5e-13], ids=["excluded", "guard_band"])
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_infinite_on_both_sides(self, kind, q, band):
+        sc = self._scenario(kind)
+        potential = self._reference_potential(sc)
+        x3 = q * (1.0 - band)
+        state = sc.x0.copy()
+        state[:4] = [0.1, math.sqrt(1.0 - x3 * x3), x3, q]
+        if kind != "nominal":
+            state[4:6] = [1.2, -0.9]
+        x, xi = state[:3], state[3:]
+        assert sc.switching_gap(state) == math.inf
+        assert sc.controller.gap(x, xi) == math.inf
+        assert sc.true_potential(state) == math.inf
+        assert potential(x, xi) == math.inf
+        assert sc.system.jump_indicator(state) == GAP_SENTINEL - 1.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_chart_index_outside_pair_raises(self, kind, q):
+        sc = self._scenario(kind)
+        potential = self._reference_potential(sc)
+        state = sc.x0.copy()
+        state[3] = q
+        x, xi = state[:3], state[3:]
+        for fn in (
+            sc.switching_gap,
+            sc.true_potential,
+            lambda s: sc.controller.gap(x, xi),
+            lambda s: potential(x, xi),
+        ):
+            with pytest.raises(ValueError, match="chart index"):
+                fn(state)
 
 
 class TestClosedLoopGeometry:

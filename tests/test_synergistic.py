@@ -1,5 +1,6 @@
 """Gap algebra, closed-loop assembly, Lyapunov monitors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from hybridfb import (
     InfeasibleCandidates,
     SolverConfig,
     build_closed_loop,
+    hybrid,
+    make_scenario,
     min_over_candidates,
     monitor_flow_decrease,
     monitor_jump_decrease,
@@ -191,6 +194,61 @@ class TestBuildClosedLoop:
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 2.0})
         sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         assert sys.flow_indicator is sys.jump_indicator
+
+    def test_gap_keyword_replaces_controller_gap(self):
+        ctrl = toggle_controller({-1.0: 1.0, 1.0: 2.0}, margin=0.25)
+        seen = []
+
+        def gap(state):
+            seen.append(state.tolist())
+            return 3.0 if state[0] > 0.0 else math.inf
+
+        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl, gap=gap)
+        assert sys.jump_indicator(np.array([0.5, 1.0])) == 3.0 - 0.25
+        assert sys.jump_indicator(np.array([-0.5, 1.0])) == GAP_SENTINEL - 0.25
+        assert seen == [[0.5, 1.0], [-0.5, 1.0]]
+
+    def test_shared_indicator_called_once_per_state(self, monkeypatch):
+        # One call for x0, each accepted step and each post-jump state, plus
+        # one per bisection iteration: the flow set's test reuses the value.
+        sc = make_scenario(
+            "backstep", q0=-1.0, z_init=(1.8, -1.0), margin=1e-3,
+            config=SolverConfig(t_max=2.0),
+        )
+        calls = []
+
+        def indicator(state):
+            calls.append(state)
+            return sc.system.jump_indicator(state)
+
+        sys = dataclasses.replace(
+            sc.system, flow_indicator=indicator, jump_indicator=indicator
+        )
+        counts = {"steps": 0, "bisections": 0}
+
+        class CountingRK45(hybrid.RK45):
+            def step(self):
+                message = super().step()
+                counts["steps"] += message is None
+                return message
+
+            def dense_output(self):
+                interpolant = super().dense_output()
+
+                def counted(t):
+                    counts["bisections"] += 1
+                    return interpolant(t)
+
+                return counted
+
+        monkeypatch.setattr(hybrid, "RK45", CountingRK45)
+        arc = solve(sys, sc.x0, sc.config)
+        monkeypatch.undo()
+        assert arc.jump_count > 10
+        assert counts["bisections"] > arc.jump_count
+        assert counts["steps"] == sum(len(times) - 1 for times, _ in arc.samples)
+        expected = 1 + counts["steps"] + arc.jump_count + counts["bisections"]
+        assert len(calls) == expected
 
     def test_flow_map_stacks_plant_and_controller(self):
         ctrl = ControllerData(
