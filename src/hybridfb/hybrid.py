@@ -135,7 +135,9 @@ class HybridSystemDef:
     caller; set-valued dynamics are outside the solver's scope.
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
-    vector component).
+    vector component).  It returns a new array, or its argument when that
+    needs no change, and never modifies its argument: the stepper keeps
+    stepping from the accepted state it is given.
     """
 
     flow_map: Callable[[np.ndarray], np.ndarray]
@@ -213,6 +215,12 @@ class RK45:
     ``step`` call rejected a try whose error norm was not finite (the
     flow map returned a non-finite stage).  A non-finite ``y0`` raises
     :class:`DomainEscape`.
+
+    The stage array ``K`` and the views of it that the stage sums read
+    (``K[:s].T``, ``K[:-1].T``, ``K.T``, with their tableau rows) are built
+    once per stepper and reused by every step and every reseat.  Each sum
+    stays one ``np.dot`` over the same view, so its bits are the
+    reference's.
     """
 
     C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
@@ -262,7 +270,14 @@ class RK45:
         self.status = "running"
         self.nonfinite_rejection = False
         self.f = np.asarray(fun(t0, y), dtype=float)
-        self.K = np.empty((len(self.C) + 1, y.size))
+        self.K = K = np.empty((len(self.C) + 1, y.size))
+        # The views of K that the stage sums read, with their tableau rows
+        # and nodes.  K lives as long as the stepper, a reseat included.
+        self._stages = [
+            (K[:s].T, self.A[s, :s], float(self.C[s])) for s in range(1, len(self.C))
+        ]
+        self._K_body, self._K_all = K[:-1].T, K.T
+        self._sqrt_size = y.size ** 0.5
         self.h_abs = self._initial_step() if first_step is None else first_step
 
     def _initial_step(self) -> float:
@@ -300,15 +315,26 @@ class RK45:
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
 
+            # Each sum is formed as ``y + h * (K^T w)``, in place.
             K[0] = self.f
-            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = self.fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
+            for s, (K_used, a, c) in enumerate(self._stages, start=1):
+                y_stage = np.dot(K_used, a)
+                y_stage *= h
+                y_stage += y
+                K[s] = self.fun(t + c * h, y_stage)
+            y_new = np.dot(self._K_body, self.B)
+            y_new *= h
+            y_new += y
             K[-1] = f_new = self.fun(t + h, y_new)
 
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(np.dot(K.T, self.E) * h / scale)
+            scale = np.abs(y_new)
+            np.maximum(np.abs(y), scale, out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            err = np.dot(self._K_all, self.E)
+            err *= h
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / self._sqrt_size
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -451,8 +477,10 @@ def advance_flow(
         if float(dist_fn(y0)) <= radius:
             return _exit(g, "converged")
 
+    flow_map = sys.flow_map
+
     def rhs(_t, y):
-        return sys.flow_map(y)
+        return flow_map(y)
 
     def flow_map_escape():
         return DomainEscape(
@@ -505,7 +533,7 @@ def advance_flow(
                 f"(step {t_new - t_prev:.3e} s)"
             )
         y_raw = solver.y
-        y_new = sys.project(np.array(y_raw, dtype=float))
+        y_new = sys.project(y_raw)
         if not np.isfinite(y_new).all():
             raise DomainEscape(
                 f"flow reached a non-finite state at t={t_new:.6g}",
@@ -552,7 +580,7 @@ def advance_flow(
         if solver.status == "finished":
             return _exit(g_new, "time")
 
-        if sys.project_state is not None and not np.array_equal(y_new, y_raw):
+        if y_new is not y_raw and (y_new != y_raw).any():
             # Projection moved the state: reseat the stepper on it.  Besides
             # t and h_abs, RK45 carries only y and f (the first stage of
             # the next step) between steps, and clips h_abs to max_step
@@ -612,7 +640,7 @@ def solve(
         If the jump budget is exhausted with less than ``1e-6`` s of flow
         since the 10th-to-last jump.
     """
-    y = sys.project(np.asarray(x0, dtype=float))
+    y = sys.project(np.array(x0, dtype=float))
     t = 0.0
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
     j = 0
@@ -686,7 +714,8 @@ def validate_domain(arc: HybridArc) -> list[str]:
     An empty list means the arc is well formed: intervals are ordered
     and contiguous, ``j`` increments by exactly one across consecutive
     intervals, every sample lies in its interval, and each jump record's
-    post-jump state equals the first sample of the next interval.
+    pre-jump state equals the last sample of its interval and its
+    post-jump state the first sample of the next.
     """
     violations: list[str] = []
     intervals = arc.domain.intervals
@@ -762,6 +791,11 @@ def validate_domain(arc: HybridArc) -> list[str]:
         if rec.j != j:
             violations.append(
                 f"jump {k}: jump index {rec.j} does not match interval ({j})"
+            )
+        if not np.array_equal(rec.before, arc.samples[k][1][-1]):
+            violations.append(
+                f"jump {k}: pre-jump state differs from last sample of "
+                f"interval {k}"
             )
         first_state = arc.samples[k + 1][1][0]
         if not np.array_equal(rec.after, first_state):

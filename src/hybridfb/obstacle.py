@@ -380,11 +380,16 @@ def build_nominal_controller(
 
 
 def renormalize_circle(state: np.ndarray) -> np.ndarray:
-    """Project a closed-loop state back onto the cylinder (unit circle part)."""
-    out = state.copy()
-    norm = math.hypot(out[1], out[2])
+    """Project a closed-loop state back onto the cylinder (unit circle part).
+
+    A state whose circle component has norm exactly 1 is returned as is.
+    """
+    norm = math.hypot(state[1], state[2])
+    if norm == 1.0:
+        return state
     if not norm > 0.0:
         raise DomainEscape("circle component collapsed to zero", state=state)
+    out = state.copy()
     out[1] /= norm
     out[2] /= norm
     return out
@@ -494,22 +499,25 @@ def _closed_loop_scalars(
     theta: np.ndarray,
     ball: Optional[ParamBall] = None,
     gains: Optional[BackstepGains] = None,
-) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], float]]:
-    """The switching gap and the true potential of one controller kind, on floats.
+) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], float], Callable]:
+    """The switching gap, the true potential and the readout of one kind, on floats.
 
-    Returns ``(gap, true_potential)``, both of the closed-loop state:
-    the controller's :meth:`~hybridfb.synergistic.ControllerData.gap`
-    and the true-parameter Lyapunov value (:func:`chart_potential`,
+    Returns ``(gap, true_potential, readout)``, all of the closed-loop
+    state: the controller's
+    :meth:`~hybridfb.synergistic.ControllerData.gap`, the true-parameter
+    Lyapunov value (:func:`chart_potential`,
     :func:`~hybridfb.adaptive.adaptive_true_potential` or
-    :func:`~hybridfb.adaptive.backstep_true_potential`), written out for
-    this plant.  Both chart potentials come from the state's three floats
-    with :func:`chart_potential`'s operations; the estimate term is
+    :func:`~hybridfb.adaptive.backstep_true_potential`) and
+    :attr:`Scenario.readout`, written out for this plant.  Both chart
+    potentials come from the state's three floats with
+    :func:`chart_potential`'s operations; the estimate term is
     :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms stay
-    numpy products, so every value equals the controllers' bit for bit.
-    The tests compare them with ``==``.
+    numpy products, so every value equals the controllers' (and the
+    ``Scenario`` methods') bit for bit.  The tests compare them with ``==``.
     """
     targets = obstacle.chart_targets
     radius = obstacle.radius
+    center1, center2 = obstacle.center.tolist()
 
     def chart_value(x1, x2, x3, q):
         """:func:`chart_potential` of chart ``q`` at the point's floats."""
@@ -520,6 +528,19 @@ def _closed_loop_scalars(
         e2 = x2 / denom - c2
         e1 = x1 - c1
         return 0.5 * (e1 * e1 + e2 * e2)
+
+    def chart_feedback(x1, x2, x3, q):
+        """:func:`gradient_feedback` at the point's floats; NaN off the chart."""
+        denom = 1.0 - q * x3
+        if denom < SINGULAR_GUARD:
+            return math.nan, math.nan
+        c1, c2 = targets[q]
+        e2 = x2 / denom - c2
+        boundary_dist = math.exp(x1)
+        return _feedback(
+            x2, x3, boundary_dist, boundary_dist + radius,
+            x1 - c1, e2 / denom, q * x2 / denom**2 * e2,
+        )
 
     def nominal_gap(state):
         # The two excluded points are antipodal, so one candidate is finite.
@@ -534,8 +555,33 @@ def _closed_loop_scalars(
         x1, x2, x3, q = state.tolist()[:4]
         return chart_value(x1, x2, x3, _check_chart_index(q))
 
+    def readout_of(scalars):
+        """The readout, given the kind's ``(true_potential, gap)`` function."""
+        def readout(state):
+            values = state.tolist()
+            x1, x2, x3, q = values[:4]
+            v_true, gap_value = scalars(state)
+            if kind == "backstep":
+                controls = values[4:8]  # the held input is the applied one
+            else:
+                # The feedback minus the matched matrix (the identity) times
+                # the estimate: that product turns an estimate of -0.0 into
+                # +0.0, and so does the ``+ 0.0``.
+                th1, th2 = values[4:6] if kind == "adaptive" else (0.0, 0.0)
+                k1, k2 = chart_feedback(x1, x2, x3, q)
+                controls = th1, th2, k1 - (th1 + 0.0), k2 - (th2 + 0.0)
+            rho = math.exp(x1) + radius  # from_cylinder's operations
+            return (
+                center1 + rho * x2, center2 + rho * x3, *values[:4],
+                *controls, v_true, gap_value,
+            )
+
+        return readout
+
     if kind == "nominal":
-        return nominal_gap, nominal_potential
+        return nominal_gap, nominal_potential, readout_of(
+            lambda state: (nominal_potential(state), nominal_gap(state))
+        )
 
     def adaptive_gap(state):
         gap0 = nominal_gap(state)
@@ -553,21 +599,16 @@ def _closed_loop_scalars(
         return v0 + 0.5 * float(diff @ estimate_gain_inv @ diff)
 
     if kind == "adaptive":
-        return adaptive_gap, adaptive_potential
+        return adaptive_gap, adaptive_potential, readout_of(
+            lambda state: (adaptive_potential(state), adaptive_gap(state))
+        )
 
     input_gain_inv = gains.gain_inv
 
     def input_error_term(state):
         """Half the input error's squared metric norm; the chart is nonsingular."""
         x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
-        denom = 1.0 - q * x3
-        c1, c2 = targets[q]
-        e2 = x2 / denom - c2
-        boundary_dist = math.exp(x1)
-        k1, k2 = _feedback(
-            x2, x3, boundary_dist, boundary_dist + radius,
-            x1 - c1, e2 / denom, q * x2 / denom**2 * e2,
-        )
+        k1, k2 = chart_feedback(x1, x2, x3, q)
         u_err = np.array([u1 - (k1 - th1), u2 - (k2 - th2)])
         return 0.5 * float(u_err @ input_gain_inv @ u_err)
 
@@ -583,7 +624,15 @@ def _closed_loop_scalars(
             return math.inf
         return v1 + input_error_term(state)
 
-    return backstep_gap, backstep_potential
+    def backstep_scalars(state):
+        # Both add the same input-error term, evaluated here once.
+        v1, gap1 = adaptive_potential(state), adaptive_gap(state)
+        if math.isinf(v1):  # and so gap1: the chart is singular here
+            return math.inf, math.inf
+        term = input_error_term(state)
+        return v1 + term, gap1 + term
+
+    return backstep_gap, backstep_potential, readout_of(backstep_scalars)
 
 
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
@@ -600,6 +649,10 @@ class Scenario:
     ``switching_gap(state)`` the implementable synergy gap that drives
     the switching logic (the CSV's ``gap_robust``); :func:`make_scenario`
     builds both once, on floats, and hands the same gap to the indicator.
+    ``readout(state)`` is one sample's outputs ``(z1, z2, x1, x2, x3, q,
+    that1, that2, u1, u2, V_true, gap)``: :meth:`planar`, the state,
+    :meth:`estimate`, :meth:`applied_input`, ``true_potential`` and
+    ``switching_gap``, bit for bit, from one read of the state.
     """
 
     kind: str
@@ -613,6 +666,7 @@ class Scenario:
     config: SolverConfig
     true_potential: Callable[[np.ndarray], float]
     switching_gap: Callable[[np.ndarray], float]
+    readout: Callable[[np.ndarray], tuple]
     ball: Optional[ParamBall] = None
     gains: Optional[BackstepGains] = None
 
@@ -671,11 +725,12 @@ def make_scenario(
     ``u0="zero"`` or an explicit vector to override.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
-    map, the switching gap and the true potential written out on floats
-    for ``kind`` (``_closed_loop_flow`` and ``_closed_loop_scalars``) and
-    built once here.  The indicator (gap minus margin), the CSV's gap
-    column and the monitors use these; the margin, the jump map and the
-    applied input use the controllers.
+    map, the switching gap, the true potential and the readout written
+    out on floats for ``kind`` (``_closed_loop_flow`` and
+    ``_closed_loop_scalars``) and built once here.  The indicator (gap
+    minus margin) uses the gap, and the runner's outputs (monitors,
+    clearance, CSV) the readout; the margin and the jump map use the
+    controllers.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -746,7 +801,9 @@ def make_scenario(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
-    gap, true_potential = _closed_loop_scalars(kind, obstacle, theta, ball, gains)
+    gap, true_potential, readout = _closed_loop_scalars(
+        kind, obstacle, theta, ball, gains
+    )
     system = build_closed_loop(
         plant,
         theta,
@@ -767,6 +824,7 @@ def make_scenario(
         config=config,
         true_potential=true_potential,
         switching_gap=gap,
+        readout=readout,
         ball=ball,
         gains=gains,
     )

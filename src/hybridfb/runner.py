@@ -9,6 +9,7 @@ fixed key names.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ CSV_HEADER = (
     "t,j,z1,z2,x1,x2,x3,q,that1,that2,u1,u2,"
     "V_true,gap_robust,dist_origin,est_err"
 )
+CSV_COLUMNS = tuple(CSV_HEADER.split(","))
+# One row and its newline: the jump index as an integer and every float
+# with 17 significant digits.
+CSV_ROW = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(CSV_COLUMNS) - 2)) + "\n"
 
 SUMMARY_KEYS = (
     "final_time",
@@ -232,7 +237,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Headline numbers of one run, serializable as key = value text."""
+    """Headline numbers of one run, serializable as key = value text.
+
+    ``wall_clock_seconds`` is the host time of the solve, the monitors and
+    the checks (domain validation, obstacle clearance), including the one
+    pass over the arc they read.  It excludes building the scenario and
+    writing the CSV and the summary.  It is the one field that is not
+    deterministic.
+    """
 
     final_time: float
     jump_count: int
@@ -262,53 +274,42 @@ def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
     Both Lyapunov monitors use the true parameter of the scenario; their
     violation counts land in the summary (and drive the strict exit code
     at the CLI).  Obstacle clearance is a hard assertion: a sample on or
-    inside the disk raises :class:`InsideObstacle`.
+    inside the disk raises :class:`InsideObstacle`.  One pass over the
+    arc (:func:`sample_columns`) gives the values the monitors, the
+    clearance check, the summary and the CSV read.
     """
     scenario = build_scenario(config)
     wall_start = time.perf_counter()
     arc = solve(scenario.system, scenario.x0, scenario.config)
-
-    flow_violations = monitor_flow_decrease(
-        arc,
-        scenario.true_potential,
-        tol=config.flow_tol,
-    )
-    jump_violations = monitor_jump_decrease(
-        arc,
-        scenario.true_potential,
-        scenario.margin_at,
-        tol=config.jump_tol,
-    )
     domain_problems = validate_domain(arc)
     if domain_problems:
         raise MalformedArc(
             "solver produced an ill-formed arc: " + "; ".join(domain_problems)
         )
 
-    min_clearance = math.inf
-    for _, _, state in arc.iter_samples():
-        z = scenario.planar(state)
-        min_clearance = min(
-            min_clearance, float(np.linalg.norm(z - scenario.obstacle.center))
-        )
+    columns = sample_columns(arc, scenario)
+    potential = columns["V_true"]
+    flow_violations = monitor_flow_decrease(arc, potential, tol=config.flow_tol)
+    jump_violations = monitor_jump_decrease(
+        arc, potential, scenario.margin_at, tol=config.jump_tol
+    )
+
+    planar = np.column_stack([columns["z1"], columns["z2"]])
+    clearance = _row_norms(planar - scenario.obstacle.center).tolist()
+    # A running minimum from +inf, as a loop takes it: NaN never wins.
+    min_clearance = min([math.inf, *clearance])
     if not min_clearance > scenario.obstacle.radius:
         raise InsideObstacle(
             f"trajectory reached distance {min_clearance} from the obstacle "
             f"center (radius {scenario.obstacle.radius})"
         )
-
-    final_state = arc.final_state
-    final_z = scenario.planar(final_state)
-    est_err = float(
-        np.linalg.norm(scenario.estimate(final_state) - scenario.theta)
-    )
     wall = time.perf_counter() - wall_start
 
     summary = RunSummary(
         final_time=arc.final_time,
         jump_count=arc.jump_count,
-        final_dist_origin=float(np.linalg.norm(final_z)),
-        final_estimation_error=est_err,
+        final_dist_origin=float(columns["dist_origin"][-1]),
+        final_estimation_error=float(columns["est_err"][-1]),
         min_obstacle_clearance=min_clearance,
         flow_violations=len(flow_violations),
         jump_violations=len(jump_violations),
@@ -316,50 +317,63 @@ def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
     )
 
     if config.out is not None:
-        emit_csv(arc, scenario, config.out)
+        emit_csv(arc, scenario, config.out, columns=columns)
     if config.summary is not None:
         write_summary(summary, config.summary)
     return arc, summary
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit.
+
+    That norm is ``sqrt(v.dot(v))``, a BLAS dot that may fuse its
+    multiply-adds; a stacked ``matmul`` makes the same dot per row.
+    """
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def emit_csv(arc: HybridArc, scenario: Scenario, path) -> None:
+def sample_columns(arc: HybridArc, scenario: Scenario) -> dict[str, np.ndarray]:
+    """Every CSV column of ``arc``, by name, from one pass over its samples.
+
+    Each state is read once, by ``scenario.readout``; ``dist_origin`` and
+    ``est_err`` are the norms of the planar point and of the estimation
+    error.  Every value is bit for bit the one the per-sample
+    ``Scenario`` methods and ``np.linalg.norm`` give.
+    """
+    readout = scenario.readout
+    rows = (
+        (t, j, *readout(state))
+        for (_, _, j), (times, states) in zip(arc.domain.intervals, arc.samples)
+        for t, state in zip(times.tolist(), states)
+    )
+    # Streamed into the array: no list of every sample's values is kept.
+    shape = (sum(len(times) for times, _ in arc.samples), len(CSV_COLUMNS) - 2)
+    table = np.fromiter(
+        itertools.chain.from_iterable(rows), float, count=shape[0] * shape[1]
+    ).reshape(shape)
+    columns = dict(zip(CSV_COLUMNS, table.T))
+    columns["dist_origin"] = _row_norms(table[:, 2:4])
+    columns["est_err"] = _row_norms(table[:, 8:10] - scenario.theta)
+    return columns
+
+
+def emit_csv(arc: HybridArc, scenario: Scenario, path, columns=None) -> None:
     """Write the arc as CSV, one row per sample.
 
     Jump instants produce two rows with the same ``t`` and incremented
     ``j`` (the last sample of one interval and the first of the next).
     Floats are written with 17 significant digits, so parsing the file
-    reproduces them exactly.
+    reproduces them exactly.  ``columns`` are the arc's
+    :func:`sample_columns`, built here when not given.
     """
-    lines = [CSV_HEADER]
-    for t, j, state in arc.iter_samples():
-        z = scenario.planar(state)
-        estimate = scenario.estimate(state)
-        u = scenario.applied_input(state)
-        row = [
-            _fmt(t),
-            str(int(j)),
-            _fmt(z[0]),
-            _fmt(z[1]),
-            _fmt(state[0]),
-            _fmt(state[1]),
-            _fmt(state[2]),
-            _fmt(scenario.chart_index(state)),
-            _fmt(estimate[0]),
-            _fmt(estimate[1]),
-            _fmt(u[0]),
-            _fmt(u[1]),
-            _fmt(scenario.true_potential(state)),
-            _fmt(scenario.switching_gap(state)),
-            _fmt(np.linalg.norm(z)),
-            _fmt(np.linalg.norm(estimate - scenario.theta)),
-        ]
-        lines.append(",".join(row))
+    if columns is None:
+        columns = sample_columns(arc, scenario)
+    table = np.column_stack([columns[name] for name in CSV_COLUMNS])
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as out:
+            out.write(CSV_HEADER + "\n")
+            out.writelines(CSV_ROW % tuple(row.tolist()) for row in table)
     except OSError as exc:
         raise OSError(f"writing trajectory CSV {path}: {exc}") from exc
 

@@ -217,41 +217,56 @@ class MonitorViolation:
     excess: float
 
 
+def _interval_values(arc: HybridArc, potential) -> list[list[float]]:
+    """The potential's values at the samples of each flow interval.
+
+    ``potential`` is a function of the state, or its values at every
+    sample of ``arc`` in hybrid-time order (a column of one pass over it).
+    """
+    if callable(potential):
+        return [[float(potential(y)) for y in states] for _, states in arc.samples]
+    flat = [float(v) for v in potential]
+    ends = np.cumsum([0] + [len(times) for times, _ in arc.samples]).tolist()
+    if len(flat) != ends[-1]:
+        raise ValueError(f"{len(flat)} potential values for {ends[-1]} samples")
+    return [flat[start:end] for start, end in zip(ends, ends[1:])]
+
+
 def monitor_flow_decrease(
     arc: HybridArc,
-    potential: Callable[[np.ndarray], float],
+    potential: Callable[[np.ndarray], float] | Sequence[float],
     tol: float,
 ) -> list[MonitorViolation]:
     """Flag potential increases between consecutive same-interval samples.
 
     ``potential`` evaluates the monitored Lyapunov function on the full
-    closed-loop state; an increase larger than ``tol`` between adjacent
+    closed-loop state, or holds its value at every sample of the arc in
+    hybrid-time order; an increase larger than ``tol`` between adjacent
     samples of one flow interval is a violation.  Infinite values only
     violate when the potential rises from finite to infinite.
     """
     violations = []
-    for (_, _, j), (times, states) in zip(arc.domain.intervals, arc.samples):
-        prev_v = None
-        for t, y in zip(times, states):
-            v = float(potential(y))
-            if prev_v is not None and v > prev_v + tol:
+    for (_, _, j), (times, _), values in zip(
+        arc.domain.intervals, arc.samples, _interval_values(arc, potential)
+    ):
+        for t, prev_v, v in zip(times[1:].tolist(), values, values[1:]):
+            if v > prev_v + tol:
                 violations.append(
                     MonitorViolation(
                         kind="flow",
-                        t=float(t),
+                        t=t,
                         j=j,
                         before=prev_v,
                         after=v,
                         excess=v - prev_v,
                     )
                 )
-            prev_v = v
     return violations
 
 
 def monitor_jump_decrease(
     arc: HybridArc,
-    potential: Callable[[np.ndarray], float],
+    potential: Callable[[np.ndarray], float] | Sequence[float],
     margin: Callable[[np.ndarray], float],
     tol: float,
 ) -> list[MonitorViolation]:
@@ -259,12 +274,22 @@ def monitor_jump_decrease(
 
     A jump violates when ``potential(after) > potential(before) -
     margin(before) + tol``.  Jumps from an infinite potential never
-    violate.
+    violate.  ``potential`` is a function of the state, evaluated at the
+    jump records' states, or its values at every sample of the arc in
+    hybrid-time order, read at the interval ends: for a well-formed arc
+    (:func:`~hybridfb.hybrid.validate_domain`) those samples are the
+    records' states.
     """
+    if callable(potential):
+        pairs = [
+            (float(potential(rec.before)), float(potential(rec.after)))
+            for rec in arc.jump_records
+        ]
+    else:
+        values = _interval_values(arc, potential)
+        pairs = [(left[-1], right[0]) for left, right in zip(values, values[1:])]
     violations = []
-    for rec in arc.jump_records:
-        v_before = float(potential(rec.before))
-        v_after = float(potential(rec.after))
+    for rec, (v_before, v_after) in zip(arc.jump_records, pairs):
         bound = v_before - float(margin(rec.before)) + tol
         if v_after > bound:
             violations.append(

@@ -596,6 +596,26 @@ class TestRK45Oracle:
             if t_bound == 1.2345:  # the last step is cut short at the horizon
                 assert ours.t - ours.t_old < max_step
 
+    @pytest.mark.parametrize("n", [4, 6, 8], ids=["nominal", "adaptive", "backstep"])
+    def test_library_state_sizes(self, n):
+        # The closed-loop state sizes the library steps.  BLAS picks its
+        # dot path by shape, so the stage views are checked at each one,
+        # on a time-dependent linear field with a dense seeded matrix.
+        rng = np.random.default_rng(n)
+        mat = rng.normal(size=(n, n)) / math.sqrt(n) - np.eye(n)
+        drive = rng.normal(size=n)
+
+        def fun(t, y):
+            return mat @ y + math.sin(3.0 * t) * drive
+
+        kwargs = dict(t_bound=5.0, max_step=0.1, rtol=1e-8, atol=1e-10)
+        y0 = rng.normal(size=n)
+        ours = hybrid.RK45(fun, 0.0, y0, **kwargs)
+        ref = self._reference()(fun, 0.0, y0, **kwargs)
+        assert self._step_beside(ours, ref, max_steps=400) >= 50
+        assert ours.status == "finished"
+        assert ours.y.shape == (n,)
+
     def test_rtol_floor(self):
         kwargs = dict(t_bound=5.0, max_step=0.5, rtol=1e-16, atol=1e-12)
         ours = hybrid.RK45(_pendulum, 0.0, np.array([2.0, 0.0]), **kwargs)

@@ -734,6 +734,62 @@ class TestClosedLoopScalars:
                 fn(state)
 
 
+def _readout_reference(sc, state):
+    """One sample's outputs from the ``Scenario`` methods, as the CSV prints them."""
+    values = (
+        *sc.planar(state),
+        *state[:3],
+        sc.chart_index(state),
+        *sc.estimate(state),
+        *sc.applied_input(state),
+        sc.true_potential(state),
+        sc.switching_gap(state),
+    )
+    return [f"{float(v):.17g}" for v in values]
+
+
+class TestScenarioReadout:
+    """``Scenario.readout`` against the per-sample methods, signed zeros included."""
+
+    @pytest.mark.parametrize("obstacle", ["published", "offset"])
+    @pytest.mark.parametrize("gains", ["unit", "general"])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_equal_to_scenario_methods(self, kind, gains, obstacle):
+        sc = TestClosedLoopScalars._scenario(kind, gains, obstacle)
+        states = TestClosedLoopScalars._states(sc, np.random.default_rng(31), n=60)
+        for state in states:
+            readout = [f"{v:.17g}" for v in sc.readout(state)]
+            assert readout == _readout_reference(sc, state)
+
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_excluded_point_and_signed_zeros(self, kind, q):
+        sc = TestClosedLoopScalars._scenario(kind)
+        # On the chart's excluded point: NaN input, infinite V and gap.
+        singular = sc.x0.copy()
+        singular[:4] = [0.1, 0.0, q, q]
+        # At the target, with a -0.0 estimate: the feedback is -0.0, and the
+        # adaptive input is -0.0 - (+0.0), not -0.0 - (-0.0).
+        target = sc.x0.copy()
+        target[:3] = sc.obstacle.target
+        target[4:] = -0.0
+        for state in (singular, target):
+            readout = [f"{v:.17g}" for v in sc.readout(state)]
+            assert readout == _readout_reference(sc, state)
+        assert math.isinf(sc.readout(singular)[-1])
+        if kind != "backstep":
+            assert math.isnan(sc.readout(singular)[8])
+            assert [f"{v:.17g}" for v in sc.readout(target)[8:10]] == ["-0", "-0"]
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_chart_index_outside_pair_raises(self, kind):
+        sc = TestClosedLoopScalars._scenario(kind)
+        state = sc.x0.copy()
+        state[3] = 0.5
+        with pytest.raises(ValueError, match="chart index"):
+            sc.readout(state)
+
+
 class TestClosedLoopGeometry:
     def test_renormalize_collapsed_circle_raises(self):
         state = np.array([0.2, 0.0, 0.0, 1.0])

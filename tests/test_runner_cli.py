@@ -27,6 +27,7 @@ from hybridfb import (
     run,
 )
 from hybridfb.cli import main, run_config_file
+from hybridfb.synergistic import monitor_flow_decrease, monitor_jump_decrease
 from hybridfb.runner import CSV_HEADER
 
 
@@ -266,6 +267,122 @@ class TestCsvFormat:
         assert math.isnan(cols["u1"][0])
         assert math.isinf(cols["V_true"][0])
         assert not math.isnan(cols["u1"][1])
+
+
+def _fmt(value) -> str:
+    return f"{float(value):.17g}"
+
+
+def _reference_csv(arc, scenario) -> str:
+    """The trajectory CSV composed row by row from the per-sample calls."""
+    lines = [CSV_HEADER]
+    for t, j, state in arc.iter_samples():
+        z = scenario.planar(state)
+        estimate = scenario.estimate(state)
+        u = scenario.applied_input(state)
+        row = [
+            _fmt(t),
+            str(int(j)),
+            _fmt(z[0]),
+            _fmt(z[1]),
+            _fmt(state[0]),
+            _fmt(state[1]),
+            _fmt(state[2]),
+            _fmt(scenario.chart_index(state)),
+            _fmt(estimate[0]),
+            _fmt(estimate[1]),
+            _fmt(u[0]),
+            _fmt(u[1]),
+            _fmt(scenario.true_potential(state)),
+            _fmt(scenario.switching_gap(state)),
+            _fmt(np.linalg.norm(z)),
+            _fmt(np.linalg.norm(estimate - scenario.theta)),
+        ]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# Runs whose CSVs the writer must reproduce byte for byte: the forced
+# switch of each kind (jump rows), a start on an excluded chart point
+# (NaN input, infinite V_true and gap_robust) and a backstep run with a
+# small margin that jumps many times.
+ORACLE_RUNS = {
+    "nominal_forced": dict(controller="nominal", theta=(0.0, 0.0), z_init=(1.8, -1.0)),
+    "adaptive_forced": dict(controller="adaptive", z_init=(1.8, -1.0)),
+    "backstep_forced": dict(controller="backstep", z_init=(1.8, -1.0)),
+    "singular_start": dict(controller="adaptive", q0=1.0, z_init=(1.0, 2.0)),
+    "backstep_switching": dict(
+        controller="backstep", z_init=(2.5, 0.0), delta=1e-3, j_max=1000, t_max=2.0
+    ),
+}
+
+
+class TestCsvWriterOracle:
+    """``emit_csv`` against the CSV composed from the per-sample calls."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_RUNS))
+    def test_bytes_equal_reference(self, name, tmp_path):
+        values = dict(q0=-1.0, t_max=1.0)
+        values.update(ORACLE_RUNS[name])
+        out = tmp_path / "run.csv"
+        cfg = ScenarioConfig(out=str(out), **values)
+        arc, _ = run(cfg)
+        scenario = build_scenario(cfg)
+        reference = _reference_csv(arc, scenario)
+        assert out.read_text() == reference
+        again = tmp_path / "again.csv"
+        emit_csv(arc, scenario, again)
+        assert again.read_text() == reference
+
+        cols = read_csv(out)
+        jumps = int(cols["j"][-1])
+        if name == "backstep_switching":
+            assert jumps > 40
+        else:
+            assert jumps >= 1
+        if name == "singular_start":
+            assert math.isnan(cols["u1"][0])
+            assert math.isinf(cols["V_true"][0]) and math.isinf(cols["gap_robust"][0])
+
+
+class TestMonitorColumns:
+    """The monitors read from a column equal the monitors calling the potential."""
+
+    def test_violation_lists_equal(self):
+        cfg = ScenarioConfig(**ORACLE_RUNS["backstep_switching"])
+        arc, _ = run(cfg)
+        scenario = build_scenario(cfg)
+        column = runner_mod.sample_columns(arc, scenario)["V_true"]
+        # A planted potential that rises wherever the true one falls: every
+        # flow step and every jump violates.
+        planted_column = -column
+
+        def planted(state):
+            return -scenario.true_potential(state)
+
+        for potential, values in (
+            (scenario.true_potential, column), (planted, planted_column)
+        ):
+            by_call = monitor_flow_decrease(arc, potential, tol=1e-6)
+            by_column = monitor_flow_decrease(arc, values, tol=1e-6)
+            assert by_column == by_call
+            by_call = monitor_jump_decrease(arc, potential, scenario.margin_at, tol=1e-9)
+            by_column = monitor_jump_decrease(arc, values, scenario.margin_at, tol=1e-9)
+            assert by_column == by_call
+        flow = monitor_flow_decrease(arc, planted_column, tol=1e-6)
+        jump = monitor_jump_decrease(arc, planted_column, scenario.margin_at, tol=1e-9)
+        assert len(flow) > 100 and len(jump) == arc.jump_count > 40
+        for violation in flow + jump:
+            assert all(
+                type(getattr(violation, f)) is float
+                for f in ("t", "before", "after", "excess")
+            )
+
+    def test_column_of_wrong_length_rejected(self):
+        cfg = ScenarioConfig(t_max=0.1)
+        arc, _ = run(cfg)
+        with pytest.raises(ValueError, match="potential values"):
+            monitor_flow_decrease(arc, [0.0], tol=0.0)
 
 
 class TestZenoConfigInvariant:
