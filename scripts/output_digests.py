@@ -1,16 +1,18 @@
-"""SHA-256 of every output the benchmark's simulation workloads write.
+"""SHA-256 of every output the benchmark's workloads write.
 
     python3 scripts/output_digests.py --seed 1 [--root CHECKOUT]
 
-Runs the ``case_study``, ``switching`` and ``general_gain`` runs of
-``perfbench/workloads.py`` (imported, not modified) into a temporary
-directory and prints one line per output file: its workload, name and
-SHA-256.  A run summary is hashed without its ``wall_clock_seconds``
+Runs the ``case_study``, ``switching``, ``general_gain`` and ``verify``
+runs of ``perfbench/workloads.py`` (imported, not modified) into a
+temporary directory and prints one line per output: its workload, name
+and SHA-256.  The outputs are the files the simulation runs write and
+the report ``verify`` prints (``hybridfb --property-suite --thorough
+--seed N``).  A run summary is hashed without its ``wall_clock_seconds``
 line, the one value that differs between identical runs.  Two
 checkouts that print the same lines at a seed wrote byte-identical
-trajectories and summaries; ``--root`` names the checkout whose
-``perfbench/`` and ``src/`` to run (default: the one holding this
-script).  Exits 1 when a run fails.
+trajectories, summaries and verification reports; ``--root`` names the
+checkout whose ``perfbench/`` and ``src/`` to run (default: the one
+holding this script).  Exits 1 when a run fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("case_study", "switching", "general_gain")
+WORKLOADS = ("case_study", "switching", "general_gain", "verify")
 
 
 def _digest(path: Path) -> str:
@@ -58,6 +60,9 @@ def main(argv=None) -> int:
                     failed += 1
                     reason = outcome.error or f"exit status {outcome.status}"
                     print(f"{name}/{spec.name} failed: {reason}", file=sys.stderr)
+                elif outcome.output:
+                    digest = hashlib.sha256(outcome.output.encode()).hexdigest()
+                    print(f"{name}/{spec.name} {digest}")
             for path in sorted(outdir.glob("*.csv")) + sorted(outdir.glob("*.txt")):
                 print(f"{name}/{path.name} {_digest(path)}")
     return 1 if failed else 0

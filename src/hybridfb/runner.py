@@ -437,9 +437,18 @@ class PropertyReport:
         return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a 1-D float vector: ``np.linalg.norm``'s own arithmetic.
+
+    For such a vector ``np.linalg.norm`` computes ``sqrt(v.dot(v))``;
+    calling that directly gives the same bits without its dispatch.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def _random_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
+    direction /= _norm(direction)
     return radius * rng.uniform() ** (1.0 / dim) * direction
 
 
@@ -489,12 +498,11 @@ def projection_lipschitz_suite(seed: int, n: int = 10_000) -> SuiteResult:
         d_th = rng.normal(size=2)
         d_eta = rng.normal(size=2)
         scale = rng.uniform(1e-6, 1e-3)
-        d_th *= scale / max(np.linalg.norm(d_th), 1e-300)
-        d_eta *= scale / max(np.linalg.norm(d_eta), 1e-300)
+        d_th *= scale / max(_norm(d_th), 1e-300)
+        d_eta *= scale / max(_norm(d_eta), 1e-300)
         a = adaptive_mod.project_rate(eta, theta_hat, ball)
         b = adaptive_mod.project_rate(eta + d_eta, theta_hat + d_th, ball)
-        dist = float(np.linalg.norm(d_eta) + np.linalg.norm(d_th))
-        ratios[k] = float(np.linalg.norm(a - b)) / dist
+        ratios[k] = _norm(a - b) / (_norm(d_eta) + _norm(d_th))
     bulk = float(np.percentile(ratios, 99))
     worst = float(np.max(ratios))
     bound = 10.0 * max(1.0, bulk)
@@ -554,14 +562,54 @@ def gap_enumeration_suite(seed: int, n: int = 500) -> SuiteResult:
     )
 
 
-def _grid_disk(resolution: float, radius: float) -> np.ndarray:
-    """Square-lattice points in the disk, row by row: ``y`` outer, ``x`` inner."""
+@dataclass(frozen=True)
+class _DiskRows:
+    """Square-lattice points in a disk, stored as one table entry per row.
+
+    The lattice is ``axis x axis`` with ``axis`` the ``np.arange`` from
+    ``-radius`` to ``radius`` in steps of ``resolution``.  Row ``i`` holds
+    the points ``(axis[k], y[i])`` for ``first[i] <= k <= last[i]``; rows
+    run in rising ``y`` and points in rising ``x``, and rows without a
+    point in the disk are left out.
+    """
+
+    resolution: float
+    axis: np.ndarray
+    y: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    def points(self) -> np.ndarray:
+        """The rows' points in order, as an ``(n, 2)`` array."""
+        xs = [self.axis[a : b + 1] for a, b in zip(self.first, self.last)]
+        ys = np.repeat(self.y, self.last - self.first + 1)
+        return np.column_stack([np.concatenate(xs), ys])
+
+    def flat_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each row's first and last point in ``points()``."""
+        last = np.cumsum(self.last - self.first + 1) - 1
+        return last - (self.last - self.first), last
+
+
+def _disk_rows(resolution: float, radius: float) -> _DiskRows:
+    """Row table of the lattice points ``p`` with ``p . p <= radius**2``.
+
+    Membership is tested one row at a time.  Along a row ``x * x`` falls
+    and then rises, so each row's points inside form one run of
+    ``axis`` indices and the table stores only its ends.
+    """
     axis = np.arange(-radius, radius + resolution / 2.0, resolution)
-    pts = np.empty((axis.size, axis.size, 2))
-    pts[..., 0] = axis
-    pts[..., 1] = axis[:, None]
-    pts = pts.reshape(-1, 2)
-    return pts[np.einsum("ij,ij->i", pts, pts) <= radius**2]
+    row = np.empty((axis.size, 2))
+    row[:, 0] = axis
+    ys, first, last = [], [], []
+    for y in axis:
+        row[:, 1] = y
+        inside = np.flatnonzero(np.einsum("ij,ij->i", row, row) <= radius**2)
+        if inside.size:
+            ys.append(y)
+            first.append(inside[0])
+            last.append(inside[-1])
+    return _DiskRows(resolution, axis, np.array(ys), np.array(first), np.array(last))
 
 
 def _generic_ball(rng: np.random.Generator) -> ParamBall:
@@ -573,36 +621,32 @@ def _generic_ball(rng: np.random.Generator) -> ParamBall:
 
 
 def _grid_min_distance(
-    grid: np.ndarray, resolution: float, metric: np.ndarray, points: np.ndarray
+    rows: _DiskRows, metric: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Exact float64 minimum of ``(g - p)^T metric (g - p)`` over ``grid``.
+    """Exact float64 minimum of ``(g - p)^T metric (g - p)`` over the lattice.
 
-    ``grid`` is a ``_grid_disk`` point set: rows of constant ``y`` with
-    ``x`` rising in steps of ``resolution``.  On a row the distance is a
-    convex parabola in ``x`` with vertex
-    ``x* = p_x - (metric_01 / metric_00) * (y - p_y)``, so the row's
-    minimum is at its point nearest ``x*``; the neighbours either side
-    cover rounding of that index.  Returns one minimum per point.
+    On a row of ``rows`` the distance is a convex parabola in ``x`` with
+    vertex ``x* = p_x - (metric_01 / metric_00) * (y - p_y)``, so the
+    row's minimum is at its point nearest ``x*``; the neighbours either
+    side cover rounding of that index.  Returns one minimum per point.
     """
-    row_start = np.flatnonzero(np.r_[True, grid[1:, 1] != grid[:-1, 1]])
-    row_last = np.r_[row_start[1:], len(grid)] - 1
-    row_y = grid[row_start, 1]
-    row_x0 = grid[row_start, 0]
+    axis, first, last = rows.axis, rows.first, rows.last
+    row_x0 = axis[first]
     m00, m01, m11 = metric[0, 0], metric[0, 1], metric[1, 1]
     out = np.empty(len(points))
     # A block of points at a time keeps the (points x rows) work arrays
-    # small next to the grid itself.
-    block = 128
+    # small.
+    block = 32
     for lo in range(0, len(points), block):
         px = points[lo : lo + block, :1]
-        dy = row_y - points[lo : lo + block, 1:]
+        dy = rows.y - points[lo : lo + block, 1:]
         x_star = px - (m01 / m00) * dy
-        nearest = row_start + np.rint((x_star - row_x0) / resolution)
+        nearest = first + np.rint((x_star - row_x0) / rows.resolution)
         dy_term = m11 * dy * dy
         best = np.full(dy.shape, math.inf)
         for offset in (-1, 0, 1):
-            idx = np.clip(nearest + offset, row_start, row_last).astype(np.intp)
-            dx = grid[idx, 0] - px
+            idx = np.clip(nearest + offset, first, last).astype(np.intp)
+            dx = axis[idx] - px
             np.minimum(best, dx * (m00 * dx + 2.0 * m01 * dy) + dy_term, out=best)
         out[lo : lo + block] = best.min(axis=1)
     return out
@@ -614,23 +658,77 @@ def ball_distance_oracle_suite(
     """Worst-case distance term against a grid search over the ball.
 
     The oracle is the exact float64 minimum of the gain-metric distance
-    over every point of ``_grid_disk(resolution, radius)``, reduced row
-    by row (``_grid_min_distance``); it never consults the solver.
+    over every lattice point of ``_disk_rows(resolution, radius)``,
+    reduced row by row (``_grid_min_distance``); it never consults the
+    solver.
     """
     rng = np.random.default_rng(seed)
     ball = _generic_ball(rng)
-    grid = _grid_disk(resolution, ball.radius)
+    rows = _disk_rows(resolution, ball.radius)
     inputs = np.array(
         [_random_ball(rng, 2, ball.radius + ball.eps) for _ in range(n)]
     )
     exact = np.array([ball_distance(th, ball)[0] for th in inputs])
-    brute = _grid_min_distance(grid, resolution, ball.gain_inv, inputs)
+    brute = _grid_min_distance(rows, ball.gain_inv, inputs)
     worst = float(np.max(np.abs(exact - brute)))
     return SuiteResult(
         name="ball_distance_oracle",
         passed=worst <= tol,
         detail=f"max |solver - grid| = {worst:.2e} over {n} inputs (tol {tol})",
     )
+
+
+def _drop_objective(points: np.ndarray, metric: np.ndarray, radius: float):
+    """Per-point objective of the reset oracle, minus its constant term.
+
+    Returns ``value(idx, mth, mth_sq)``: for each input ``b``, with
+    ``mth[b] = metric @ theta_hat`` and ``mth_sq[b] = mth[b] @ mth[b]``,
+    the value ``-2 radius |metric (g - theta_hat)| - g^T metric g`` at the
+    points ``g = points[idx[b]]``.  The cross term is one matrix-vector
+    product per input over the gathered points, which gives each point
+    the value a product over all of ``points`` gives it.
+    """
+    grid_metric = points @ metric.T
+    grid_metric_sq = np.einsum("ij,ij->i", grid_metric, grid_metric)
+    grid_quad = np.einsum("ij,ij->i", points, grid_metric)
+
+    def value(idx: np.ndarray, mth: np.ndarray, mth_sq: np.ndarray) -> np.ndarray:
+        gathered = np.take(grid_metric, idx, axis=0)
+        cross = np.matmul(gathered, mth[:, :, None])[..., 0]
+        dist_sq = np.take(grid_metric_sq, idx) - 2.0 * cross + mth_sq[:, None]
+        lin = -2.0 * radius * np.sqrt(np.maximum(dist_sq, 0.0))
+        return lin - np.take(grid_quad, idx)
+
+    return value
+
+
+def _row_search_max(
+    value: Callable[[np.ndarray], np.ndarray],
+    first: np.ndarray,
+    last: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Maximum of ``value`` over index rows on which it is unimodal.
+
+    Row ``r`` is the index run ``first[r] .. last[r]``; ``value`` maps an
+    ``(n, rows)`` index array to the values of ``n`` inputs there.  Each
+    row's maximum is found by bisection on the sign of the forward
+    difference, for every row and input at once; the two indices either
+    side of the bisection's end are evaluated too, so that a forward
+    difference rounded to the wrong sign beside the peak cannot lose it.
+    Returns the maximum over all rows, one per input.
+    """
+    lo = np.repeat(first[None, :], n, axis=0)
+    hi = np.repeat(last[None, :], n, axis=0)
+    for _ in range(int(np.max(last - first)).bit_length()):
+        mid = (lo + hi) // 2
+        rising = value(np.minimum(mid + 1, hi)) > value(mid)
+        lo = np.where(rising, mid + 1, lo)
+        hi = np.where(rising, hi, mid)
+    best = value(lo)
+    for offset in (-2, -1, 1, 2):
+        np.maximum(best, value(np.clip(lo + offset, first, last)), out=best)
+    return best.max(axis=1)
 
 
 def reset_estimate_oracle_suite(
@@ -641,33 +739,50 @@ def reset_estimate_oracle_suite(
     The reset maximizes, over candidate estimates in the inflated ball,
     the minimum over admissible parameters of the potential drop; the
     inner minimum of the linear-in-parameter part has the closed form
-    ``-2 * radius * |metric @ (g - theta_hat)|``.
+    ``-2 * radius * |metric @ (g - theta_hat)|``.  The oracle is the
+    float64 maximum of that objective over the lattice points of
+    ``_disk_rows(resolution, radius + eps)``.  With the metric symmetric
+    positive definite the objective is concave (a negated norm of an
+    affine map minus a positive definite quadratic), so on each lattice
+    row it rises to one peak and then falls: ``_row_search_max`` finds
+    each row's maximum by bisection plus a +-2-point window, and returns
+    the value a scan of every point returns.
     """
     rng = np.random.default_rng(seed)
     ball = _generic_ball(rng)
     metric = ball.gain_inv
-    grid = _grid_disk(resolution, ball.radius + ball.eps)
-    grid_metric = grid @ metric.T
-    grid_metric_sq = np.einsum("ij,ij->i", grid_metric, grid_metric)
-    grid_quad = np.einsum("ij,ij->i", grid, grid_metric)
+    rows = _disk_rows(resolution, ball.radius + ball.eps)
+    value = _drop_objective(rows.points(), metric, ball.radius)
+    row_first, row_last = rows.flat_bounds()
 
     def objective_at(g: np.ndarray, theta_hat: np.ndarray) -> float:
-        diff = g - theta_hat
         return float(
-            -2.0 * ball.radius * np.linalg.norm(metric @ diff)
+            -2.0 * ball.radius * _norm(metric @ (g - theta_hat))
             + theta_hat @ metric @ theta_hat
             - g @ metric @ g
         )
 
-    worst = 0.0
-    for _ in range(n):
+    # Per input: the closed-form reset's objective, metric @ theta_hat,
+    # its square and the constant term theta_hat^T metric theta_hat.
+    ours, mth, mth_sq, const = np.empty(n), np.empty((n, 2)), np.empty(n), np.empty(n)
+    for k in range(n):
         theta_hat = _random_ball(rng, 2, ball.radius + ball.eps)
-        ours = objective_at(reset_estimate(theta_hat, ball), theta_hat)
-        mth = metric @ theta_hat
-        dist_sq = grid_metric_sq - 2.0 * grid_metric @ mth + mth @ mth
-        lin = -2.0 * ball.radius * np.sqrt(np.maximum(dist_sq, 0.0))
-        brute = float(np.max(lin - grid_quad)) + float(theta_hat @ mth)
-        worst = max(worst, brute - ours)
+        ours[k] = objective_at(reset_estimate(theta_hat, ball), theta_hat)
+        mth[k] = metric @ theta_hat
+        mth_sq[k] = mth[k] @ mth[k]
+        const[k] = theta_hat @ mth[k]
+    worst = 0.0
+    # A block of inputs at a time keeps the (inputs x rows) work arrays
+    # small.
+    block = 100
+    for lo in range(0, n, block):
+        part = slice(lo, lo + block)
+        m, m_sq = mth[part], mth_sq[part]
+        best = _row_search_max(
+            lambda idx: value(idx, m, m_sq), row_first, row_last, len(m)
+        )
+        for shortfall in best + const[part] - ours[part]:
+            worst = max(worst, float(shortfall))
     return SuiteResult(
         name="reset_estimate_oracle",
         passed=worst <= tol,
@@ -685,7 +800,7 @@ def _random_cylinder_states(rng, obstacle, n, chart_clearance=0.05):
     states = []
     while len(states) < n:
         z = rng.uniform(-4.0, 4.0, size=2)
-        dist = np.linalg.norm(z - obstacle.center)
+        dist = _norm(z - obstacle.center)
         if dist <= obstacle.radius + 0.05:
             continue
         x = obstacle_mod.to_cylinder(z, obstacle)

@@ -4,7 +4,8 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 on success).  The four case-study runs (adaptive and backstepped
 controllers, both initial charts) are executed once per session; two
 extra runs that start inside the jump set make the jump-decrease
-criterion non-vacuous.
+criterion non-vacuous, and two margin-1e-3 backstep runs with 41 and 64
+jumps give the no-chattering criterion consecutive jumps to measure.
 """
 
 import math
@@ -25,6 +26,7 @@ from hybridfb import (
     to_cylinder,
     validate_domain,
 )
+from hybridfb import runner
 from hybridfb.obstacle import ObstacleDisk
 from hybridfb.runner import (
     ball_distance_oracle_suite,
@@ -34,6 +36,11 @@ from hybridfb.runner import (
 )
 
 SEED = 20240
+# (q0, z_init) of tests/test_golden_endpoints.py::test_switching_endpoint.
+MANY_JUMP_STARTS = (
+    (-1.0, (-0.6732911896168576, 0.9642926804211792)),
+    (1.0, (2.431591456777412, 0.023308339735769405)),
+)
 CASES = (
     ("adaptive", -1.0),
     ("adaptive", 1.0),
@@ -259,18 +266,35 @@ def test_criterion_10_solver_suite(case_runs, switching_runs):
     )
 
 
-def test_criterion_11_no_chattering(case_runs):
-    min_sep = math.inf
-    total_jumps = 0
-    for (kind, q0), (_, arc, _) in case_runs.items():
+@pytest.fixture(scope="module")
+def many_jump_runs():
+    """The backstep margin-1e-3 starts of the golden switching endpoints.
+
+    They make 41 and 64 jumps by t = 2 s, so the no-chattering criterion
+    reads real consecutive jump pairs.
+    """
+    arcs = []
+    for q0, z_init in MANY_JUMP_STARTS:
+        values = {
+            "controller": "backstep", "q0": q0, "z_init": z_init, "t_max": 2.0,
+            "delta": 1e-3, "j_max": 1000,
+        }
+        scenario = runner.build_scenario(runner.config_from_sources({}, values))
+        arcs.append(solve(scenario.system, scenario.x0, scenario.config))
+    return arcs
+
+
+def test_criterion_11_no_chattering(case_runs, many_jump_runs):
+    arcs = [arc for _, arc, _ in case_runs.values()] + many_jump_runs
+    separations = []
+    for arc in arcs:
         times = [rec.t for rec in arc.jump_records]
-        total_jumps += len(times)
-        for a, b in zip(times, times[1:]):
-            min_sep = min(min_sep, b - a)
-    sep_text = "n/a" if math.isinf(min_sep) else f"{min_sep:.4f}s"
+        separations += [b - a for a, b in zip(times, times[1:])]
+    min_sep = min(separations, default=math.inf)
     _report(
         11,
         "consecutive jumps separated by at least 1e-3 s of flow",
-        min_sep >= 1e-3 or math.isinf(min_sep),
-        f"{total_jumps} jumps in case-study runs, min separation {sep_text}",
+        len(separations) > 0 and min_sep >= 1e-3,
+        f"{sum(a.jump_count for a in arcs)} jumps in {len(arcs)} runs, "
+        f"{len(separations)} consecutive pairs, min separation {min_sep:.4f}s",
     )

@@ -30,11 +30,14 @@ from hybridfb import (
 from hybridfb.adaptive import ball_excess_gradient
 from hybridfb.obstacle import gradient_feedback_jacobian
 from hybridfb.runner import (
+    _disk_rows,
+    _drop_objective,
     _generic_ball,
-    _grid_disk,
     _grid_min_distance,
+    _norm,
     _random_ball,
     _random_cylinder_states,
+    _row_search_max,
     ball_distance_oracle_suite,
     projection_inequality_suite,
     projection_lipschitz_suite,
@@ -215,7 +218,8 @@ class TestGridMinDistance:
         rng = np.random.default_rng(21)
         metrics = [_generic_ball(rng).gain_inv for _ in range(3)]
         metrics += [self.ANISOTROPIC, self.ANISOTROPIC * [[1.0, -1.0], [-1.0, 1.0]]]
-        grid = _grid_disk(resolution, 1.0)
+        rows = _disk_rows(resolution, 1.0)
+        grid = rows.points()
         points = np.array(
             [_random_ball(rng, 2, 2.0) for _ in range(60)]
             + [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.3, -0.7], grid[7], grid[-3]]
@@ -223,7 +227,7 @@ class TestGridMinDistance:
         assert np.any(np.linalg.norm(points, axis=1) < 1.0)
         assert np.any(np.linalg.norm(points, axis=1) > 1.0)
         for metric in metrics:
-            fast = _grid_min_distance(grid, resolution, metric, points)
+            fast = _grid_min_distance(rows, metric, points)
             for p, value in zip(points, fast):
                 diff = grid - p
                 brute = float(np.min(np.einsum("ij,jk,ik->i", diff, metric, diff)))
@@ -237,9 +241,101 @@ class TestGridMinDistance:
         gx, gy = np.meshgrid(axis, axis)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         reference = pts[np.einsum("ij,ij->i", pts, pts) <= radius**2]
-        grid = _grid_disk(resolution, radius)
+        rows = _disk_rows(resolution, radius)
+        assert np.array_equal(rows.axis, axis)
+        assert np.all(rows.first <= rows.last)
+        grid = rows.points()
         assert grid.shape == reference.shape
         assert np.array_equal(grid, reference)
+        row_first, row_last = rows.flat_bounds()
+        assert np.array_equal(grid[row_first, 0], axis[rows.first])
+        assert np.array_equal(grid[row_last, 0], axis[rows.last])
+        assert np.array_equal(grid[row_first, 1], rows.y)
+        assert row_first[0] == 0 and row_last[-1] == len(grid) - 1
+        assert np.array_equal(row_first[1:], row_last[:-1] + 1)
+
+
+class TestResetRowSearch:
+    """``_row_search_max`` against a scan of every lattice point."""
+
+    @staticmethod
+    def _inputs(rng, grid, metric):
+        thetas = [_random_ball(rng, 2, 2.0) for _ in range(40)]
+        # Cone tips on a lattice point, at the centre, on and beyond the
+        # lattice's rim.
+        thetas += [grid[11], grid[len(grid) // 2], grid[-5], [0.0, 0.0]]
+        thetas += [[2.0, 0.0], [0.0, -2.0], [1.9, 1.9], [-3.0, 0.5]]
+        thetas = np.array(thetas, dtype=float)
+        mth = np.array([metric @ th for th in thetas])
+        mth_sq = np.array([m @ m for m in mth])
+        return mth, mth_sq
+
+    @pytest.mark.parametrize("resolution", [2e-2, 1e-2])
+    def test_matches_exhaustive_scan(self, resolution):
+        rng = np.random.default_rng(33)
+        metrics = [_generic_ball(rng).gain_inv for _ in range(3)]
+        metrics += [
+            TestGridMinDistance.ANISOTROPIC,
+            TestGridMinDistance.ANISOTROPIC * [[1.0, -1.0], [-1.0, 1.0]],
+            np.eye(2),
+        ]
+        rows = _disk_rows(resolution, 2.0)
+        grid = rows.points()
+        row_first, row_last = rows.flat_bounds()
+        every = np.arange(len(grid))[None, :]
+        for metric in metrics:
+            value = _drop_objective(grid, metric, 1.0)
+            mth, mth_sq = self._inputs(rng, grid, metric)
+            found = _row_search_max(
+                lambda idx: value(idx, mth, mth_sq), row_first, row_last, len(mth)
+            )
+            for k in range(len(mth)):
+                scan = value(every, mth[k : k + 1], mth_sq[k : k + 1])
+                assert found[k] == np.max(scan)
+
+    def test_values_match_full_scan_formula(self):
+        # Gathered points get the bits a product over the whole lattice
+        # gives them, so the oracle's maxima are those of a full scan.
+        rng = np.random.default_rng(34)
+        grid = _disk_rows(1e-2, 2.0).points()
+        for metric in [_generic_ball(rng).gain_inv for _ in range(3)]:
+            value = _drop_objective(grid, metric, 1.0)
+            grid_metric = grid @ metric.T
+            grid_metric_sq = np.einsum("ij,ij->i", grid_metric, grid_metric)
+            grid_quad = np.einsum("ij,ij->i", grid, grid_metric)
+            mth, mth_sq = self._inputs(rng, grid, metric)
+            idx = rng.integers(0, len(grid), size=(len(mth), 300))
+            gathered = value(idx, mth, mth_sq)
+            for k in range(len(mth)):
+                dist_sq = grid_metric_sq - 2.0 * grid_metric @ mth[k] + mth[k] @ mth[k]
+                scan = -2.0 * np.sqrt(np.maximum(dist_sq, 0.0)) - grid_quad
+                assert np.array_equal(gathered[k], scan[idx[k]])
+
+    def test_window_finds_peak_past_a_misleading_bisection(self):
+        # A row that rises, dips one point below its neighbour and peaks
+        # right after: bisection ends at index 3, one short of the peak
+        # at index 5, which only the window reaches.
+        row = np.array([0.0, 1.0, 2.0, 3.0, 2.9, 3.1, 1.0, 0.0])
+        first, last = np.array([0]), np.array([len(row) - 1])
+        assert _row_search_max(lambda idx: row[idx], first, last, 1) == [3.1]
+
+
+class TestSuiteNorms:
+    def test_norm_matches_linalg_norm(self):
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 3, 8):
+            for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+                for v in scale * rng.normal(size=(500, dim)):
+                    assert _norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("dim, radius", [(2, 2.0), (2, 1.0), (3, 0.5), (8, 3.0)])
+    def test_random_ball_matches_linalg_norm_reference(self, dim, radius):
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            direction = reference.normal(size=dim)
+            direction /= np.linalg.norm(direction)
+            expected = radius * reference.uniform() ** (1.0 / dim) * direction
+            assert _random_ball(ours, dim, radius).tobytes() == expected.tobytes()
 
 
 class TestResetEstimate:
