@@ -1,0 +1,99 @@
+"""Microseconds per call of the float kernels, on samples of the published runs.
+
+    python3 scripts/kernel_us.py [--root CHECKOUT]
+
+Solves the nine published case-study runs (each controller kind from
+``q0 = -1`` and ``q0 = +1`` at ``z = (2, 0)`` and the forced switch from
+``z = (1.8, -1)``, nominal without disturbance, ``t_max = 10``) and keeps
+every run's samples on which the flow map is defined.  On up to 500 of
+them per kind it times the kind's flow map, switching indicator and
+readout, ``gradient_feedback_jacobian`` on the backstep samples and
+``ball_distance`` on the adaptive and backstep samples.
+Each figure is the minimum over repeated sweeps of the time per call.
+``--root`` names the checkout whose ``src/`` to measure (default: the
+one holding this script), so two checkouts can be compared on the same
+host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+KINDS = ("nominal", "adaptive", "backstep")
+MAX_SAMPLES = 500
+REPEATS = 7
+
+
+def _per_call_us(fn, args: list, repeats: int = REPEATS) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for arg in args:
+            fn(*arg)
+        best = min(best, time.perf_counter() - start)
+    return best / len(args) * 1e6
+
+
+def _published_samples(runner, chart_singular, kind: str):
+    """The kind's last built scenario and the samples of its published runs."""
+    starts = [(-1.0, (2.0, 0.0)), (1.0, (2.0, 0.0)), (-1.0, (1.8, -1.0))]
+    states = []
+    for q0, z_init in starts:
+        values = {"controller": kind, "q0": q0, "t_max": 10.0, "z_init": z_init}
+        if kind == "nominal":
+            values["theta"] = (0.0, 0.0)
+        scenario = runner.build_scenario(runner.config_from_sources({}, values))
+        arc, _ = runner.run(runner.config_from_sources({}, values))
+        for _, _, state in arc.iter_samples():
+            try:
+                scenario.system.flow_map(state)
+            except chart_singular:  # a pre-jump sample off its chart
+                continue
+            states.append(state.copy())
+    step = max(1, len(states) // MAX_SAMPLES)
+    return scenario, states[::step][:MAX_SAMPLES]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root", type=Path, default=Path(__file__).resolve().parent.parent
+    )
+    args = parser.parse_args(argv)
+    src = args.root.resolve() / "src"
+    sys.path.insert(0, str(src))
+    import hybridfb
+    from hybridfb import adaptive, obstacle, runner
+    from hybridfb.errors import ChartSingular
+
+    if Path(hybridfb.__file__).resolve().parent != src / "hybridfb":
+        print(f"imported hybridfb from {hybridfb.__file__}, not {src}", file=sys.stderr)
+        return 1
+
+    print(f"{'kernel':<40} {'samples':>7} {'us/call':>8}")
+    for kind in KINDS:
+        scenario, states = _published_samples(runner, ChartSingular, kind)
+        system = scenario.system
+        rows = [
+            ("flow_map", system.flow_map, [(s,) for s in states]),
+            ("indicator", system.flow_indicator, [(s,) for s in states]),
+            ("readout", scenario.readout, [(s,) for s in states]),
+        ]
+        if kind == "backstep":
+            args_jac = [(s[:3].copy(), float(s[3]), scenario.obstacle) for s in states]
+            rows.append(
+                ("gradient_feedback_jacobian", obstacle.gradient_feedback_jacobian, args_jac)
+            )
+        if kind != "nominal":
+            args_ball = [(s[4:6].copy(), scenario.ball) for s in states]
+            rows.append(("ball_distance", adaptive.ball_distance, args_ball))
+        for name, fn, calls in rows:
+            print(f"{kind + '.' + name:<40} {len(calls):>7} {_per_call_us(fn, calls):>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -115,48 +115,40 @@ def _coords(x) -> list:
     return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
-def _tangential(x2: float, x3: float, y1: float, y2: float) -> tuple:
-    """``(I - s s^T) y`` for the circle point ``s = (x2, x3)``."""
-    along = x2 * y1 + x3 * y2
-    return y1 - x2 * along, y2 - x3 * along
-
-
-def _input_entries(x2: float, x3: float, boundary_dist: float, rho: float) -> tuple:
-    """The six entries of :func:`cylinder_input_matrix`, row by row."""
-    cross = -(x2 * x3) / rho
-    return (
-        x2 / boundary_dist, x3 / boundary_dist,
-        (1.0 - x2 * x2) / rho, cross,
-        cross, (1.0 - x3 * x3) / rho,
-    )
-
-
-def _transpose_times(entries: tuple, y1: float, y2: float, y3: float) -> tuple:
-    """``B^T y`` for the input matrix ``B`` given by its entries."""
-    b11, b12, b21, b22, b31, b32 = entries
-    return b11 * y1 + b21 * y2 + b31 * y3, b12 * y1 + b22 * y2 + b32 * y3
-
-
-def _feedback(
-    x2: float, x3: float, boundary_dist: float, rho: float,
-    e1: float, v1: float, v2: float,
+def _flow_terms(
+    x1: float, x2: float, x3: float, q: float, obstacle: ObstacleDisk
 ) -> tuple:
-    """The two floats of :func:`gradient_feedback` from the chart gradient."""
-    t1, t2 = _tangential(x2, x3, v1, v2)
+    """Everything a flow map needs of the geometry, from a point's floats.
+
+    Returns ``(e1, v1, v2, b11, b12, b21, cross, b32, k1, k2)``: the
+    ambient gradient of :func:`chart_potential` (its height error ``e1``
+    followed by its circle components ``v``), the entries of
+    :func:`cylinder_input_matrix` (``cross`` is both ``b22`` and ``b31``)
+    and :func:`gradient_feedback`, each with those functions' operations
+    in their order.  Raises ``ValueError`` for a chart index outside
+    {-1, +1} and :class:`ChartSingular` in the chart's guard band.
+    """
+    target = obstacle.chart_targets.get(q)
+    if target is None:
+        raise ValueError(f"chart index must be -1 or +1, got {q}")
+    denom = 1.0 - q * x3
+    if denom < SINGULAR_GUARD:
+        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
+    e2 = x2 / denom - target[1]
+    e1 = x1 - target[0]
+    v1 = e2 / denom
+    v2 = q * x2 / denom**2 * e2
+    boundary_dist = math.exp(x1)
+    rho = boundary_dist + obstacle.radius
+    b11 = x2 / boundary_dist
+    b12 = x3 / boundary_dist
+    along = x2 * v1 + x3 * v2  # the feedback's (I - s s^T) v
     return (
-        -(x2 / boundary_dist * e1 + t1 / rho),
-        -(x3 / boundary_dist * e1 + t2 / rho),
+        e1, v1, v2, b11, b12, (1.0 - x2 * x2) / rho, -(x2 * x3) / rho,
+        (1.0 - x3 * x3) / rho,
+        -(b11 * e1 + (v1 - x2 * along) / rho),
+        -(b12 * e1 + (v2 - x3 * along) / rho),
     )
-
-
-def _input_sum(entries: tuple, u1: float, u2: float, p1: float, p2: float) -> list:
-    """``B u + B p`` for the input matrix ``B`` given by its entries."""
-    b11, b12, b21, b22, b31, b32 = entries
-    return [
-        b11 * u1 + b12 * u2 + (b11 * p1 + b12 * p2),
-        b21 * u1 + b22 * u2 + (b21 * p1 + b22 * p2),
-        b31 * u1 + b32 * u2 + (b31 * p1 + b32 * p2),
-    ]
 
 
 def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
@@ -171,8 +163,13 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """
     x1, x2, x3 = _coords(x)
     boundary_dist = math.exp(x1)
-    entries = _input_entries(x2, x3, boundary_dist, boundary_dist + obstacle.radius)
-    return np.array(entries).reshape(3, 2)
+    rho = boundary_dist + obstacle.radius
+    cross = -(x2 * x3) / rho
+    return np.array([
+        [x2 / boundary_dist, x3 / boundary_dist],
+        [(1.0 - x2 * x2) / rho, cross],
+        [cross, (1.0 - x3 * x3) / rho],
+    ])
 
 
 def _chart_point(x, q) -> tuple:
@@ -243,10 +240,8 @@ def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
     potential's gradient.  Along the unperturbed closed loop the
     potential's flow derivative is minus the squared norm of this input.
     """
-    _, x1, x2, x3, _, _, e1, v1, v2 = _chart_gradient(x, q, obstacle)
-    boundary_dist = math.exp(x1)
-    rho = boundary_dist + obstacle.radius
-    return np.array(_feedback(x2, x3, boundary_dist, rho, e1, v1, v2))
+    x1, x2, x3 = _coords(x)
+    return np.array(_flow_terms(x1, x2, x3, float(q), obstacle)[-2:])
 
 
 def gradient_feedback_jacobian(
@@ -268,23 +263,24 @@ def gradient_feedback_jacobian(
 
     # Column 1: the height derivative; columns 2-3: the circle
     # derivatives, where d(I - s s^T)/dx2 v = -(2 x2 v1 + x3 v2, x3 v1)
-    # and d(I - s s^T)/dx3 v = -(x2 v2, x2 v1 + 2 x3 v2).
-    pv1, pv2 = _tangential(x2, x3, v1, v2)
-    p21, p22 = _tangential(x2, x3, dv1_dx2, dv2_dx2)
-    p31, p32 = _tangential(x2, x3, dv1_dx3, dv2_dx3)
+    # and d(I - s s^T)/dx3 v = -(x2 v2, x2 v1 + 2 x3 v2).  The ``along``
+    # terms are s^T v and s^T of each derivative of v, for (I - s s^T).
+    along = x2 * v1 + x3 * v2
+    along2 = x2 * dv1_dx2 + x3 * dv2_dx2
+    along3 = x2 * dv1_dx3 + x3 * dv2_dx3
     height = a * (1.0 - e1)
     shrink = boundary_dist / rho**2
-    return -np.array(
+    return np.array(
         [
             [
-                height * x2 - pv1 * shrink,
-                e1 * a + (p21 - (2.0 * x2 * v1 + x3 * v2)) / rho,
-                (p31 - x2 * v2) / rho,
+                -(height * x2 - (v1 - x2 * along) * shrink),
+                -(e1 * a + (dv1_dx2 - x2 * along2 - (2.0 * x2 * v1 + x3 * v2)) / rho),
+                -((dv1_dx3 - x2 * along3 - x2 * v2) / rho),
             ],
             [
-                height * x3 - pv2 * shrink,
-                (p22 - x3 * v1) / rho,
-                e1 * a + (p32 - (x2 * v1 + 2.0 * x3 * v2)) / rho,
+                -(height * x3 - (v2 - x3 * along) * shrink),
+                -((dv2_dx2 - x3 * along2 - x3 * v1) / rho),
+                -(e1 * a + (dv2_dx3 - x3 * along3 - (x2 * v1 + 2.0 * x3 * v2)) / rho),
             ],
         ]
     )
@@ -406,28 +402,34 @@ def _closed_loop_flow(
 
     The vector field that :func:`build_closed_loop` composes from
     ``plant.f`` and the lift's ``controller_flow``, written out for this
-    plant: the chart gradient and the input matrix are evaluated once per
-    call, the disturbance enters through the input matrix (the matched
-    matrix is the identity), and the gains are unpacked to floats here,
-    once.  The tests compare it with the generic composition.
+    plant.  Each call reads the state once (``state.tolist()``) and
+    calls :func:`_flow_terms` once, for the chart error, the chart
+    gradient, the six input-matrix entries and the feedback.  The
+    disturbance enters through the input matrix (the matched matrix is
+    the identity).  Every ``B u`` and ``B^T y`` product is written out on
+    those floats, and so is the projected estimate rate (one closure for
+    both lifts); the gains are unpacked to floats here, once.  The
+    backstep map also calls :func:`gradient_feedback_jacobian`, once per
+    evaluation, through this module's attribute.  No slice of the state
+    is taken but the Jacobian's argument.  The tests compare the outputs
+    with the generic composition, and ``TestKernelBits`` pins their bits:
+    every operation keeps its order and association, since a reassociated
+    sum moves every trajectory.
     """
-    radius = obstacle.radius
     theta1, theta2 = theta.tolist()
-
-    def geometry(state):
-        q, x1, x2, x3, _, _, e1, v1, v2 = _chart_gradient(
-            state[:3], state[3], obstacle
-        )
-        boundary_dist = math.exp(x1)
-        rho = boundary_dist + radius
-        entries = _input_entries(x2, x3, boundary_dist, rho)
-        feedback = _feedback(x2, x3, boundary_dist, rho, e1, v1, v2)
-        return q, (e1, v1, v2), entries, feedback
 
     if kind == "nominal":
         def nominal_flow(state):
-            _, _, entries, (k1, k2) = geometry(state)
-            return np.array([*_input_sum(entries, k1, k2, theta1, theta2), 0.0])
+            x1, x2, x3, q = state.tolist()
+            _, _, _, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
+                x1, x2, x3, q, obstacle
+            )
+            return np.array([
+                b11 * k1 + b12 * k2 + (b11 * theta1 + b12 * theta2),
+                b21 * k1 + cross * k2 + (b21 * theta1 + cross * theta2),
+                cross * k1 + b32 * k2 + (cross * theta1 + b32 * theta2),
+                0.0,
+            ])
 
         return nominal_flow
 
@@ -447,12 +449,23 @@ def _closed_loop_flow(
 
     if kind == "adaptive":
         def adaptive_flow(state):
-            _, grad, entries, (k1, k2) = geometry(state)
-            th1, th2 = state[4:].tolist()
+            x1, x2, x3, q, th1, th2 = state.tolist()
+            e1, v1, v2, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
+                x1, x2, x3, q, obstacle
+            )
+            u1, u2 = k1 - th1, k2 - th2
+            r1, r2 = estimate_rate(
+                b11 * e1 + b21 * v1 + cross * v2,
+                b12 * e1 + cross * v1 + b32 * v2,
+                th1, th2,
+            )
             return np.array([
-                *_input_sum(entries, k1 - th1, k2 - th2, theta1, theta2),
+                b11 * u1 + b12 * u2 + (b11 * theta1 + b12 * theta2),
+                b21 * u1 + cross * u2 + (b21 * theta1 + cross * theta2),
+                cross * u1 + b32 * u2 + (cross * theta1 + b32 * theta2),
                 0.0,
-                *estimate_rate(*_transpose_times(entries, *grad), th1, th2),
+                r1,
+                r2,
             ])
 
         return adaptive_flow
@@ -462,27 +475,33 @@ def _closed_loop_flow(
     damping = float(gains.damping)
 
     def backstep_flow(state):
-        q, (e1, v1, v2), entries, (k1, k2) = geometry(state)
-        th1, th2, u1, u2 = state[4:].tolist()
+        x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
+        e1, v1, v2, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
+            x1, x2, x3, q, obstacle
+        )
         err1, err2 = u1 - (k1 - th1), u2 - (k2 - th2)
         (j11, j12, j13), (j21, j22, j23) = gradient_feedback_jacobian(
             state[:3], q, obstacle
         ).tolist()
         s1, s2 = w11 * err1 + w12 * err2, w21 * err1 + w22 * err2
+        y1 = e1 - (j11 * s1 + j21 * s2)
+        y2 = v1 - (j12 * s1 + j22 * s2)
+        y3 = v2 - (j13 * s1 + j23 * s2)
         r1, r2 = estimate_rate(
-            *_transpose_times(
-                entries,
-                e1 - (j11 * s1 + j21 * s2),
-                v1 - (j12 * s1 + j22 * s2),
-                v2 - (j13 * s1 + j23 * s2),
-            ),
+            b11 * y1 + b21 * y2 + cross * y3,
+            b12 * y1 + cross * y2 + b32 * y3,
             th1, th2,
         )
-        g1, g2 = _transpose_times(entries, e1, v1, v2)
+        g1 = b11 * e1 + b21 * v1 + cross * v2
+        g2 = b12 * e1 + cross * v1 + b32 * v2
         # The plant's rate with the estimate in place of the true parameter.
-        m1, m2, m3 = _input_sum(entries, u1, u2, th1, th2)
+        m1 = b11 * u1 + b12 * u2 + (b11 * th1 + b12 * th2)
+        m2 = b21 * u1 + cross * u2 + (b21 * th1 + cross * th2)
+        m3 = cross * u1 + b32 * u2 + (cross * th1 + b32 * th2)
         return np.array([
-            *_input_sum(entries, u1, u2, theta1, theta2),
+            b11 * u1 + b12 * u2 + (b11 * theta1 + b12 * theta2),
+            b21 * u1 + cross * u2 + (b21 * theta1 + cross * theta2),
+            cross * u1 + b32 * u2 + (cross * theta1 + b32 * theta2),
             0.0,
             r1,
             r2,
@@ -531,16 +550,10 @@ def _closed_loop_scalars(
 
     def chart_feedback(x1, x2, x3, q):
         """:func:`gradient_feedback` at the point's floats; NaN off the chart."""
-        denom = 1.0 - q * x3
-        if denom < SINGULAR_GUARD:
+        try:
+            return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
+        except ChartSingular:
             return math.nan, math.nan
-        c1, c2 = targets[q]
-        e2 = x2 / denom - c2
-        boundary_dist = math.exp(x1)
-        return _feedback(
-            x2, x3, boundary_dist, boundary_dist + radius,
-            x1 - c1, e2 / denom, q * x2 / denom**2 * e2,
-        )
 
     def nominal_gap(state):
         # The two excluded points are antipodal, so one candidate is finite.

@@ -446,6 +446,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _worse(worst: float, value: float) -> float:
+    """``max(worst, value)``, except that a NaN on either side wins.
+
+    ``max`` keeps its first argument when the second is NaN, so a suite
+    folding its error with it would read a NaN result as no error at all;
+    with this fold the NaN reaches the suite's ``worst <= tol`` and fails it.
+    """
+    return value if value > worst or math.isnan(value) else worst
+
+
 def _random_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     direction = rng.normal(size=dim)
     direction /= _norm(direction)
@@ -472,8 +482,8 @@ def projection_inequality_suite(
         slack = float(err @ adaptive_mod.project_rate(eta, theta_hat, ball)) - float(
             err @ eta
         )
-        worst = max(worst, -slack)
-        if slack < -tol:
+        worst = _worse(worst, -slack)
+        if not slack >= -tol:  # a NaN slack is a violation too
             violations += 1
     return SuiteResult(
         name="projection_inequality",
@@ -782,7 +792,7 @@ def reset_estimate_oracle_suite(
             lambda idx: value(idx, m, m_sq), row_first, row_last, len(m)
         )
         for shortfall in best + const[part] - ours[part]:
-            worst = max(worst, float(shortfall))
+            worst = _worse(worst, float(shortfall))
     return SuiteResult(
         name="reset_estimate_oracle",
         passed=worst <= tol,
@@ -823,23 +833,23 @@ def jacobian_suite(seed: int, n: int = 1000, tol: float = 1e-6) -> SuiteResult:
             lambda p: obstacle_mod.to_cylinder(p, obstacle),
             obstacle_mod.from_cylinder(x, obstacle),
         )
-        worst = max(worst, _rel_err(jac, num))
+        worst = _worse(worst, _rel_err(jac, num))
 
         jac = obstacle_mod.chart_jacobian(x, q)
         num = central_difference(lambda p: obstacle_mod.chart(p, q), x)
-        worst = max(worst, _rel_err(jac, num))
+        worst = _worse(worst, _rel_err(jac, num))
 
         jac = obstacle_mod.gradient_feedback_jacobian(x, q, obstacle)
         num = central_difference(
             lambda p: obstacle_mod.gradient_feedback(p, q, obstacle), x
         )
-        worst = max(worst, _rel_err(jac, num))
+        worst = _worse(worst, _rel_err(jac, num))
 
         grad = obstacle_mod.chart_potential_gradient(x, q, obstacle)
         num = central_difference(
             lambda p: obstacle_mod.chart_potential(p, q, obstacle), x
         )
-        worst = max(worst, _rel_err(grad, num))
+        worst = _worse(worst, _rel_err(grad, num))
     return SuiteResult(
         name="jacobian_fd",
         passed=worst <= tol,
@@ -881,7 +891,7 @@ def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResu
                     worst = math.inf
                 continue
             scale = 1.0 + abs(enumerated) + float(nominal.potential(x, np.array([q])))
-            worst = max(worst, abs(closed - enumerated) / scale)
+            worst = _worse(worst, abs(closed - enumerated) / scale)
     return SuiteResult(
         name="gap_identity",
         passed=worst <= tol,

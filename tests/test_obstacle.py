@@ -1,5 +1,6 @@
 """Geometry, chart potentials, nominal controller, scenario factories."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -621,6 +622,69 @@ class TestFlowKernel:
         for flow in (composed, sc.system.flow_map):
             with pytest.raises(ChartSingular):
                 flow(state)
+
+
+def _flow_map_digest(kind, gains):
+    """SHA-256 over the bytes of the flow map at ``TestFlowKernel``'s states."""
+    sc = make_scenario(kind, q0=-1.0, **GAINS[gains])
+    digest = hashlib.sha256()
+    for state in TestFlowKernel._states(sc, np.random.default_rng(11), n=400):
+        digest.update(sc.system.flow_map(state).tobytes())
+    return digest.hexdigest()
+
+
+def _feedback_jacobian_digest(which):
+    """SHA-256 over ``gradient_feedback_jacobian``'s bytes, both charts."""
+    obstacle = REFERENCE_OBSTACLES[which]
+    digest = hashlib.sha256()
+    for x in TestAgainstReferenceFormulas._states(seed=40 + which):
+        for q in (-1.0, 1.0):
+            digest.update(gradient_feedback_jacobian(x, q, obstacle).tobytes())
+    return digest.hexdigest()
+
+
+class TestKernelBits:
+    """The float kernels' outputs pinned to the last bit.
+
+    ``TestFlowKernel`` and ``TestAgainstReferenceFormulas`` compare to a
+    relative 1e-12, which a reassociated sum passes while it moves every
+    trajectory.  The digests were recorded at commit 6787824, from the
+    kernels as they stood before they took their floats from one helper
+    per evaluation, with CPython's float arithmetic and glibc's ``exp`` on
+    x86-64.  A rewrite must keep every operation's order and association
+    to match them; another ``libm`` may round ``exp`` differently, and
+    then the digests must be recorded again from the same code.
+    """
+
+    FLOW_DIGESTS = {
+        ("nominal", "unit"): (
+            "61de893a0f4d55a43bcf300468e90dd96e8ecbef136cb98f5ac5193729851d11"
+        ),
+        ("adaptive", "unit"): (
+            "0b2bc153673b6cc40b57a48fce05b8f3268b4b2d09a9612ae6ed24e568ca9522"
+        ),
+        ("adaptive", "general"): (
+            "100a9b2bc8be4f480d64a2ce02850e7c30acfaa33b36c2f478747cf7942bf2f4"
+        ),
+        ("backstep", "unit"): (
+            "ac0ddc0faee14bc3116a3dbb6adb9d4517de3dab521e286a7c088c0cf0dbf418"
+        ),
+        ("backstep", "general"): (
+            "913629d0b40a314064bf439c5db92c30dd1e46f2c9aa42b2a1f4d1c2406c3474"
+        ),
+    }
+    JACOBIAN_DIGESTS = (
+        "57f5a5848f3684bb9f1c8a364be60accce2e92c93f6b2161e3d311dc81fc8de4",
+        "a46cd28f83d8f016a21ec66727198494d79f12ae3bbc6d5001d1d9b6b420d986",
+    )
+
+    @pytest.mark.parametrize("kind, gains", sorted(FLOW_DIGESTS))
+    def test_flow_map_bits(self, kind, gains):
+        assert _flow_map_digest(kind, gains) == self.FLOW_DIGESTS[kind, gains]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["published", "shifted"])
+    def test_feedback_jacobian_bits(self, which):
+        assert _feedback_jacobian_digest(which) == self.JACOBIAN_DIGESTS[which]
 
 
 class TestClosedLoopScalars:

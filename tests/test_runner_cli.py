@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hybridfb.adaptive as adaptive_mod
+import hybridfb.obstacle as obstacle_mod
 import hybridfb.runner as runner_mod
 from hybridfb import (
     ConfigError,
@@ -445,6 +446,42 @@ class TestPropertySuite:
         monkeypatch.setattr(adaptive_mod, "project_rate", broken)
         result = runner_mod.projection_inequality_suite(seed=0)
         assert not result.passed
+
+    # A planted NaN must fail each suite: a comparison with NaN is false,
+    # so a fold with ``max`` or a ``slack < -tol`` test would pass it.
+    def test_reset_estimate_nan_detected(self, monkeypatch):
+        monkeypatch.setattr(
+            runner_mod, "reset_estimate", lambda theta_hat, ball: np.full(2, math.nan)
+        )
+        result = runner_mod.reset_estimate_oracle_suite(seed=0, n=100)
+        assert not result.passed
+        assert "nan" in result.detail
+
+    def test_projection_nan_detected(self, monkeypatch):
+        monkeypatch.setattr(
+            adaptive_mod, "project_rate",
+            lambda rate, theta_hat, ball: np.full(2, math.nan),
+        )
+        result = runner_mod.projection_inequality_suite(seed=0, n=100)
+        assert not result.passed
+        assert result.detail.startswith("100 violations")
+
+    def test_feedback_jacobian_nan_detected(self, monkeypatch):
+        monkeypatch.setattr(
+            obstacle_mod, "gradient_feedback_jacobian",
+            lambda x, q, obstacle: np.full((2, 3), math.nan),
+        )
+        result = runner_mod.jacobian_suite(seed=0, n=50)
+        assert not result.passed
+        assert "nan" in result.detail
+
+    def test_lift_gap_nan_detected(self, monkeypatch):
+        monkeypatch.setattr(
+            adaptive_mod.BackstepController, "gap", lambda self, x, xi: math.nan
+        )
+        result = runner_mod.gap_identity_suite(seed=0, n=20)
+        assert not result.passed
+        assert "nan" in result.detail
 
     def test_margin_mutation_detected(self):
         from hybridfb import ObstacleDisk, build_nominal_controller
