@@ -6,9 +6,10 @@ Solves the nine published case-study runs (each controller kind from
 ``q0 = -1`` and ``q0 = +1`` at ``z = (2, 0)`` and the forced switch from
 ``z = (1.8, -1)``, nominal without disturbance, ``t_max = 10``) and keeps
 every run's samples on which the flow map is defined.  On up to 500 of
-them per kind it times the kind's flow map, switching indicator and
-readout, ``gradient_feedback_jacobian`` on the backstep samples and
-``ball_distance`` on the adaptive and backstep samples.
+them per kind it times the kind's flow map, switching indicator,
+readout and true potential, ``gradient_feedback_jacobian`` on the
+backstep samples and ``ball_distance`` on the adaptive and backstep
+samples.
 Each figure is the minimum over repeated sweeps of the time per call.
 ``--root`` names the checkout whose ``src/`` to measure (default: the
 one holding this script), so two checkouts can be compared on the same
@@ -81,6 +82,7 @@ def main(argv=None) -> int:
             ("flow_map", system.flow_map, [(s,) for s in states]),
             ("indicator", system.flow_indicator, [(s,) for s in states]),
             ("readout", scenario.readout, [(s,) for s in states]),
+            ("true_potential", scenario.true_potential, [(s,) for s in states]),
         ]
         if kind == "backstep":
             args_jac = [(s[:3].copy(), float(s[3]), scenario.obstacle) for s in states]

@@ -90,6 +90,10 @@ class ParamBall:
             self, "excess_scale", self.eps**2 + 2.0 * self.eps * self.radius
         )
 
+    def error_term(self, theta_err: np.ndarray) -> float:
+        """Half the squared ``gain^{-1}`` norm of the estimation error ``theta_err``."""
+        return 0.5 * float(theta_err @ self.gain_inv @ theta_err)
+
 
 @dataclass(frozen=True)
 class BackstepGains:
@@ -104,6 +108,10 @@ class BackstepGains:
         gain = _check_spd("backstepping gain", self.gain)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "gain_inv", np.linalg.inv(gain))
+
+    def error_term(self, u_err: np.ndarray) -> float:
+        """Half the squared ``gain^{-1}`` norm of the input error ``u_err``."""
+        return 0.5 * float(u_err @ self.gain_inv @ u_err)
 
 
 def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:
@@ -361,13 +369,12 @@ class BackstepController(ControllerData):
         return xi_c2[:n], xi_c2[n:]
 
     def gap(self, x, xi_c2) -> float:
-        """The adaptive gap plus ``0.5 * u_err^T gain^{-1} u_err``."""
+        """The adaptive gap plus the input error's :meth:`BackstepGains.error_term`."""
         xi_c1, u = self.split(xi_c2)
         gap1 = self.adaptive.gap(x, xi_c1)
         if math.isinf(gap1):  # the feedback is singular here
             return math.inf
-        u_err = u - self.adaptive.feedback(x, xi_c1)
-        return gap1 + 0.5 * float(u_err @ self.gains.gain_inv @ u_err)
+        return gap1 + self.gains.error_term(u - self.adaptive.feedback(x, xi_c1))
 
 
 def lift_backstep(
@@ -388,7 +395,7 @@ def lift_backstep(
     Jump candidates pair each adaptive candidate with the input value
     the adaptive feedback would command there, so the input error is
     reset to exactly zero at every jump and the implementable gap gains
-    the term ``0.5 * u_err^T gain^{-1} u_err``.
+    the input error's :meth:`BackstepGains.error_term`.
 
     ``jac`` supplies the x-Jacobian of the adaptive feedback (finite
     differences when omitted).  ``controller_jacobian`` supplies the
@@ -415,8 +422,7 @@ def lift_backstep(
         v1 = float(adaptive.potential(x, xi_c1))
         if math.isinf(v1):
             return math.inf
-        u_err = u - adaptive.feedback(x, xi_c1)
-        return v1 + 0.5 * float(u_err @ gains.gain_inv @ u_err)
+        return v1 + gains.error_term(u - adaptive.feedback(x, xi_c1))
 
     def candidates(x, xi_c2):
         xi_c1, _ = _split(xi_c2)
@@ -480,7 +486,6 @@ def adaptive_true_potential(
     parameter); used only by monitors and tests.
     """
     theta = np.asarray(theta, dtype=float)
-    gain_inv = ctrl.ball.gain_inv
     nominal = ctrl.nominal
 
     def value(x, xi_c1):
@@ -488,8 +493,7 @@ def adaptive_true_potential(
         v0 = float(nominal.potential(x, xi_c))
         if math.isinf(v0):
             return math.inf
-        diff = theta - th
-        return v0 + 0.5 * float(diff @ gain_inv @ diff)
+        return v0 + ctrl.ball.error_term(theta - th)
 
     return value
 
@@ -499,14 +503,12 @@ def backstep_true_potential(
 ) -> Callable[[np.ndarray, np.ndarray], float]:
     """True-parameter Lyapunov function of the backstepping closed loop."""
     inner = adaptive_true_potential(ctrl.adaptive, theta)
-    gain_inv = ctrl.gains.gain_inv
 
     def value(x, xi_c2):
         xi_c1, u = ctrl.split(xi_c2)
         v1 = inner(x, xi_c1)
         if math.isinf(v1):
             return math.inf
-        u_err = u - ctrl.adaptive.feedback(x, xi_c1)
-        return v1 + 0.5 * float(u_err @ gain_inv @ u_err)
+        return v1 + ctrl.gains.error_term(u - ctrl.adaptive.feedback(x, xi_c1))
 
     return value

@@ -1,7 +1,8 @@
 """Command-line scenario runner.
 
 Exit codes: 0 success, 2 monitor violation (with ``--strict``) or
-verification-suite failure, 3 solver error, 4 configuration error.
+verification-suite failure, 3 solver error, 4 configuration error or an
+output (``--out``, ``--summary``) that cannot be written.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
 
 
 def _run_single(config) -> int:
-    arc, summary = run(config)
-    del arc
+    try:
+        _, summary = run(config)
+    except OSError as exc:  # an output that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for line in summary.lines():
         print(line)
     violations = summary.flow_violations + summary.jump_violations
@@ -106,6 +110,8 @@ def run_config_file(path: str) -> tuple[str, int, str]:
         return path, EXIT_CONFIG, str(exc)
     except HybridFeedbackError as exc:
         return path, EXIT_SOLVER, str(exc)
+    except OSError as exc:  # an output that cannot be written
+        return path, EXIT_CONFIG, str(exc)
     violations = summary.flow_violations + summary.jump_violations
     if violations and config.strict:
         return path, EXIT_MONITOR, f"{violations} monitor violation(s)"
@@ -144,15 +150,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.property_suite:
-            report = property_suite(args.seed or 0, thorough=args.thorough)
-            for line in report.lines():
-                print(line)
-            return EXIT_OK if report.passed else EXIT_MONITOR
-        if args.batch:
+        if args.batch and not args.property_suite:
             return _run_batch(args.batch)
         file_values = read_config_file(args.config) if args.config else {}
         config = config_from_sources(file_values, _cli_overrides(args))
+        if args.property_suite:
+            report = property_suite(config.seed, thorough=args.thorough)
+            for line in report.lines():
+                print(line)
+            return EXIT_OK if report.passed else EXIT_MONITOR
         return _run_single(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

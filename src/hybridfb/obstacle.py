@@ -115,6 +115,37 @@ def _coords(x) -> list:
     return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
+def _chart_error(
+    x1: float, x2: float, x3: float, q: float, obstacle: ObstacleDisk
+) -> tuple:
+    """Chart ``q``'s denominator and error at a point's floats.
+
+    Returns ``(denom, e1, e2)``: ``1 - q * x3`` and the errors of the
+    height and of the second chart coordinate from the chart's target,
+    the quantities every chart potential, gradient and feedback is built
+    from.  Raises ``ValueError`` for a chart index outside {-1, +1} and
+    :class:`ChartSingular` in the chart's guard band.
+    """
+    target = obstacle.chart_targets.get(q)
+    if target is None:
+        raise ValueError(f"chart index must be -1 or +1, got {q}")
+    denom = 1.0 - q * x3
+    if denom < SINGULAR_GUARD:
+        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
+    return denom, x1 - target[0], x2 / denom - target[1]
+
+
+def _chart_value(
+    x1: float, x2: float, x3: float, q: float, obstacle: ObstacleDisk
+) -> float:
+    """:func:`chart_potential` at a point's floats; +inf in the guard band."""
+    try:
+        _, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
+    except ChartSingular:
+        return math.inf
+    return 0.5 * (e1 * e1 + e2 * e2)
+
+
 def _flow_terms(
     x1: float, x2: float, x3: float, q: float, obstacle: ObstacleDisk
 ) -> tuple:
@@ -125,17 +156,9 @@ def _flow_terms(
     followed by its circle components ``v``), the entries of
     :func:`cylinder_input_matrix` (``cross`` is both ``b22`` and ``b31``)
     and :func:`gradient_feedback`, each with those functions' operations
-    in their order.  Raises ``ValueError`` for a chart index outside
-    {-1, +1} and :class:`ChartSingular` in the chart's guard band.
+    in their order.  Raises as :func:`_chart_error` does.
     """
-    target = obstacle.chart_targets.get(q)
-    if target is None:
-        raise ValueError(f"chart index must be -1 or +1, got {q}")
-    denom = 1.0 - q * x3
-    if denom < SINGULAR_GUARD:
-        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
-    e2 = x2 / denom - target[1]
-    e1 = x1 - target[0]
+    denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1 = e2 / denom
     v2 = q * x2 / denom**2 * e2
     boundary_dist = math.exp(x1)
@@ -182,20 +205,6 @@ def _chart_point(x, q) -> tuple:
     return q, x1, x2, x3, denom
 
 
-def _chart_gradient(x, q, obstacle: ObstacleDisk) -> tuple:
-    """Chart index, point floats, denominator, chart error and gradient.
-
-    Returns ``(q, x1, x2, x3, denom, e2, e1, v1, v2)``: ``e2`` is the
-    error of the second chart coordinate, and the last three are the
-    ambient gradient of :func:`chart_potential`, its height error ``e1``
-    followed by its circle components ``v``.
-    """
-    q, x1, x2, x3, denom = _chart_point(x, q)
-    c1, c2 = obstacle.chart_targets[q]
-    e2 = x2 / denom - c2
-    return q, x1, x2, x3, denom, e2, x1 - c1, e2 / denom, q * x2 / denom**2 * e2
-
-
 def chart(x: np.ndarray, q) -> np.ndarray:
     """Stereographic chart of the cylinder, indexed by ``q`` in {-1, +1}.
 
@@ -219,18 +228,16 @@ def chart_jacobian(x: np.ndarray, q) -> np.ndarray:
 
 def chart_potential(x: np.ndarray, q, obstacle: ObstacleDisk) -> float:
     """Quadratic chart potential; +inf off the chart's domain."""
-    try:
-        e2, e1 = _chart_gradient(x, q, obstacle)[5:7]
-    except ChartSingular:
-        return math.inf
-    return 0.5 * (e1 * e1 + e2 * e2)
+    x1, x2, x3 = _coords(x)
+    return _chart_value(x1, x2, x3, float(q), obstacle)
 
 
 def chart_potential_gradient(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
     """Ambient gradient (3,) of :func:`chart_potential` on the chart domain."""
-    return np.array(_chart_gradient(x, q, obstacle)[-3:])
+    x1, x2, x3 = _coords(x)
+    return np.array(_flow_terms(x1, x2, x3, float(q), obstacle)[:3])
 
 
 def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
@@ -248,7 +255,10 @@ def gradient_feedback_jacobian(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
     """Analytic ambient Jacobian (2 x 3) of :func:`gradient_feedback`."""
-    q, x1, x2, x3, denom, e2, e1, v1, v2 = _chart_gradient(x, q, obstacle)
+    x1, x2, x3 = _coords(x)
+    q = float(q)
+    denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
+    v1, v2 = e2 / denom, q * x2 / denom**2 * e2  # the potential's gradient
     a = math.exp(-x1)
     boundary_dist = math.exp(x1)
     rho = boundary_dist + obstacle.radius
@@ -391,32 +401,92 @@ def renormalize_circle(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_loop_flow(
+def _closed_loop_kernels(
     kind: str,
     obstacle: ObstacleDisk,
     theta: np.ndarray,
     ball: Optional[ParamBall] = None,
     gains: Optional[BackstepGains] = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The closed-loop flow map of one controller kind, on floats.
+) -> tuple[Callable, Callable, Callable, Callable]:
+    """The flow map, switching gap, true potential and readout of one kind.
 
-    The vector field that :func:`build_closed_loop` composes from
-    ``plant.f`` and the lift's ``controller_flow``, written out for this
-    plant.  Each call reads the state once (``state.tolist()``) and
-    calls :func:`_flow_terms` once, for the chart error, the chart
-    gradient, the six input-matrix entries and the feedback.  The
-    disturbance enters through the input matrix (the matched matrix is
-    the identity).  Every ``B u`` and ``B^T y`` product is written out on
-    those floats, and so is the projected estimate rate (one closure for
-    both lifts); the gains are unpacked to floats here, once.  The
-    backstep map also calls :func:`gradient_feedback_jacobian`, once per
-    evaluation, through this module's attribute.  No slice of the state
-    is taken but the Jacobian's argument.  The tests compare the outputs
-    with the generic composition, and ``TestKernelBits`` pins their bits:
-    every operation keeps its order and association, since a reassociated
-    sum moves every trajectory.
+    Returns ``(flow_map, gap, true_potential, readout)``, functions of the
+    closed-loop state written out on floats for this plant: the vector
+    field that :func:`build_closed_loop` composes from ``plant.f`` and the
+    lift's ``controller_flow``, the controller's
+    :meth:`~hybridfb.synergistic.ControllerData.gap`, the true-parameter
+    Lyapunov value (:func:`chart_potential`,
+    :func:`~hybridfb.adaptive.adaptive_true_potential` or
+    :func:`~hybridfb.adaptive.backstep_true_potential`) and
+    :attr:`Scenario.readout`.  Every chart error comes from
+    :func:`_chart_error`.  A flow map reads the state once and makes one
+    :func:`_flow_terms` call; the ``B u`` and ``B^T y`` products and the
+    projected estimate rate are written out on those floats (the matched
+    matrix is the identity, so the disturbance enters through the input
+    matrix).  The backstep map also calls
+    :func:`gradient_feedback_jacobian`, through this module's attribute.
+    The scalars take the gap's estimate term from
+    :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms from
+    the gains' ``error_term``, as the controllers do, and equal their
+    values bit for bit (the tests compare with ``==``).  ``TestKernelBits``
+    pins the flow maps' bytes: every operation keeps its order and
+    association, since a reassociated sum moves every trajectory.
     """
     theta1, theta2 = theta.tolist()
+    radius = obstacle.radius
+    center1, center2 = obstacle.center.tolist()
+
+    def chart_feedback(x1, x2, x3, q):
+        """:func:`gradient_feedback` at the point's floats; NaN off the chart."""
+        try:
+            return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
+        except ChartSingular:
+            return math.nan, math.nan
+
+    def nominal_gap(state):
+        # The two excluded points are antipodal, so one candidate is finite.
+        x1, x2, x3, q = state.tolist()[:4]
+        low = _chart_value(x1, x2, x3, -1.0, obstacle)
+        high = _chart_value(x1, x2, x3, 1.0, obstacle)
+        here = high if _check_chart_index(q) > 0.0 else low
+        if math.isinf(here):
+            return math.inf
+        return here - min(low, high)
+
+    def nominal_potential(state):
+        x1, x2, x3, q = state.tolist()[:4]
+        return _chart_value(x1, x2, x3, q, obstacle)
+
+    def plus_term(inner, term):
+        """``inner`` plus a lift's ``term``; +inf, unread, where ``inner`` is."""
+        def value(state):
+            v = inner(state)
+            return math.inf if math.isinf(v) else v + term(state)
+
+        return value
+
+    def readout_of(scalars):
+        """The readout, given the kind's ``(true_potential, gap)`` function."""
+        def readout(state):
+            values = state.tolist()
+            x1, x2, x3, q = values[:4]
+            v_true, gap_value = scalars(state)
+            if kind == "backstep":
+                controls = values[4:8]  # the held input is the applied one
+            else:
+                # The feedback minus the matched matrix (the identity) times
+                # the estimate: that product turns an estimate of -0.0 into
+                # +0.0, and so does the ``+ 0.0``.
+                th1, th2 = values[4:6] if kind == "adaptive" else (0.0, 0.0)
+                k1, k2 = chart_feedback(x1, x2, x3, q)
+                controls = th1, th2, k1 - (th1 + 0.0), k2 - (th2 + 0.0)
+            rho = math.exp(x1) + radius  # from_cylinder's operations
+            return (
+                center1 + rho * x2, center2 + rho * x3, *values[:4],
+                *controls, v_true, gap_value,
+            )
+
+        return readout
 
     if kind == "nominal":
         def nominal_flow(state):
@@ -431,7 +501,9 @@ def _closed_loop_flow(
                 0.0,
             ])
 
-        return nominal_flow
+        return nominal_flow, nominal_gap, nominal_potential, readout_of(
+            lambda state: (nominal_potential(state), nominal_gap(state))
+        )
 
     (a11, a12), (a21, a22) = ball.gain.tolist()
     radius_sq, excess_scale = ball.radius**2, ball.excess_scale
@@ -446,6 +518,13 @@ def _closed_loop_flow(
                 shrink = excess * outward / (n1 * n1 + n2 * n2)
                 d1, d2 = d1 - shrink * n1, d2 - shrink * n2
         return a11 * d1 + a12 * d2, a21 * d1 + a22 * d2
+
+    adaptive_gap = plus_term(
+        nominal_gap, lambda state: 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
+    )
+    adaptive_potential = plus_term(
+        nominal_potential, lambda state: ball.error_term(theta - state[4:6])
+    )
 
     if kind == "adaptive":
         def adaptive_flow(state):
@@ -468,7 +547,9 @@ def _closed_loop_flow(
                 r2,
             ])
 
-        return adaptive_flow
+        return adaptive_flow, adaptive_gap, adaptive_potential, readout_of(
+            lambda state: (adaptive_potential(state), adaptive_gap(state))
+        )
 
     (c11, c12), (c21, c22) = gains.gain.tolist()
     (w11, w12), (w21, w22) = gains.gain_inv.tolist()
@@ -509,133 +590,14 @@ def _closed_loop_flow(
             -r2 - damping * err2 - (c21 * g1 + c22 * g2) + (j21 * m1 + j22 * m2 + j23 * m3),
         ])
 
-    return backstep_flow
-
-
-def _closed_loop_scalars(
-    kind: str,
-    obstacle: ObstacleDisk,
-    theta: np.ndarray,
-    ball: Optional[ParamBall] = None,
-    gains: Optional[BackstepGains] = None,
-) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], float], Callable]:
-    """The switching gap, the true potential and the readout of one kind, on floats.
-
-    Returns ``(gap, true_potential, readout)``, all of the closed-loop
-    state: the controller's
-    :meth:`~hybridfb.synergistic.ControllerData.gap`, the true-parameter
-    Lyapunov value (:func:`chart_potential`,
-    :func:`~hybridfb.adaptive.adaptive_true_potential` or
-    :func:`~hybridfb.adaptive.backstep_true_potential`) and
-    :attr:`Scenario.readout`, written out for this plant.  Both chart
-    potentials come from the state's three floats with
-    :func:`chart_potential`'s operations; the estimate term is
-    :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms stay
-    numpy products, so every value equals the controllers' (and the
-    ``Scenario`` methods') bit for bit.  The tests compare them with ``==``.
-    """
-    targets = obstacle.chart_targets
-    radius = obstacle.radius
-    center1, center2 = obstacle.center.tolist()
-
-    def chart_value(x1, x2, x3, q):
-        """:func:`chart_potential` of chart ``q`` at the point's floats."""
-        denom = 1.0 - q * x3
-        if denom < SINGULAR_GUARD:
-            return math.inf
-        c1, c2 = targets[q]
-        e2 = x2 / denom - c2
-        e1 = x1 - c1
-        return 0.5 * (e1 * e1 + e2 * e2)
-
-    def chart_feedback(x1, x2, x3, q):
-        """:func:`gradient_feedback` at the point's floats; NaN off the chart."""
-        try:
-            return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
-        except ChartSingular:
-            return math.nan, math.nan
-
-    def nominal_gap(state):
-        # The two excluded points are antipodal, so one candidate is finite.
-        x1, x2, x3, q = state.tolist()[:4]
-        low, high = chart_value(x1, x2, x3, -1.0), chart_value(x1, x2, x3, 1.0)
-        here = high if _check_chart_index(q) > 0.0 else low
-        if math.isinf(here):
-            return math.inf
-        return here - min(low, high)
-
-    def nominal_potential(state):
-        x1, x2, x3, q = state.tolist()[:4]
-        return chart_value(x1, x2, x3, _check_chart_index(q))
-
-    def readout_of(scalars):
-        """The readout, given the kind's ``(true_potential, gap)`` function."""
-        def readout(state):
-            values = state.tolist()
-            x1, x2, x3, q = values[:4]
-            v_true, gap_value = scalars(state)
-            if kind == "backstep":
-                controls = values[4:8]  # the held input is the applied one
-            else:
-                # The feedback minus the matched matrix (the identity) times
-                # the estimate: that product turns an estimate of -0.0 into
-                # +0.0, and so does the ``+ 0.0``.
-                th1, th2 = values[4:6] if kind == "adaptive" else (0.0, 0.0)
-                k1, k2 = chart_feedback(x1, x2, x3, q)
-                controls = th1, th2, k1 - (th1 + 0.0), k2 - (th2 + 0.0)
-            rho = math.exp(x1) + radius  # from_cylinder's operations
-            return (
-                center1 + rho * x2, center2 + rho * x3, *values[:4],
-                *controls, v_true, gap_value,
-            )
-
-        return readout
-
-    if kind == "nominal":
-        return nominal_gap, nominal_potential, readout_of(
-            lambda state: (nominal_potential(state), nominal_gap(state))
-        )
-
-    def adaptive_gap(state):
-        gap0 = nominal_gap(state)
-        if math.isinf(gap0):
-            return math.inf
-        return gap0 + 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
-
-    estimate_gain_inv = ball.gain_inv
-
-    def adaptive_potential(state):
-        v0 = nominal_potential(state)
-        if math.isinf(v0):
-            return math.inf
-        diff = theta - state[4:6]
-        return v0 + 0.5 * float(diff @ estimate_gain_inv @ diff)
-
-    if kind == "adaptive":
-        return adaptive_gap, adaptive_potential, readout_of(
-            lambda state: (adaptive_potential(state), adaptive_gap(state))
-        )
-
-    input_gain_inv = gains.gain_inv
-
     def input_error_term(state):
         """Half the input error's squared metric norm; the chart is nonsingular."""
         x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
         k1, k2 = chart_feedback(x1, x2, x3, q)
-        u_err = np.array([u1 - (k1 - th1), u2 - (k2 - th2)])
-        return 0.5 * float(u_err @ input_gain_inv @ u_err)
+        return gains.error_term(np.array([u1 - (k1 - th1), u2 - (k2 - th2)]))
 
-    def backstep_gap(state):
-        gap1 = adaptive_gap(state)
-        if math.isinf(gap1):  # the feedback is singular here
-            return math.inf
-        return gap1 + input_error_term(state)
-
-    def backstep_potential(state):
-        v1 = adaptive_potential(state)
-        if math.isinf(v1):
-            return math.inf
-        return v1 + input_error_term(state)
+    backstep_gap = plus_term(adaptive_gap, input_error_term)
+    backstep_potential = plus_term(adaptive_potential, input_error_term)
 
     def backstep_scalars(state):
         # Both add the same input-error term, evaluated here once.
@@ -645,7 +607,9 @@ def _closed_loop_scalars(
         term = input_error_term(state)
         return v1 + term, gap1 + term
 
-    return backstep_gap, backstep_potential, readout_of(backstep_scalars)
+    return backstep_flow, backstep_gap, backstep_potential, readout_of(
+        backstep_scalars
+    )
 
 
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
@@ -660,8 +624,9 @@ class Scenario:
     held input (2).  ``true_potential(state)`` is the Lyapunov value at
     the true parameter (the monitors' and the CSV's), and
     ``switching_gap(state)`` the implementable synergy gap that drives
-    the switching logic (the CSV's ``gap_robust``); :func:`make_scenario`
-    builds both once, on floats, and hands the same gap to the indicator.
+    the switching logic (the CSV's ``gap_robust``).  :func:`make_scenario`
+    writes both on floats, with the flow map and the readout, in one
+    kernel builder per kind, and hands the same gap to the indicator.
     ``readout(state)`` is one sample's outputs ``(z1, z2, x1, x2, x3, q,
     that1, that2, u1, u2, V_true, gap)``: :meth:`planar`, the state,
     :meth:`estimate`, :meth:`applied_input`, ``true_potential`` and
@@ -739,11 +704,10 @@ def make_scenario(
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential and the readout written
-    out on floats for ``kind`` (``_closed_loop_flow`` and
-    ``_closed_loop_scalars``) and built once here.  The indicator (gap
-    minus margin) uses the gap, and the runner's outputs (monitors,
-    clearance, CSV) the readout; the margin and the jump map use the
-    controllers.
+    out on floats for ``kind`` by one ``_closed_loop_kernels`` call.  The
+    indicator (gap minus margin) uses the gap, and the runner's outputs
+    (monitors, clearance, CSV) the readout; the margin and the jump map
+    use the controllers.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -814,7 +778,7 @@ def make_scenario(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
-    gap, true_potential, readout = _closed_loop_scalars(
+    flow_map, gap, true_potential, readout = _closed_loop_kernels(
         kind, obstacle, theta, ball, gains
     )
     system = build_closed_loop(
@@ -822,7 +786,7 @@ def make_scenario(
         theta,
         controller,
         project_state=renormalize_circle,
-        flow_map=_closed_loop_flow(kind, obstacle, theta, ball, gains),
+        flow_map=flow_map,
         gap=gap,
     )
     return Scenario(

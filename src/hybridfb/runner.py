@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -40,17 +40,6 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 # with 17 significant digits.
 CSV_ROW = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(CSV_COLUMNS) - 2)) + "\n"
 
-SUMMARY_KEYS = (
-    "final_time",
-    "jump_count",
-    "final_dist_origin",
-    "final_estimation_error",
-    "min_obstacle_clearance",
-    "flow_violations",
-    "jump_violations",
-    "wall_clock_seconds",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -59,7 +48,8 @@ class ScenarioConfig:
     ``seed`` only affects the randomized verification suites; the
     simulation itself is deterministic.  Every float and two-component
     field must be finite, and the monitor tolerances ``flow_tol`` and
-    ``jump_tol`` nonnegative.
+    ``jump_tol`` and the seed nonnegative.  The declared field types give
+    the configuration file's value parsers.
     """
 
     scenario: str = "obstacle"
@@ -103,7 +93,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if parser in (float, _parse_vec2) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name in ("flow_tol", "jump_tol"):
+        for name in ("flow_tol", "jump_tol", "seed"):
             value = getattr(self, name)
             if value < 0.0:
                 raise ConfigError(f"{name} must be nonnegative, got {value}")
@@ -135,34 +125,17 @@ def _parse_vec2(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]))
 
 
+# Value parser of each configuration key, by its declared field type.
+_TYPE_PARSERS = {
+    "str": str,
+    "Optional[str]": str,
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple": _parse_vec2,
+}
 _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "scenario": str,
-    "controller": str,
-    "q0": float,
-    "theta": _parse_vec2,
-    "theta_hat0": _parse_vec2,
-    "u0_policy": str,
-    "z_init": _parse_vec2,
-    "obstacle_center": _parse_vec2,
-    "obstacle_radius": float,
-    "theta_bound": float,
-    "eps": float,
-    "gamma1": float,
-    "gamma2": float,
-    "damping": float,
-    "delta": float,
-    "t_max": float,
-    "j_max": int,
-    "abs_tol": float,
-    "rel_tol": float,
-    "event_tol": float,
-    "max_step": float,
-    "flow_tol": float,
-    "jump_tol": float,
-    "out": str,
-    "summary": str,
-    "strict": _parse_bool,
-    "seed": int,
+    field.name: _TYPE_PARSERS[field.type] for field in fields(ScenarioConfig)
 }
 
 
@@ -243,7 +216,8 @@ class RunSummary:
     the checks (domain validation, obstacle clearance), including the one
     pass over the arc they read.  It excludes building the scenario and
     writing the CSV and the summary.  It is the one field that is not
-    deterministic.
+    deterministic.  :meth:`lines` writes the fields in order, each float
+    with 17 significant digits.
     """
 
     final_time: float
@@ -257,15 +231,12 @@ class RunSummary:
 
     def lines(self) -> list[str]:
         return [
-            f"final_time = {self.final_time:.17g}",
-            f"jump_count = {self.jump_count}",
-            f"final_dist_origin = {self.final_dist_origin:.17g}",
-            f"final_estimation_error = {self.final_estimation_error:.17g}",
-            f"min_obstacle_clearance = {self.min_obstacle_clearance:.17g}",
-            f"flow_violations = {self.flow_violations}",
-            f"jump_violations = {self.jump_violations}",
-            f"wall_clock_seconds = {self.wall_clock_seconds:.17g}",
+            f"{f.name} = {getattr(self, f.name):{'.17g' if f.type == 'float' else ''}}"
+            for f in fields(self)
         ]
+
+
+SUMMARY_KEYS = tuple(f.name for f in fields(RunSummary))
 
 
 def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:

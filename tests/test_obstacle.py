@@ -279,6 +279,40 @@ class TestGradientFeedback:
 
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan])
+class TestChartIndexValidated:
+    """A chart index outside {-1, +1} raises wherever a chart is read."""
+
+    X = np.array([0.3, 0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x, q: chart(x, q),
+            lambda x, q: chart_jacobian(x, q),
+            lambda x, q: chart_potential(x, q, OBS),
+            lambda x, q: chart_potential_gradient(x, q, OBS),
+            lambda x, q: gradient_feedback(x, q, OBS),
+            lambda x, q: gradient_feedback_jacobian(x, q, OBS),
+        ],
+        ids=[
+            "chart", "chart_jacobian", "chart_potential", "chart_potential_gradient",
+            "gradient_feedback", "gradient_feedback_jacobian",
+        ],
+    )
+    def test_geometry(self, q, fn):
+        with pytest.raises(ValueError, match="chart index"):
+            fn(self.X, q)
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_flow_map(self, q, kind):
+        sc = make_scenario(kind, q0=-1.0)
+        state = sc.x0.copy()
+        state[3] = q
+        with pytest.raises(ValueError, match="chart index"):
+            sc.system.flow_map(state)
+
+
 # The numpy expressions of the geometry before its rewrite in scalar
 # math, kept verbatim as the reference the rewrite must reproduce.
 def _ref_cylinder_input_matrix(x, obstacle):

@@ -154,6 +154,23 @@ class TestRun:
         assert parsed["jump_count"] == summary.jump_count
         assert parsed["final_dist_origin"] == summary.final_dist_origin
 
+    def test_summary_lines_format(self):
+        summary = runner_mod.RunSummary(
+            final_time=10.0, jump_count=3, final_dist_origin=0.1,
+            final_estimation_error=math.inf, min_obstacle_clearance=1.0 / 3.0,
+            flow_violations=0, jump_violations=12, wall_clock_seconds=0.25,
+        )
+        assert summary.lines() == [
+            "final_time = 10",
+            "jump_count = 3",
+            "final_dist_origin = 0.10000000000000001",
+            "final_estimation_error = inf",
+            "min_obstacle_clearance = 0.33333333333333331",
+            "flow_violations = 0",
+            "jump_violations = 12",
+            "wall_clock_seconds = 0.25",
+        ]
+
     def test_summary_recomputable_from_csv(self, tmp_path):
         out = tmp_path / "arc.csv"
         cfg = ScenarioConfig(
@@ -650,6 +667,56 @@ class TestCli:
         assert main(["--property-suite", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize(
+        "file_seed, flags, expected",
+        [(7, [], 7), (7, ["--seed", "9"], 9), (None, [], 0)],
+        ids=["config_file", "flag_overrides_file", "default"],
+    )
+    def test_property_suite_seed_from_sources(
+        self, tmp_path, monkeypatch, capsys, file_seed, flags, expected
+    ):
+        seeds = []
+
+        def suite(seed, thorough=False):
+            seeds.append(seed)
+            return runner_mod.PropertyReport(seed=seed, results=())
+
+        monkeypatch.setattr("hybridfb.cli.property_suite", suite)
+        path = tmp_path / "suite.cfg"
+        path.write_text("" if file_seed is None else f"seed = {file_seed}\n")
+        assert main(["--property-suite", "--config", str(path), *flags]) == 0
+        assert seeds == [expected]
+        assert capsys.readouterr().out.startswith(f"property suite (seed {expected})")
+
+    @pytest.mark.parametrize("source", ["flag", "config_file"])
+    def test_negative_seed_exit_four(self, tmp_path, capsys, source):
+        path = tmp_path / "suite.cfg"
+        path.write_text("seed = -1\n" if source == "config_file" else "")
+        flags = ["--seed", "-1"] if source == "flag" else []
+        assert main(["--property-suite", "--config", str(path), *flags]) == 4
+        err = capsys.readouterr().err
+        assert err == "configuration error: seed must be nonnegative, got -1\n"
+        with pytest.raises(ConfigError, match="seed"):
+            ScenarioConfig(seed=-1)
+
+    @pytest.mark.parametrize("key", ["out", "summary"])
+    def test_unwritable_output_exit_four(self, tmp_path, capsys, key):
+        bad_path = tmp_path / "missing_dir" / "output"
+        code = main(["--controller", "nominal", "--t-max", "0.1", f"--{key}", str(bad_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(bad_path) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["out", "summary"])
+    def test_batch_worker_unwritable_output_exit_four(self, tmp_path, key):
+        bad_path = tmp_path / "missing_dir" / "output"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"controller = nominal\nt_max = 0.1\n{key} = {bad_path}\n")
+        worker_path, code, message = run_config_file(str(path))
+        assert (worker_path, code) == (str(path), 4)
+        assert str(bad_path) in message
 
     def test_batch_runs_all_files(self, tmp_path, capsys):
         for k, q0 in enumerate((-1, 1)):
