@@ -339,16 +339,13 @@ def lift_adaptive(
             ]
         )
 
-    def margin(x, xi_c1):
-        return nominal.margin(x, xi_c1[:n_nom])
-
     return AdaptiveController(
         n_state=n_nom + ball.gain.shape[0],
         feedback=feedback,
         potential=potential,
         candidates=candidates,
         controller_flow=controller_flow,
-        margin=margin,
+        margin=nominal.margin,
         nominal=nominal,
         plant=plant,
         ball=ball,
@@ -461,16 +458,13 @@ def lift_backstep(
             )
         return np.concatenate([f_c, estimate_rate, input_rate])
 
-    def margin(x, xi_c2):
-        return adaptive.margin(x, xi_c2[:n1])
-
     return BackstepController(
         n_state=n1 + plant.n_u,
         feedback=feedback,
         potential=potential,
         candidates=candidates,
         controller_flow=controller_flow,
-        margin=margin,
+        margin=adaptive.margin,
         adaptive=adaptive,
         gains=gains,
         feedback_jacobian=jac,

@@ -64,7 +64,8 @@ def _build_parser() -> _Parser:
         "--batch",
         nargs="+",
         metavar="CONFIG",
-        help="run these config files as independent parallel scenarios",
+        help="run these config files as independent parallel scenarios "
+        "(no other flag)",
     )
     parser.add_argument(
         "--property-suite",
@@ -150,7 +151,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.batch and not args.property_suite:
+        if args.batch:
+            ignored = [
+                "--" + name.replace("_", "-")
+                for name, value in vars(args).items()
+                if name != "batch" and value != parser.get_default(name)
+            ]
+            if ignored:
+                raise ConfigError(
+                    "--batch runs each file as written and takes no other "
+                    "flag; got " + ", ".join(ignored)
+                )
             return _run_batch(args.batch)
         file_values = read_config_file(args.config) if args.config else {}
         config = config_from_sources(file_values, _cli_overrides(args))

@@ -321,46 +321,18 @@ def make_affine_plant(obstacle: ObstacleDisk) -> AffinePlant:
     )
 
 
-# Cylinder points used to spot-check state-dependent controller data at
-# construction time (margin positivity, matched factorization).
-def _probe_states(obstacle: ObstacleDisk) -> list:
-    probes = [obstacle.target]
-    for height in (-1.0, 0.0, 1.0):
-        for s in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
-            probes.append(np.array([height, s[0], s[1]]))
-    return probes
-
-
 def build_nominal_controller(
     obstacle: ObstacleDisk,
-    margin: Union[float, Callable] = 1.0,
+    margin: float = 1.0,
 ) -> ControllerData:
     """Nominal synergistic controller for the obstacle world.
 
     Controller state is the chart index ``q`` (a length-1 vector held
     constant along flows); reset candidates are listed as (-1, +1); the
     potential is the chart potential and the feedback its pulled-back
-    gradient descent.  ``margin`` may be a positive constant or a
-    state-dependent function ``(x, xi_c) -> float``; positivity is
-    spot-checked at construction.
+    gradient descent.  ``margin`` is the constant hysteresis margin,
+    checked positive and finite by :class:`ControllerData`.
     """
-    if callable(margin):
-        margin_fn = margin
-    else:
-        margin_value = float(margin)
-
-        def margin_fn(x, xi_c):
-            return margin_value
-
-    for probe in _probe_states(obstacle):
-        for q in CHART_INDICES:
-            value = float(margin_fn(probe, np.array([q])))
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"hysteresis margin must be positive and finite; got "
-                    f"{value} at a probe state"
-                )
-
     cands = [np.array([-1.0]), np.array([1.0])]
 
     def feedback(x, xi_c):
@@ -381,7 +353,7 @@ def build_nominal_controller(
         potential=potential,
         candidates=candidates,
         controller_flow=controller_flow,
-        margin=margin_fn,
+        margin=margin,
     )
 
 
@@ -672,7 +644,8 @@ class Scenario:
             return np.full(2, math.nan)
 
     def margin_at(self, state: np.ndarray) -> float:
-        return float(self.controller.margin(state[:3], state[3:]))
+        """The hysteresis margin, a constant, in the form the monitors take."""
+        return self.controller.margin
 
 
 def make_scenario(
@@ -684,7 +657,7 @@ def make_scenario(
     theta_hat0: Optional[np.ndarray] = None,
     u0: Union[str, np.ndarray] = "feedback",
     z_init=(2.0, 0.0),
-    margin: Union[float, Callable] = 1.0,
+    margin: float = 1.0,
     theta_bound: float = 1.0,
     eps: float = 1.0,
     gamma1: Optional[np.ndarray] = None,
@@ -705,9 +678,9 @@ def make_scenario(
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential and the readout written
     out on floats for ``kind`` by one ``_closed_loop_kernels`` call.  The
-    indicator (gap minus margin) uses the gap, and the runner's outputs
-    (monitors, clearance, CSV) the readout; the margin and the jump map
-    use the controllers.
+    indicator (gap minus the constant ``margin``) uses the gap, and the
+    runner's outputs (monitors, clearance, CSV) the readout; the jump map
+    uses the controllers.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -725,12 +698,6 @@ def make_scenario(
     config = SolverConfig() if config is None else config
 
     plant = make_affine_plant(obstacle)
-    mismatches = plant.check_matched(
-        [(p, np.array([q])) for p in _probe_states(obstacle) for q in CHART_INDICES]
-    )
-    if mismatches:
-        raise ValueError("matched-uncertainty check failed: " + mismatches[0])
-
     nominal = build_nominal_controller(obstacle, margin)
     x_init = to_cylinder(np.asarray(z_init, dtype=float), obstacle)
 

@@ -520,7 +520,7 @@ def gap_enumeration_suite(seed: int, n: int = 500) -> SuiteResult:
             potential=potential,
             candidates=lambda x, xi, _c=cands: _c,
             controller_flow=lambda x, xi: np.zeros(1),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
         x = np.zeros(1)
         xi = np.array([float(here_idx)])

@@ -78,10 +78,13 @@ class ControllerData:
 
     ``potential`` returns a float in [0, +inf]; ``candidates`` returns a
     finite ordered list of controller states (order fixes tie-breaking)
-    and defines the reset; ``margin`` is the positive hysteresis
-    threshold the synergy gap must reach to trigger a jump.  The lifts
-    override :meth:`gap` with the closed form; calling
-    ``ControllerData.gap(lift, x, xi_c)`` enumerates their candidates.
+    and defines the reset; ``margin`` is the hysteresis constant
+    ``delta``, the threshold the synergy gap must reach to trigger a
+    jump.  Construction stores it as a float and refuses a margin that is
+    not positive and finite (``ValueError``) or not a number
+    (``TypeError``).  The lifts override :meth:`gap` with the closed form;
+    calling ``ControllerData.gap(lift, x, xi_c)`` enumerates their
+    candidates.
     """
 
     n_state: int
@@ -89,7 +92,15 @@ class ControllerData:
     potential: Callable[[np.ndarray, np.ndarray], float]
     candidates: Callable[[np.ndarray, np.ndarray], list]
     controller_flow: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    margin: Callable[[np.ndarray, np.ndarray], float]
+    margin: float
+
+    def __post_init__(self):
+        margin = float(self.margin)
+        if not 0.0 < margin < math.inf:
+            raise ValueError(
+                f"hysteresis margin must be positive and finite; got {margin}"
+            )
+        object.__setattr__(self, "margin", margin)
 
     def gap(self, x, xi_c) -> float:
         """Synergy gap as a float (``math.inf`` when the potential is infinite)."""
@@ -162,10 +173,10 @@ def build_closed_loop(
 
     The closed-loop state stacks the plant state (first ``plant.n_x``
     entries) and the controller state.  Flow and jump indicators are the
-    same function object, gap minus margin, so the flow and jump sets
-    cover the state space by construction and the solver evaluates it
-    once per state; an infinite gap is clamped to the ``1e18`` sentinel
-    inside the indicator only, forcing a jump.
+    same function object, gap minus the constant ``ctrl.margin``, so the
+    flow and jump sets cover the state space by construction and the
+    solver evaluates it once per state; an infinite gap is clamped to the
+    ``1e18`` sentinel inside the indicator only, forcing a jump.
 
     The flow map composes ``plant.f`` at the controller's feedback with
     ``ctrl.controller_flow``, and the gap is ``ctrl.gap``.  A caller that
@@ -187,10 +198,10 @@ def build_closed_loop(
             [plant.f(x, xi_c, u, theta_true), ctrl.controller_flow(x, xi_c)]
         )
 
+    margin = ctrl.margin
+
     def indicator(state: np.ndarray) -> float:
-        return min(gap(state), GAP_SENTINEL) - float(
-            ctrl.margin(state[:n_x], state[n_x:])
-        )
+        return min(gap(state), GAP_SENTINEL) - margin
 
     def jump_map(state: np.ndarray) -> np.ndarray:
         x, xi_c = state[:n_x], state[n_x:]

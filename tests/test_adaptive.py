@@ -363,7 +363,7 @@ class TestRobustGap:
             potential=lambda x, xi: values[float(xi[0])],
             candidates=lambda x, xi: cands,
             controller_flow=lambda x, xi: np.zeros(1),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
 
     @staticmethod
@@ -422,7 +422,7 @@ def quadratic_nominal():
         potential=lambda x, xi: 0.5 * float(x @ x),
         candidates=lambda x, xi: cands,
         controller_flow=lambda x, xi: np.zeros(1),
-        margin=lambda x, xi: 1.0,
+        margin=1.0,
     )
 
 
@@ -642,7 +642,7 @@ class TestInputFlow:
             potential=lambda x, xi: 0.0,
             candidates=lambda x, xi: [np.array([0.0])],
             controller_flow=lambda x, xi: np.zeros(1),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
         adaptive = lift_adaptive(
             nominal, plant, UNIT_BALL, grad_potential=lambda x, xi: np.zeros(2)
@@ -766,7 +766,7 @@ class TestLiftBackstep:
             potential=lambda x, xi: 0.5 * float(x @ x),
             candidates=lambda x, xi: [np.array([0.0])],
             controller_flow=lambda x, xi: np.ones(1),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
         adaptive = lift_adaptive(
             flowing_nominal, simple_plant(), UNIT_BALL,

@@ -25,6 +25,7 @@ from hybridfb import (
     from_cylinder,
     gradient_feedback,
     gradient_feedback_jacobian,
+    make_affine_plant,
     make_scenario,
     min_over_candidates,
     select_jump,
@@ -495,19 +496,31 @@ class TestNominalController:
     def test_zero_margin_rejected_at_construction(self):
         with pytest.raises(ValueError):
             build_nominal_controller(OBS, margin=0.0)
-        with pytest.raises(ValueError):
-            build_nominal_controller(OBS, margin=lambda x, xi: -1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_margin_rejected_at_construction(self, value):
         with pytest.raises(ValueError, match="finite"):
             build_nominal_controller(OBS, margin=value)
-        with pytest.raises(ValueError, match="finite"):
-            build_nominal_controller(OBS, margin=lambda x, xi: value)
 
-    def test_state_dependent_margin_accepted(self):
-        ctrl = build_nominal_controller(OBS, margin=lambda x, xi: 1.0 + 0.1 * x[0] ** 2)
-        assert ctrl.margin(np.array([2.0, 1.0, 0.0]), np.array([1.0])) == 1.4
+    def test_state_dependent_margin_refused(self):
+        # The margin is the one constant delta; a function of the state is
+        # not a number and fails at construction.
+        with pytest.raises(TypeError):
+            build_nominal_controller(OBS, margin=lambda x, xi: 1.0 + 0.1 * x[0] ** 2)
+        with pytest.raises(TypeError):
+            make_scenario("backstep", q0=-1.0, margin=lambda x, xi: 1.0)
+
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    def test_plant_disturbance_matched_by_construction(self, q):
+        # disturbance_matrix is input_matrix and matched_matrix the identity,
+        # so the factorization holds exactly at every cylinder point.
+        points = [OBS.target] + [
+            np.array([height, s1, s2])
+            for height in (-1.0, 0.0, 1.0)
+            for s1, s2 in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+        ]
+        plant = make_affine_plant(OBS)
+        assert plant.check_matched([(p, np.array([q])) for p in points]) == []
 
 
 class TestScenarioFactory:

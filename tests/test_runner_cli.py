@@ -555,6 +555,16 @@ class TestCli:
         assert f"configuration error: {key} must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("controller", ["nominal", "backstep"])
+    def test_non_positive_delta_exit_four(self, tmp_path, capsys, value, controller):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"controller = {controller}\ndelta = {value}\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "configuration error: hysteresis margin must be positive" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
     @pytest.mark.parametrize("key", ["flow_tol", "jump_tol"])
     def test_negative_monitor_tolerance_exit_four(
@@ -603,21 +613,27 @@ class TestCli:
         make_scenario = runner_mod.make_scenario
 
         def faulty_scenario(*args, **kwargs):
-            if fault == "nan_margin_band":
-                # Finite where make_scenario probes it, NaN along the run.
-                kwargs["margin"] = lambda x, xi: (
-                    1.0 if x[0] > -0.6 or x[0] < -0.69 else math.nan
-                )
-                return make_scenario(*args, **kwargs)
             sc = make_scenario(*args, **kwargs)
+            if fault == "nan_margin_band":
+                # Gap minus margin turns NaN on a band of x1 the run crosses;
+                # one object stays both indicators, as build_closed_loop makes.
+                indicator = sc.system.jump_indicator
 
-            def jump_map(state):
-                after = sc.system.jump_map(state)
-                return np.concatenate([after[:4], after[4:] * math.nan])
+                def banded(state):
+                    if state[0] > -0.6 or state[0] < -0.69:
+                        return indicator(state)
+                    return math.nan
 
-            return dataclasses.replace(
-                sc, system=dataclasses.replace(sc.system, jump_map=jump_map)
-            )
+                system = dataclasses.replace(
+                    sc.system, flow_indicator=banded, jump_indicator=banded
+                )
+            else:
+                def jump_map(state):
+                    after = sc.system.jump_map(state)
+                    return np.concatenate([after[:4], after[4:] * math.nan])
+
+                system = dataclasses.replace(sc.system, jump_map=jump_map)
+            return dataclasses.replace(sc, system=system)
 
         monkeypatch.setattr(runner_mod, "make_scenario", faulty_scenario)
         path = tmp_path / "forced.cfg"
@@ -730,6 +746,27 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "summary0.txt").exists()
         assert (tmp_path / "summary1.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--t-max", "0.01", "--controller", "backstep"], "--controller, --t-max"),
+            (["--property-suite"], "--property-suite"),
+            (["--seed", "0"], "--seed"),
+        ],
+    )
+    def test_batch_refuses_other_flags_exit_four(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "run.cfg"
+        summary = tmp_path / "summary.txt"
+        path.write_text(f"controller = nominal\nt_max = 0.5\nsummary = {summary}\n")
+        assert main(["--batch", str(path), *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: --batch runs each file as written and takes "
+            f"no other flag; got {named}\n"
+        )
+        assert captured.out == ""
+        assert not summary.exists()
 
     def test_batch_output_collision_exit_four(self, tmp_path, capsys):
         shared = tmp_path / "same.csv"

@@ -41,7 +41,7 @@ def toggle_controller(values, margin=1.0, current_extra=None):
         potential=lambda x, xi: table[float(xi[0])],
         candidates=lambda x, xi: cands,
         controller_flow=lambda x, xi: np.zeros(1),
-        margin=lambda x, xi: margin,
+        margin=margin,
     )
 
 
@@ -79,7 +79,7 @@ class TestMinOverCandidates:
             potential=lambda x, xi: 1.0,
             candidates=lambda x, xi: [],
             controller_flow=lambda x, xi: np.zeros(1),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
         with pytest.raises(InfeasibleCandidates):
             min_over_candidates(ctrl, np.zeros(1), np.array([1.0]))
@@ -104,7 +104,7 @@ class TestMinOverCandidates:
                 potential=lambda x, xi: values[int(xi[0])],
                 candidates=lambda x, xi: ordered,
                 controller_flow=lambda x, xi: np.zeros(1),
-                margin=lambda x, xi: 1.0,
+                margin=1.0,
             )
 
         xi = np.array([3.0])
@@ -128,7 +128,7 @@ class TestMinOverCandidates:
                 potential=lambda x, xi: values[int(xi[0])] + shift,
                 candidates=lambda x, xi: cands,
                 controller_flow=lambda x, xi: np.zeros(1),
-                margin=lambda x, xi: 1.0,
+                margin=1.0,
             )
 
         xi = np.array([2.0])
@@ -148,6 +148,43 @@ class TestMinOverCandidates:
     def test_enumeration_oracle(self):
         result = gap_enumeration_suite(seed=123, n=500)
         assert result.passed, result.detail
+
+
+class TestMargin:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="hysteresis margin"):
+            toggle_controller({-1.0: 1.0, 1.0: 3.0}, margin=value)
+
+    def test_callable_refused(self):
+        with pytest.raises(TypeError):
+            toggle_controller({-1.0: 1.0, 1.0: 3.0}, margin=lambda x, xi: 1.0)
+
+    def test_stored_as_float(self):
+        ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0}, margin=np.float64(0.25))
+        assert type(ctrl.margin) is float and ctrl.margin == 0.25
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_lift_replace_refused(self, value):
+        # The lifts are ControllerData subclasses: a replaced margin is
+        # checked like a built one.
+        lift = make_scenario("backstep", q0=-1.0).controller
+        with pytest.raises(ValueError, match="hysteresis margin"):
+            dataclasses.replace(lift, margin=value)
+        with pytest.raises(ValueError, match="hysteresis margin"):
+            dataclasses.replace(lift.adaptive, margin=value)
+
+    def test_zero_gap_refused_at_margin_zero_flows_at_positive(self):
+        # Equal potentials make the gap 0 everywhere.  Margin 0 would put
+        # every state in the jump set, and a solve would jump j_max times at
+        # t = 0 (ZenoSuspected); it is refused when built.  A margin above
+        # the solver's event tolerance keeps the state flowing.
+        with pytest.raises(ValueError, match="positive and finite; got 0.0"):
+            toggle_controller({-1.0: 1.0, 1.0: 1.0}, margin=0.0)
+        ctrl = toggle_controller({-1.0: 1.0, 1.0: 1.0}, margin=1e-6)
+        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        arc = solve(sys, np.array([0.5, 1.0]), SolverConfig(t_max=0.1, j_max=10))
+        assert arc.jump_count == 0
 
 
 class TestSelectJump:
@@ -257,7 +294,7 @@ class TestBuildClosedLoop:
             potential=lambda x, xi: 0.0,
             candidates=lambda x, xi: [np.array([0.0])],
             controller_flow=lambda x, xi: np.array([-3.0]),
-            margin=lambda x, xi: 1.0,
+            margin=1.0,
         )
         sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         rate = sys.flow_map(np.array([1.0, 0.0]))
