@@ -7,6 +7,10 @@ count ``j``.  Flow and jump sets are described by scalar indicator
 functions; the flow set is where ``flow_indicator <= 0`` and the jump
 set where ``jump_indicator >= 0``.
 
+A solution is a :class:`HybridArc`, stored as its samples: one
+``(times, states)`` pair per flow interval.  Its hybrid time domain and
+its jump records are read off those samples, never stored beside them.
+
 Flow segments are integrated with :class:`RK45`, the Dormand-Prince
 5(4) pair with Shampine's quartic dense output, stepped manually so the
 solver can project states back onto a manifold after each accepted step,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -64,13 +69,6 @@ class HybridTimeDomain:
 
     intervals: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "intervals",
-            tuple((float(a), float(b), int(j)) for a, b, j in self.intervals),
-        )
-
     def __len__(self):
         return len(self.intervals)
 
@@ -80,7 +78,7 @@ class HybridTimeDomain:
 
     @property
     def jump_count(self) -> int:
-        return self.intervals[-1][2] - self.intervals[0][2]
+        return len(self.intervals) - 1
 
 
 @dataclass(frozen=True)
@@ -95,23 +93,44 @@ class JumpRecord:
 
 @dataclass(frozen=True)
 class HybridArc:
-    """A hybrid solution: domain, per-interval samples, and jump records.
+    """A hybrid solution, stored as its samples.
 
-    ``samples[k]`` is a pair ``(times, states)`` for interval ``k`` with
-    ``times`` of shape (m,) and ``states`` of shape (m, n).
+    ``samples[k]`` is a pair ``(times, states)`` for flow interval ``k``
+    (jump index ``j = k``), with ``times`` of shape (m,) and ``states`` of
+    shape (m, n); an interval without flow holds its one entry sample.
+    The time domain and the jump records are read off the samples: the
+    interval spans its first and last time, and jump ``k`` leaves the
+    last sample of interval ``k`` for the first sample of interval
+    ``k+1``.
     """
 
-    domain: HybridTimeDomain
     samples: tuple
-    jump_records: tuple
+
+    @cached_property
+    def domain(self) -> HybridTimeDomain:
+        return HybridTimeDomain(
+            intervals=tuple(
+                (float(times[0]), float(times[-1]), k)
+                for k, (times, _) in enumerate(self.samples)
+            )
+        )
+
+    @cached_property
+    def jump_records(self) -> tuple:
+        return tuple(
+            JumpRecord(t=float(times[-1]), j=k, before=states[-1], after=after[0])
+            for k, ((times, states), (_, after)) in enumerate(
+                zip(self.samples, self.samples[1:])
+            )
+        )
 
     @property
     def final_time(self) -> float:
-        return self.domain.final_time
+        return float(self.samples[-1][0][-1])
 
     @property
     def jump_count(self) -> int:
-        return len(self.jump_records)
+        return len(self.samples) - 1
 
     @property
     def final_state(self) -> np.ndarray:
@@ -119,7 +138,7 @@ class HybridArc:
 
     def iter_samples(self):
         """Yield (t, j, state) over all samples in hybrid-time order."""
-        for (a, b, j), (times, states) in zip(self.domain.intervals, self.samples):
+        for j, (times, states) in enumerate(self.samples):
             for t, y in zip(times, states):
                 yield float(t), j, y
 
@@ -627,7 +646,8 @@ def solve(
     Every recorded state is projected once, where it is made (``x0``,
     each accepted step, each jump), and its jump indicator is evaluated
     once.  That value decides the jump, is checked by :func:`apply_jump`
-    and starts the next flow interval.
+    and starts the next flow interval.  The samples :func:`advance_flow`
+    returns become the arc's interval as they are.
 
     Raises
     ------
@@ -643,165 +663,75 @@ def solve(
     y = sys.project(np.array(x0, dtype=float))
     t = 0.0
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
-    j = 0
     steps = 0
-
-    intervals: list[tuple] = []
-    all_samples: list[tuple] = []
-    jump_records: list[JumpRecord] = []
-
-    # Samples of the interval currently being built.
-    cur_t0 = t
-    cur_times: list[float] = [t]
-    cur_states: list[np.ndarray] = [y]
-
-    def _close_interval():
-        intervals.append((cur_t0, cur_times[-1], j))
-        all_samples.append(
-            (np.asarray(cur_times, dtype=float), np.asarray(cur_states, dtype=float))
-        )
-
-    def _check_zeno():
-        if len(jump_records) >= ZENO_JUMPS:
-            window = t - jump_records[-ZENO_JUMPS].t
-            if window < ZENO_WINDOW:
-                raise ZenoSuspected(
-                    f"jump budget j_max={cfg.j_max} exhausted with only "
-                    f"{window:.3e} s of flow over the last {ZENO_JUMPS} jumps"
-                )
+    samples: list[tuple] = []
+    # The open interval: its entry sample until it flows.  It flows at most
+    # once, since a flow that stops on the jump set is followed by a jump.
+    interval = (np.array([t]), np.array([y]))
 
     while t < cfg.t_max:
         if g >= -cfg.event_tol:
-            if j >= cfg.j_max:
-                _check_zeno()
+            if len(samples) >= cfg.j_max:
+                if len(samples) >= ZENO_JUMPS:
+                    window = t - float(samples[-ZENO_JUMPS][0][-1])
+                    if window < ZENO_WINDOW:
+                        raise ZenoSuspected(
+                            f"jump budget j_max={cfg.j_max} exhausted with only "
+                            f"{window:.3e} s of flow over the last {ZENO_JUMPS} jumps"
+                        )
                 break
-            y_next = sys.project(apply_jump(y, g, sys, cfg))
-            g = _indicator_value(sys.jump_indicator, y_next, t, "jump")
-            jump_records.append(JumpRecord(t=t, j=j, before=y, after=y_next))
-            _close_interval()
-            j += 1
-            y = y_next
-            cur_t0 = t
-            cur_times = [t]
-            cur_states = [y]
+            y = sys.project(apply_jump(y, g, sys, cfg))
+            g = _indicator_value(sys.jump_indicator, y, t, "jump")
+            samples.append(interval)
+            interval = (np.array([t]), np.array([y]))
             continue
 
         # Outside the jump set: advance_flow raises DomainEscape if the
         # state is outside the flow set too.
-        (times, states), g, reason = advance_flow(
+        interval, g, reason = advance_flow(
             y, g, sys, cfg, t0=t, max_steps=MAX_STEPS - steps
         )
+        times, states = interval
         steps += len(times) - 1
-        # The interval already holds the entry sample; skip the duplicate.
-        cur_times.extend(times[1:].tolist())
-        cur_states.extend(list(states[1:]))
         t = float(times[-1])
         y = states[-1]
         if reason != "jump_boundary":
             break
 
-    _close_interval()
-    return HybridArc(
-        domain=HybridTimeDomain(intervals=tuple(intervals)),
-        samples=tuple(all_samples),
-        jump_records=tuple(jump_records),
-    )
+    samples.append(interval)
+    return HybridArc(samples=tuple(samples))
 
 
 def validate_domain(arc: HybridArc) -> list[str]:
-    """Check hybrid time domain and arc invariants; return violations.
+    """Check that the arc's samples form a hybrid time domain; return violations.
 
-    An empty list means the arc is well formed: intervals are ordered
-    and contiguous, ``j`` increments by exactly one across consecutive
-    intervals, every sample lies in its interval, and each jump record's
-    pre-jump state equals the last sample of its interval and its
-    post-jump state the first sample of the next.
+    An empty list means the arc is well formed: it has at least one
+    interval, no interval is empty, each interval has as many states as
+    times, the first time is nonnegative, times never decrease, and each
+    interval starts where the one before it ends.  The domain and the
+    jump records are read off the samples, so they agree with them by
+    construction and need no check.
     """
+    if not arc.samples:
+        return ["arc has no intervals"]
     violations: list[str] = []
-    intervals = arc.domain.intervals
-
-    if not intervals:
-        return ["domain has no intervals"]
-
-    for k, (a, b, j) in enumerate(intervals):
-        if a < 0.0:
-            violations.append(f"interval {k}: negative start time {a}")
-        if j < 0:
-            violations.append(f"interval {k}: negative jump index {j}")
-        if a > b:
-            violations.append(
-                f"interval {k}: start time {a} exceeds end time {b}"
-            )
-
-    for k in range(len(intervals) - 1):
-        _, b, j = intervals[k]
-        a_next, _, j_next = intervals[k + 1]
-        if b != a_next:
-            violations.append(
-                f"intervals {k}->{k + 1}: not contiguous "
-                f"(end {b} vs start {a_next})"
-            )
-        if j_next != j + 1:
-            violations.append(
-                f"intervals {k}->{k + 1}: jump index must increment by 1 "
-                f"(got {j} -> {j_next})"
-            )
-
-    if len(arc.samples) != len(intervals):
-        violations.append(
-            f"sample groups ({len(arc.samples)}) do not match "
-            f"interval count ({len(intervals)})"
-        )
-        return violations
-
-    for k, ((a, b, _), (times, states)) in enumerate(
-        zip(intervals, arc.samples)
-    ):
+    end = None
+    for k, (times, states) in enumerate(arc.samples):
         if len(times) == 0:
             violations.append(f"interval {k}: no samples")
+            end = None
             continue
         if len(times) != len(states):
             violations.append(f"interval {k}: times/states length mismatch")
-            continue
-        if float(times[0]) != a or float(times[-1]) != b:
+        start = float(times[0])
+        if k == 0 and start < 0.0:
+            violations.append(f"interval 0: negative start time {start}")
+        if end is not None and start != end:
             violations.append(
-                f"interval {k}: samples span [{times[0]}, {times[-1]}] "
-                f"but interval is [{a}, {b}]"
+                f"intervals {k - 1}->{k}: not contiguous "
+                f"(end {end} vs start {start})"
             )
         if np.any(np.diff(times) < 0.0):
             violations.append(f"interval {k}: sample times decrease")
-        if np.any(times < a) or np.any(times > b):
-            violations.append(f"interval {k}: sample time outside interval")
-
-    expected_jumps = len(intervals) - 1
-    if len(arc.jump_records) != expected_jumps:
-        violations.append(
-            f"jump record count ({len(arc.jump_records)}) does not match "
-            f"interval count - 1 ({expected_jumps})"
-        )
-        return violations
-
-    for k, rec in enumerate(arc.jump_records):
-        _, b, j = intervals[k]
-        a_next = intervals[k + 1][0]
-        if rec.t != b or rec.t != a_next:
-            violations.append(
-                f"jump {k}: time {rec.t} does not match interval boundary {b}"
-            )
-        if rec.j != j:
-            violations.append(
-                f"jump {k}: jump index {rec.j} does not match interval ({j})"
-            )
-        if not np.array_equal(rec.before, arc.samples[k][1][-1]):
-            violations.append(
-                f"jump {k}: pre-jump state differs from last sample of "
-                f"interval {k}"
-            )
-        first_state = arc.samples[k + 1][1][0]
-        if not np.array_equal(rec.after, first_state):
-            violations.append(
-                f"jump {k}: post-jump state differs from first sample of "
-                f"interval {k + 1}"
-            )
-
+        end = float(times[-1])
     return violations

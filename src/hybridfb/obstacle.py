@@ -673,7 +673,9 @@ def make_scenario(
     hysteresis margin 1; start at rest from ``z = (2, 0)``; zero initial
     estimate.  For the backstepping controller, "at rest" initializes
     the held input on the adaptive feedback (``u0="feedback"``); pass
-    ``u0="zero"`` or an explicit vector to override.
+    ``u0="zero"`` or an explicit vector to override.  A ``margin`` at or
+    below ``config.event_tol``, or ``u0="feedback"`` where chart ``q0``
+    has no feedback at ``z_init``, raises :class:`ValueError`.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential and the readout written
@@ -699,6 +701,11 @@ def make_scenario(
 
     plant = make_affine_plant(obstacle)
     nominal = build_nominal_controller(obstacle, margin)
+    if nominal.margin <= config.event_tol:
+        raise ValueError(
+            f"hysteresis margin {nominal.margin:g} is not above the solver's "
+            f"event_tol {config.event_tol:g}, so every state is in the jump set"
+        )
     x_init = to_cylinder(np.asarray(z_init, dtype=float), obstacle)
 
     if kind == "nominal":
@@ -734,7 +741,14 @@ def make_scenario(
             xi1_init = np.concatenate([[q0], theta_hat0])
             if isinstance(u0, str):
                 if u0 == "feedback":
-                    u_init = adaptive_ctrl.feedback(x_init, xi1_init)
+                    try:
+                        u_init = adaptive_ctrl.feedback(x_init, xi1_init)
+                    except ChartSingular as exc:
+                        raise ValueError(
+                            f"z_init = {z_init[0]}, {z_init[1]} with q0 = {q0:+.0f} "
+                            f"and u0_policy = feedback has no initial input ({exc}); "
+                            f"u0_policy = zero or q0 = {-q0:+.0f} runs from there"
+                        ) from exc
                 elif u0 == "zero":
                     u_init = np.zeros(2)
                 else:

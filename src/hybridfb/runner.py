@@ -140,8 +140,9 @@ _FIELD_PARSERS: dict[str, Callable[[str], object]] = {
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat ``key = value`` configuration file."""
+    """Parse a flat ``key = value`` configuration file; each key once."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -158,6 +159,11 @@ def read_config_file(path) -> dict:
         parser = _FIELD_PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = parser(value)
         except ValueError as exc:
@@ -315,7 +321,7 @@ def sample_columns(arc: HybridArc, scenario: Scenario) -> dict[str, np.ndarray]:
     readout = scenario.readout
     rows = (
         (t, j, *readout(state))
-        for (_, _, j), (times, states) in zip(arc.domain.intervals, arc.samples)
+        for j, (times, states) in enumerate(arc.samples)
         for t, state in zip(times.tolist(), states)
     )
     # Streamed into the array: no list of every sample's values is kept.

@@ -257,8 +257,8 @@ def monitor_flow_decrease(
     violate when the potential rises from finite to infinite.
     """
     violations = []
-    for (_, _, j), (times, _), values in zip(
-        arc.domain.intervals, arc.samples, _interval_values(arc, potential)
+    for j, ((times, _), values) in enumerate(
+        zip(arc.samples, _interval_values(arc, potential))
     ):
         for t, prev_v, v in zip(times[1:].tolist(), values, values[1:]):
             if v > prev_v + tol:
@@ -287,9 +287,8 @@ def monitor_jump_decrease(
     margin(before) + tol``.  Jumps from an infinite potential never
     violate.  ``potential`` is a function of the state, evaluated at the
     jump records' states, or its values at every sample of the arc in
-    hybrid-time order, read at the interval ends: for a well-formed arc
-    (:func:`~hybridfb.hybrid.validate_domain`) those samples are the
-    records' states.
+    hybrid-time order, read at the interval ends, which are the records'
+    states.
     """
     if callable(potential):
         pairs = [

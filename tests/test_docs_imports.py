@@ -3,7 +3,8 @@
 Every ``from hybridfb... import X`` in the demos and the README resolves,
 and every demo runs to exit 0 (each under a second).  A demo runs as a
 copy in a temporary directory, since the adaptive case study writes its
-CSVs next to itself.  The README's configuration defaults list every
+CSVs next to itself.  ``scripts/kernel_us.py`` runs and times each of
+its kernels.  The README's configuration defaults list every
 config key and each key's default.
 """
 
@@ -82,6 +83,20 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_kernel_us_script_runs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_us.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert len(rows) == 15
+    assert len({row[0] for row in rows}) == 15
+    assert all(float(row[2]) > 0.0 for row in rows)
 
 
 def _readme_defaults():

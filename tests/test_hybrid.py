@@ -833,60 +833,98 @@ class TestDomainValidation:
         assert validate_domain(arc) == []
 
     def test_gap_between_intervals(self):
-        arc = _arc_from_intervals([(0.0, 1.0, 0), (1.5, 2.0, 1)])
+        arc = HybridArc(
+            samples=tuple(
+                (np.array(span), np.zeros((2, 1))) for span in ([0.0, 1.0], [1.5, 2.0])
+            )
+        )
         violations = validate_domain(arc)
         assert any("not contiguous" in v for v in violations)
 
-    def test_jump_index_increment(self):
-        arc = _arc_from_intervals([(0.0, 1.0, 0), (1.0, 2.0, 2)])
-        violations = validate_domain(arc)
-        assert any("increment by 1" in v for v in violations)
-
-    def test_sample_outside_interval(self):
-        times = np.array([0.0, 2.0])
-        states = np.zeros((2, 1))
-        arc = HybridArc(
-            domain=HybridTimeDomain(intervals=((0.0, 1.0, 0),)),
-            samples=((times, states),),
-            jump_records=(),
-        )
-        violations = validate_domain(arc)
-        assert violations
-
-    def test_jump_record_state_mismatch(self):
-        t0 = np.array([0.0, 1.0])
-        s0 = np.zeros((2, 1))
-        t1 = np.array([1.0, 2.0])
-        s1 = np.ones((2, 1))
-        rec = JumpRecord(t=1.0, j=0, before=s0[-1], after=np.array([5.0]))
-        arc = HybridArc(
-            domain=HybridTimeDomain(intervals=((0.0, 1.0, 0), (1.0, 2.0, 1))),
-            samples=((t0, s0), (t1, s1)),
-            jump_records=(rec,),
-        )
-        violations = validate_domain(arc)
-        assert any("post-jump state" in v for v in violations)
-
-
-def _arc_from_intervals(intervals):
-    samples = []
-    for a, b, _ in intervals:
-        times = np.array([a, b])
-        samples.append((times, np.zeros((2, 1))))
-    records = tuple(
-        JumpRecord(
-            t=intervals[k][1],
-            j=intervals[k][2],
-            before=np.zeros(1),
-            after=np.zeros(1),
-        )
-        for k in range(len(intervals) - 1)
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ((), "no intervals"),
+            (
+                ((np.array([0.0, 1.0]), np.zeros((2, 1))),
+                 (np.array([]), np.zeros((0, 1)))),
+                "interval 1: no samples",
+            ),
+            (((np.array([0.0, 1.0]), np.zeros((3, 1))),), "length mismatch"),
+            (((np.array([-1.0, 1.0]), np.zeros((2, 1))),), "negative start time"),
+            (
+                ((np.array([0.0, 2.0, 1.0]), np.zeros((3, 1))),),
+                "sample times decrease",
+            ),
+        ],
+        ids=["no_interval", "empty_interval", "length_mismatch",
+             "negative_start", "decreasing_times"],
     )
-    return HybridArc(
-        domain=HybridTimeDomain(intervals=tuple(intervals)),
-        samples=tuple(samples),
-        jump_records=records,
-    )
+    def test_malformed_arc(self, samples, message):
+        violations = validate_domain(HybridArc(samples=samples))
+        assert any(message in v for v in violations), violations
+
+
+class TestDerivedRecords:
+    """The domain and the jump records read off the samples are the solver's."""
+
+    def test_hand_built_arc(self):
+        # A flowed interval, a jump with no flow between, then a flow.
+        arc = HybridArc(
+            samples=(
+                (np.array([0.0, 1.0]), np.array([[0.0], [1.0]])),
+                (np.array([1.0]), np.array([[2.0]])),
+                (np.array([1.0, 2.0]), np.array([[3.0], [4.0]])),
+            )
+        )
+        assert validate_domain(arc) == []
+        assert arc.domain.intervals == ((0.0, 1.0, 0), (1.0, 1.0, 1), (1.0, 2.0, 2))
+        assert arc.jump_count == arc.domain.jump_count == 2
+        assert arc.final_time == arc.domain.final_time == 2.0
+        assert arc.total_flow_time() == 2.0
+        records = arc.jump_records
+        assert all(isinstance(rec, JumpRecord) for rec in records)
+        assert [(rec.t, rec.j) for rec in records] == [(1.0, 0), (1.0, 1)]
+        assert [(rec.before[0], rec.after[0]) for rec in records] == [
+            (1.0, 2.0), (2.0, 3.0)
+        ]
+        assert [(t, j) for t, j, _ in arc.iter_samples()] == [
+            (0.0, 0), (1.0, 0), (1.0, 1), (1.0, 2), (2.0, 2)
+        ]
+
+    @staticmethod
+    def _check_against_jump_calls(sys, x0, cfg):
+        calls = []
+
+        def jump_map(y):
+            out = sys.jump_map(y)
+            calls.append((y, out))
+            return out
+
+        arc = solve(dataclasses.replace(sys, jump_map=jump_map), x0, cfg)
+        assert arc.jump_count > 0
+        assert len(calls) == arc.jump_count == len(arc.jump_records)
+        intervals = arc.domain.intervals
+        for k, ((before, out), rec) in enumerate(zip(calls, arc.jump_records)):
+            assert rec.j == k
+            assert np.array_equal(before, rec.before)
+            assert np.array_equal(sys.project(np.asarray(out, dtype=float)), rec.after)
+            assert rec.t == intervals[k][1] == intervals[k + 1][0]
+        assert validate_domain(arc) == []
+
+    def test_timer_jumps(self):
+        self._check_against_jump_calls(
+            timer_system(), np.array([0.0]), SolverConfig(t_max=3.5)
+        )
+
+    def test_backstep_small_margin_jumps(self):
+        from hybridfb.obstacle import make_scenario
+
+        sc = make_scenario(
+            "backstep", q0=-1.0, z_init=(2.5, 0.0), margin=1e-3,
+            config=SolverConfig(t_max=1.0, j_max=1000),
+        )
+        self._check_against_jump_calls(sc.system, sc.x0, sc.config)
 
 
 class TestTypes:

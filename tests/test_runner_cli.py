@@ -12,7 +12,6 @@ import hybridfb.runner as runner_mod
 from hybridfb import (
     ConfigError,
     DomainEscape,
-    HybridTimeDomain,
     HybridArc,
     InfeasibleCandidates,
     MalformedArc,
@@ -202,11 +201,7 @@ class TestCsvFormat:
                 np.array([0.1, 0.6, 0.8, -1.0, 0.2, -0.1]),
             ]
         )
-        return HybridArc(
-            domain=HybridTimeDomain(intervals=((0.0, 1.0, 0),)),
-            samples=((times, states),),
-            jump_records=(),
-        )
+        return HybridArc(samples=((times, states),))
 
     def test_two_sample_arc_gives_three_lines(self, tmp_path):
         scenario = build_scenario(ScenarioConfig(controller="adaptive"))
@@ -564,6 +559,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error: hysteresis margin must be positive" in err
         assert "Traceback" not in err
+
+    def test_margin_within_event_tol_exit_four(self, tmp_path, capsys):
+        # A margin the event location cannot resolve puts every state in
+        # the jump set; it is refused before the run starts.
+        path = tmp_path / "tiny.cfg"
+        path.write_text("controller = backstep\ndelta = 1e-11\nt_max = 1\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert (
+            "hysteresis margin 1e-11 is not above the solver's event_tol 1e-10"
+        ) in err
+        assert "Traceback" not in err
+        path.write_text("controller = backstep\ndelta = 2e-10\nt_max = 0.01\n")
+        assert main(["--config", str(path)]) == 0
+
+    def test_repeated_key_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("controller = backstep\nt_max = 0.1\ncontroller = nominal\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"{path}:3: key 'controller' repeats line 1" in err
+        assert "Traceback" not in err
+
+    def test_singular_feedback_start_explained_exit_four(self, tmp_path, capsys):
+        # Directly above the obstacle, chart q = +1 has no feedback to
+        # initialize the held input from.
+        path = tmp_path / "singular.cfg"
+        body = "controller = backstep\nz_init = 1.0, 1.2\nt_max = 0.1\n"
+        path.write_text(body + "q0 = 1\nu0_policy = feedback\n")
+        assert main(["--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert (
+            "configuration error: z_init = 1.0, 1.2 with q0 = +1 and "
+            "u0_policy = feedback has no initial input "
+            "(chart q=+1 evaluated at x3=1.0); "
+            "u0_policy = zero or q0 = -1 runs from there"
+        ) in err
+        assert "Traceback" not in err
+        for fix in ("q0 = 1\nu0_policy = zero\n", "q0 = -1\nu0_policy = feedback\n"):
+            path.write_text(body + fix)
+            assert main(["--config", str(path)]) == 0
 
     @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
     @pytest.mark.parametrize("key", ["flow_tol", "jump_tol"])
