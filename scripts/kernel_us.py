@@ -9,7 +9,10 @@ every run's samples on which the flow map is defined.  On up to 500 of
 them per kind it times the kind's flow map, switching indicator,
 readout and true potential, ``gradient_feedback_jacobian`` on the
 backstep samples and ``ball_distance`` on the adaptive and backstep
-samples.
+samples.  The ``backstep.locate`` line times the solver's location of
+each jump-set crossing (``hybrid._locate_crossing``) over one backstep
+run with margin 1e-3 from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``,
+and gives its located crossings and indicator calls per crossing.
 Each figure is the minimum over repeated sweeps of the time per call.
 ``--root`` names the checkout whose ``src/`` to measure (default: the
 one holding this script), so two checkouts can be compared on the same
@@ -19,6 +22,7 @@ host.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -58,6 +62,44 @@ def _published_samples(runner, chart_singular, kind: str):
     return scenario, states[::step][:MAX_SAMPLES]
 
 
+def _locate_figures(hybrid, make_scenario, repeats: int = REPEATS):
+    """Crossings, us per crossing and indicator calls per crossing, one run."""
+    scenario = make_scenario(
+        "backstep", q0=-1.0, z_init=(1.8, -1.0), margin=1e-3,
+        config=hybrid.SolverConfig(t_max=2.0),
+    )
+    gap_indicator = scenario.system.jump_indicator
+    calls = [0]
+
+    def indicator(state):
+        calls[0] += 1
+        return gap_indicator(state)
+
+    system = dataclasses.replace(
+        scenario.system, flow_indicator=indicator, jump_indicator=indicator
+    )
+    locate = hybrid._locate_crossing
+    spans = []
+
+    def timed(*args):
+        before = calls[0]
+        start = time.perf_counter()
+        located = locate(*args)
+        spans.append((time.perf_counter() - start, calls[0] - before))
+        return located
+
+    best = float("inf")
+    hybrid._locate_crossing = timed
+    try:
+        for _ in range(repeats):
+            spans.clear()
+            hybrid.solve(system, scenario.x0, scenario.config)
+            best = min(best, sum(s for s, _ in spans) / len(spans))
+    finally:
+        hybrid._locate_crossing = locate
+    return len(spans), best * 1e6, sum(n for _, n in spans) / len(spans)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -67,7 +109,7 @@ def main(argv=None) -> int:
     src = args.root.resolve() / "src"
     sys.path.insert(0, str(src))
     import hybridfb
-    from hybridfb import adaptive, obstacle, runner
+    from hybridfb import adaptive, hybrid, obstacle, runner
     from hybridfb.errors import ChartSingular
 
     if Path(hybridfb.__file__).resolve().parent != src / "hybridfb":
@@ -94,6 +136,9 @@ def main(argv=None) -> int:
             rows.append(("ball_distance", adaptive.ball_distance, args_ball))
         for name, fn, calls in rows:
             print(f"{kind + '.' + name:<40} {len(calls):>7} {_per_call_us(fn, calls):>8.2f}")
+    located, us, calls_per = _locate_figures(hybrid, obstacle.make_scenario)
+    print(f"{'backstep.locate':<40} {located:>7} {us:>8.2f}"
+          f"  ({calls_per:.1f} indicator calls per crossing)")
     return 0
 
 

@@ -14,8 +14,13 @@ its jump records are read off those samples, never stored beside them.
 Flow segments are integrated with :class:`RK45`, the Dormand-Prince
 5(4) pair with Shampine's quartic dense output, stepped manually so the
 solver can project states back onto a manifold after each accepted step,
-locate jump-set boundary crossings by bisection on the jump indicator,
-and stay bit-for-bit deterministic.  It repeats the arithmetic of the
+locate jump-set boundary crossings on the dense output, and stay
+bit-for-bit deterministic.  A crossing's located sample is the one that
+bisecting the jump indicator would return; an Illinois regula falsi
+estimate of the root lets the bisection be replayed with calls only near
+it, and plain bisection runs when no usable estimate is found (Shampine
+& Thompson, "Event location for ordinary differential equations",
+2000).  The stepper repeats the arithmetic of the
 reference ``RK45`` implementation operation for operation, so its steps
 match that reference bit for bit (``TestRK45Oracle`` in the tests);
 numpy is the only runtime dependency.
@@ -51,8 +56,16 @@ ExitReason = Literal["time", "jump_boundary", "converged"]
 MIN_STEP = 1e-14
 # Accepted steps one solve may take; the published runs take ~1000.
 MAX_STEPS = 10**7
-# Maximum bisection iterations when locating a jump-set crossing.
+# Maximum halvings of the bisection that locates a jump-set crossing,
+# replayed or run in full.
 MAX_BISECT = 60
+# Indicator calls the root estimate may make before plain bisection runs
+# instead, and the |g| (in units of event_tol) that ends it.
+ESTIMATE_BUDGET = 8
+ESTIMATE_TOL = 1e-3
+# Half-width of the band around the estimated root, in units of
+# event_tol / slope, inside which the replayed bisection evaluates.
+LOCATE_BAND = 4.0
 # Flow time (seconds) over the trailing 10 jumps below which a run that
 # exhausts its jump budget is flagged as suspected Zeno behavior.
 ZENO_WINDOW = 1e-6
@@ -406,28 +419,111 @@ def _indicator_value(indicator, y: np.ndarray, t: float, kind: str) -> float:
     return value
 
 
-def _locate_crossing(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
-    """Bisect the jump indicator over one accepted step.
+def _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, tol):
+    """Illinois regula falsi for the jump indicator's root over one step.
 
-    Precondition: indicator < 0 at ``t_lo`` and ``g_hi >= 0`` at ``t_hi``.
-    Returns the earliest located boundary sample ``(t, state, g)`` with
-    ``0 <= g <= event_tol`` (up to the bisection budget).
+    Starts from the bracket ``g_lo < 0 <= g_hi`` at ``t_lo < t_hi`` and
+    replaces an end by each new iterate; an end kept twice in a row has
+    its value halved in the secant (Dowell & Jarratt 1971).  Returns
+    ``(t_root, slope)`` once an iterate has ``|g| <= tol``, with ``slope``
+    the secant of the last bracket's true (unhalved) values, or ``None``
+    when no iterate converges within ``ESTIMATE_BUDGET`` calls or the
+    slope is not positive and finite.
     """
-    a, b = t_lo, t_hi
-    y_b, g_b = y_hi, g_hi
+    a, g_a, w_a = t_lo, g_lo, g_lo
+    b, g_b, w_b = t_hi, g_hi, g_hi
+    kept = 0  # +1: ``a`` kept by the last iterate, -1: ``b`` kept
+    for _ in range(ESTIMATE_BUDGET):
+        t = (a * w_b - b * w_a) / (w_b - w_a)
+        if not a < t < b:
+            return None
+        y_t = sys.project(np.asarray(dense(t), dtype=float))
+        g_t = _indicator_value(sys.jump_indicator, y_t, t, "jump")
+        if g_t >= 0.0:
+            b, g_b, w_b = t, g_t, g_t
+            if kept == 1:
+                w_a *= 0.5
+            kept = 1
+        else:
+            a, g_a, w_a = t, g_t, g_t
+            if kept == -1:
+                w_b *= 0.5
+            kept = -1
+        if abs(g_t) <= tol:
+            slope = (g_b - g_a) / (b - a)
+            return (t, slope) if 0.0 < slope < math.inf else None
+    return None
+
+
+def _bisect(dense, sys, a, b, y_b, g_b, event_tol, root=0.0, band=math.inf):
+    """Bisect the jump indicator on ``[a, b]`` until ``g_b <= event_tol``.
+
+    Each midpoint within ``band`` of ``root`` is projected and its
+    indicator evaluated; a midpoint farther out is placed on its side of
+    ``root`` without a call.  With the default infinite band this is the
+    plain bisection; with a finite one it replays it wherever the
+    crossing lies within ``band`` of ``root`` and the indicator keeps its
+    sign on each side outside the band.  Returns the last evaluated
+    sample ``(t, y, g)`` that became ``b``: the bisection's sample, or
+    one with ``g > event_tol`` when a replay ends on a ``b`` placed
+    without a call.
+    """
+    t_b = b
     for _ in range(MAX_BISECT):
         if g_b <= event_tol:
             break
         m = 0.5 * (a + b)
         if m <= a or m >= b:  # interval exhausted at float resolution
             break
+        if abs(m - root) > band:
+            # Beyond the band the indicator is above event_tol, or below 0.
+            if m > root:
+                b = m
+            else:
+                a = m
+            continue
         y_m = sys.project(np.asarray(dense(m), dtype=float))
         g_m = _indicator_value(sys.jump_indicator, y_m, m, "jump")
         if g_m >= 0.0:
-            b, y_b, g_b = m, y_m, g_m
+            b = t_b = m
+            y_b, g_b = y_m, g_m
         else:
             a = m
-    return b, y_b, g_b
+    return t_b, y_b, g_b
+
+
+def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
+    """Locate the bisection's boundary sample over one accepted step.
+
+    Precondition: ``g_lo < 0`` at ``t_lo`` and ``g_hi >= 0`` at ``t_hi``.
+    Returns the sample ``(t, state, g)`` that bisecting the jump indicator
+    on ``[t_lo, t_hi]`` until ``0 <= g <= event_tol`` (up to
+    ``MAX_BISECT`` halvings) returns, bit for bit, at a fraction of its
+    indicator calls.  :func:`_estimate_root` first estimates the root on
+    the dense output; :func:`_bisect` then replays the bisection and
+    evaluates only the midpoints within ``LOCATE_BAND * event_tol /
+    slope`` of the estimate.  Plain bisection runs instead when there is
+    no estimate, when the replay ends before an evaluated midpoint has
+    ``g <= event_tol``, or when either phase raises :class:`DomainEscape`,
+    so an unusable estimate gives the plain bisection's result or
+    exception.  The replay never evaluates the midpoints it skips, so a
+    non-finite indicator there goes unseen.
+    """
+    try:
+        estimate = _estimate_root(
+            dense, sys, t_lo, g_lo, t_hi, g_hi, ESTIMATE_TOL * event_tol
+        )
+        if estimate is not None:
+            root, slope = estimate
+            t, y, g = _bisect(
+                dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol,
+                root, LOCATE_BAND * event_tol / slope,
+            )
+            if g <= event_tol:
+                return t, y, g
+    except DomainEscape:
+        pass
+    return _bisect(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol)
 
 
 def advance_flow(
@@ -447,8 +543,11 @@ def advance_flow(
     the last sample; ``reason`` is ``time`` when ``cfg.t_max`` is
     reached, ``converged`` when the optional stop ball is entered, or
     ``jump_boundary`` when the jump indicator crosses zero from below.
-    Boundary crossings are located by bisection so that the final sample
-    satisfies ``|jump_indicator| <= cfg.event_tol``.
+    Boundary crossings are located by :func:`_locate_crossing`, which
+    returns the bisection's sample, so that the final sample satisfies
+    ``0 <= jump_indicator <= cfg.event_tol`` (up to ``MAX_BISECT``
+    halvings); the step's bracket ``(t_prev, g_prev)``, ``(t_new,
+    g_new)`` starts its root estimate.
 
     Each accepted state is projected once and its jump indicator
     evaluated once.  When ``sys.flow_indicator is sys.jump_indicator``
@@ -563,7 +662,7 @@ def advance_flow(
 
         if g_prev < 0.0 <= g_new:
             t_star, y_star, g_star = _locate_crossing(
-                solver.dense_output(), sys, t_prev, t_new, y_new, g_new,
+                solver.dense_output(), sys, t_prev, g_prev, t_new, y_new, g_new,
                 cfg.event_tol,
             )
             times.append(t_star)

@@ -22,6 +22,7 @@ from hybridfb import (
     advance_flow,
     apply_jump,
     hybrid,
+    make_scenario,
     solve,
     validate_domain,
 )
@@ -805,6 +806,206 @@ class TestNonFinite:
         with pytest.raises(IntegrationStalled, match="Required step size") as info:
             solve(sys, np.array([0.0]), cfg)
         assert "t=10" in str(info.value)
+
+
+def _plain_bisection(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
+    """Bisect the jump indicator over one step, evaluating every midpoint.
+
+    The event location the solver's estimate-and-replay must reproduce
+    bit for bit: the same bracket, midpoint formula, ``MAX_BISECT`` and
+    break tests.
+    """
+    a, b = t_lo, t_hi
+    y_b, g_b = y_hi, g_hi
+    for _ in range(hybrid.MAX_BISECT):
+        if g_b <= event_tol:
+            break
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        y_m = sys.project(np.asarray(dense(m), dtype=float))
+        g_m = hybrid._indicator_value(sys.jump_indicator, y_m, m, "jump")
+        if g_m >= 0.0:
+            b, y_b, g_b = m, y_m, g_m
+        else:
+            a = m
+    return b, y_b, g_b
+
+
+def _bits(sample):
+    t, y, g = sample
+    return float(t).hex(), np.asarray(y, dtype=float).tobytes(), float(g).hex()
+
+
+@pytest.fixture
+def bisection_oracle(monkeypatch):
+    """Check every located crossing against plain bisection; list them."""
+    located = []
+    locate = hybrid._locate_crossing
+
+    def checked(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
+        got = locate(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol)
+        want = _plain_bisection(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol)
+        assert _bits(got) == _bits(want)
+        located.append(got)
+        return got
+
+    monkeypatch.setattr(hybrid, "_locate_crossing", checked)
+    return located
+
+
+def _line_system(indicator):
+    """The flow y' = 1 with ``indicator`` as both indicators.
+
+    From y = 0 at t = 0 its dense output is ``_line``: the state at time
+    t is t.
+    """
+    return HybridSystemDef(
+        flow_map=lambda y: np.ones(1),
+        flow_indicator=indicator,
+        jump_indicator=indicator,
+        jump_map=lambda y: y,
+    )
+
+
+def _line(t):
+    return np.array([t])
+
+
+def _recording(indicator, visited):
+    def record(y):
+        visited.append(float(y[0]))
+        return indicator(y)
+
+    return record
+
+
+class TestLocateCrossing:
+    """A located crossing is the plain bisection's sample, bit for bit."""
+
+    # Bearing from the obstacle centre (1, 0) in degrees, and distance.
+    SWITCHING_STARTS = ((0.0, 1.5), (150.0, 2.0), (190.0, 1.5), (330.0, 1.5))
+
+    @pytest.mark.parametrize("q0", [-1.0, 1.0])
+    @pytest.mark.parametrize("bearing, dist", SWITCHING_STARTS)
+    def test_switching_starts_match_plain_bisection(
+        self, bisection_oracle, bearing, dist, q0
+    ):
+        angle = math.radians(bearing)
+        z = (1.0 + dist * math.cos(angle), dist * math.sin(angle))
+        sc = make_scenario(
+            "backstep", q0=q0, z_init=z, margin=1e-3,
+            config=SolverConfig(t_max=2.0, j_max=1000),
+        )
+        arc = solve(sc.system, sc.x0, sc.config)
+        assert arc.jump_count >= 40
+        assert len(bisection_oracle) >= 20
+
+    def test_published_adaptive_start_matches_plain_bisection(self, bisection_oracle):
+        sc = make_scenario(
+            "adaptive", q0=-1.0, z_init=(2.0, 0.0), margin=1e-2,
+            config=SolverConfig(t_max=10.0),
+        )
+        arc = solve(sc.system, sc.x0, sc.config)
+        assert arc.jump_count >= 5
+        assert len(bisection_oracle) >= 5
+
+    def test_step_indicator_falls_back_to_plain_bisection(self, bisection_oracle):
+        # A +-1 indicator gives the root estimate no |g| to shrink.
+        sys = dataclasses.replace(
+            timer_system(), flow_indicator=_threshold, jump_indicator=_threshold
+        )
+        assert hybrid._estimate_root(
+            _line, sys, 0.0, -1.0, 1.5, 1.0, 1e-13
+        ) is None
+        arc = solve(sys, np.array([0.0]), SolverConfig(t_max=2.5))
+        assert arc.jump_count == 2
+        assert len(bisection_oracle) == 2
+
+    def test_nan_seen_only_by_the_estimate_falls_back(self):
+        def curve(y):
+            return math.expm1(y[0]) - 0.3
+
+        g_lo, g_hi = curve(_line(0.0)), curve(_line(1.0))
+        estimate_visits, bisection_visits = [], []
+        hybrid._locate_crossing(
+            _line, _line_system(_recording(curve, estimate_visits)),
+            0.0, g_lo, 1.0, _line(1.0), g_hi, 1e-10,
+        )
+        want = _plain_bisection(
+            _line, _line_system(_recording(curve, bisection_visits)),
+            0.0, 1.0, _line(1.0), g_hi, 1e-10,
+        )
+        unseen = sorted(set(estimate_visits) - set(bisection_visits))
+        assert unseen
+        for point in unseen:
+            def holed(y):
+                return math.nan if y[0] == point else curve(y)
+
+            got = hybrid._locate_crossing(
+                _line, _line_system(holed), 0.0, g_lo, 1.0, _line(1.0), g_hi, 1e-10
+            )
+            assert _bits(got) == _bits(want)
+
+    def test_nan_seen_by_the_bisection_raises_its_escape(self):
+        def curve(y):
+            return math.expm1(y[0]) - 0.3
+
+        bisection_visits = []
+        _plain_bisection(
+            _line, _line_system(_recording(curve, bisection_visits)),
+            0.0, 1.0, _line(1.0), curve(_line(1.0)), 1e-10,
+        )
+        point = bisection_visits[-1]
+
+        def holed(y):
+            return math.nan if y[0] == point else curve(y)
+
+        with pytest.raises(DomainEscape, match="jump indicator is nan") as want:
+            _plain_bisection(
+                _line, _line_system(holed), 0.0, 1.0, _line(1.0),
+                curve(_line(1.0)), 1e-10,
+            )
+        with pytest.raises(DomainEscape, match="jump indicator is nan") as got:
+            hybrid._locate_crossing(
+                _line, _line_system(holed), 0.0, curve(_line(0.0)), 1.0,
+                _line(1.0), curve(_line(1.0)), 1e-10,
+            )
+        assert got.value.t == want.value.t == point
+
+    def test_crossing_between_adjacent_floats_matches_plain_bisection(self):
+        # The indicator is just below 0 at the float 0.7 and above
+        # event_tol at the next float: the replay ends on a b it placed
+        # without a call, and plain bisection, which stops short of
+        # event_tol there too, gives the sample.
+        def steep(y):
+            return 1e8 * (y[0] - 0.7) - 1e-14
+
+        sys, g_hi = _line_system(steep), steep(_line(1.0))
+        got = hybrid._locate_crossing(
+            _line, sys, 0.5, steep(_line(0.5)), 1.0, _line(1.0), g_hi, 1e-10
+        )
+        want = _plain_bisection(_line, sys, 0.5, 1.0, _line(1.0), g_hi, 1e-10)
+        assert _bits(got) == _bits(want)
+        assert got[0] == math.nextafter(0.7, 1.0) and got[2] > 1e-10
+
+    @pytest.mark.parametrize(
+        "roots", [(0.3, 0.55, 0.85), (0.1, 0.2, 0.9), (0.05, 0.45, 0.95)]
+    )
+    def test_several_crossings_in_one_step_give_a_boundary_sample(self, roots):
+        # Up, down and up again within one step: the estimate may settle
+        # on a root the bisection does not reach.
+        def cubic(y):
+            return (y[0] - roots[0]) * (y[0] - roots[1]) * (y[0] - roots[2])
+
+        sys = _line_system(cubic)
+        t, y, g = hybrid._locate_crossing(
+            _line, sys, 0.0, cubic(_line(0.0)), 1.0, _line(1.0),
+            cubic(_line(1.0)), 1e-10,
+        )
+        assert 0.0 <= t <= 1.0
+        assert 0.0 <= g <= 1e-10
+        assert g == cubic(y) and y[0] == t
 
 
 class TestStepBudget:

@@ -247,7 +247,9 @@ class TestBuildClosedLoop:
 
     def test_shared_indicator_called_once_per_state(self, monkeypatch):
         # One call for x0, each accepted step and each post-jump state, plus
-        # one per bisection iteration: the flow set's test reuses the value.
+        # one per dense-output evaluation (the root estimate's points and
+        # the replayed bisection's evaluated midpoints): the flow set's test
+        # reuses the value.
         sc = make_scenario(
             "backstep", q0=-1.0, z_init=(1.8, -1.0), margin=1e-3,
             config=SolverConfig(t_max=2.0),
@@ -261,7 +263,7 @@ class TestBuildClosedLoop:
         sys = dataclasses.replace(
             sc.system, flow_indicator=indicator, jump_indicator=indicator
         )
-        counts = {"steps": 0, "bisections": 0}
+        counts = {"steps": 0, "dense": 0, "located": 0}
 
         class CountingRK45(hybrid.RK45):
             def step(self):
@@ -273,19 +275,30 @@ class TestBuildClosedLoop:
                 interpolant = super().dense_output()
 
                 def counted(t):
-                    counts["bisections"] += 1
+                    counts["dense"] += 1
                     return interpolant(t)
 
                 return counted
 
+        locate = hybrid._locate_crossing
+
+        def counted_locate(*args):
+            counts["located"] += 1
+            return locate(*args)
+
         monkeypatch.setattr(hybrid, "RK45", CountingRK45)
+        monkeypatch.setattr(hybrid, "_locate_crossing", counted_locate)
         arc = solve(sys, sc.x0, sc.config)
         monkeypatch.undo()
         assert arc.jump_count > 10
-        assert counts["bisections"] > arc.jump_count
+        assert counts["located"] > 10
+        assert counts["dense"] > arc.jump_count
         assert counts["steps"] == sum(len(times) - 1 for times, _ in arc.samples)
-        expected = 1 + counts["steps"] + arc.jump_count + counts["bisections"]
+        expected = 1 + counts["steps"] + arc.jump_count + counts["dense"]
         assert len(calls) == expected
+        # Locating a jump costs a few flow steps' worth of indicator calls,
+        # not the ~22 of a full bisection to event_tol.
+        assert counts["dense"] <= 10 * counts["located"]
 
     def test_flow_map_stacks_plant_and_controller(self):
         ctrl = ControllerData(
