@@ -21,7 +21,7 @@ timer = HybridSystemDef(
 arc = solve(timer, np.array([0.0]), SolverConfig(t_max=3.5))
 
 print("hybrid time domain (t_start, t_end, j):")
-for interval in arc.domain.intervals:
+for interval in arc.domain:
     print("   ", interval)
 
 print("\njump records:")

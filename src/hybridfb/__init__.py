@@ -30,7 +30,6 @@ from .errors import (
 from .hybrid import (
     HybridArc,
     HybridSystemDef,
-    HybridTimeDomain,
     JumpRecord,
     SolverConfig,
     advance_flow,

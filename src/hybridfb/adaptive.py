@@ -38,7 +38,8 @@ NEWTON_ITERS = 40
 FD_REL_STEP = 1e-6
 
 
-def _check_spd(name: str, mat: np.ndarray) -> np.ndarray:
+def _check_spd(name: str, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an SPD gain with a finite inverse; return both."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -48,7 +49,10 @@ def _check_spd(name: str, mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"{name} must be symmetric")
     if float(np.min(np.linalg.eigvalsh(mat))) <= 0.0:
         raise ValueError(f"{name} must be positive definite")
-    return mat
+    inv = np.linalg.inv(mat)
+    if not np.all(np.isfinite(inv)):
+        raise ValueError(f"{name} must have a finite inverse")
+    return mat, inv
 
 
 def _scalar_multiple(mat: np.ndarray) -> Optional[float]:
@@ -66,8 +70,11 @@ class ParamBall:
     The unknown parameter satisfies ``norm(theta) <= radius``; the
     estimate is allowed to roam the inflated ball of radius ``radius +
     eps``; ``gain`` is the symmetric positive-definite adaptation gain.
-    Caches ``gain_inv``, the gain's eigenpairs ``(g, v)`` as floats, and
-    ``scalar_gain``, which only the benchmark tracer (perfbench) reads.
+    Caches ``gain_inv``, ``radius_sq``, ``excess_scale``, the gain's
+    eigenpairs ``(g, v)`` as floats, and ``scalar_gain``, which only the
+    benchmark tracer (perfbench) reads.  Refuses (``ValueError``) a ball
+    whose ``radius_sq``, ``excess_scale`` or ``gain_inv`` is zero or not
+    finite.
     """
 
     radius: float
@@ -79,16 +86,24 @@ class ParamBall:
             raise ValueError("ball radius must be positive and finite")
         if not 0.0 < self.eps < math.inf:
             raise ValueError("projection margin eps must be positive and finite")
-        gain = _check_spd("adaptation gain", self.gain)
+        radius_sq = self.radius * self.radius
+        excess_scale = self.eps * self.eps + 2.0 * self.eps * self.radius
+        derived = (("radius**2", radius_sq), ("eps**2 + 2*eps*radius", excess_scale))
+        for name, value in derived:
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"ball radius {self.radius:g} and eps {self.eps:g} give "
+                    f"{name} = {value:g}, not positive and finite"
+                )
+        gain, gain_inv = _check_spd("adaptation gain", self.gain)
         vals, vecs = np.linalg.eigh(gain)
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "gain_inv", np.linalg.inv(gain))
+        object.__setattr__(self, "gain_inv", gain_inv)
         pairs = tuple(zip(vals.tolist(), vecs.T.tolist()))
         object.__setattr__(self, "eigenpairs", pairs)
         object.__setattr__(self, "scalar_gain", _scalar_multiple(gain))
-        object.__setattr__(
-            self, "excess_scale", self.eps**2 + 2.0 * self.eps * self.radius
-        )
+        object.__setattr__(self, "radius_sq", radius_sq)
+        object.__setattr__(self, "excess_scale", excess_scale)
 
     def error_term(self, theta_err: np.ndarray) -> float:
         """Half the squared ``gain^{-1}`` norm of the estimation error ``theta_err``."""
@@ -105,9 +120,9 @@ class BackstepGains:
     def __post_init__(self):
         if not 0.0 < self.damping < math.inf:
             raise ValueError("damping gain must be positive and finite")
-        gain = _check_spd("backstepping gain", self.gain)
+        gain, gain_inv = _check_spd("backstepping gain", self.gain)
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "gain_inv", np.linalg.inv(gain))
+        object.__setattr__(self, "gain_inv", gain_inv)
 
     def error_term(self, u_err: np.ndarray) -> float:
         """Half the squared ``gain^{-1}`` norm of the input error ``u_err``."""
@@ -121,7 +136,7 @@ def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:
     exactly one on the boundary of the inflated ball.
     """
     th = np.asarray(theta_hat, dtype=float)
-    return (float(th @ th) - ball.radius**2) / ball.excess_scale
+    return (float(th @ th) - ball.radius_sq) / ball.excess_scale
 
 
 def ball_excess_gradient(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
@@ -207,11 +222,10 @@ def reset_estimate(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
 def central_difference(
     fun: Callable[[np.ndarray], object],
     x: np.ndarray,
-    rel_step: float = FD_REL_STEP,
 ) -> np.ndarray:
     """Central-difference derivative of ``fun`` at ``x``.
 
-    Steps ``rel_step * max(1, norm(x))`` along each ambient coordinate of
+    Steps ``FD_REL_STEP * max(1, norm(x))`` along each ambient coordinate of
     ``x``.  Returns the gradient (n,) of a scalar ``fun`` or the Jacobian
     (m, n) of a vector-valued one; an analytic derivative may replace it
     and must agree to within 1e-6 relative at nonsingular points.
@@ -219,7 +233,7 @@ def central_difference(
     infinite branch.
     """
     x = np.asarray(x, dtype=float)
-    h = rel_step * max(1.0, float(np.linalg.norm(x)))
+    h = FD_REL_STEP * max(1.0, float(np.linalg.norm(x)))
     cols = []
     for i in range(x.shape[0]):
         xp = x.copy()

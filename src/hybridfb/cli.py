@@ -147,22 +147,38 @@ def _run_batch(paths: list[str]) -> int:
     return status
 
 
+# The flags of one simulation run, which the suites never read.
+_RUN_FLAGS = ("scenario", "controller", "q0", "t_max", "j_max", "out", "summary",
+              "strict")
+
+
+def _refuse_flags(parser, args, names, reason: str) -> None:
+    """Raise :class:`ConfigError` naming each of ``names`` given on the line."""
+    given = [
+        "--" + name.replace("_", "-")
+        for name in names
+        if getattr(args, name) != parser.get_default(name)
+    ]
+    if given:
+        raise ConfigError(f"{reason}; got " + ", ".join(given))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.batch:
-            ignored = [
-                "--" + name.replace("_", "-")
-                for name, value in vars(args).items()
-                if name != "batch" and value != parser.get_default(name)
-            ]
-            if ignored:
-                raise ConfigError(
-                    "--batch runs each file as written and takes no other "
-                    "flag; got " + ", ".join(ignored)
-                )
+            _refuse_flags(
+                parser, args, [name for name in vars(args) if name != "batch"],
+                "--batch runs each file as written and takes no other flag",
+            )
             return _run_batch(args.batch)
+        if args.property_suite:
+            _refuse_flags(parser, args, _RUN_FLAGS, "--property-suite runs the "
+                          "verification suites and takes no simulation flag")
+        else:
+            _refuse_flags(parser, args, ("thorough", "seed"),
+                          "--thorough and --seed apply only with --property-suite")
         file_values = read_config_file(args.config) if args.config else {}
         config = config_from_sources(file_values, _cli_overrides(args))
         if args.property_suite:

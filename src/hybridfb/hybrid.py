@@ -73,28 +73,6 @@ ZENO_JUMPS = 10
 
 
 @dataclass(frozen=True)
-class HybridTimeDomain:
-    """Ordered flow intervals ``(t_start, t_end, j)`` of a hybrid solution.
-
-    Consecutive intervals share the jump instant: interval ``k`` ends at
-    ``(t, j)`` and interval ``k+1`` starts at ``(t, j+1)``.
-    """
-
-    intervals: tuple
-
-    def __len__(self):
-        return len(self.intervals)
-
-    @property
-    def final_time(self) -> float:
-        return self.intervals[-1][1]
-
-    @property
-    def jump_count(self) -> int:
-        return len(self.intervals) - 1
-
-
-@dataclass(frozen=True)
 class JumpRecord:
     """One jump: time, index of the interval being left, and both states."""
 
@@ -120,12 +98,11 @@ class HybridArc:
     samples: tuple
 
     @cached_property
-    def domain(self) -> HybridTimeDomain:
-        return HybridTimeDomain(
-            intervals=tuple(
-                (float(times[0]), float(times[-1]), k)
-                for k, (times, _) in enumerate(self.samples)
-            )
+    def domain(self) -> tuple:
+        """The hybrid time domain: one ``(t_start, t_end, j)`` per interval."""
+        return tuple(
+            (float(times[0]), float(times[-1]), k)
+            for k, (times, _) in enumerate(self.samples)
         )
 
     @cached_property
@@ -156,7 +133,7 @@ class HybridArc:
                 yield float(t), j, y
 
     def total_flow_time(self) -> float:
-        return sum(b - a for a, b, _ in self.domain.intervals)
+        return sum(b - a for a, b, _ in self.domain)
 
 
 @dataclass(frozen=True)

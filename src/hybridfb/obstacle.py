@@ -313,11 +313,9 @@ def make_affine_plant(obstacle: ObstacleDisk) -> AffinePlant:
     return AffinePlant(
         drift=drift,
         input_matrix=input_matrix,
-        disturbance_matrix=input_matrix,
         matched_matrix=matched_matrix,
         n_x=3,
         n_u=2,
-        n_theta=2,
     )
 
 
@@ -409,10 +407,11 @@ def _closed_loop_kernels(
     center1, center2 = obstacle.center.tolist()
 
     def chart_feedback(x1, x2, x3, q):
-        """:func:`gradient_feedback` at the point's floats; NaN off the chart."""
+        """:func:`gradient_feedback` at the point's floats; NaN off the chart
+        and on the disk, where ``exp(x1)`` underflows."""
         try:
             return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
-        except ChartSingular:
+        except (ChartSingular, ZeroDivisionError):
             return math.nan, math.nan
 
     def nominal_gap(state):
@@ -478,7 +477,7 @@ def _closed_loop_kernels(
         )
 
     (a11, a12), (a21, a22) = ball.gain.tolist()
-    radius_sq, excess_scale = ball.radius**2, ball.excess_scale
+    radius_sq, excess_scale = ball.radius_sq, ball.excess_scale
 
     def estimate_rate(d1, d2, th1, th2):
         """The adaptation gain times :func:`project_rate` of the drive ``d``."""

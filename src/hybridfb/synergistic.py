@@ -37,18 +37,19 @@ class AffinePlant:
     """Control-affine plant with matched parametric uncertainty.
 
     The dynamics are ``drift + input_matrix @ u + disturbance_matrix @
-    theta`` where the disturbance enters through the input channel:
-    ``disturbance_matrix == input_matrix @ matched_matrix`` everywhere
-    (checked numerically by :meth:`check_matched`).
+    theta``, where the parameter enters through the input channel: the
+    disturbance matrix is ``input_matrix @ matched_matrix``, derived
+    rather than stored, so an unmatched plant cannot be built.
     """
 
     drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     input_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    disturbance_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
     matched_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_x: int
     n_u: int
-    n_theta: int
+
+    def disturbance_matrix(self, x, xi_c) -> np.ndarray:
+        return self.input_matrix(x, xi_c) @ self.matched_matrix(x, xi_c)
 
     def f(self, x, xi_c, u, theta) -> np.ndarray:
         return (
@@ -56,20 +57,6 @@ class AffinePlant:
             + self.input_matrix(x, xi_c) @ u
             + self.disturbance_matrix(x, xi_c) @ theta
         )
-
-    def check_matched(self, states: Sequence[tuple], tol: float = 1e-10) -> list[str]:
-        """Verify the matched-uncertainty factorization on sampled states."""
-        violations = []
-        for k, (x, xi_c) in enumerate(states):
-            lhs = self.disturbance_matrix(x, xi_c)
-            rhs = self.input_matrix(x, xi_c) @ self.matched_matrix(x, xi_c)
-            err = float(np.max(np.abs(lhs - rhs)))
-            if err > tol:
-                violations.append(
-                    f"state {k}: disturbance matrix differs from "
-                    f"input_matrix @ matched_matrix by {err:.3e}"
-                )
-        return violations
 
 
 @dataclass(frozen=True)
@@ -253,15 +240,16 @@ def monitor_flow_decrease(
     ``potential`` evaluates the monitored Lyapunov function on the full
     closed-loop state, or holds its value at every sample of the arc in
     hybrid-time order; an increase larger than ``tol`` between adjacent
-    samples of one flow interval is a violation.  Infinite values only
-    violate when the potential rises from finite to infinite.
+    samples of one flow interval is a violation, and so is a NaN value
+    on either side.  Infinite values only violate when the potential
+    rises from finite to infinite.
     """
     violations = []
     for j, ((times, _), values) in enumerate(
         zip(arc.samples, _interval_values(arc, potential))
     ):
         for t, prev_v, v in zip(times[1:].tolist(), values, values[1:]):
-            if v > prev_v + tol:
+            if not v <= prev_v + tol:
                 violations.append(
                     MonitorViolation(
                         kind="flow",
@@ -284,11 +272,11 @@ def monitor_jump_decrease(
     """Flag jumps that fail to decrease the potential by the margin.
 
     A jump violates when ``potential(after) > potential(before) -
-    margin(before) + tol``.  Jumps from an infinite potential never
-    violate.  ``potential`` is a function of the state, evaluated at the
-    jump records' states, or its values at every sample of the arc in
-    hybrid-time order, read at the interval ends, which are the records'
-    states.
+    margin(before) + tol`` or either value is NaN, so a jump from an
+    infinite potential violates only into NaN.  ``potential`` is a
+    function of the state, evaluated at the jump records' states, or its
+    values at every sample of the arc in hybrid-time order, read at the
+    interval ends, which are the records' states.
     """
     if callable(potential):
         pairs = [
@@ -301,7 +289,7 @@ def monitor_jump_decrease(
     violations = []
     for rec, (v_before, v_after) in zip(arc.jump_records, pairs):
         bound = v_before - float(margin(rec.before)) + tol
-        if v_after > bound:
+        if not v_after <= bound:
             violations.append(
                 MonitorViolation(
                     kind="jump",

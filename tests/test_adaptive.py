@@ -73,6 +73,34 @@ class TestBallTypes:
         with pytest.raises(ValueError, match="finite"):
             ParamBall(radius=radius, eps=eps, gain=gain)
 
+    @pytest.mark.parametrize(
+        "radius, eps, gain, match",
+        [
+            (1e-320, 1.0, np.eye(2), r"radius\*\*2 = 0,"),
+            (1e-200, 1e-200, np.eye(2), r"radius\*\*2 = 0,"),
+            (1e160, 1.0, np.eye(2), r"radius\*\*2 = inf,"),
+            (1e-150, 1e-200, np.eye(2), r"eps\*\*2 \+ 2\*eps\*radius = 0,"),
+            (1.0, 1e160, np.eye(2), r"eps\*\*2 \+ 2\*eps\*radius = inf,"),
+            (1.0, 1e300, np.eye(2), r"eps\*\*2 \+ 2\*eps\*radius = inf,"),
+            (1.0, 1.0, 1e-320 * np.eye(2), "finite inverse"),
+        ],
+        ids=["radius-sq-underflow", "tiny-radius-and-eps", "radius-sq-overflow",
+             "excess-scale-underflow", "eps-1e160", "eps-1e300", "gain-inverse-inf"],
+    )
+    def test_param_ball_rejects_unusable_derived_constants(
+        self, radius, eps, gain, match
+    ):
+        # The squared radius, the excess scale and the gain's inverse must
+        # each be positive and finite; nothing overflows on the way.
+        with pytest.raises(ValueError, match=match):
+            ParamBall(radius=radius, eps=eps, gain=gain)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_param_ball_keeps_wide_radius_and_eps(self, scale):
+        ball = ParamBall(radius=scale, eps=scale, gain=np.eye(2))
+        assert ball.radius_sq == scale * scale
+        assert ball.excess_scale == pytest.approx(3.0 * scale * scale, rel=1e-15)
+
     def test_scalar_gain_detection(self):
         assert ParamBall(1.0, 1.0, 2.5 * np.eye(3)).scalar_gain == 2.5
         general = ParamBall(1.0, 1.0, np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -83,6 +111,10 @@ class TestBallTypes:
             BackstepGains(gain=np.eye(2), damping=0.0)
         with pytest.raises(ValueError):
             BackstepGains(gain=-np.eye(2), damping=1.0)
+
+    def test_backstep_gain_inverse_must_be_finite(self):
+        with pytest.raises(ValueError, match="inverse"):
+            BackstepGains(gain=1e-320 * np.eye(2), damping=1.0)
 
     @pytest.mark.parametrize("damping", [math.nan, math.inf])
     def test_backstep_damping_must_be_finite(self, damping):
@@ -405,11 +437,9 @@ def simple_plant():
     return AffinePlant(
         drift=lambda x, xi: np.zeros(2),
         input_matrix=lambda x, xi: eye2,
-        disturbance_matrix=lambda x, xi: eye2,
         matched_matrix=lambda x, xi: eye2,
         n_x=2,
         n_u=2,
-        n_theta=2,
     )
 
 
@@ -629,11 +659,9 @@ class TestInputFlow:
         plant = AffinePlant(
             drift=lambda x, xi: np.zeros(2),
             input_matrix=lambda x, xi: np.eye(2),
-            disturbance_matrix=lambda x, xi: np.zeros((2, 2)),
             matched_matrix=lambda x, xi: np.zeros((2, 2)),
             n_x=2,
             n_u=2,
-            n_theta=2,
         )
         const = np.array([1.0, -1.0])
         nominal = ControllerData(
@@ -686,6 +714,54 @@ class TestInputFlow:
         actual = ctrl.controller_flow(x, xi2)[3:]
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(actual - expected)) / scale <= 1e-6
+
+    def test_flowing_nominal_state_matches_assembly_from_fd_jacobian(self):
+        # A nominal state that flows between jumps feeds the input rate
+        # through the feedback's Jacobian in that state; assemble the rate
+        # with finite-differenced Jacobians in both x and the state.
+        direction = np.array([1.0, 0.5])
+        nominal = ControllerData(
+            n_state=1,
+            feedback=lambda x, xi: -x + math.sin(xi[0]) * direction,
+            potential=lambda x, xi: 0.5 * float(x @ x),
+            candidates=lambda x, xi: [np.array([0.0])],
+            controller_flow=lambda x, xi: np.array([x[0] - xi[0]]),
+            margin=1.0,
+        )
+        plant = simple_plant()
+        adaptive = lift_adaptive(
+            nominal, plant, UNIT_BALL, grad_potential=lambda x, xi: x
+        )
+        gains = BackstepGains(gain=np.array([[2.0, 0.3], [0.3, 1.0]]), damping=1.5)
+        ctrl = lift_backstep(
+            adaptive, gains,
+            controller_jacobian=lambda x, xi1: math.cos(xi1[0]) * direction[:, None],
+        )
+        x = np.array([0.9, -0.4])
+        xi_c, theta_hat = np.array([0.3]), np.array([0.2, -0.1])
+        xi1 = np.concatenate([xi_c, theta_hat])
+        u = np.array([0.5, 0.8])
+
+        jac_x = central_difference(lambda p: adaptive.feedback(p, xi1), x)
+        jac_c = central_difference(
+            lambda c: adaptive.feedback(x, np.concatenate([c, theta_hat])), xi_c
+        )
+        f_c = nominal.controller_flow(x, xi_c)
+        u_err = u - adaptive.feedback(x, xi1)
+        psi_t = plant.disturbance_matrix(x, xi_c)
+        drive = psi_t.T @ (x - jac_x.T @ (gains.gain_inv @ u_err))
+        estimate_rate = UNIT_BALL.gain @ project_rate(drive, theta_hat, UNIT_BALL)
+        without_term = (
+            -plant.matched_matrix(x, xi_c) @ estimate_rate
+            - gains.damping * u_err
+            - gains.gain @ (plant.input_matrix(x, xi_c).T @ x)
+            + jac_x @ plant.f(x, xi_c, u, theta_hat)
+        )
+        expected = without_term + jac_c @ f_c
+        flow = ctrl.controller_flow(x, np.concatenate([xi1, u]))
+        assert flow[0] == f_c[0] != 0.0
+        assert np.max(np.abs(flow[3:] - expected)) <= 1e-6
+        assert np.max(np.abs(flow[3:] - without_term)) > 0.1
 
     def test_tracks_feedback_derivative_along_arc(self):
         # Along a finely sampled backstep flow, the held input's rate and

@@ -13,7 +13,6 @@ from hybridfb import (
     DomainEscape,
     HybridArc,
     HybridSystemDef,
-    HybridTimeDomain,
     IntegrationStalled,
     JumpOutsideJumpSet,
     JumpRecord,
@@ -242,7 +241,7 @@ class TestSolve:
         cfg = SolverConfig(t_max=3.5)
         arc = solve(timer_system(), np.array([0.0]), cfg)
         assert arc.jump_count == 3
-        assert len(arc.domain.intervals) == 4
+        assert len(arc.domain) == 4
         for k, rec in enumerate(arc.jump_records):
             assert abs(rec.t - (k + 1)) <= 1e-9
         assert validate_domain(arc) == []
@@ -251,8 +250,8 @@ class TestSolve:
         cfg = SolverConfig(t_max=2.0)
         arc = solve(decay_system(), np.array([1.0]), cfg)
         assert arc.jump_count == 0
-        assert len(arc.domain.intervals) == 1
-        assert arc.domain.intervals[0] == (0.0, 2.0, 0)
+        assert len(arc.domain) == 1
+        assert arc.domain[0] == (0.0, 2.0, 0)
 
     def test_initial_state_in_jump_set_jumps_at_zero(self):
         # tau starts beyond the threshold: only a jump is admissible.
@@ -273,7 +272,7 @@ class TestSolve:
         cfg = SolverConfig(t_max=3.5)
         arc1 = solve(timer_system(), np.array([0.0]), cfg)
         arc2 = solve(timer_system(), np.array([0.0]), cfg)
-        assert arc1.domain.intervals == arc2.domain.intervals
+        assert arc1.domain == arc2.domain
         for (t1, s1), (t2, s2) in zip(arc1.samples, arc2.samples):
             assert np.array_equal(t1, t2)
             assert np.array_equal(s1, s2)
@@ -922,6 +921,18 @@ class TestLocateCrossing:
         assert arc.jump_count == 2
         assert len(bisection_oracle) == 2
 
+    def test_secant_leaving_the_bracket_falls_back(self):
+        # g_hi == 0 puts the first secant on t_hi itself, outside the open
+        # bracket: no estimate, and the plain bisection's sample comes back.
+        def line(y):
+            return y[0] - 1.0
+
+        sys = _line_system(line)
+        assert hybrid._estimate_root(_line, sys, 0.0, -1.0, 1.0, 0.0, 1e-13) is None
+        got = hybrid._locate_crossing(_line, sys, 0.0, -1.0, 1.0, _line(1.0), 0.0, 1e-10)
+        want = _plain_bisection(_line, sys, 0.0, 1.0, _line(1.0), 0.0, 1e-10)
+        assert _bits(got) == _bits(want) == _bits((1.0, _line(1.0), 0.0))
+
     def test_nan_seen_only_by_the_estimate_falls_back(self):
         def curve(y):
             return math.expm1(y[0]) - 0.3
@@ -1079,9 +1090,9 @@ class TestDerivedRecords:
             )
         )
         assert validate_domain(arc) == []
-        assert arc.domain.intervals == ((0.0, 1.0, 0), (1.0, 1.0, 1), (1.0, 2.0, 2))
-        assert arc.jump_count == arc.domain.jump_count == 2
-        assert arc.final_time == arc.domain.final_time == 2.0
+        assert arc.domain == ((0.0, 1.0, 0), (1.0, 1.0, 1), (1.0, 2.0, 2))
+        assert arc.jump_count == 2
+        assert arc.final_time == 2.0
         assert arc.total_flow_time() == 2.0
         records = arc.jump_records
         assert all(isinstance(rec, JumpRecord) for rec in records)
@@ -1105,7 +1116,7 @@ class TestDerivedRecords:
         arc = solve(dataclasses.replace(sys, jump_map=jump_map), x0, cfg)
         assert arc.jump_count > 0
         assert len(calls) == arc.jump_count == len(arc.jump_records)
-        intervals = arc.domain.intervals
+        intervals = arc.domain
         for k, ((before, out), rec) in enumerate(zip(calls, arc.jump_records)):
             assert rec.j == k
             assert np.array_equal(before, rec.before)
@@ -1129,12 +1140,6 @@ class TestDerivedRecords:
 
 
 class TestTypes:
-    def test_domain_contains(self):
-        dom = HybridTimeDomain(intervals=((0.0, 1.0, 0), (1.0, 2.0, 1)))
-        assert len(dom) == 2
-        assert dom.jump_count == 1
-        assert dom.final_time == 2.0
-
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(t_max=-1.0)

@@ -512,15 +512,19 @@ class TestNominalController:
 
     @pytest.mark.parametrize("q", [-1.0, 1.0])
     def test_plant_disturbance_matched_by_construction(self, q):
-        # disturbance_matrix is input_matrix and matched_matrix the identity,
-        # so the factorization holds exactly at every cylinder point.
+        # matched_matrix is the identity, so the derived disturbance matrix
+        # is the input matrix entry for entry at every cylinder point.
         points = [OBS.target] + [
             np.array([height, s1, s2])
             for height in (-1.0, 0.0, 1.0)
             for s1, s2 in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
         ]
         plant = make_affine_plant(OBS)
-        assert plant.check_matched([(p, np.array([q])) for p in points]) == []
+        for p in points:
+            xi_c = np.array([q])
+            assert np.array_equal(
+                plant.disturbance_matrix(p, xi_c), plant.input_matrix(p, xi_c)
+            )
 
 
 class TestScenarioFactory:
@@ -554,6 +558,10 @@ class TestScenarioFactory:
     def test_backstep_zero_input_policy(self):
         sc = make_scenario("backstep", q0=1.0, u0="zero")
         assert sc.x0[6:8].tolist() == [0.0, 0.0]
+
+    def test_backstep_unknown_input_policy_refused(self):
+        with pytest.raises(ValueError, match="unknown initial-input policy 'bogus'"):
+            make_scenario("backstep", q0=1.0, u0="bogus")
 
     def test_backstep_explicit_input(self):
         sc = make_scenario("backstep", q0=1.0, u0=np.array([0.1, 0.2]))

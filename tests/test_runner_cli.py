@@ -814,3 +814,177 @@ class TestCli:
             ["--batch", str(tmp_path / "run0.cfg"), str(tmp_path / "run1.cfg")]
         )
         assert code == 4
+
+
+# Configs whose adaptation constants break: the squared radius, the
+# excess scale or a gain's inverse underflows to 0 or overflows to inf.
+BROKEN_CONSTANTS = {
+    "radius-sq-underflow": "theta = 0, 0\ntheta_bound = 1e-320\n",
+    "excess-scale-underflow": "theta = 0, 0\ntheta_bound = 1e-200\neps = 1e-200\n",
+    "eps-1e160": "eps = 1e160\n",
+    "eps-1e300": "eps = 1e300\n",
+    "radius-1e160": "theta_bound = 1e160\n",
+    "gamma1-inverse": "gamma1 = 1e-320\n",
+    "gamma2-inverse": "gamma2 = 1e-320\n",
+}
+
+
+# Only the backstep controller reads gamma2.
+BROKEN_CASES = [
+    (controller, name)
+    for controller in ("adaptive", "backstep")
+    for name in BROKEN_CONSTANTS
+    if controller == "backstep" or not name.startswith("gamma2")
+]
+
+
+class TestBrokenConstantsRefused:
+    @pytest.mark.parametrize(
+        "controller, name", BROKEN_CASES, ids=[f"{c}-{n}" for c, n in BROKEN_CASES]
+    )
+    def test_exit_four_single_and_batch(self, tmp_path, capsys, controller, name):
+        text = BROKEN_CONSTANTS[name]
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "arc.csv"
+        path.write_text(f"controller = {controller}\nt_max = 0.01\n{text}")
+        assert main(["--config", str(path), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+        worker_path, code, message = run_config_file(str(path))
+        assert (worker_path, code) == (str(path), 4)
+        assert captured.err == f"configuration error: {message}\n"
+
+
+class TestFlagsThatDoNothingRefused:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--thorough", "--t-max", "0.01"], "--thorough"),
+            (["--seed", "3"], "--seed"),
+            (["--seed", "0", "--thorough"], "--thorough, --seed"),
+        ],
+    )
+    def test_suite_flags_need_property_suite(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "arc.csv"
+        assert main([*argv, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: --thorough and --seed apply only with "
+            f"--property-suite; got {named}\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--out", "x.csv", "--seed", "0"], "--out"),
+            (["--scenario", "obstacle"], "--scenario"),
+            (["--controller", "backstep", "--q0", "1"], "--controller, --q0"),
+            (["--t-max", "1", "--j-max", "5"], "--t-max, --j-max"),
+            (["--summary", "s.txt", "--strict", "--thorough"], "--summary, --strict"),
+        ],
+    )
+    def test_simulation_flags_refused_with_property_suite(
+        self, monkeypatch, capsys, flags, named
+    ):
+        def suite(seed, thorough=False):
+            raise AssertionError("the suites must not run")
+
+        monkeypatch.setattr("hybridfb.cli.property_suite", suite)
+        assert main(["--property-suite", *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: --property-suite runs the verification suites "
+            f"and takes no simulation flag; got {named}\n"
+        )
+        assert captured.out == ""
+
+    def test_config_file_keys_stay_accepted(self, tmp_path, monkeypatch, capsys):
+        seeds = []
+
+        def suite(seed, thorough=False):
+            seeds.append((seed, thorough))
+            return runner_mod.PropertyReport(seed=seed, results=())
+
+        monkeypatch.setattr("hybridfb.cli.property_suite", suite)
+        path = tmp_path / "suite.cfg"
+        path.write_text("controller = backstep\nt_max = 1\nseed = 5\nstrict = true\n")
+        assert main(["--property-suite", "--thorough", "--config", str(path)]) == 0
+        assert seeds == [(5, True)]
+        run_path = tmp_path / "run.cfg"
+        run_path.write_text("controller = nominal\nt_max = 0.01\nseed = 5\n")
+        assert main(["--config", str(run_path)]) == 0
+
+
+def _planted_run(monkeypatch, arc, argv):
+    """Run ``main`` with ``runner.solve`` returning ``arc``."""
+    monkeypatch.setattr(runner_mod, "solve", lambda system, x0, config: arc)
+    return main(argv)
+
+
+class TestRunChecks:
+    def test_malformed_arc_exit_three(self, monkeypatch, capsys):
+        empty = HybridArc(samples=((np.empty(0), np.empty((0, 6))),))
+        assert _planted_run(monkeypatch, empty, ["--t-max", "0.01"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "solver error: solver produced an ill-formed arc: interval 0: no samples\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("controller", ["nominal", "adaptive", "backstep"])
+    def test_sample_on_the_obstacle_exit_three(self, monkeypatch, capsys, controller):
+        # At x1 = -800, exp(x1) underflows to 0: the sample's distance to
+        # the disk centre is the radius itself, and its feedback is NaN.
+        config = ScenarioConfig(controller=controller, t_max=0.01)
+        x0 = build_scenario(config).x0
+        on_disk = x0.copy()
+        on_disk[0] = -800.0
+        arc = HybridArc(samples=((np.array([0.0, 0.01]), np.stack([x0, on_disk])),))
+        argv = ["--controller", controller, "--t-max", "0.01"]
+        assert _planted_run(monkeypatch, arc, argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "solver error: trajectory reached distance 0.5 from the obstacle "
+            "center (radius 0.5)\n"
+        )
+        assert captured.out == ""
+
+
+# Values each numeric key takes in turn; integer keys take only the first two.
+EXTREMES = ("0", "-1", "1e-320", "1e-200", "1e160", "1e300", "nan", "inf", "-inf")
+EXTREME_CASES = [
+    (key, value)
+    for key, parser in runner_mod._FIELD_PARSERS.items()
+    if parser in (float, int, runner_mod._parse_vec2)
+    for value in (EXTREMES[:2] if parser is int else EXTREMES)
+]
+
+
+class TestConfigExtremes:
+    """Every extreme value of one key runs or is refused with an exit code."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("extremes")
+
+    @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
+    @pytest.mark.parametrize(
+        "key, value", EXTREME_CASES, ids=[f"{k}={v}" for k, v in EXTREME_CASES]
+    )
+    def test_documented_exit(self, workdir, capsys, controller, key, value):
+        if runner_mod._FIELD_PARSERS[key] is runner_mod._parse_vec2:
+            value = f"{value}, {value}"
+        path = workdir / "run.cfg"
+        out = workdir / "arc.csv"
+        out.unlink(missing_ok=True)
+        lines = {"controller": controller, "t_max": "0.01", key: value}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        code = main(["--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert not np.any(np.isnan(read_csv(out)["V_true"]))

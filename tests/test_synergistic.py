@@ -204,11 +204,9 @@ def scalar_plant():
     return AffinePlant(
         drift=lambda x, xi: -x,
         input_matrix=lambda x, xi: np.eye(1),
-        disturbance_matrix=lambda x, xi: np.zeros((1, 1)),
         matched_matrix=lambda x, xi: np.zeros((1, 1)),
         n_x=1,
         n_u=1,
-        n_theta=1,
     )
 
 
@@ -321,40 +319,13 @@ class TestBuildClosedLoop:
 
 
 class TestAffinePlant:
-    def test_matched_check_passes_for_consistent_plant(self):
-        plant = AffinePlant(
-            drift=lambda x, xi: np.zeros(2),
-            input_matrix=lambda x, xi: np.eye(2),
-            disturbance_matrix=lambda x, xi: np.eye(2),
-            matched_matrix=lambda x, xi: np.eye(2),
-            n_x=2,
-            n_u=2,
-            n_theta=2,
-        )
-        states = [(np.zeros(2), np.zeros(1)), (np.ones(2), np.zeros(1))]
-        assert plant.check_matched(states) == []
-
-    def test_matched_check_flags_mismatch(self):
-        plant = AffinePlant(
-            drift=lambda x, xi: np.zeros(2),
-            input_matrix=lambda x, xi: np.eye(2),
-            disturbance_matrix=lambda x, xi: 2.0 * np.eye(2),
-            matched_matrix=lambda x, xi: np.eye(2),
-            n_x=2,
-            n_u=2,
-            n_theta=2,
-        )
-        assert plant.check_matched([(np.zeros(2), np.zeros(1))])
-
     def test_unperturbed_dynamics(self):
         plant = AffinePlant(
             drift=lambda x, xi: np.array([1.0]),
             input_matrix=lambda x, xi: np.array([[2.0]]),
-            disturbance_matrix=lambda x, xi: np.array([[2.0]]),
             matched_matrix=lambda x, xi: np.array([[1.0]]),
             n_x=1,
             n_u=1,
-            n_theta=1,
         )
         x, xi = np.zeros(1), np.zeros(1)
         assert plant.f(x, xi, np.array([3.0]), np.array([1.0]))[0] == 9.0
@@ -438,3 +409,27 @@ class TestMonitors:
         arc = solve(sys, np.array([0.0]), SolverConfig(t_max=1.5))
         potential = lambda s: math.inf if s[0] >= 1.0 - 1e-6 else float(s[0])
         assert monitor_jump_decrease(arc, potential, lambda s: 1.0, 1e-9) == []
+
+    def test_flow_monitor_flags_nan_potential(self):
+        # A NaN value compares false both ways; it counts as a violation.
+        arc = _decay_arc()
+        values = [0.5 * s[0] ** 2 for _, _, s in arc.iter_samples()]
+        values[3] = math.nan
+        violations = monitor_flow_decrease(arc, values, 1e-6)
+        assert [v.t for v in violations] == [arc.samples[0][0][k] for k in (3, 4)]
+        assert all(v.kind == "flow" for v in violations)
+
+    def test_jump_monitor_flags_nan_potential(self):
+        sys = HybridSystemDef(
+            flow_map=lambda y: np.ones(1),
+            flow_indicator=lambda y: y[0] - 1.0,
+            jump_indicator=lambda y: y[0] - 1.0,
+            jump_map=lambda y: np.zeros(1),
+        )
+        arc = solve(sys, np.array([0.0]), SolverConfig(t_max=1.5))
+        for potential in (
+            lambda s: math.nan if s[0] == 0.0 else float(s[0]),
+            lambda s: math.nan if s[0] >= 1.0 - 1e-6 else float(s[0]),
+        ):
+            violations = monitor_jump_decrease(arc, potential, lambda s: 0.5, 1e-9)
+            assert len(violations) == len(arc.jump_records) == 1
