@@ -67,8 +67,6 @@ from .obstacle import (
     ObstacleDisk,
     Scenario,
     build_nominal_controller,
-    chart,
-    chart_jacobian,
     chart_potential,
     chart_potential_gradient,
     from_cylinder,

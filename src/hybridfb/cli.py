@@ -12,6 +12,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .errors import ConfigError, HybridFeedbackError
 from .runner import (
     config_from_sources,
@@ -42,7 +44,6 @@ def _build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--scenario", help="scenario name (default: obstacle)")
     parser.add_argument(
         "--controller",
         choices=["nominal", "adaptive", "backstep"],
@@ -81,8 +82,8 @@ def _build_parser() -> _Parser:
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    keys = ("scenario", "controller", "q0", "t_max", "j_max", "out",
-            "summary", "strict", "seed")
+    keys = ("controller", "q0", "t_max", "j_max", "out", "summary", "strict",
+            "seed")
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
@@ -102,6 +103,10 @@ def _run_single(config) -> int:
     return EXIT_OK
 
 
+# Here and in main: a run that fails or is refused ends with one message
+# naming the failure, and numpy's floating-point warnings on the way there
+# would only print ahead of it.
+@np.errstate(all="ignore")
 def run_config_file(path: str) -> tuple[str, int, str]:
     """Load and run one config file; used as the batch worker."""
     try:
@@ -148,8 +153,7 @@ def _run_batch(paths: list[str]) -> int:
 
 
 # The flags of one simulation run, which the suites never read.
-_RUN_FLAGS = ("scenario", "controller", "q0", "t_max", "j_max", "out", "summary",
-              "strict")
+_RUN_FLAGS = ("controller", "q0", "t_max", "j_max", "out", "summary", "strict")
 
 
 def _refuse_flags(parser, args, names, reason: str) -> None:
@@ -163,6 +167,7 @@ def _refuse_flags(parser, args, names, reason: str) -> None:
         raise ConfigError(f"{reason}; got " + ", ".join(given))
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

@@ -50,7 +50,7 @@ from .errors import (
     ZenoSuspected,
 )
 
-ExitReason = Literal["time", "jump_boundary", "converged"]
+ExitReason = Literal["time", "jump_boundary"]
 
 # Step sizes below this (seconds) count as an integrator stall.
 MIN_STEP = 1e-14
@@ -165,10 +165,9 @@ class HybridSystemDef:
 class SolverConfig:
     """Termination rules and integrator tolerances for :func:`solve`.
 
-    ``stop_ball`` is an optional ``(distance_fn, radius)`` pair; the run
-    stops with exit reason ``converged`` once ``distance_fn(state) <=
-    radius`` at an accepted sample.  ``t_max`` and tolerances must be
-    finite, and ``t_max / max_step`` at most ``MAX_STEPS``.
+    A run stops at the flow-time horizon ``t_max`` or when the jump
+    budget ``j_max`` is spent.  ``t_max`` and tolerances must be finite,
+    and ``t_max / max_step`` at most ``MAX_STEPS``.
     """
 
     t_max: float = 10.0
@@ -177,7 +176,6 @@ class SolverConfig:
     rel_tol: float = 1e-9
     event_tol: float = 1e-10
     max_step: float = 0.01
-    stop_ball: Optional[tuple] = None
 
     def __post_init__(self):
         if not 0.0 <= self.t_max < math.inf:
@@ -191,10 +189,6 @@ class SolverConfig:
             raise ValueError(
                 f"t_max / max_step exceeds the step budget MAX_STEPS={MAX_STEPS}"
             )
-        if self.stop_ball is not None:
-            _, radius = self.stop_ball
-            if not radius >= 0.0:
-                raise ValueError("stop_ball radius must be nonnegative")
 
 
 def _rms(x: np.ndarray) -> np.float64:
@@ -518,8 +512,8 @@ def advance_flow(
     reason)``: ``samples`` is the pair ``(times, states)`` of the
     interval, entry sample included; ``g_end`` is the jump indicator at
     the last sample; ``reason`` is ``time`` when ``cfg.t_max`` is
-    reached, ``converged`` when the optional stop ball is entered, or
-    ``jump_boundary`` when the jump indicator crosses zero from below.
+    reached, or ``jump_boundary`` when the jump indicator crosses zero
+    from below.
     Boundary crossings are located by :func:`_locate_crossing`, which
     returns the bisection's sample, so that the final sample satisfies
     ``0 <= jump_indicator <= cfg.event_tol`` (up to ``MAX_BISECT``
@@ -567,10 +561,6 @@ def advance_flow(
 
     if t0 >= cfg.t_max:
         return _exit(g, "time")
-    if cfg.stop_ball is not None:
-        dist_fn, radius = cfg.stop_ball
-        if float(dist_fn(y0)) <= radius:
-            return _exit(g, "converged")
 
     flow_map = sys.flow_map
 
@@ -668,10 +658,6 @@ def advance_flow(
         times.append(t_new)
         states.append(y_new)
 
-        if cfg.stop_ball is not None:
-            dist_fn, radius = cfg.stop_ball
-            if float(dist_fn(y_new)) <= radius:
-                return _exit(g_new, "converged")
         if solver.status == "finished":
             return _exit(g_new, "time")
 

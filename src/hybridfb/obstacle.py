@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -156,12 +156,17 @@ def _flow_terms(
     followed by its circle components ``v``), the entries of
     :func:`cylinder_input_matrix` (``cross`` is both ``b22`` and ``b31``)
     and :func:`gradient_feedback`, each with those functions' operations
-    in their order.  Raises as :func:`_chart_error` does.
+    in their order.  Raises as :func:`_chart_error` does, and
+    :class:`InsideObstacle` where ``exp(x1)`` underflows to 0.
     """
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1 = e2 / denom
     v2 = q * x2 / denom**2 * e2
     boundary_dist = math.exp(x1)
+    if boundary_dist == 0.0:
+        raise InsideObstacle(
+            f"cylinder height x1={x1} is on the disk: exp(x1) underflows"
+        )
     rho = boundary_dist + obstacle.radius
     b11 = x2 / boundary_dist
     b12 = x3 / boundary_dist
@@ -195,37 +200,6 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     ])
 
 
-def _chart_point(x, q) -> tuple:
-    """Checked chart index, the point's floats and the chart denominator."""
-    q = _check_chart_index(q)
-    x1, x2, x3 = _coords(x)
-    denom = 1.0 - q * x3
-    if denom < SINGULAR_GUARD:
-        raise ChartSingular(f"chart q={q:+.0f} evaluated at x3={x3}")
-    return q, x1, x2, x3, denom
-
-
-def chart(x: np.ndarray, q) -> np.ndarray:
-    """Stereographic chart of the cylinder, indexed by ``q`` in {-1, +1}.
-
-    Defined where ``q * x3 != 1``; raises :class:`ChartSingular` within
-    the ``1e-12`` guard band of the excluded point.
-    """
-    _, x1, x2, _, denom = _chart_point(x, q)
-    return np.array([x1, x2 / denom])
-
-
-def chart_jacobian(x: np.ndarray, q) -> np.ndarray:
-    """Jacobian (2 x 3) of :func:`chart` in the ambient cylinder coordinates."""
-    q, _, x2, _, denom = _chart_point(x, q)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0 / denom, q * x2 / denom**2],
-        ]
-    )
-
-
 def chart_potential(x: np.ndarray, q, obstacle: ObstacleDisk) -> float:
     """Quadratic chart potential; +inf off the chart's domain."""
     x1, x2, x3 = _coords(x)
@@ -254,12 +228,20 @@ def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
 def gradient_feedback_jacobian(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
-    """Analytic ambient Jacobian (2 x 3) of :func:`gradient_feedback`."""
+    """Analytic ambient Jacobian (2 x 3) of :func:`gradient_feedback`.
+
+    Raises :class:`InsideObstacle` where ``exp(-x1)`` overflows.
+    """
     x1, x2, x3 = _coords(x)
     q = float(q)
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1, v2 = e2 / denom, q * x2 / denom**2 * e2  # the potential's gradient
-    a = math.exp(-x1)
+    try:
+        a = math.exp(-x1)
+    except OverflowError:
+        raise InsideObstacle(
+            f"cylinder height x1={x1} is on the disk: exp(-x1) overflows"
+        ) from None
     boundary_dist = math.exp(x1)
     rho = boundary_dist + obstacle.radius
     w = x2 / denom  # second chart coordinate
@@ -411,7 +393,7 @@ def _closed_loop_kernels(
         and on the disk, where ``exp(x1)`` underflows."""
         try:
             return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
-        except (ChartSingular, ZeroDivisionError):
+        except (ChartSingular, InsideObstacle):
             return math.nan, math.nan
 
     def nominal_gap(state):
@@ -654,7 +636,7 @@ def make_scenario(
     *,
     theta: Optional[np.ndarray] = None,
     theta_hat0: Optional[np.ndarray] = None,
-    u0: Union[str, np.ndarray] = "feedback",
+    u0: str = "feedback",
     z_init=(2.0, 0.0),
     margin: float = 1.0,
     theta_bound: float = 1.0,
@@ -670,11 +652,11 @@ def make_scenario(
     parameter ``(sqrt(2)/2, sqrt(2)/2)``; unit adaptation and
     backstepping gains; ``eps = theta_bound = damping = 1``; constant
     hysteresis margin 1; start at rest from ``z = (2, 0)``; zero initial
-    estimate.  For the backstepping controller, "at rest" initializes
-    the held input on the adaptive feedback (``u0="feedback"``); pass
-    ``u0="zero"`` or an explicit vector to override.  A ``margin`` at or
-    below ``config.event_tol``, or ``u0="feedback"`` where chart ``q0``
-    has no feedback at ``z_init``, raises :class:`ValueError`.
+    estimate.  For the backstepping controller, ``u0`` is ``"feedback"``
+    ("at rest": the held input starts on the adaptive feedback) or
+    ``"zero"``.  Any other ``u0``, a ``margin`` at or below
+    ``config.event_tol``, or ``u0="feedback"`` where chart ``q0`` has no
+    feedback at ``z_init``, raises :class:`ValueError`.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential and the readout written
@@ -738,22 +720,19 @@ def make_scenario(
 
             controller = lift_backstep(adaptive_ctrl, gains, jac=feedback_jac)
             xi1_init = np.concatenate([[q0], theta_hat0])
-            if isinstance(u0, str):
-                if u0 == "feedback":
-                    try:
-                        u_init = adaptive_ctrl.feedback(x_init, xi1_init)
-                    except ChartSingular as exc:
-                        raise ValueError(
-                            f"z_init = {z_init[0]}, {z_init[1]} with q0 = {q0:+.0f} "
-                            f"and u0_policy = feedback has no initial input ({exc}); "
-                            f"u0_policy = zero or q0 = {-q0:+.0f} runs from there"
-                        ) from exc
-                elif u0 == "zero":
-                    u_init = np.zeros(2)
-                else:
-                    raise ValueError(f"unknown initial-input policy {u0!r}")
+            if u0 == "feedback":
+                try:
+                    u_init = adaptive_ctrl.feedback(x_init, xi1_init)
+                except ChartSingular as exc:
+                    raise ValueError(
+                        f"z_init = {z_init[0]}, {z_init[1]} with q0 = {q0:+.0f} "
+                        f"and u0_policy = feedback has no initial input ({exc}); "
+                        f"u0_policy = zero or q0 = {-q0:+.0f} runs from there"
+                    ) from exc
+            elif u0 == "zero":
+                u_init = np.zeros(2)
             else:
-                u_init = np.asarray(u0, dtype=float).reshape(2)
+                raise ValueError(f"unknown initial-input policy {u0!r}")
             x0 = np.concatenate([x_init, xi1_init, u_init])
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")

@@ -138,19 +138,6 @@ class TestAdvanceFlow:
         assert times[-2] <= 0.5
         assert states[-1][0] == pytest.approx(times[-1], abs=1e-12)
 
-    def test_stop_ball_converged(self):
-        cfg = SolverConfig(
-            t_max=50.0,
-            max_step=0.1,
-            stop_ball=(lambda y: abs(float(y[0])), 0.01),
-        )
-        (times, states), _, reason = advance_flow(
-            np.array([1.0]), -1.0, decay_system(), cfg
-        )
-        assert reason == "converged"
-        assert abs(states[-1][0]) <= 0.01
-        assert times[-1] < 50.0
-
     def test_t0_already_at_horizon(self):
         cfg = SolverConfig(t_max=1.0)
         (times, _), g, reason = advance_flow(
@@ -339,17 +326,6 @@ class TestSolve:
         assert arc.jump_count == 0
         assert arc.final_time == 0.0
         assert arc.final_state[0] == 0.3
-
-    def test_stop_ball_terminates_run(self):
-        cfg = SolverConfig(
-            t_max=50.0,
-            max_step=0.1,
-            stop_ball=(lambda y: abs(float(y[0])), 0.01),
-        )
-        arc = solve(decay_system(), np.array([1.0]), cfg)
-        assert arc.final_time < 50.0
-        assert abs(arc.final_state[0]) <= 0.01
-        assert validate_domain(arc) == []
 
     def test_start_on_shared_boundary_jumps_first(self):
         # Start exactly on the shared boundary of the flow and jump sets:
@@ -1159,7 +1135,6 @@ class TestTypes:
             ("event_tol", math.nan),
             ("max_step", math.nan),
             ("max_step", math.inf),
-            ("stop_ball", (abs, math.nan)),
         ],
     )
     def test_solver_config_rejects_non_finite(self, field, value):

@@ -18,8 +18,6 @@ from hybridfb import (
     build_closed_loop,
     build_nominal_controller,
     central_difference,
-    chart,
-    chart_jacobian,
     chart_potential,
     chart_potential_gradient,
     from_cylinder,
@@ -65,7 +63,7 @@ class TestObstacleDisk:
 
     def test_chart_targets_cached(self):
         for q in (-1.0, 1.0):
-            assert OBS.chart_targets[q] == tuple(chart(OBS.target, q).tolist())
+            assert OBS.chart_targets[q] == tuple(_ref_chart(OBS.target, q).tolist())
 
     @pytest.mark.parametrize("center", [(0.0, 1.0), (0.0, -1.0), (0.0, 3.0)])
     def test_center_on_vertical_axis_rejected(self, center):
@@ -162,27 +160,6 @@ class TestCylinderJacobian:
             inverse = central_difference(lambda p: from_cylinder(p, OBS), x)
             product = inverse @ cylinder_input_matrix(x, OBS)
             assert product == pytest.approx(np.eye(2), abs=1e-6)
-
-
-class TestChart:
-    def test_example_value(self):
-        assert chart(np.array([0.5, 1.0, 0.0]), 1.0) == pytest.approx(
-            np.array([0.5, 1.0])
-        )
-
-    def test_equator_agrees_for_both_charts(self):
-        x = np.array([0.3, 1.0, 0.0])
-        assert chart(x, 1.0)[1] == chart(x, -1.0)[1] == x[1]
-
-    def test_singular_point_raises(self):
-        with pytest.raises(ChartSingular):
-            chart(np.array([0.0, 0.0, 1.0]), 1.0)
-        with pytest.raises(ChartSingular):
-            chart_jacobian(np.array([0.0, 0.0, -1.0]), -1.0)
-
-    def test_chart_index_validated(self):
-        with pytest.raises(ValueError):
-            chart(np.array([0.0, 1.0, 0.0]), 0.5)
 
 
 class TestChartPotential:
@@ -289,15 +266,13 @@ class TestChartIndexValidated:
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda x, q: chart(x, q),
-            lambda x, q: chart_jacobian(x, q),
             lambda x, q: chart_potential(x, q, OBS),
             lambda x, q: chart_potential_gradient(x, q, OBS),
             lambda x, q: gradient_feedback(x, q, OBS),
             lambda x, q: gradient_feedback_jacobian(x, q, OBS),
         ],
         ids=[
-            "chart", "chart_jacobian", "chart_potential", "chart_potential_gradient",
+            "chart_potential", "chart_potential_gradient",
             "gradient_feedback", "gradient_feedback_jacobian",
         ],
     )
@@ -424,8 +399,6 @@ class TestAgainstReferenceFormulas:
                 _ref_cylinder_input_matrix(x, obstacle),
             )
             for q in (-1.0, 1.0):
-                self._assert_close(chart(x, q), _ref_chart(x, q))
-                self._assert_close(chart_jacobian(x, q), _ref_chart_jacobian(x, q))
                 grad = _ref_chart_potential_gradient(x, q, obstacle)
                 self._assert_close(chart_potential_gradient(x, q, obstacle), grad)
                 err = _ref_chart(x, q) - _ref_chart(obstacle.target, q)
@@ -448,8 +421,6 @@ class TestAgainstReferenceFormulas:
         x = np.array([0.3, math.sqrt(1.0 - x3 * x3), x3])
         assert chart_potential(x, q, OBS) == math.inf
         for fn in (
-            lambda: chart(x, q),
-            lambda: chart_jacobian(x, q),
             lambda: chart_potential_gradient(x, q, OBS),
             lambda: gradient_feedback(x, q, OBS),
             lambda: gradient_feedback_jacobian(x, q, OBS),
@@ -563,10 +534,6 @@ class TestScenarioFactory:
         with pytest.raises(ValueError, match="unknown initial-input policy 'bogus'"):
             make_scenario("backstep", q0=1.0, u0="bogus")
 
-    def test_backstep_explicit_input(self):
-        sc = make_scenario("backstep", q0=1.0, u0=np.array([0.1, 0.2]))
-        assert sc.x0[6:8].tolist() == [0.1, 0.2]
-
     def test_nominal_state_layout(self):
         sc = make_scenario("nominal", q0=-1.0)
         assert sc.x0.shape == (4,)
@@ -590,12 +557,11 @@ class TestScenarioFactory:
             {"margin": math.nan},
             {"margin": math.inf},
             {"theta_hat0": [math.nan, 0.0]},
-            {"u0": np.array([math.nan, 0.0])},
             {"z_init": (math.nan, 0.0)},
         ],
         ids=[
             "damping-nan", "damping-inf", "theta-nan", "margin-nan",
-            "margin-inf", "theta_hat0-nan", "u0-nan", "z_init-nan",
+            "margin-inf", "theta_hat0-nan", "z_init-nan",
         ],
     )
     def test_non_finite_input_rejected(self, overrides):
@@ -677,6 +643,27 @@ class TestFlowKernel:
         for flow in (composed, sc.system.flow_map):
             with pytest.raises(ChartSingular):
                 flow(state)
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_exp_x1_underflow_inside_obstacle(self, kind):
+        # exp(-800) is 0: the point is on the disk boundary.
+        sc = make_scenario(kind, q0=-1.0)
+        state = sc.x0.copy()
+        state[0] = -800.0
+        with pytest.raises(InsideObstacle, match="exp"):
+            sc.system.flow_map(state)
+
+    def test_exp_minus_x1_overflow_inside_obstacle(self):
+        # exp(720) overflows; exp(-720) is subnormal, not 0.
+        sc = make_scenario("backstep", q0=-1.0)
+        state = sc.x0.copy()
+        state[0] = -720.0
+        for evaluate in (
+            lambda: sc.system.flow_map(state),
+            lambda: gradient_feedback_jacobian(state[:3], -1.0, OBS),
+        ):
+            with pytest.raises(InsideObstacle, match="exp"):
+                evaluate()
 
 
 def _flow_map_digest(kind, gains):

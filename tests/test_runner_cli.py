@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,8 @@ from hybridfb.cli import main, run_config_file
 from hybridfb.synergistic import monitor_flow_decrease, monitor_jump_decrease
 from hybridfb.runner import CSV_HEADER
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 class TestScenarioConfig:
     def test_defaults_are_valid(self):
@@ -44,8 +50,8 @@ class TestScenarioConfig:
             ScenarioConfig(controller="pid")
         with pytest.raises(ConfigError):
             ScenarioConfig(q0=0.0)
-        with pytest.raises(ConfigError):
-            ScenarioConfig(scenario="pendulum")
+        with pytest.raises(ConfigError, match="unknown configuration key 'scenario'"):
+            config_from_sources({"scenario": "obstacle"})
         with pytest.raises(ConfigError):
             ScenarioConfig(u0_policy="random")
 
@@ -880,7 +886,6 @@ class TestFlagsThatDoNothingRefused:
         "flags, named",
         [
             (["--out", "x.csv", "--seed", "0"], "--out"),
-            (["--scenario", "obstacle"], "--scenario"),
             (["--controller", "backstep", "--q0", "1"], "--controller, --q0"),
             (["--t-max", "1", "--j-max", "5"], "--t-max, --j-max"),
             (["--summary", "s.txt", "--strict", "--thorough"], "--summary, --strict"),
@@ -955,16 +960,31 @@ class TestRunChecks:
 
 # Values each numeric key takes in turn; integer keys take only the first two.
 EXTREMES = ("0", "-1", "1e-320", "1e-200", "1e160", "1e300", "nan", "inf", "-inf")
+# Keys that meet in one derived constant or one check, set together: each
+# takes every value but -inf.
+EXTREME_PAIRS = (
+    ("theta_bound", "eps"),
+    ("gamma1", "gamma2"),
+    ("theta", "theta_hat0"),
+    ("abs_tol", "rel_tol"),
+    ("delta", "event_tol"),
+)
 EXTREME_CASES = [
-    (key, value)
+    ((key, value),)
     for key, parser in runner_mod._FIELD_PARSERS.items()
     if parser in (float, int, runner_mod._parse_vec2)
     for value in (EXTREMES[:2] if parser is int else EXTREMES)
+] + [
+    ((first, first_value), (second, second_value))
+    for first, second in EXTREME_PAIRS
+    for first_value in EXTREMES[:-1]
+    for second_value in EXTREMES[:-1]
 ]
 
 
 class TestConfigExtremes:
-    """Every extreme value of one key runs or is refused with an exit code."""
+    """Every extreme value of one key, or of a pair of keys, runs or is
+    refused with an exit code."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -972,15 +992,19 @@ class TestConfigExtremes:
 
     @pytest.mark.parametrize("controller", ["adaptive", "backstep"])
     @pytest.mark.parametrize(
-        "key, value", EXTREME_CASES, ids=[f"{k}={v}" for k, v in EXTREME_CASES]
+        "settings",
+        EXTREME_CASES,
+        ids=[",".join(f"{k}={v}" for k, v in case) for case in EXTREME_CASES],
     )
-    def test_documented_exit(self, workdir, capsys, controller, key, value):
-        if runner_mod._FIELD_PARSERS[key] is runner_mod._parse_vec2:
-            value = f"{value}, {value}"
+    def test_documented_exit(self, workdir, capsys, controller, settings):
         path = workdir / "run.cfg"
         out = workdir / "arc.csv"
         out.unlink(missing_ok=True)
-        lines = {"controller": controller, "t_max": "0.01", key: value}
+        lines = {"controller": controller, "t_max": "0.01"}
+        for key, value in settings:
+            if runner_mod._FIELD_PARSERS[key] is runner_mod._parse_vec2:
+                value = f"{value}, {value}"
+            lines[key] = value
         path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         code = main(["--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
@@ -988,3 +1012,25 @@ class TestConfigExtremes:
         assert "Traceback" not in err
         if code == 0:
             assert not np.any(np.isnan(read_csv(out)["V_true"]))
+
+    @pytest.mark.parametrize("setting", ["abs_tol = 1e-320", "gamma1 = 1e300"])
+    def test_overflow_prints_one_stderr_line(self, tmp_path, setting):
+        # The initial step size overflows here; numpy's warnings must not
+        # print ahead of the one error line.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"t_max = 0.01\n{setting}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "hybridfb.cli", "--config", str(path)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("solver error: ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
