@@ -251,6 +251,17 @@ def central_difference(
     return np.stack(cols, axis=-1)
 
 
+def _plus(inner: float, term: Callable, x: np.ndarray, xi: np.ndarray) -> float:
+    """A lift's value: the value ``inner`` below it plus ``term(x, xi)``.
+
+    +inf where ``inner`` is, and ``term`` is then not evaluated: the
+    backstep term evaluates a feedback that raises :class:`ChartSingular`
+    where the chart potential is infinite.
+    """
+    inner = float(inner)
+    return math.inf if math.isinf(inner) else inner + term(x, xi)
+
+
 def estimate_flow(
     x: np.ndarray,
     xi_c: np.ndarray,
@@ -281,17 +292,17 @@ class AdaptiveController(ControllerData):
         n = self.nominal.n_state
         return xi_c1[:n], xi_c1[n:]
 
-    def gap(self, x, xi_c1) -> float:
-        """Nominal gap plus half the estimate's squared distance to the ball.
+    def term(self, x, xi_c1) -> float:
+        """The lift's added term: half the estimate's squared distance to the ball.
 
         The worst case over admissible parameters: it never depends on the
-        true parameter and lower-bounds the true-parameter gap.
+        true parameter, so the lifted gap lower-bounds the true-parameter gap.
         """
-        xi_c, th = self.split(xi_c1)
-        gap0 = self.nominal.gap(x, xi_c)
-        if math.isinf(gap0):
-            return math.inf
-        return gap0 + 0.5 * ball_distance(th, self.ball)[0]
+        return 0.5 * ball_distance(self.split(xi_c1)[1], self.ball)[0]
+
+    def gap(self, x, xi_c1) -> float:
+        """The nominal gap plus :meth:`term`."""
+        return _plus(self.nominal.gap(x, self.split(xi_c1)[0]), self.term, x, xi_c1)
 
 
 def lift_adaptive(
@@ -319,24 +330,16 @@ def lift_adaptive(
         def grad_potential(x, xi_c):
             return central_difference(lambda p: nominal.potential(p, xi_c), x)
 
-    n_nom = nominal.n_state
-
-    def _split(xi_c1):
-        return xi_c1[:n_nom], xi_c1[n_nom:]
-
+    # The closures read ``ctrl``, the lift built below.
     def feedback(x, xi_c1):
-        xi_c, th = _split(xi_c1)
+        xi_c, th = ctrl.split(xi_c1)
         return nominal.feedback(x, xi_c) - plant.matched_matrix(x, xi_c) @ th
 
     def potential(x, xi_c1):
-        xi_c, th = _split(xi_c1)
-        v0 = float(nominal.potential(x, xi_c))
-        if math.isinf(v0):
-            return math.inf
-        return v0 + 0.5 * ball_distance(th, ball)[0]
+        return _plus(nominal.potential(x, ctrl.split(xi_c1)[0]), ctrl.term, x, xi_c1)
 
     def candidates(x, xi_c1):
-        xi_c, th = _split(xi_c1)
+        xi_c, th = ctrl.split(xi_c1)
         target = reset_estimate(th, ball)
         _, minimizers, _ = min_over_candidates(nominal, x, xi_c)
         return [
@@ -345,7 +348,7 @@ def lift_adaptive(
         ]
 
     def controller_flow(x, xi_c1):
-        xi_c, th = _split(xi_c1)
+        xi_c, th = ctrl.split(xi_c1)
         return np.concatenate(
             [
                 np.asarray(nominal.controller_flow(x, xi_c), dtype=float),
@@ -353,8 +356,8 @@ def lift_adaptive(
             ]
         )
 
-    return AdaptiveController(
-        n_state=n_nom + ball.gain.shape[0],
+    ctrl = AdaptiveController(
+        n_state=nominal.n_state + ball.gain.shape[0],
         feedback=feedback,
         potential=potential,
         candidates=candidates,
@@ -365,6 +368,7 @@ def lift_adaptive(
         ball=ball,
         grad_potential=grad_potential,
     )
+    return ctrl
 
 
 @dataclass(frozen=True)
@@ -379,13 +383,14 @@ class BackstepController(ControllerData):
         n = self.adaptive.n_state
         return xi_c2[:n], xi_c2[n:]
 
-    def gap(self, x, xi_c2) -> float:
-        """The adaptive gap plus the input error's :meth:`BackstepGains.error_term`."""
+    def term(self, x, xi_c2) -> float:
+        """The lift's added term: the input error's :meth:`BackstepGains.error_term`."""
         xi_c1, u = self.split(xi_c2)
-        gap1 = self.adaptive.gap(x, xi_c1)
-        if math.isinf(gap1):  # the feedback is singular here
-            return math.inf
-        return gap1 + self.gains.error_term(u - self.adaptive.feedback(x, xi_c1))
+        return self.gains.error_term(u - self.adaptive.feedback(x, xi_c1))
+
+    def gap(self, x, xi_c2) -> float:
+        """The adaptive gap plus :meth:`term`."""
+        return _plus(self.adaptive.gap(x, self.split(xi_c2)[0]), self.term, x, xi_c2)
 
 
 def lift_backstep(
@@ -418,32 +423,24 @@ def lift_backstep(
         def jac(x, xi_c1):
             return central_difference(lambda p: adaptive.feedback(p, xi_c1), x)
 
-    n1 = adaptive.n_state
     plant = adaptive.plant
     ball = adaptive.ball
 
-    def _split(xi_c2):
-        return xi_c2[:n1], xi_c2[n1:]
-
+    # The closures read ``ctrl``, the lift built below.
     def feedback(x, xi_c2):
-        return xi_c2[n1:]
+        return ctrl.split(xi_c2)[1]
 
     def potential(x, xi_c2):
-        xi_c1, u = _split(xi_c2)
-        v1 = float(adaptive.potential(x, xi_c1))
-        if math.isinf(v1):
-            return math.inf
-        return v1 + gains.error_term(u - adaptive.feedback(x, xi_c1))
+        return _plus(adaptive.potential(x, ctrl.split(xi_c2)[0]), ctrl.term, x, xi_c2)
 
     def candidates(x, xi_c2):
-        xi_c1, _ = _split(xi_c2)
         return [
             np.concatenate([g1, np.asarray(adaptive.feedback(x, g1), dtype=float)])
-            for g1 in adaptive.candidates(x, xi_c1)
+            for g1 in adaptive.candidates(x, ctrl.split(xi_c2)[0])
         ]
 
     def controller_flow(x, xi_c2):
-        xi_c1, u = _split(xi_c2)
+        xi_c1, u = ctrl.split(xi_c2)
         xi_c, th = adaptive.split(xi_c1)
         # Every term shared by the rates is evaluated once per call.
         u_err = u - adaptive.feedback(x, xi_c1)
@@ -472,8 +469,8 @@ def lift_backstep(
             )
         return np.concatenate([f_c, estimate_rate, input_rate])
 
-    return BackstepController(
-        n_state=n1 + plant.n_u,
+    ctrl = BackstepController(
+        n_state=adaptive.n_state + plant.n_u,
         feedback=feedback,
         potential=potential,
         candidates=candidates,
@@ -483,6 +480,7 @@ def lift_backstep(
         gains=gains,
         feedback_jacobian=jac,
     )
+    return ctrl
 
 
 def adaptive_true_potential(
@@ -494,14 +492,12 @@ def adaptive_true_potential(
     parameter); used only by monitors and tests.
     """
     theta = np.asarray(theta, dtype=float)
-    nominal = ctrl.nominal
+
+    def term(x, xi_c1):
+        return ctrl.ball.error_term(theta - ctrl.split(xi_c1)[1])
 
     def value(x, xi_c1):
-        xi_c, th = ctrl.split(xi_c1)
-        v0 = float(nominal.potential(x, xi_c))
-        if math.isinf(v0):
-            return math.inf
-        return v0 + ctrl.ball.error_term(theta - th)
+        return _plus(ctrl.nominal.potential(x, ctrl.split(xi_c1)[0]), term, x, xi_c1)
 
     return value
 
@@ -513,10 +509,6 @@ def backstep_true_potential(
     inner = adaptive_true_potential(ctrl.adaptive, theta)
 
     def value(x, xi_c2):
-        xi_c1, u = ctrl.split(xi_c2)
-        v1 = inner(x, xi_c1)
-        if math.isinf(v1):
-            return math.inf
-        return v1 + ctrl.gains.error_term(u - ctrl.adaptive.feedback(x, xi_c1))
+        return _plus(inner(x, ctrl.split(xi_c2)[0]), ctrl.term, x, xi_c2)
 
     return value

@@ -81,9 +81,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The flags of one simulation run, which the suites never read.
+_RUN_FLAGS = ("controller", "q0", "t_max", "j_max", "out", "summary", "strict")
+
+
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    keys = ("controller", "q0", "t_max", "j_max", "out", "summary", "strict",
-            "seed")
+    keys = _RUN_FLAGS + ("seed",)
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
@@ -150,10 +153,6 @@ def _run_batch(paths: list[str]) -> int:
         print(f"{path}: exit {code} ({message})")
         status = max(status, code)
     return status
-
-
-# The flags of one simulation run, which the suites never read.
-_RUN_FLAGS = ("controller", "q0", "t_max", "j_max", "out", "summary", "strict")
 
 
 def _refuse_flags(parser, args, names, reason: str) -> None:

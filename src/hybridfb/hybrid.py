@@ -701,9 +701,9 @@ def solve(
     The solver alternates :func:`advance_flow` and :func:`apply_jump`.
     Where both actions are admissible (the shared boundary of the flow
     and jump sets), the jump wins.  The run stops at
-    ``cfg.t_max``, when the jump budget ``cfg.j_max`` is exhausted, or
-    when the optional stop ball is entered.  The accepted flow steps of
-    all intervals together may not exceed ``MAX_STEPS``.
+    ``cfg.t_max`` or when the jump budget ``cfg.j_max`` is exhausted.
+    The accepted flow steps of all intervals together may not exceed
+    ``MAX_STEPS``.
 
     Every recorded state is projected once, where it is made (``x0``,
     each accepted step, each jump), and its jump indicator is evaluated

@@ -157,15 +157,17 @@ def _flow_terms(
     :func:`cylinder_input_matrix` (``cross`` is both ``b22`` and ``b31``)
     and :func:`gradient_feedback`, each with those functions' operations
     in their order.  Raises as :func:`_chart_error` does, and
-    :class:`InsideObstacle` where ``exp(x1)`` underflows to 0.
+    :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``, the band
+    :func:`to_cylinder` refuses.
     """
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1 = e2 / denom
     v2 = q * x2 / denom**2 * e2
     boundary_dist = math.exp(x1)
-    if boundary_dist == 0.0:
+    if boundary_dist <= SINGULAR_GUARD:
         raise InsideObstacle(
-            f"cylinder height x1={x1} is on the disk: exp(x1) underflows"
+            f"cylinder height x1={x1} is in the disk's guard band: "
+            f"exp(x1) <= {SINGULAR_GUARD:g}"
         )
     rho = boundary_dist + obstacle.radius
     b11 = x2 / boundary_dist
@@ -188,9 +190,15 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     are taken of this same expression): the height row is ``s / exp(x1)``
     and the circle rows are ``(I - s s^T) / rho``, with ``s = (x2, x3)``
     and ``rho = exp(x1) + radius`` the distance to the disk center.
+    Raises :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``.
     """
     x1, x2, x3 = _coords(x)
     boundary_dist = math.exp(x1)
+    if boundary_dist <= SINGULAR_GUARD:
+        raise InsideObstacle(
+            f"cylinder height x1={x1} is in the disk's guard band: "
+            f"exp(x1) <= {SINGULAR_GUARD:g}"
+        )
     rho = boundary_dist + obstacle.radius
     cross = -(x2 * x3) / rho
     return np.array([
@@ -230,19 +238,19 @@ def gradient_feedback_jacobian(
 ) -> np.ndarray:
     """Analytic ambient Jacobian (2 x 3) of :func:`gradient_feedback`.
 
-    Raises :class:`InsideObstacle` where ``exp(-x1)`` overflows.
+    Raises :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``.
     """
     x1, x2, x3 = _coords(x)
     q = float(q)
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1, v2 = e2 / denom, q * x2 / denom**2 * e2  # the potential's gradient
-    try:
-        a = math.exp(-x1)
-    except OverflowError:
-        raise InsideObstacle(
-            f"cylinder height x1={x1} is on the disk: exp(-x1) overflows"
-        ) from None
     boundary_dist = math.exp(x1)
+    if boundary_dist <= SINGULAR_GUARD:
+        raise InsideObstacle(
+            f"cylinder height x1={x1} is in the disk's guard band: "
+            f"exp(x1) <= {SINGULAR_GUARD:g}"
+        )
+    a = math.exp(-x1)
     rho = boundary_dist + obstacle.radius
     w = x2 / denom  # second chart coordinate
     d2 = denom * denom
@@ -390,7 +398,7 @@ def _closed_loop_kernels(
 
     def chart_feedback(x1, x2, x3, q):
         """:func:`gradient_feedback` at the point's floats; NaN off the chart
-        and on the disk, where ``exp(x1)`` underflows."""
+        and in the disk's guard band."""
         try:
             return _flow_terms(x1, x2, x3, q, obstacle)[-2:]
         except (ChartSingular, InsideObstacle):

@@ -66,12 +66,12 @@ class ScenarioConfig:
     gamma2: float = 1.0
     damping: float = 1.0
     delta: float = 1.0
-    t_max: float = 10.0
-    j_max: int = 100
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    event_tol: float = 1e-10
-    max_step: float = 0.01
+    t_max: float = SolverConfig.t_max
+    j_max: int = SolverConfig.j_max
+    abs_tol: float = SolverConfig.abs_tol
+    rel_tol: float = SolverConfig.rel_tol
+    event_tol: float = SolverConfig.event_tol
+    max_step: float = SolverConfig.max_step
     flow_tol: float = 1e-6
     jump_tol: float = 1e-9
     out: Optional[str] = None
@@ -97,12 +97,7 @@ class ScenarioConfig:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
-            t_max=self.t_max,
-            j_max=self.j_max,
-            abs_tol=self.abs_tol,
-            rel_tol=self.rel_tol,
-            event_tol=self.event_tol,
-            max_step=self.max_step,
+            **{field.name: getattr(self, field.name) for field in fields(SolverConfig)}
         )
 
 

@@ -91,17 +91,16 @@ class ControllerData:
 
     def gap(self, x, xi_c) -> float:
         """Synergy gap as a float (``math.inf`` when the potential is infinite)."""
-        value_here, min_value, _ = _evaluate_candidates(self, x, xi_c)
-        if math.isinf(value_here):
-            return math.inf
-        return value_here - min_value
+        return _evaluate_candidates(self, x, xi_c)[2]
 
 
 def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
     """Shared float-valued core of the gap computation.
 
-    Returns ``(value_here, min_value, minimizers)`` where values use
-    ``math.inf`` for the infinite branch of the potential.
+    Returns ``(min_value, minimizers, gap)``: the least candidate
+    potential, the candidates within ``TIE_TOL`` of it, and the synergy
+    gap, the current potential minus that minimum, or ``math.inf`` where
+    the current potential is infinite.
     """
     cands = list(ctrl.candidates(x, xi_c))
     if not cands:
@@ -114,7 +113,8 @@ def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
         )
     minimizers = [g for g, v in zip(cands, values) if v <= min_value + TIE_TOL]
     value_here = float(ctrl.potential(x, xi_c))
-    return value_here, min_value, minimizers
+    gap = math.inf if math.isinf(value_here) else value_here - min_value
+    return min_value, minimizers, gap
 
 
 def min_over_candidates(
@@ -130,8 +130,7 @@ def min_over_candidates(
     Raises :class:`InfeasibleCandidates` when no candidate has finite
     potential or the gap is negative.
     """
-    value_here, min_value, minimizers = _evaluate_candidates(ctrl, x, xi_c)
-    gap = math.inf if math.isinf(value_here) else value_here - min_value
+    min_value, minimizers, gap = _evaluate_candidates(ctrl, x, xi_c)
     if gap < 0.0:
         raise InfeasibleCandidates(
             "current potential lies below every reset candidate "
@@ -143,8 +142,7 @@ def min_over_candidates(
 
 def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
     """Deterministic reset: the first-listed minimizing candidate."""
-    _, _, minimizers = _evaluate_candidates(ctrl, x, xi_c)
-    return np.asarray(minimizers[0], dtype=float)
+    return np.asarray(_evaluate_candidates(ctrl, x, xi_c)[1][0], dtype=float)
 
 
 def build_closed_loop(

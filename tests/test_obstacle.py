@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hybridfb import (
     ChartSingular,
     ControllerData,
     DomainEscape,
+    IntegrationStalled,
     SolverConfig,
     InsideObstacle,
     ObstacleDisk,
@@ -646,15 +648,30 @@ class TestFlowKernel:
 
     @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
     def test_exp_x1_underflow_inside_obstacle(self, kind):
-        # exp(-800) is 0: the point is on the disk boundary.
+        # exp(-30) is inside the guard band to_cylinder refuses, exp(-720)
+        # is subnormal and exp(-800) is 0: each point is on the disk.
         sc = make_scenario(kind, q0=-1.0)
-        state = sc.x0.copy()
-        state[0] = -800.0
-        with pytest.raises(InsideObstacle, match="exp"):
-            sc.system.flow_map(state)
+        for x1 in (-30.0, -720.0, -800.0):
+            state = sc.x0.copy()
+            state[0] = x1
+            for evaluate in (
+                lambda: sc.system.flow_map(state),
+                lambda: cylinder_input_matrix(state[:3], OBS),
+                lambda: gradient_feedback(state[:3], -1.0, OBS),
+                lambda: gradient_feedback_jacobian(state[:3], -1.0, OBS),
+            ):
+                with pytest.raises(InsideObstacle, match="exp"):
+                    evaluate()
+            if kind == "backstep":
+                # The input error has no feedback to read there.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outputs = sc.readout(state)
+                    scalars = sc.true_potential(state), sc.switching_gap(state)
+                assert all(math.isnan(v) for v in outputs[-2:] + scalars)
 
     def test_exp_minus_x1_overflow_inside_obstacle(self):
-        # exp(720) overflows; exp(-720) is subnormal, not 0.
+        # exp(720) overflows; exp(-720) is subnormal, inside the guard band.
         sc = make_scenario("backstep", q0=-1.0)
         state = sc.x0.copy()
         state[0] = -720.0
@@ -956,3 +973,12 @@ class TestClosedLoopGeometry:
         for rec in mid:
             boundary = sc.switching_gap(rec.before) - sc.margin_at(rec.before)
             assert abs(boundary) <= sc.config.event_tol
+
+    @pytest.mark.xfail(strict=True, raises=IntegrationStalled)
+    def test_start_near_the_disk_runs(self):
+        # A start 1e-6 off the disk takes legitimately tiny first steps,
+        # which the absolute MIN_STEP stall rule reads as a stall.
+        z_init = (1.5 + 1e-6, 0.0)
+        sc = make_scenario("backstep", q0=-1.0, z_init=z_init, u0="zero")
+        arc = solve(sc.system, sc.x0, sc.config)
+        assert arc.final_time == sc.config.t_max

@@ -20,10 +20,12 @@ from hybridfb import (
     InfeasibleCandidates,
     MalformedArc,
     ScenarioConfig,
+    SolverConfig,
     ZenoSuspected,
     build_scenario,
     config_from_sources,
     emit_csv,
+    make_scenario,
     property_suite,
     read_config_file,
     read_csv,
@@ -73,6 +75,28 @@ class TestScenarioConfig:
         assert solver.t_max == 3.0
         assert solver.j_max == 7
         assert solver.max_step == 0.5
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_defaults_build_the_library_default(self, kind):
+        # The published parameters are written twice, as make_scenario's
+        # defaults and as ScenarioConfig's; both must build one scenario.
+        built = build_scenario(ScenarioConfig(controller=kind))
+        library = make_scenario(kind, q0=-1.0)
+        assert built.x0.tolist() == library.x0.tolist()
+        assert built.theta.tolist() == library.theta.tolist()
+        assert built.obstacle.center.tolist() == library.obstacle.center.tolist()
+        assert built.obstacle.radius == library.obstacle.radius
+        assert built.controller.margin == library.controller.margin
+        for field in dataclasses.fields(SolverConfig):
+            name = field.name
+            assert getattr(built.config, name) == getattr(library.config, name), name
+        if kind != "nominal":
+            assert built.ball.radius == library.ball.radius
+            assert built.ball.eps == library.ball.eps
+            assert built.ball.gain.tolist() == library.ball.gain.tolist()
+        if kind == "backstep":
+            assert built.gains.gain.tolist() == library.gains.gain.tolist()
+            assert built.gains.damping == library.gains.damping
 
 
 class TestConfigFile:
