@@ -9,10 +9,14 @@ every run's samples on which the flow map is defined.  On up to 500 of
 them per kind it times the kind's flow map, switching indicator,
 readout and true potential, ``gradient_feedback_jacobian`` on the
 backstep samples and ``ball_distance`` on the adaptive and backstep
-samples.  The ``backstep.locate`` line times the solver's location of
-each jump-set crossing (``hybrid._locate_crossing``) over one backstep
-run with margin 1e-3 from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``,
-and gives its located crossings and indicator calls per crossing.
+samples.  Each kind's ``jump_map`` line times its jump map on the
+pre-jump states of the three backstep runs with margin 1e-3 from the
+published starts (their leading entries, for the smaller kinds), since
+the published runs jump once each.  The ``backstep.locate`` line times
+the solver's location of each jump-set crossing
+(``hybrid._locate_crossing``) over one backstep run with margin 1e-3
+from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``, and gives its
+located crossings and indicator calls per crossing.
 Each figure is the minimum over repeated sweeps of the time per call.
 ``--root`` names the checkout whose ``src/`` to measure (default: the
 one holding this script), so two checkouts can be compared on the same
@@ -30,6 +34,8 @@ from pathlib import Path
 KINDS = ("nominal", "adaptive", "backstep")
 MAX_SAMPLES = 500
 REPEATS = 7
+# Chart index and planar start of the published runs.
+PUBLISHED_STARTS = ((-1.0, (2.0, 0.0)), (1.0, (2.0, 0.0)), (-1.0, (1.8, -1.0)))
 
 
 def _per_call_us(fn, args: list, repeats: int = REPEATS) -> float:
@@ -44,9 +50,8 @@ def _per_call_us(fn, args: list, repeats: int = REPEATS) -> float:
 
 def _published_samples(runner, chart_singular, kind: str):
     """The kind's last built scenario and the samples of its published runs."""
-    starts = [(-1.0, (2.0, 0.0)), (1.0, (2.0, 0.0)), (-1.0, (1.8, -1.0))]
     states = []
-    for q0, z_init in starts:
+    for q0, z_init in PUBLISHED_STARTS:
         values = {"controller": kind, "q0": q0, "t_max": 10.0, "z_init": z_init}
         if kind == "nominal":
             values["theta"] = (0.0, 0.0)
@@ -60,6 +65,16 @@ def _published_samples(runner, chart_singular, kind: str):
             states.append(state.copy())
     step = max(1, len(states) // MAX_SAMPLES)
     return scenario, states[::step][:MAX_SAMPLES]
+
+
+def _pre_jump_states(hybrid, make_scenario):
+    """Pre-jump states of backstep runs with margin 1e-3 from the published starts."""
+    states = []
+    for q0, z_init in PUBLISHED_STARTS:
+        scenario = make_scenario("backstep", q0=q0, z_init=z_init, margin=1e-3)
+        arc = hybrid.solve(scenario.system, scenario.x0, scenario.config)
+        states += [record.before for record in arc.jump_records]
+    return states
 
 
 def _locate_figures(hybrid, make_scenario, repeats: int = REPEATS):
@@ -116,6 +131,7 @@ def main(argv=None) -> int:
         print(f"imported hybridfb from {hybridfb.__file__}, not {src}", file=sys.stderr)
         return 1
 
+    pre_jump = _pre_jump_states(hybrid, obstacle.make_scenario)
     print(f"{'kernel':<40} {'samples':>7} {'us/call':>8}")
     for kind in KINDS:
         scenario, states = _published_samples(runner, ChartSingular, kind)
@@ -125,6 +141,8 @@ def main(argv=None) -> int:
             ("indicator", system.flow_indicator, [(s,) for s in states]),
             ("readout", scenario.readout, [(s,) for s in states]),
             ("true_potential", scenario.true_potential, [(s,) for s in states]),
+            ("jump_map", system.jump_map,
+             [(s[: scenario.x0.size].copy(),) for s in pre_jump]),
         ]
         if kind == "backstep":
             args_jac = [(s[:3].copy(), float(s[3]), scenario.obstacle) for s in states]

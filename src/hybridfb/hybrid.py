@@ -16,14 +16,15 @@ Flow segments are integrated with :class:`RK45`, the Dormand-Prince
 solver can project states back onto a manifold after each accepted step,
 locate jump-set boundary crossings on the dense output, and stay
 bit-for-bit deterministic.  A crossing's located sample is the one that
-bisecting the jump indicator would return; an Illinois regula falsi
-estimate of the root lets the bisection be replayed with calls only near
-it, and plain bisection runs when no usable estimate is found (Shampine
-& Thompson, "Event location for ordinary differential equations",
-2000).  The stepper repeats the arithmetic of the
-reference ``RK45`` implementation operation for operation, so its steps
-match that reference bit for bit (``TestRK45Oracle`` in the tests);
-numpy is the only runtime dependency.
+bisecting the jump indicator would return; an Anderson-Bjorck regula
+falsi estimate of the root, stopped once the indicator is within
+``event_tol`` of zero, lets the bisection be replayed with calls only
+near it, and plain bisection runs when no usable estimate is found
+(Anderson & Bjorck 1973; Shampine & Thompson, "Event location for
+ordinary differential equations", 2000).  The stepper repeats the
+arithmetic of the reference ``RK45`` implementation operation for
+operation, so its steps match that reference bit for bit
+(``TestRK45Oracle`` in the tests); numpy is the only runtime dependency.
 
 Each state the solver records is projected once, where it is made, and
 its jump indicator is evaluated once.  The value travels with the state
@@ -60,9 +61,8 @@ MAX_STEPS = 10**7
 # replayed or run in full.
 MAX_BISECT = 60
 # Indicator calls the root estimate may make before plain bisection runs
-# instead, and the |g| (in units of event_tol) that ends it.
+# instead.
 ESTIMATE_BUDGET = 8
-ESTIMATE_TOL = 1e-3
 # Half-width of the band around the estimated root, in units of
 # event_tol / slope, inside which the replayed bisection evaluates.
 LOCATE_BAND = 4.0
@@ -391,15 +391,16 @@ def _indicator_value(indicator, y: np.ndarray, t: float, kind: str) -> float:
 
 
 def _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, tol):
-    """Illinois regula falsi for the jump indicator's root over one step.
+    """Anderson-Bjorck regula falsi for the jump indicator's root over one step.
 
     Starts from the bracket ``g_lo < 0 <= g_hi`` at ``t_lo < t_hi`` and
-    replaces an end by each new iterate; an end kept twice in a row has
-    its value halved in the secant (Dowell & Jarratt 1971).  Returns
-    ``(t_root, slope)`` once an iterate has ``|g| <= tol``, with ``slope``
-    the secant of the last bracket's true (unhalved) values, or ``None``
-    when no iterate converges within ``ESTIMATE_BUDGET`` calls or the
-    slope is not positive and finite.
+    replaces an end by each new iterate.  When an end is kept twice in a
+    row, its value in the secant is weighted by ``m = 1 - g_new / g_old``,
+    with ``g_old`` the replaced end's value, or by 0.5 where ``m <= 0``
+    (Anderson & Bjorck 1973).  Returns ``(t_root, slope)`` once an iterate
+    has ``|g| <= tol``, with ``slope`` the secant of the last bracket's true
+    (unweighted) values, or ``None`` when no iterate converges within
+    ``ESTIMATE_BUDGET`` calls or the slope is not positive and finite.
     """
     a, g_a, w_a = t_lo, g_lo, g_lo
     b, g_b, w_b = t_hi, g_hi, g_hi
@@ -411,14 +412,16 @@ def _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, tol):
         y_t = sys.project(np.asarray(dense(t), dtype=float))
         g_t = _indicator_value(sys.jump_indicator, y_t, t, "jump")
         if g_t >= 0.0:
-            b, g_b, w_b = t, g_t, g_t
             if kept == 1:
-                w_a *= 0.5
+                m = 1.0 - g_t / g_b
+                w_a *= m if m > 0.0 else 0.5
+            b, g_b, w_b = t, g_t, g_t
             kept = 1
         else:
-            a, g_a, w_a = t, g_t, g_t
             if kept == -1:
-                w_b *= 0.5
+                m = 1.0 - g_t / g_a
+                w_b *= m if m > 0.0 else 0.5
+            a, g_a, w_a = t, g_t, g_t
             kept = -1
         if abs(g_t) <= tol:
             slope = (g_b - g_a) / (b - a)
@@ -471,19 +474,17 @@ def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
     on ``[t_lo, t_hi]`` until ``0 <= g <= event_tol`` (up to
     ``MAX_BISECT`` halvings) returns, bit for bit, at a fraction of its
     indicator calls.  :func:`_estimate_root` first estimates the root on
-    the dense output; :func:`_bisect` then replays the bisection and
-    evaluates only the midpoints within ``LOCATE_BAND * event_tol /
-    slope`` of the estimate.  Plain bisection runs instead when there is
-    no estimate, when the replay ends before an evaluated midpoint has
-    ``g <= event_tol``, or when either phase raises :class:`DomainEscape`,
-    so an unusable estimate gives the plain bisection's result or
-    exception.  The replay never evaluates the midpoints it skips, so a
-    non-finite indicator there goes unseen.
+    the dense output, to ``|g| <= event_tol``; :func:`_bisect` then
+    replays the bisection and evaluates only the midpoints within
+    ``LOCATE_BAND * event_tol / slope`` of the estimate.  Plain bisection
+    runs instead when there is no estimate, when the replay ends before an
+    evaluated midpoint has ``g <= event_tol``, or when either phase raises
+    :class:`DomainEscape`, so an unusable estimate gives the plain
+    bisection's result or exception.  The replay never evaluates the
+    midpoints it skips, so a non-finite indicator there goes unseen.
     """
     try:
-        estimate = _estimate_root(
-            dense, sys, t_lo, g_lo, t_hi, g_hi, ESTIMATE_TOL * event_tol
-        )
+        estimate = _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, event_tol)
         if estimate is not None:
             root, slope = estimate
             t, y, g = _bisect(

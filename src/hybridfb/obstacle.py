@@ -26,7 +26,13 @@ from . import adaptive
 from .adaptive import BackstepGains, ParamBall, lift_adaptive, lift_backstep
 from .errors import ChartSingular, DomainEscape, InsideObstacle
 from .hybrid import HybridSystemDef, SolverConfig
-from .synergistic import AffinePlant, ControllerData, build_closed_loop
+from .synergistic import (
+    TIE_TOL,
+    AffinePlant,
+    ControllerData,
+    build_closed_loop,
+    select_jump,
+)
 
 # Guard band on chart denominators and on the distance to the disk
 # boundary: closer evaluations raise typed errors instead of overflowing.
@@ -365,32 +371,41 @@ def _closed_loop_kernels(
     kind: str,
     obstacle: ObstacleDisk,
     theta: np.ndarray,
+    controller: ControllerData,
     ball: Optional[ParamBall] = None,
     gains: Optional[BackstepGains] = None,
-) -> tuple[Callable, Callable, Callable, Callable]:
-    """The flow map, switching gap, true potential and readout of one kind.
+) -> tuple[Callable, Callable, Callable, Callable, Callable]:
+    """The flow map, switching gap, true potential, readout and jump map of one kind.
 
-    Returns ``(flow_map, gap, true_potential, readout)``, functions of the
-    closed-loop state written out on floats for this plant: the vector
-    field that :func:`build_closed_loop` composes from ``plant.f`` and the
-    lift's ``controller_flow``, the controller's
+    Returns ``(flow_map, gap, true_potential, readout, jump_map)``,
+    functions of the closed-loop state written out on floats for this
+    plant: the vector field that :func:`build_closed_loop` composes from
+    ``plant.f`` and the lift's ``controller_flow``, the controller's
     :meth:`~hybridfb.synergistic.ControllerData.gap`, the true-parameter
     Lyapunov value (:func:`chart_potential`,
     :func:`~hybridfb.adaptive.adaptive_true_potential` or
-    :func:`~hybridfb.adaptive.backstep_true_potential`) and
-    :attr:`Scenario.readout`.  Every chart error comes from
-    :func:`_chart_error`.  A flow map reads the state once and makes one
-    :func:`_flow_terms` call; the ``B u`` and ``B^T y`` products and the
-    projected estimate rate are written out on those floats (the matched
-    matrix is the identity, so the disturbance enters through the input
-    matrix).  The backstep map also calls
+    :func:`~hybridfb.adaptive.backstep_true_potential`),
+    :attr:`Scenario.readout` and the jump map that
+    :func:`build_closed_loop` composes from
+    :func:`~hybridfb.synergistic.select_jump` on ``controller``.  Every
+    chart error comes from :func:`_chart_error`.  A flow map reads the
+    state once and makes one :func:`_flow_terms` call; the ``B u`` and
+    ``B^T y`` products and the projected estimate rate are written out on
+    those floats (the matched matrix is the identity, so the disturbance
+    enters through the input matrix).  The backstep map also calls
     :func:`gradient_feedback_jacobian`, through this module's attribute.
-    The scalars take the gap's estimate term from
+    The gap, the true potential and the readout read the state once and
+    take one pair of chart values; they take the gap's estimate term from
     :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms from
     the gains' ``error_term``, as the controllers do, and equal their
-    values bit for bit (the tests compare with ``==``).  ``TestKernelBits``
-    pins the flow maps' bytes: every operation keeps its order and
-    association, since a reassociated sum moves every trajectory.
+    values bit for bit (the tests compare with ``==``).  The jump map
+    resets the chart to the one of lower potential, the estimate by
+    :func:`~hybridfb.adaptive.reset_estimate` and the held input to the
+    adaptive feedback there; where the two chart potentials lie within
+    ``TIE_TOL`` of each other it returns the composed map's reset, so the
+    controllers' tie rule decides.  ``TestKernelBits`` pins the flow maps'
+    bytes: every operation keeps its order and association, since a
+    reassociated sum moves every trajectory.
     """
     theta1, theta2 = theta.tolist()
     radius = obstacle.radius
@@ -404,34 +419,29 @@ def _closed_loop_kernels(
         except (ChartSingular, InsideObstacle):
             return math.nan, math.nan
 
-    def nominal_gap(state):
+    def nominal_scalars(values):
+        """The nominal potential and gap at a state's floats, from one pair
+        of chart values."""
         # The two excluded points are antipodal, so one candidate is finite.
-        x1, x2, x3, q = state.tolist()[:4]
+        x1, x2, x3, q = values[:4]
         low = _chart_value(x1, x2, x3, -1.0, obstacle)
         high = _chart_value(x1, x2, x3, 1.0, obstacle)
         here = high if _check_chart_index(q) > 0.0 else low
-        if math.isinf(here):
-            return math.inf
-        return here - min(low, high)
+        return here, (math.inf if math.isinf(here) else here - min(low, high))
+
+    def nominal_gap(state):
+        return nominal_scalars(state.tolist())[1]
 
     def nominal_potential(state):
         x1, x2, x3, q = state.tolist()[:4]
         return _chart_value(x1, x2, x3, q, obstacle)
-
-    def plus_term(inner, term):
-        """``inner`` plus a lift's ``term``; +inf, unread, where ``inner`` is."""
-        def value(state):
-            v = inner(state)
-            return math.inf if math.isinf(v) else v + term(state)
-
-        return value
 
     def readout_of(scalars):
         """The readout, given the kind's ``(true_potential, gap)`` function."""
         def readout(state):
             values = state.tolist()
             x1, x2, x3, q = values[:4]
-            v_true, gap_value = scalars(state)
+            v_true, gap_value = scalars(state, values)
             if kind == "backstep":
                 controls = values[4:8]  # the held input is the applied one
             else:
@@ -449,6 +459,29 @@ def _closed_loop_kernels(
 
         return readout
 
+    def jump_map(state):
+        values = state.tolist()
+        x1, x2, x3 = values[:3]
+        _check_chart_index(values[3])  # as the lifts' reset candidates do
+        low = _chart_value(x1, x2, x3, -1.0, obstacle)
+        high = _chart_value(x1, x2, x3, 1.0, obstacle)
+        if low > high + TIE_TOL:
+            q = 1.0
+        elif high > low + TIE_TOL:
+            q = -1.0
+        else:  # a tie, or NaN: the controller's own rule decides
+            x, xi_c = state[:3], state[3:]
+            return np.concatenate([x, select_jump(controller, x, xi_c)])
+        reset = [x1, x2, x3, q]
+        if kind != "nominal":
+            th1, th2 = adaptive.reset_estimate(state[4:6], ball).tolist()
+            reset += [th1, th2]
+        if kind == "backstep":
+            # The adaptive feedback at the reset, as in the readout.
+            k1, k2 = _flow_terms(x1, x2, x3, q, obstacle)[-2:]
+            reset += [k1 - (th1 + 0.0), k2 - (th2 + 0.0)]
+        return np.array(reset)
+
     if kind == "nominal":
         def nominal_flow(state):
             x1, x2, x3, q = state.tolist()
@@ -462,9 +495,8 @@ def _closed_loop_kernels(
                 0.0,
             ])
 
-        return nominal_flow, nominal_gap, nominal_potential, readout_of(
-            lambda state: (nominal_potential(state), nominal_gap(state))
-        )
+        readout = readout_of(lambda state, values: nominal_scalars(values))
+        return nominal_flow, nominal_gap, nominal_potential, readout, jump_map
 
     (a11, a12), (a21, a22) = ball.gain.tolist()
     radius_sq, excess_scale = ball.radius_sq, ball.excess_scale
@@ -480,12 +512,28 @@ def _closed_loop_kernels(
                 d1, d2 = d1 - shrink * n1, d2 - shrink * n2
         return a11 * d1 + a12 * d2, a21 * d1 + a22 * d2
 
-    adaptive_gap = plus_term(
-        nominal_gap, lambda state: 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
-    )
-    adaptive_potential = plus_term(
-        nominal_potential, lambda state: ball.error_term(theta - state[4:6])
-    )
+    def distance_term(state):
+        """The adaptive gap's term: half the estimate's squared distance to the ball."""
+        return 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
+
+    def true_term(state):
+        """The true potential's estimate term."""
+        return ball.error_term(theta - state[4:6])
+
+    def adaptive_gap(state):
+        gap_value = nominal_gap(state)
+        return math.inf if math.isinf(gap_value) else gap_value + distance_term(state)
+
+    def adaptive_potential(state):
+        here = nominal_potential(state)
+        return math.inf if math.isinf(here) else here + true_term(state)
+
+    def adaptive_scalars(state, values):
+        # Both add their term to one pair of chart values.
+        here, gap_value = nominal_scalars(values)
+        if math.isinf(here):  # and so gap_value
+            return math.inf, math.inf
+        return here + true_term(state), gap_value + distance_term(state)
 
     if kind == "adaptive":
         def adaptive_flow(state):
@@ -508,9 +556,8 @@ def _closed_loop_kernels(
                 r2,
             ])
 
-        return adaptive_flow, adaptive_gap, adaptive_potential, readout_of(
-            lambda state: (adaptive_potential(state), adaptive_gap(state))
-        )
+        readout = readout_of(adaptive_scalars)
+        return adaptive_flow, adaptive_gap, adaptive_potential, readout, jump_map
 
     (c11, c12), (c21, c22) = gains.gain.tolist()
     (w11, w12), (w21, w22) = gains.gain_inv.tolist()
@@ -551,26 +598,36 @@ def _closed_loop_kernels(
             -r2 - damping * err2 - (c21 * g1 + c22 * g2) + (j21 * m1 + j22 * m2 + j23 * m3),
         ])
 
-    def input_error_term(state):
+    def input_error_term(values):
         """Half the input error's squared metric norm; the chart is nonsingular."""
-        x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
+        x1, x2, x3, q, th1, th2, u1, u2 = values
         k1, k2 = chart_feedback(x1, x2, x3, q)
         return gains.error_term(np.array([u1 - (k1 - th1), u2 - (k2 - th2)]))
 
-    backstep_gap = plus_term(adaptive_gap, input_error_term)
-    backstep_potential = plus_term(adaptive_potential, input_error_term)
+    def backstep_gap(state):
+        values = state.tolist()
+        gap_value = nominal_scalars(values)[1]
+        if math.isinf(gap_value):
+            return math.inf
+        return gap_value + distance_term(state) + input_error_term(values)
 
-    def backstep_scalars(state):
+    def backstep_potential(state):
+        values = state.tolist()
+        here = _chart_value(*values[:4], obstacle)
+        if math.isinf(here):
+            return math.inf
+        return here + true_term(state) + input_error_term(values)
+
+    def backstep_scalars(state, values):
         # Both add the same input-error term, evaluated here once.
-        v1, gap1 = adaptive_potential(state), adaptive_gap(state)
+        v1, gap1 = adaptive_scalars(state, values)
         if math.isinf(v1):  # and so gap1: the chart is singular here
             return math.inf, math.inf
-        term = input_error_term(state)
+        term = input_error_term(values)
         return v1 + term, gap1 + term
 
-    return backstep_flow, backstep_gap, backstep_potential, readout_of(
-        backstep_scalars
-    )
+    readout = readout_of(backstep_scalars)
+    return backstep_flow, backstep_gap, backstep_potential, readout, jump_map
 
 
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
@@ -586,8 +643,9 @@ class Scenario:
     the true parameter (the monitors' and the CSV's), and
     ``switching_gap(state)`` the implementable synergy gap that drives
     the switching logic (the CSV's ``gap_robust``).  :func:`make_scenario`
-    writes both on floats, with the flow map and the readout, in one
-    kernel builder per kind, and hands the same gap to the indicator.
+    writes both on floats, with the flow map, the readout and the jump
+    map, in one kernel builder per kind, and hands the same gap to the
+    indicator.
     ``readout(state)`` is one sample's outputs ``(z1, z2, x1, x2, x3, q,
     that1, that2, u1, u2, V_true, gap)``: :meth:`planar`, the state,
     :meth:`estimate`, :meth:`applied_input`, ``true_potential`` and
@@ -667,11 +725,13 @@ def make_scenario(
     feedback at ``z_init``, raises :class:`ValueError`.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
-    map, the switching gap, the true potential and the readout written
-    out on floats for ``kind`` by one ``_closed_loop_kernels`` call.  The
-    indicator (gap minus the constant ``margin``) uses the gap, and the
-    runner's outputs (monitors, clearance, CSV) the readout; the jump map
-    uses the controllers.
+    map, the switching gap, the true potential, the readout and the jump
+    map written out on floats for ``kind`` by one ``_closed_loop_kernels``
+    call.  The indicator (gap minus the constant ``margin``) uses the gap,
+    the runner's outputs (monitors, clearance, CSV) the readout, and the
+    jump map gives the controllers' reset byte for byte, calling
+    :func:`~hybridfb.synergistic.select_jump` only where the two chart
+    potentials tie.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -745,8 +805,8 @@ def make_scenario(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
-    flow_map, gap, true_potential, readout = _closed_loop_kernels(
-        kind, obstacle, theta, ball, gains
+    flow_map, gap, true_potential, readout, jump_map = _closed_loop_kernels(
+        kind, obstacle, theta, controller, ball, gains
     )
     system = build_closed_loop(
         plant,
@@ -755,6 +815,7 @@ def make_scenario(
         project_state=renormalize_circle,
         flow_map=flow_map,
         gap=gap,
+        jump_map=jump_map,
     )
     return Scenario(
         kind=kind,

@@ -94,13 +94,11 @@ class ControllerData:
         return _evaluate_candidates(self, x, xi_c)[2]
 
 
-def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
-    """Shared float-valued core of the gap computation.
+def _minimize_candidates(ctrl: ControllerData, x, xi_c):
+    """The least candidate potential and its minimizers.
 
-    Returns ``(min_value, minimizers, gap)``: the least candidate
-    potential, the candidates within ``TIE_TOL`` of it, and the synergy
-    gap, the current potential minus that minimum, or ``math.inf`` where
-    the current potential is infinite.
+    Returns ``(min_value, minimizers)``: the least candidate potential and
+    the candidates within ``TIE_TOL`` of it, in candidate-list order.
     """
     cands = list(ctrl.candidates(x, xi_c))
     if not cands:
@@ -111,7 +109,17 @@ def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
         raise InfeasibleCandidates(
             "every reset candidate has infinite potential"
         )
-    minimizers = [g for g, v in zip(cands, values) if v <= min_value + TIE_TOL]
+    return min_value, [g for g, v in zip(cands, values) if v <= min_value + TIE_TOL]
+
+
+def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
+    """Shared float-valued core of the gap computation.
+
+    Returns ``(min_value, minimizers, gap)``: :func:`_minimize_candidates`
+    and the synergy gap, the current potential minus that minimum, or
+    ``math.inf`` where the current potential is infinite.
+    """
+    min_value, minimizers = _minimize_candidates(ctrl, x, xi_c)
     value_here = float(ctrl.potential(x, xi_c))
     gap = math.inf if math.isinf(value_here) else value_here - min_value
     return min_value, minimizers, gap
@@ -142,7 +150,7 @@ def min_over_candidates(
 
 def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
     """Deterministic reset: the first-listed minimizing candidate."""
-    return np.asarray(_evaluate_candidates(ctrl, x, xi_c)[1][0], dtype=float)
+    return np.asarray(_minimize_candidates(ctrl, x, xi_c)[1][0], dtype=float)
 
 
 def build_closed_loop(
@@ -153,6 +161,7 @@ def build_closed_loop(
     *,
     flow_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gap: Optional[Callable[[np.ndarray], float]] = None,
+    jump_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> HybridSystemDef:
     """Interconnect a plant and a synergistic controller.
 
@@ -164,11 +173,13 @@ def build_closed_loop(
     ``1e18`` sentinel inside the indicator only, forcing a jump.
 
     The flow map composes ``plant.f`` at the controller's feedback with
-    ``ctrl.controller_flow``, and the gap is ``ctrl.gap``.  A caller that
-    has the same vector field, or the same gap, written out for its plant
-    passes it as ``flow_map`` or ``gap`` (a function of the closed-loop
-    state) instead; the obstacle world's
-    :func:`~hybridfb.obstacle.make_scenario` passes both.
+    ``ctrl.controller_flow``, the gap is ``ctrl.gap``, and the jump map
+    keeps the plant state and resets the controller state by
+    :func:`select_jump`.  A caller that has the same vector field, gap or
+    reset written out for its plant passes it as ``flow_map``, ``gap`` or
+    ``jump_map`` (a function of the closed-loop state) instead; the
+    obstacle world's :func:`~hybridfb.obstacle.make_scenario` passes all
+    three.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     n_x = plant.n_x
@@ -188,7 +199,7 @@ def build_closed_loop(
     def indicator(state: np.ndarray) -> float:
         return min(gap(state), GAP_SENTINEL) - margin
 
-    def jump_map(state: np.ndarray) -> np.ndarray:
+    def composed_jump_map(state: np.ndarray) -> np.ndarray:
         x, xi_c = state[:n_x], state[n_x:]
         return np.concatenate([x, select_jump(ctrl, x, xi_c)])
 
@@ -196,7 +207,7 @@ def build_closed_loop(
         flow_map=composed_flow_map if flow_map is None else flow_map,
         flow_indicator=indicator,
         jump_indicator=indicator,
-        jump_map=jump_map,
+        jump_map=composed_jump_map if jump_map is None else jump_map,
         project_state=project_state,
     )
 

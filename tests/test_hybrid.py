@@ -876,6 +876,40 @@ class TestLocateCrossing:
         assert arc.jump_count >= 40
         assert len(bisection_oracle) >= 20
 
+    def test_switching_starts_take_at_most_seven_calls_per_crossing(self, monkeypatch):
+        # The count is deterministic.  An Illinois estimate that stops at
+        # |g| <= 1e-3 event_tol makes 8.8 calls per crossing here.
+        calls, spent = [0], []
+        locate = hybrid._locate_crossing
+
+        def counted_locate(*args):
+            before = calls[0]
+            located = locate(*args)
+            spent.append(calls[0] - before)
+            return located
+
+        monkeypatch.setattr(hybrid, "_locate_crossing", counted_locate)
+        for bearing, dist in self.SWITCHING_STARTS:
+            angle = math.radians(bearing)
+            z = (1.0 + dist * math.cos(angle), dist * math.sin(angle))
+            for q0 in (-1.0, 1.0):
+                sc = make_scenario(
+                    "backstep", q0=q0, z_init=z, margin=1e-3,
+                    config=SolverConfig(t_max=2.0, j_max=1000),
+                )
+                indicator = sc.system.jump_indicator
+
+                def counted(state, indicator=indicator):
+                    calls[0] += 1
+                    return indicator(state)
+
+                system = dataclasses.replace(
+                    sc.system, flow_indicator=counted, jump_indicator=counted
+                )
+                solve(system, sc.x0, sc.config)
+        assert len(spent) >= 400
+        assert sum(spent) / len(spent) <= 7.0
+
     def test_published_adaptive_start_matches_plain_bisection(self, bisection_oracle):
         sc = make_scenario(
             "adaptive", q0=-1.0, z_init=(2.0, 0.0), margin=1e-2,

@@ -1,5 +1,6 @@
 """Geometry, chart potentials, nominal controller, scenario factories."""
 
+import functools
 import hashlib
 import math
 import warnings
@@ -32,6 +33,7 @@ from hybridfb import (
     solve,
     to_cylinder,
 )
+from hybridfb import obstacle as obstacle_module
 from hybridfb.obstacle import cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
 from hybridfb.synergistic import GAP_SENTINEL
@@ -911,6 +913,129 @@ class TestScenarioReadout:
         state[3] = 0.5
         with pytest.raises(ValueError, match="chart index"):
             sc.readout(state)
+
+
+# Bearing from the obstacle centre (1, 0) in degrees, and distance: the
+# switching starts, run at margin 1e-3.
+SWITCHING_STARTS = ((0.0, 1.5), (150.0, 2.0), (190.0, 1.5), (330.0, 1.5))
+# Chart index and planar start of the published runs.
+PUBLISHED_STARTS = ((-1.0, (2.0, 0.0)), (1.0, (2.0, 0.0)), (-1.0, (1.8, -1.0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pre_jump_states(kind):
+    """The kind's scenario and the pre-jump states of its switching and published runs.
+
+    The nominal and adaptive runs jump less often; their list also holds
+    the leading entries of the backstep runs' pre-jump states.
+    """
+    runs = []
+    for bearing, dist in SWITCHING_STARTS:
+        angle = math.radians(bearing)
+        z = (1.0 + dist * math.cos(angle), dist * math.sin(angle))
+        for q0 in (-1.0, 1.0):
+            runs.append(dict(q0=q0, z_init=z, margin=1e-3, config=SolverConfig(
+                t_max=2.0, j_max=1000
+            )))
+    theta = np.zeros(2) if kind == "nominal" else None
+    runs += [dict(q0=q0, z_init=z, theta=theta) for q0, z in PUBLISHED_STARTS]
+    states = []
+    for run in runs:
+        sc = make_scenario(kind, **run)
+        arc = solve(sc.system, sc.x0, sc.config)
+        states += [rec.before for rec in arc.jump_records]
+    if kind != "backstep":
+        states += [s[: sc.x0.size].copy() for s in _pre_jump_states("backstep")[1]]
+    return sc, states
+
+
+class TestJumpMapKernel:
+    """``make_scenario``'s float jump map against the composed one, byte for byte."""
+
+    @pytest.fixture(params=["nominal", "adaptive", "backstep"])
+    def runs(self, request):
+        return _pre_jump_states(request.param)
+
+    @staticmethod
+    def _composed(sc):
+        return build_closed_loop(sc.plant, sc.theta, sc.controller).jump_map
+
+    @staticmethod
+    def _counting_select_jump(monkeypatch):
+        """Count the float jump map's calls of the composed reset."""
+        calls = []
+
+        def counted(ctrl, x, xi_c):
+            calls.append(x.copy())
+            return select_jump(ctrl, x, xi_c)
+
+        monkeypatch.setattr(obstacle_module, "select_jump", counted)
+        return calls
+
+    def test_pre_jump_states(self, runs, monkeypatch):
+        sc, states = runs
+        assert len(states) >= 400
+        composed = self._composed(sc)
+        fallbacks = self._counting_select_jump(monkeypatch)
+        resets = set()
+        for state in states:
+            got = sc.system.jump_map(state)
+            assert got.dtype == np.float64
+            assert got.tobytes() == composed(state).tobytes()
+            resets.add((float(state[3]), float(got[3])))
+        assert not fallbacks  # none of them ties
+        assert {after for _, after in resets} == {-1.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "estimate", [(-0.0, 0.3), (0.4, -0.0), (-0.0, -0.0), (1.2, -0.9), (-1.9, 0.2)],
+        ids=["neg_zero_1", "neg_zero_2", "neg_zeros", "outside", "far_outside"],
+    )
+    @pytest.mark.parametrize("kind", ["adaptive", "backstep"])
+    def test_estimate_edge_cases(self, kind, monkeypatch, estimate):
+        sc, states = _pre_jump_states(kind)
+        composed = self._composed(sc)
+        fallbacks = self._counting_select_jump(monkeypatch)
+        for state in states[:: max(1, len(states) // 10)]:
+            state = state.copy()
+            state[4:6] = estimate
+            got = sc.system.jump_map(state)
+            assert got.tobytes() == composed(state).tobytes()
+            if math.hypot(*estimate) <= 1.0:  # kept as is, signed zeros too
+                assert got[4:6].tobytes() == np.array(estimate).tobytes()
+        assert not fallbacks
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-13, 2e-12])
+    @pytest.mark.parametrize("q", [-1.0, 1.0])
+    def test_chart_potentials_tie(self, runs, monkeypatch, q, gap):
+        # On the published obstacle's x3 = 0 both charts read the same
+        # potential; near (x2, x3) = (1, 0) they differ by about 4 * x3.
+        sc, _ = runs
+        x3 = gap / 4.0
+        state = sc.x0.copy()
+        state[:4] = [0.4, math.sqrt(1.0 - x3 * x3), x3, q]
+        if sc.kind != "nominal":
+            state[4:6] = [1.2, -0.9]
+        composed = self._composed(sc)
+        fallbacks = self._counting_select_jump(monkeypatch)
+        got = sc.system.jump_map(state)
+        assert got.tobytes() == composed(state).tobytes()
+        low, high = (chart_potential(state[:3], c, sc.obstacle) for c in (-1.0, 1.0))
+        tied = not (low > high + 1e-12 or high > low + 1e-12)
+        assert tied == (gap < 1e-12) and len(fallbacks) == tied
+        if gap == 0.0:
+            assert got[3] == -1.0  # the first-listed chart
+
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_chart_index_outside_pair_raises(self, kind):
+        sc, states = _pre_jump_states(kind)
+        state = states[0].copy()
+        state[3] = 0.5
+        with pytest.raises(ValueError, match="chart index"):
+            sc.system.jump_map(state)
+        if kind != "nominal":
+            with pytest.raises(ValueError, match="chart index"):
+                self._composed(sc)(state)
 
 
 class TestClosedLoopGeometry:
