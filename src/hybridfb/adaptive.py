@@ -219,6 +219,15 @@ def reset_estimate(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
     return ball_distance(theta_hat, ball)[1]
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a 1-D float vector: ``np.linalg.norm``'s own arithmetic.
+
+    For such a vector ``np.linalg.norm`` computes ``sqrt(v.dot(v))``;
+    calling that directly gives the same bits without its dispatch.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def central_difference(
     fun: Callable[[np.ndarray], object],
     x: np.ndarray,
@@ -233,7 +242,7 @@ def central_difference(
     infinite branch.
     """
     x = np.asarray(x, dtype=float)
-    h = FD_REL_STEP * max(1.0, float(np.linalg.norm(x)))
+    h = FD_REL_STEP * max(1.0, _norm(x))
     cols = []
     for i in range(x.shape[0]):
         xp = x.copy()

@@ -8,15 +8,14 @@ output (``--out``, ``--summary``) that cannot be written.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import ConfigError, HybridFeedbackError
 from .runner import (
     config_from_sources,
+    map_in_workers,
     property_suite,
     read_config_file,
     run,
@@ -65,13 +64,14 @@ def _build_parser() -> _Parser:
         "--batch",
         nargs="+",
         metavar="CONFIG",
-        help="run these config files as independent parallel scenarios "
-        "(no other flag)",
+        help="run these config files as independent scenarios in worker "
+        "processes, at most one per usable CPU (no other flag)",
     )
     parser.add_argument(
         "--property-suite",
         action="store_true",
-        help="run the randomized verification suites instead of a simulation",
+        help="run the randomized verification suites instead of a "
+        "simulation, in worker processes as --batch does",
     )
     parser.add_argument(
         "--thorough",
@@ -145,11 +145,8 @@ def _run_batch(paths: list[str]) -> int:
                 )
             outputs[target] = path
 
-    workers = min(len(paths), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_config_file, paths))
     status = EXIT_OK
-    for path, code, message in results:
+    for path, code, message in map_in_workers(run_config_file, paths):
         print(f"{path}: exit {code} ({message})")
         status = max(status, code)
     return status

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import adaptive
-from .adaptive import BackstepGains, ParamBall, lift_adaptive, lift_backstep
+from .adaptive import BackstepGains, ParamBall, _norm, lift_adaptive, lift_backstep
 from .errors import ChartSingular, DomainEscape, InsideObstacle
 from .hybrid import HybridSystemDef, SolverConfig
 from .synergistic import (
@@ -68,7 +68,7 @@ class ObstacleDisk:
             raise ValueError(f"obstacle center must be finite, got {center}")
         if not 0.0 < self.radius < math.inf:
             raise ValueError("obstacle radius must be positive and finite")
-        dist = float(np.linalg.norm(center))
+        dist = _norm(center)
         if dist <= self.radius:
             raise ValueError(
                 "the origin must lie outside the obstacle "
@@ -101,7 +101,7 @@ def to_cylinder(z: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float).reshape(2)
     w = z - obstacle.center
-    rho = float(np.linalg.norm(w))
+    rho = _norm(w)
     if rho <= obstacle.radius + SINGULAR_GUARD:
         raise InsideObstacle(
             f"point at distance {rho} from the obstacle center "
@@ -667,9 +667,6 @@ class Scenario:
     ball: Optional[ParamBall] = None
     gains: Optional[BackstepGains] = None
 
-    def chart_index(self, state: np.ndarray) -> float:
-        return float(state[3])
-
     def planar(self, state: np.ndarray) -> np.ndarray:
         return from_cylinder(state[:3], self.obstacle)
 
@@ -741,9 +738,10 @@ def make_scenario(
     theta = DEFAULT_THETA.copy() if theta is None else np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"true parameter must be finite, got {theta.tolist()}")
-    if float(np.linalg.norm(theta)) > theta_bound + 1e-12:
+    theta_norm = _norm(theta)
+    if theta_norm > theta_bound + 1e-12:
         raise ValueError(
-            f"true parameter norm {np.linalg.norm(theta)} exceeds the "
+            f"true parameter norm {theta_norm} exceeds the "
             f"admissible bound {theta_bound}"
         )
     config = SolverConfig() if config is None else config

@@ -11,16 +11,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import adaptive as adaptive_mod
 from . import obstacle as obstacle_mod
-from .adaptive import ParamBall, ball_distance, central_difference, reset_estimate
+from .adaptive import (
+    ParamBall,
+    _norm,
+    ball_distance,
+    central_difference,
+    reset_estimate,
+)
 from .errors import ChartSingular, ConfigError, InsideObstacle, MalformedArc
 from .hybrid import HybridArc, SolverConfig, solve, validate_domain
 from .obstacle import ObstacleDisk, Scenario, make_scenario
@@ -404,15 +413,6 @@ class PropertyReport:
             out.append(f"  [{status}] {r.name}: {r.detail}")
         out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return out
-
-
-def _norm(v: np.ndarray) -> float:
-    """2-norm of a 1-D float vector: ``np.linalg.norm``'s own arithmetic.
-
-    For such a vector ``np.linalg.norm`` computes ``sqrt(v.dot(v))``;
-    calling that directly gives the same bits without its dispatch.
-    """
-    return math.sqrt(v.dot(v))
 
 
 def _worse(worst: float, value: float) -> float:
@@ -864,21 +864,61 @@ def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResu
     )
 
 
+def _suite_calls(seed: int, thorough: bool) -> tuple:
+    """The report's suites in order, each bound to its seed and size.
+
+    Suite ``k`` runs at ``seed + k``.  ``thorough`` bumps the grid-oracle
+    and Jacobian input counts to the sizes used by the acceptance tests.
+    """
+    n = 1000 if thorough else 200
+    return (
+        partial(projection_inequality_suite, seed),
+        partial(projection_lipschitz_suite, seed + 1),
+        partial(gap_enumeration_suite, seed + 2),
+        partial(ball_distance_oracle_suite, seed + 3, n=n),
+        partial(reset_estimate_oracle_suite, seed + 4, n=n),
+        partial(jacobian_suite, seed + 5, n=n),
+        partial(gap_identity_suite, seed + 6),
+    )
+
+
+def _run_suite(position: int, seed: int, thorough: bool) -> SuiteResult:
+    """Run the report's suite at ``position``; one worker process's task.
+
+    A worker is sent the position, not the suite: the suite is looked up
+    here, so no function that a tracer or a test has replaced with a
+    closure needs to be pickled.
+    """
+    return _suite_calls(seed, thorough)[position]()
+
+
+def map_in_workers(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, each call a task in a worker process.
+
+    The pool has ``min(len(items), usable CPUs)`` workers, the usable
+    CPUs being this process's CPU affinity where the platform reports it
+    and ``os.cpu_count()`` otherwise.  ``fn`` is pickled by reference, so
+    it must be a module-level function or a ``functools.partial`` of one.
+    Results come in the order of ``items``; the first item whose call
+    raised raises that exception here.  The pool is shut down, and its
+    processes joined, before this returns or raises.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(len(items), cpus)) as pool:
+        return list(pool.map(fn, items))
+
+
 def property_suite(seed: int, thorough: bool = False) -> PropertyReport:
     """Run every randomized verification suite with a shared seed.
 
-    Deterministic given ``seed``.  ``thorough`` bumps the grid-oracle
-    input counts to the sizes used by the acceptance tests.
+    Deterministic given ``seed``; :func:`_suite_calls` gives each suite
+    its seed and size.  The suites run one per task on
+    :func:`map_in_workers`' pool, and the report lists them in a fixed
+    order, byte for byte the report of running them one after another.
     """
-    n_grid = 1000 if thorough else 200
-    n_jac = 1000 if thorough else 200
-    results = (
-        projection_inequality_suite(seed),
-        projection_lipschitz_suite(seed + 1),
-        gap_enumeration_suite(seed + 2),
-        ball_distance_oracle_suite(seed + 3, n=n_grid),
-        reset_estimate_oracle_suite(seed + 4, n=n_grid),
-        jacobian_suite(seed + 5, n=n_jac),
-        gap_identity_suite(seed + 6),
-    )
-    return PropertyReport(seed=seed, results=results)
+    positions = range(len(_suite_calls(seed, thorough)))
+    run_one = partial(_run_suite, seed=seed, thorough=thorough)
+    return PropertyReport(seed=seed, results=tuple(map_in_workers(run_one, positions)))

@@ -864,7 +864,7 @@ def _readout_reference(sc, state):
     values = (
         *sc.planar(state),
         *state[:3],
-        sc.chart_index(state),
+        float(state[3]),
         *sc.estimate(state),
         *sc.applied_input(state),
         sc.true_potential(state),

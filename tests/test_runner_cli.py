@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -331,7 +332,7 @@ def _reference_csv(arc, scenario) -> str:
             _fmt(state[0]),
             _fmt(state[1]),
             _fmt(state[2]),
-            _fmt(scenario.chart_index(state)),
+            _fmt(float(state[3])),
             _fmt(estimate[0]),
             _fmt(estimate[1]),
             _fmt(u[0]),
@@ -452,6 +453,58 @@ class TestPropertySuite:
 
     def test_determinism(self):
         assert property_suite(3).lines() == property_suite(3).lines()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_pooled_report_equals_in_process_run(self, seed):
+        # The reference: the seven suites in this process, in the
+        # report's order, each at its own seed.
+        in_process = runner_mod.PropertyReport(
+            seed=seed,
+            results=(
+                runner_mod.projection_inequality_suite(seed),
+                runner_mod.projection_lipschitz_suite(seed + 1),
+                runner_mod.gap_enumeration_suite(seed + 2),
+                runner_mod.ball_distance_oracle_suite(seed + 3, n=200),
+                runner_mod.reset_estimate_oracle_suite(seed + 4, n=200),
+                runner_mod.jacobian_suite(seed + 5, n=200),
+                runner_mod.gap_identity_suite(seed + 6),
+            ),
+        )
+        assert property_suite(seed).lines() == in_process.lines()
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_raised_and_pool_joined(self):
+        with pytest.raises(ValueError) as in_process:
+            runner_mod.projection_inequality_suite(-1)
+        with pytest.raises(ValueError) as pooled:
+            property_suite(-1)
+        assert str(pooled.value) == str(in_process.value)
+        assert not multiprocessing.active_children()
+
+    def test_console_entry_point_in_fresh_interpreter(self, tmp_path):
+        # The console script's own start-up, whose worker processes are
+        # forked or spawned by the platform's default start method.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from hybridfb.cli import main; sys.exit(main())",
+                "--property-suite",
+                "--seed",
+                "0",
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "".join(line + "\n" for line in property_suite(0).lines())
 
     def test_ball_distance_mutation_detected(self, monkeypatch):
         original = runner_mod.ball_distance
