@@ -9,7 +9,9 @@ every run's samples on which the flow map is defined.  On up to 500 of
 them per kind it times the kind's flow map, switching indicator,
 readout and true potential, ``gradient_feedback_jacobian`` on the
 backstep samples and ``ball_distance`` on the adaptive and backstep
-samples.  Each kind's ``jump_map`` line times its jump map on the
+samples; the ``flow_map.list`` line times the flow map on the same
+samples as lists of floats, as the solver hands them (``-`` for a
+checkout whose flow maps take only arrays).  Each kind's ``jump_map`` line times its jump map on the
 pre-jump states of the three backstep runs with margin 1e-3 from the
 published starts (their leading entries, for the smaller kinds), since
 the published runs jump once each.  The ``backstep.locate`` line times
@@ -17,6 +19,8 @@ the solver's location of each jump-set crossing
 (``hybrid._locate_crossing``) over one backstep run with margin 1e-3
 from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``, and gives its
 located crossings and indicator calls per crossing.
+The ``RK45.step`` line times one step of the stepper on a trivial
+right-hand side that returns the same 8 floats, ``max_step = 0.01``.
 Each figure is the minimum over repeated sweeps of the time per call.
 ``--root`` names the checkout whose ``src/`` to measure (default: the
 one holding this script), so two checkouts can be compared on the same
@@ -65,6 +69,19 @@ def _published_samples(runner, chart_singular, kind: str):
             states.append(state.copy())
     step = max(1, len(states) // MAX_SAMPLES)
     return scenario, states[::step][:MAX_SAMPLES]
+
+
+def _step_us(hybrid, steps: int = 2000, repeats: int = REPEATS) -> float:
+    """Microseconds per ``RK45.step`` on a constant 8-float right-hand side."""
+    rates = [0.1, -0.2, 0.3, 0.0, 0.05, -0.05, 0.2, -0.1]
+    best = float("inf")
+    for _ in range(repeats):
+        stepper = hybrid.RK45(lambda t, y: rates, 0.0, [1.0] * 8, 1e9, 0.01, 1e-9, 1e-9)
+        start = time.perf_counter()
+        for _ in range(steps):
+            stepper.step()
+        best = min(best, time.perf_counter() - start)
+    return best / steps * 1e6
 
 
 def _pre_jump_states(hybrid, make_scenario):
@@ -154,6 +171,13 @@ def main(argv=None) -> int:
             rows.append(("ball_distance", adaptive.ball_distance, args_ball))
         for name, fn, calls in rows:
             print(f"{kind + '.' + name:<40} {len(calls):>7} {_per_call_us(fn, calls):>8.2f}")
+        lists = [(s.tolist(),) for s in states]
+        try:
+            figure = f"{_per_call_us(system.flow_map, lists):>8.2f}"
+        except (AttributeError, TypeError):  # flow maps that take only arrays
+            figure = f"{'-':>8}"
+        print(f"{kind + '.flow_map.list':<40} {len(lists):>7} {figure}")
+    print(f"{'RK45.step':<40} {2000:>7} {_step_us(hybrid):>8.2f}")
     located, us, calls_per = _locate_figures(hybrid, obstacle.make_scenario)
     print(f"{'backstep.locate':<40} {located:>7} {us:>8.2f}"
           f"  ({calls_per:.1f} indicator calls per crossing)")

@@ -16,18 +16,23 @@ form; their reset candidates define the reset.
 The parameter-ball subproblem (metric projection / worst-case distance)
 is solved exactly by Newton on the secular equation of the ball
 constraint's multiplier, in the gain eigenbasis cached on ParamBall.
+
+The simulation path takes no sum through BLAS: :func:`ball_distance`,
+the gains' ``error_term`` and :func:`_norm` add their products left to
+right on Python floats (:func:`_dot`), so their bits do not depend on
+the BLAS kernel or on the Python version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ChartSingular, InsideObstacle, NonFiniteJacobian
+from .hybrid import _floats
 from .synergistic import AffinePlant, ControllerData, min_over_candidates
 
 # Secular-equation Newton: relative norm tolerance and step budget.
@@ -36,6 +41,34 @@ NEWTON_ITERS = 40
 
 # Relative step for finite-difference Jacobians and gradients.
 FD_REL_STEP = 1e-6
+
+
+def _dot(a, b) -> float:
+    """``sum(a[i] * b[i])`` over two sequences of floats, added left to right.
+
+    Written out, so its bits depend neither on a BLAS kernel (which may
+    fuse or reorder the multiply-adds) nor on the Python version (``sum``
+    compensates its float additions since Python 3.12).
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _half_quadratic(columns: tuple, v) -> float:
+    """``0.5 * v @ M @ v`` for the matrix ``M`` with these columns.
+
+    Each entry of ``v @ M`` is the :func:`_dot` of ``v`` with a column, and
+    the result their :func:`_dot` with ``v``, with the loops written inline.
+    """
+    total = 0.0
+    for column, x in zip(columns, v):
+        w = 0.0
+        for y, c in zip(v, column):
+            w += y * c
+        total += w * x
+    return 0.5 * total
 
 
 def _check_spd(name: str, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,15 +132,20 @@ class ParamBall:
         vals, vecs = np.linalg.eigh(gain)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "gain_inv", gain_inv)
+        object.__setattr__(self, "_inv_columns", tuple(gain_inv.T.tolist()))
         pairs = tuple(zip(vals.tolist(), vecs.T.tolist()))
         object.__setattr__(self, "eigenpairs", pairs)
         object.__setattr__(self, "scalar_gain", _scalar_multiple(gain))
         object.__setattr__(self, "radius_sq", radius_sq)
         object.__setattr__(self, "excess_scale", excess_scale)
 
-    def error_term(self, theta_err: np.ndarray) -> float:
-        """Half the squared ``gain^{-1}`` norm of the estimation error ``theta_err``."""
-        return 0.5 * float(theta_err @ self.gain_inv @ theta_err)
+    def error_term(self, theta_err: Sequence[float]) -> float:
+        """Half the squared ``gain^{-1}`` norm of the estimation error ``theta_err``.
+
+        Written out on floats (:func:`_half_quadratic`), for the float
+        kernels and the controllers alike.
+        """
+        return _half_quadratic(self._inv_columns, _floats(theta_err))
 
 
 @dataclass(frozen=True)
@@ -123,10 +161,14 @@ class BackstepGains:
         gain, gain_inv = _check_spd("backstepping gain", self.gain)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "gain_inv", gain_inv)
+        object.__setattr__(self, "_inv_columns", tuple(gain_inv.T.tolist()))
 
-    def error_term(self, u_err: np.ndarray) -> float:
-        """Half the squared ``gain^{-1}`` norm of the input error ``u_err``."""
-        return 0.5 * float(u_err @ self.gain_inv @ u_err)
+    def error_term(self, u_err: Sequence[float]) -> float:
+        """Half the squared ``gain^{-1}`` norm of the input error ``u_err``.
+
+        Written out on floats, as :meth:`ParamBall.error_term` is.
+        """
+        return _half_quadratic(self._inv_columns, _floats(u_err))
 
 
 def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:
@@ -180,13 +222,13 @@ def ball_distance(
     ``lam``, so Newton from 0 rises to the root without overshoot (More &
     Sorensen 1983); for a scalar gain it is linear and one step is exact.
     Stops at ``norm(p) <= (1 + NEWTON_RTOL) * radius`` or NEWTON_ITERS.
+    Every sum is written out on floats (:func:`_dot`).
     """
-    th = np.asarray(theta_hat, dtype=float)
-    if math.sqrt(float(th.dot(th))) <= ball.radius:
-        return 0.0, th.copy()
+    comps = _floats(theta_hat)
+    if _norm(comps) <= ball.radius:
+        return 0.0, np.array(comps, dtype=float)
     r = ball.radius
-    comps = th.tolist()
-    coords = [(g, sum(map(mul, v, comps))) for g, v in ball.eigenpairs]
+    coords = [(g, _dot(v, comps)) for g, v in ball.eigenpairs]
     lam = 0.0
     for _ in range(NEWTON_ITERS):
         p = []
@@ -201,7 +243,9 @@ def ball_distance(
         if p_norm - r <= NEWTON_RTOL * r:
             break
         lam += (p_norm - r) * sq / (r * slope)
-    dist_sq = sum((c - x) ** 2 / g for (g, c), x in zip(coords, p))
+    dist_sq = 0.0
+    for (g, c), x in zip(coords, p):
+        dist_sq += (c - x) ** 2 / g
     nearest = [0.0] * len(comps)
     for x, (_, v) in zip(p, ball.eigenpairs):
         nearest = [n + x * vi for n, vi in zip(nearest, v)]
@@ -219,13 +263,17 @@ def reset_estimate(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
     return ball_distance(theta_hat, ball)[1]
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm of a 1-D float vector: ``np.linalg.norm``'s own arithmetic.
+def _norm(v: Sequence[float]) -> float:
+    """2-norm of a 1-D float vector: ``sqrt`` of its squares added left to right.
 
-    For such a vector ``np.linalg.norm`` computes ``sqrt(v.dot(v))``;
-    calling that directly gives the same bits without its dispatch.
+    Written out as :func:`_dot` is, not through BLAS, so a start built with it
+    (:func:`~hybridfb.obstacle.to_cylinder`) has the same bits under every
+    BLAS kernel.
     """
-    return math.sqrt(v.dot(v))
+    total = 0.0
+    for x in _floats(v):
+        total += x * x
+    return math.sqrt(total)
 
 
 def central_difference(

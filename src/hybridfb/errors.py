@@ -1,5 +1,7 @@
 """Exception types raised by the library."""
 
+import numpy as np
+
 
 class HybridFeedbackError(Exception):
     """Base class for all library errors."""
@@ -12,13 +14,13 @@ class IntegrationStalled(HybridFeedbackError):
 class DomainEscape(HybridFeedbackError):
     """The flow left the flow set without entering the jump set, or the state space.
 
-    Carries the offending state and time so callers can diagnose or
-    recover.
+    Carries the offending state, as a float array, and time so callers
+    can diagnose or recover.
     """
 
     def __init__(self, message, state=None, t=None):
         super().__init__(message)
-        self.state = state
+        self.state = None if state is None else np.asarray(state, dtype=float)
         self.t = t
 
 

@@ -21,10 +21,13 @@ falsi estimate of the root, stopped once the indicator is within
 ``event_tol`` of zero, lets the bisection be replayed with calls only
 near it, and plain bisection runs when no usable estimate is found
 (Anderson & Bjorck 1973; Shampine & Thompson, "Event location for
-ordinary differential equations", 2000).  The stepper repeats the
-arithmetic of the reference ``RK45`` implementation operation for
-operation, so its steps match that reference bit for bit
-(``TestRK45Oracle`` in the tests); numpy is the only runtime dependency.
+ordinary differential equations", 2000).  The stepper runs on Python
+floats, with every sum written out left to right, and hands every
+callback (flow map, indicators, projection, jump map) a list of floats;
+no step goes through BLAS, so a trajectory has the same bits whichever
+kernel the BLAS library picks.  Its step-size rule is scipy's ``RK45``,
+which ``TestRK45Oracle`` steps beside it; numpy is the only runtime
+dependency, and builds each interval's sample arrays once.
 
 Each state the solver records is projected once, where it is made, and
 its jump indicator is evaluated once.  The value travels with the state
@@ -40,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -142,23 +145,26 @@ class HybridSystemDef:
 
     The flow and jump maps are deterministic selections chosen by the
     caller; set-valued dynamics are outside the solver's scope.
+    The solver calls every callback with a state that is a list of
+    floats, and takes back any sequence of floats.
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
-    vector component).  It returns a new array, or its argument when that
-    needs no change, and never modifies its argument: the stepper keeps
-    stepping from the accepted state it is given.
+    vector component).  It returns a new sequence, or its argument when
+    that needs no change, and never modifies its argument: the stepper
+    keeps stepping from the accepted state it is given.
     """
 
-    flow_map: Callable[[np.ndarray], np.ndarray]
-    flow_indicator: Callable[[np.ndarray], float]
-    jump_indicator: Callable[[np.ndarray], float]
-    jump_map: Callable[[np.ndarray], np.ndarray]
-    project_state: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    flow_map: Callable[[list], Sequence[float]]
+    flow_indicator: Callable[[list], float]
+    jump_indicator: Callable[[list], float]
+    jump_map: Callable[[list], Sequence[float]]
+    project_state: Optional[Callable[[list], Sequence[float]]] = None
 
-    def project(self, state: np.ndarray) -> np.ndarray:
+    def project(self, state: list) -> list:
+        """``project_state`` at ``state``, as a list of floats."""
         if self.project_state is None:
             return state
-        return self.project_state(state)
+        return _floats(self.project_state(state))
 
 
 @dataclass(frozen=True)
@@ -191,66 +197,90 @@ class SolverConfig:
             )
 
 
-def _rms(x: np.ndarray) -> np.float64:
-    """Root-mean-square norm, computed as the reference stepper computes it.
+def _finite(values) -> bool:
+    """Whether every value of a sequence of floats is finite."""
+    return all(map(math.isfinite, values))
 
-    The result stays a numpy scalar, so dividing by a zero norm gives inf
-    with a warning, as in the reference, instead of raising.
-    """
-    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+def _floats(values) -> list:
+    """``values`` as a list of floats: a list as it is, anything else converted."""
+    return values if type(values) is list else np.asarray(values, dtype=float).tolist()
+
+
+def _quotient(num: float, den: float) -> float:
+    """``num / den``, with IEEE's ``±inf`` or NaN where ``den`` is zero."""
+    if den:
+        return num / den
+    if num != num or num == 0.0:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _rms(values, scale) -> float:
+    """Root-mean-square of ``values[i] / scale[i]``, its squares added left to right."""
+    sq = 0.0
+    for v, s in zip(values, scale):
+        v /= s
+        sq += v * v
+    return math.sqrt(sq) / len(scale) ** 0.5
+
+
+# The Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, II.5): nodes
+# C, stage weights A, fifth-order weights B and the error weights E of the
+# embedded pair.  B2, B7 and E2 are zero, and stages 6 and 7 sit at C = 1.
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+)
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+# Shampine's dense output for the optimum c_6: each stage's coefficients
+# of x^2, x^3 and x^4.  Stage 2's are zero, and x's is 1 for stage 1 and 0
+# for the others.
+P1 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
+      -12715105075 / 11282082432)
+P3 = (131558114200 / 32700410799, -68118460800 / 10900136933,
+      87487479700 / 32700410799)
+P4 = (-1754552775 / 470086768, 14199869525 / 1410260304,
+      -10690763975 / 1880347072)
+P5 = (127303824393 / 49829197408, -318862633887 / 49829197408,
+      701980252875 / 199316789632)
+P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
+P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 
 
 class RK45:
     """Dormand-Prince 5(4) stepper with Shampine's dense output, forward in time.
 
-    A replica, operation for operation, of the reference ``RK45`` that
-    the tests step beside it (``TestRK45Oracle``): the tableau, stage
-    sums, RMS error norm, step-size rule, initial step, ``rtol`` floor
-    and dense-output polynomial are the reference's, so every step and
-    interpolant is bit-identical to it (Hairer, Norsett & Wanner,
-    *Solving ODEs I*, II.4-II.6).  ``t_bound`` must exceed ``t0``.
+    It runs on Python floats.  The state ``y`` and the stages are lists of
+    floats; ``fun(t, y)`` is called with a list and may return any
+    sequence of floats.  Every stage sum, the RMS error norm, the initial
+    step and the dense output are written out, each sum added left to
+    right in tableau order, so no step goes through BLAS and the bits of
+    every step are the same under every BLAS kernel.  The step-size rule,
+    initial step (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4), the
+    ``rtol`` floor and the dense-output polynomial are those of scipy's
+    ``RK45``, which ``TestRK45Oracle`` steps beside it.  ``t_bound`` must
+    exceed ``t0``.
 
     Between steps the caller may reassign ``y`` together with ``f``
     (``fun`` at ``(t, y)``, the first stage of the next step).  ``step``
     returns ``None``, or a message when the step size fell below ten
     times the spacing of floats at ``t``; ``status`` is then
-    ``"failed"``.  ``nonfinite_rejection`` tells whether the last
-    ``step`` call rejected a try whose error norm was not finite (the
-    flow map returned a non-finite stage).  A non-finite ``y0`` raises
-    :class:`DomainEscape`.
-
-    The stage array ``K`` and the views of it that the stage sums read
-    (``K[:s].T``, ``K[:-1].T``, ``K.T``, with their tableau rows) are built
-    once per stepper and reused by every step and every reseat.  Each sum
-    stays one ``np.dot`` over the same view, so its bits are the
-    reference's.
+    ``"failed"``.  ``K`` holds the seven stages of the last try.
+    ``nonfinite_rejection`` tells whether the last ``step`` call rejected
+    a try whose error norm was not finite (the flow map returned a
+    non-finite stage).  A non-finite ``y0`` raises :class:`DomainEscape`.
+    Where Python would raise on a division by zero, the initial step takes
+    IEEE's ``inf`` or NaN instead, as numpy would.
     """
 
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-    # Shampine's dense-output coefficients, for the optimum c_6.
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-    ])
     SAFETY = 0.9
     MIN_FACTOR = 0.2
     MAX_FACTOR = 10
@@ -259,8 +289,8 @@ class RK45:
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
     def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol, first_step=None):
-        y = np.asarray(y0, dtype=float)
-        if not np.isfinite(y).all():
+        y = np.asarray(y0, dtype=float).tolist()
+        if not _finite(y):
             raise DomainEscape(
                 f"flow started from a non-finite state at t={t0:.6g}",
                 state=y,
@@ -269,39 +299,33 @@ class RK45:
         self.fun, self.t, self.y, self.t_bound = fun, t0, y, t_bound
         self.max_step, self.atol = max_step, atol
         self.rtol = max(rtol, self.RTOL_FLOOR)
-        self.t_old = self.y_old = None
+        self.t_old = self.y_old = self.K = None
         self.status = "running"
         self.nonfinite_rejection = False
-        self.f = np.asarray(fun(t0, y), dtype=float)
-        self.K = K = np.empty((len(self.C) + 1, y.size))
-        # The views of K that the stage sums read, with their tableau rows
-        # and nodes.  K lives as long as the stepper, a reseat included.
-        self._stages = [
-            (K[:s].T, self.A[s, :s], float(self.C[s])) for s in range(1, len(self.C))
-        ]
-        self._K_body, self._K_all = K[:-1].T, K.T
-        self._sqrt_size = y.size ** 0.5
+        self.f = fun(t0, y)
         self.h_abs = self._initial_step() if first_step is None else first_step
 
     def _initial_step(self) -> float:
         """Empirical initial step of Hairer et al., II.4."""
         t0, y0, f0 = self.t, self.y, self.f
         interval_length = abs(self.t_bound - t0)
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        atol, rtol = self.atol, self.rtol
+        scale = [atol + abs(v) * rtol for v in y0]
+        d0, d1 = _rms(y0, scale), _rms(f0, scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        f1 = self.fun(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        f1 = self.fun(t0 + h0, [v + h0 * a for v, a in zip(y0, f0)])
+        d2 = _quotient(_rms([b - a for a, b in zip(f0, f1)], scale), h0)
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h1 = _quotient(0.01, max(d1, d2)) ** (1 / 5)
         return min(100 * h0, h1, interval_length, self.max_step)
 
     def step(self) -> Optional[str]:
         """Advance by one accepted step, retrying rejected ones."""
-        t, y, K = self.t, self.y, self.K
+        t, y, fun, k1 = self.t, self.y, self.fun, self.f
+        atol, rtol = self.atol, self.rtol
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
@@ -318,26 +342,40 @@ class RK45:
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
 
-            # Each sum is formed as ``y + h * (K^T w)``, in place.
-            K[0] = self.f
-            for s, (K_used, a, c) in enumerate(self._stages, start=1):
-                y_stage = np.dot(K_used, a)
-                y_stage *= h
-                y_stage += y
-                K[s] = self.fun(t + c * h, y_stage)
-            y_new = np.dot(self._K_body, self.B)
-            y_new *= h
-            y_new += y
-            K[-1] = f_new = self.fun(t + h, y_new)
+            # Each stage's state is y + h * (its weighted stages).
+            k2 = fun(t + C2 * h, [v + h * (A21 * a) for v, a in zip(y, k1)])
+            k3 = fun(t + C3 * h, [
+                v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)
+            ])
+            k4 = fun(t + C4 * h, [
+                v + h * (A41 * a + A42 * b + A43 * c)
+                for v, a, b, c in zip(y, k1, k2, k3)
+            ])
+            k5 = fun(t + C5 * h, [
+                v + h * (A51 * a + A52 * b + A53 * c + A54 * d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = fun(t + h, [
+                v + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
+                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = fun(t + h, y_new)
+            self.K = (k1, k2, k3, k4, k5, k6, k7)
 
-            scale = np.abs(y_new)
-            np.maximum(np.abs(y), scale, out=scale)
-            scale *= self.rtol
-            scale += self.atol
-            err = np.dot(self._K_all, self.E)
-            err *= h
-            err /= scale
-            error_norm = math.sqrt(err.dot(err)) / self._sqrt_size
+            # The error weights keep stage 2's zero, so a non-finite second
+            # stage makes the norm NaN and rejects the try.
+            sq = 0.0
+            for v, w, a, b, c, d, e, g, p in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+                v, w = abs(v), abs(w)
+                err = h * (
+                    E1 * a + 0.0 * b + E3 * c + E4 * d + E5 * e + E6 * g + E7 * p
+                ) / (atol + (v if v > w else w) * rtol)
+                sq += err * err
+            error_norm = math.sqrt(sq) / len(y) ** 0.5
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -358,29 +396,45 @@ class RK45:
                 self.nonfinite_rejection = True
 
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, k7, h_abs
         if t_new >= self.t_bound:
             self.status = "finished"
         return None
 
-    def dense_output(self) -> Callable[[float], np.ndarray]:
-        """Shampine's quartic interpolant over the last accepted step."""
+    def dense_output(self) -> Callable[[float], list]:
+        """Shampine's quartic interpolant over the last accepted step.
+
+        The value at ``t`` is ``y_old + h * (q1 x + q2 x^2 + q3 x^3 + q4
+        x^4)`` with ``x = (t - t_old) / h``: per component, ``q1`` is the
+        first stage and ``q2``-``q4`` the stages weighted by ``P1``-``P7``,
+        each sum left to right.
+        """
         t_old, y_old = self.t_old, self.y_old
         h = self.t - t_old
-        Q = self.K.T.dot(self.P)
+        k1, _, k3, k4, k5, k6, k7 = self.K
+        Q = [
+            (a, *(
+                p1 * a + p3 * c + p4 * d + p5 * e + p6 * g + p7 * r
+                for p1, p3, p4, p5, p6, p7 in zip(P1, P3, P4, P5, P6, P7)
+            ))
+            for a, c, d, e, g, r in zip(k1, k3, k4, k5, k6, k7)
+        ]
 
-        def interpolant(t: float) -> np.ndarray:
-            # The powers x, x^2, x^3, x^4 multiplied left to right, as the
-            # reference's cumulative product forms them.
+        def interpolant(t: float) -> list:
+            # The powers x, x^2, x^3, x^4 multiplied left to right.
             x = (t - t_old) / h
             x2 = x * x
             x3 = x2 * x
-            return h * np.dot(Q, np.array([x, x2, x3, x3 * x])) + y_old
+            x4 = x3 * x
+            return [
+                v + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                for v, (q1, q2, q3, q4) in zip(y_old, Q)
+            ]
 
         return interpolant
 
 
-def _indicator_value(indicator, y: np.ndarray, t: float, kind: str) -> float:
+def _indicator_value(indicator, y: list, t: float, kind: str) -> float:
     """Evaluate a flow or jump indicator; a non-finite value is a DomainEscape."""
     value = float(indicator(y))
     if not math.isfinite(value):
@@ -409,7 +463,7 @@ def _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, tol):
         t = (a * w_b - b * w_a) / (w_b - w_a)
         if not a < t < b:
             return None
-        y_t = sys.project(np.asarray(dense(t), dtype=float))
+        y_t = sys.project(dense(t))
         g_t = _indicator_value(sys.jump_indicator, y_t, t, "jump")
         if g_t >= 0.0:
             if kept == 1:
@@ -456,7 +510,7 @@ def _bisect(dense, sys, a, b, y_b, g_b, event_tol, root=0.0, band=math.inf):
             else:
                 a = m
             continue
-        y_m = sys.project(np.asarray(dense(m), dtype=float))
+        y_m = sys.project(dense(m))
         g_m = _indicator_value(sys.jump_indicator, y_m, m, "jump")
         if g_m >= 0.0:
             b = t_b = m
@@ -499,7 +553,7 @@ def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
 
 
 def advance_flow(
-    state: np.ndarray,
+    state: Sequence[float],
     g: float,
     sys: HybridSystemDef,
     cfg: SolverConfig,
@@ -543,7 +597,7 @@ def advance_flow(
         every try; or if the interval would take more than ``max_steps``
         accepted steps.
     """
-    y0 = np.asarray(state, dtype=float)
+    y0 = np.asarray(state, dtype=float).tolist()
     shared = sys.flow_indicator is sys.jump_indicator
     f0 = g if shared else _indicator_value(sys.flow_indicator, y0, t0, "flow")
     if f0 > cfg.event_tol:
@@ -576,7 +630,7 @@ def advance_flow(
         )
 
     def check_flow_values(values):
-        if not np.isfinite(values).all():
+        if not _finite(values):
             raise flow_map_escape()
 
     g_prev = g
@@ -600,9 +654,8 @@ def advance_flow(
             # The stages hold the last try: a non-finite one, or a try
             # rejected on a non-finite error norm, means the flow map, not
             # the step size, ended the step.
-            if solver.nonfinite_rejection:
+            if solver.nonfinite_rejection or not all(map(_finite, solver.K)):
                 raise flow_map_escape()
-            check_flow_values(solver.K)
             raise IntegrationStalled(
                 f"integrator failed at t={solver.t:.6g}: {message}"
             )
@@ -620,7 +673,7 @@ def advance_flow(
             )
         y_raw = solver.y
         y_new = sys.project(y_raw)
-        if not np.isfinite(y_new).all():
+        if not _finite(y_new):
             raise DomainEscape(
                 f"flow reached a non-finite state at t={t_new:.6g}",
                 state=y_new,
@@ -662,7 +715,7 @@ def advance_flow(
         if solver.status == "finished":
             return _exit(g_new, "time")
 
-        if y_new is not y_raw and (y_new != y_raw).any():
+        if y_new is not y_raw and y_new != y_raw:
             # Projection moved the state: reseat the stepper on it.  Besides
             # t and h_abs, RK45 carries only y and f (the first stage of
             # the next step) between steps, and clips h_abs to max_step
@@ -679,19 +732,19 @@ def advance_flow(
 
 
 def apply_jump(
-    state: np.ndarray, g: float, sys: HybridSystemDef, cfg: SolverConfig
-) -> np.ndarray:
+    state: list, g: float, sys: HybridSystemDef, cfg: SolverConfig
+) -> list:
     """Apply the jump map at ``state``, whose jump indicator value is ``g``.
 
     ``g`` is the value the caller evaluated at ``state``; it is checked,
     not recomputed.  Raises :class:`JumpOutsideJumpSet` when it is below
-    ``-cfg.event_tol``.  The result is not projected.
+    ``-cfg.event_tol``.  The result, a list of floats, is not projected.
     """
     if g < -cfg.event_tol:
         raise JumpOutsideJumpSet(
             f"jump requested outside the jump set (indicator {g:.3e})"
         )
-    return np.asarray(sys.jump_map(state), dtype=float)
+    return _floats(sys.jump_map(state))
 
 
 def solve(
@@ -723,7 +776,7 @@ def solve(
         If the jump budget is exhausted with less than ``1e-6`` s of flow
         since the 10th-to-last jump.
     """
-    y = sys.project(np.array(x0, dtype=float))
+    y = sys.project(np.asarray(x0, dtype=float).tolist())
     t = 0.0
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
     steps = 0
@@ -757,7 +810,7 @@ def solve(
         times, states = interval
         steps += len(times) - 1
         t = float(times[-1])
-        y = states[-1]
+        y = states[-1].tolist()
         if reason != "jump_boundary":
             break
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import adaptive
 from .adaptive import BackstepGains, ParamBall, _norm, lift_adaptive, lift_backstep
 from .errors import ChartSingular, DomainEscape, InsideObstacle
-from .hybrid import HybridSystemDef, SolverConfig
+from .hybrid import SolverConfig, _floats
 from .synergistic import (
     TIE_TOL,
     AffinePlant,
@@ -117,7 +117,9 @@ def from_cylinder(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
 
 
 def _coords(x) -> list:
-    """The three floats of a cylinder point."""
+    """The three floats of a cylinder point: a list of three as it is."""
+    if type(x) is list and len(x) == 3:
+        return x
     return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
@@ -351,10 +353,12 @@ def build_nominal_controller(
     )
 
 
-def renormalize_circle(state: np.ndarray) -> np.ndarray:
+def renormalize_circle(state):
     """Project a closed-loop state back onto the cylinder (unit circle part).
 
-    A state whose circle component has norm exactly 1 is returned as is.
+    The state is a list of floats or an array, and a copy of the same
+    type is returned; a state whose circle component has norm exactly 1
+    is returned as is.
     """
     norm = math.hypot(state[1], state[2])
     if norm == 1.0:
@@ -388,11 +392,14 @@ def _closed_loop_kernels(
     :attr:`Scenario.readout` and the jump map that
     :func:`build_closed_loop` composes from
     :func:`~hybridfb.synergistic.select_jump` on ``controller``.  Every
-    chart error comes from :func:`_chart_error`.  A flow map reads the
-    state once and makes one :func:`_flow_terms` call; the ``B u`` and
-    ``B^T y`` products and the projected estimate rate are written out on
-    those floats (the matched matrix is the identity, so the disturbance
-    enters through the input matrix).  The backstep map also calls
+    chart error comes from :func:`_chart_error`.  Each takes the state as
+    the list of floats the solver hands it, or as an array that it reads
+    through one ``tolist()``; the flow maps return lists and the jump map
+    an array.  A flow map reads the state once and makes one
+    :func:`_flow_terms` call; the ``B u`` and ``B^T y`` products and the
+    projected estimate rate are written out on those floats (the matched
+    matrix is the identity, so the disturbance enters through the input
+    matrix).  The backstep map also calls
     :func:`gradient_feedback_jacobian`, through this module's attribute.
     The gap, the true potential and the readout read the state once and
     take one pair of chart values; they take the gap's estimate term from
@@ -430,18 +437,18 @@ def _closed_loop_kernels(
         return here, (math.inf if math.isinf(here) else here - min(low, high))
 
     def nominal_gap(state):
-        return nominal_scalars(state.tolist())[1]
+        return nominal_scalars(_floats(state))[1]
 
     def nominal_potential(state):
-        x1, x2, x3, q = state.tolist()[:4]
+        x1, x2, x3, q = _floats(state)[:4]
         return _chart_value(x1, x2, x3, q, obstacle)
 
     def readout_of(scalars):
         """The readout, given the kind's ``(true_potential, gap)`` function."""
         def readout(state):
-            values = state.tolist()
+            values = _floats(state)
             x1, x2, x3, q = values[:4]
-            v_true, gap_value = scalars(state, values)
+            v_true, gap_value = scalars(values)
             if kind == "backstep":
                 controls = values[4:8]  # the held input is the applied one
             else:
@@ -460,7 +467,7 @@ def _closed_loop_kernels(
         return readout
 
     def jump_map(state):
-        values = state.tolist()
+        values = _floats(state)
         x1, x2, x3 = values[:3]
         _check_chart_index(values[3])  # as the lifts' reset candidates do
         low = _chart_value(x1, x2, x3, -1.0, obstacle)
@@ -470,11 +477,12 @@ def _closed_loop_kernels(
         elif high > low + TIE_TOL:
             q = -1.0
         else:  # a tie, or NaN: the controller's own rule decides
-            x, xi_c = state[:3], state[3:]
+            array = np.array(values)
+            x, xi_c = array[:3], array[3:]
             return np.concatenate([x, select_jump(controller, x, xi_c)])
         reset = [x1, x2, x3, q]
         if kind != "nominal":
-            th1, th2 = adaptive.reset_estimate(state[4:6], ball).tolist()
+            th1, th2 = adaptive.reset_estimate(values[4:6], ball).tolist()
             reset += [th1, th2]
         if kind == "backstep":
             # The adaptive feedback at the reset, as in the readout.
@@ -484,18 +492,18 @@ def _closed_loop_kernels(
 
     if kind == "nominal":
         def nominal_flow(state):
-            x1, x2, x3, q = state.tolist()
+            x1, x2, x3, q = _floats(state)
             _, _, _, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
                 x1, x2, x3, q, obstacle
             )
-            return np.array([
+            return [
                 b11 * k1 + b12 * k2 + (b11 * theta1 + b12 * theta2),
                 b21 * k1 + cross * k2 + (b21 * theta1 + cross * theta2),
                 cross * k1 + b32 * k2 + (cross * theta1 + b32 * theta2),
                 0.0,
-            ])
+            ]
 
-        readout = readout_of(lambda state, values: nominal_scalars(values))
+        readout = readout_of(nominal_scalars)
         return nominal_flow, nominal_gap, nominal_potential, readout, jump_map
 
     (a11, a12), (a21, a22) = ball.gain.tolist()
@@ -512,32 +520,35 @@ def _closed_loop_kernels(
                 d1, d2 = d1 - shrink * n1, d2 - shrink * n2
         return a11 * d1 + a12 * d2, a21 * d1 + a22 * d2
 
-    def distance_term(state):
+    def distance_term(values):
         """The adaptive gap's term: half the estimate's squared distance to the ball."""
-        return 0.5 * adaptive.ball_distance(state[4:6], ball)[0]
+        return 0.5 * adaptive.ball_distance(values[4:6], ball)[0]
 
-    def true_term(state):
+    def true_term(values):
         """The true potential's estimate term."""
-        return ball.error_term(theta - state[4:6])
+        th1, th2 = values[4:6]
+        return ball.error_term([theta1 - th1, theta2 - th2])
 
     def adaptive_gap(state):
-        gap_value = nominal_gap(state)
-        return math.inf if math.isinf(gap_value) else gap_value + distance_term(state)
+        values = _floats(state)
+        gap_value = nominal_scalars(values)[1]
+        return math.inf if math.isinf(gap_value) else gap_value + distance_term(values)
 
     def adaptive_potential(state):
-        here = nominal_potential(state)
-        return math.inf if math.isinf(here) else here + true_term(state)
+        values = _floats(state)
+        here = _chart_value(*values[:4], obstacle)
+        return math.inf if math.isinf(here) else here + true_term(values)
 
-    def adaptive_scalars(state, values):
+    def adaptive_scalars(values):
         # Both add their term to one pair of chart values.
         here, gap_value = nominal_scalars(values)
         if math.isinf(here):  # and so gap_value
             return math.inf, math.inf
-        return here + true_term(state), gap_value + distance_term(state)
+        return here + true_term(values), gap_value + distance_term(values)
 
     if kind == "adaptive":
         def adaptive_flow(state):
-            x1, x2, x3, q, th1, th2 = state.tolist()
+            x1, x2, x3, q, th1, th2 = _floats(state)
             e1, v1, v2, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
                 x1, x2, x3, q, obstacle
             )
@@ -547,14 +558,14 @@ def _closed_loop_kernels(
                 b12 * e1 + cross * v1 + b32 * v2,
                 th1, th2,
             )
-            return np.array([
+            return [
                 b11 * u1 + b12 * u2 + (b11 * theta1 + b12 * theta2),
                 b21 * u1 + cross * u2 + (b21 * theta1 + cross * theta2),
                 cross * u1 + b32 * u2 + (cross * theta1 + b32 * theta2),
                 0.0,
                 r1,
                 r2,
-            ])
+            ]
 
         readout = readout_of(adaptive_scalars)
         return adaptive_flow, adaptive_gap, adaptive_potential, readout, jump_map
@@ -564,13 +575,14 @@ def _closed_loop_kernels(
     damping = float(gains.damping)
 
     def backstep_flow(state):
-        x1, x2, x3, q, th1, th2, u1, u2 = state.tolist()
+        values = _floats(state)
+        x1, x2, x3, q, th1, th2, u1, u2 = values
         e1, v1, v2, b11, b12, b21, cross, b32, k1, k2 = _flow_terms(
             x1, x2, x3, q, obstacle
         )
         err1, err2 = u1 - (k1 - th1), u2 - (k2 - th2)
         (j11, j12, j13), (j21, j22, j23) = gradient_feedback_jacobian(
-            state[:3], q, obstacle
+            values[:3], q, obstacle
         ).tolist()
         s1, s2 = w11 * err1 + w12 * err2, w21 * err1 + w22 * err2
         y1 = e1 - (j11 * s1 + j21 * s2)
@@ -587,7 +599,7 @@ def _closed_loop_kernels(
         m1 = b11 * u1 + b12 * u2 + (b11 * th1 + b12 * th2)
         m2 = b21 * u1 + cross * u2 + (b21 * th1 + cross * th2)
         m3 = cross * u1 + b32 * u2 + (cross * th1 + b32 * th2)
-        return np.array([
+        return [
             b11 * u1 + b12 * u2 + (b11 * theta1 + b12 * theta2),
             b21 * u1 + cross * u2 + (b21 * theta1 + cross * theta2),
             cross * u1 + b32 * u2 + (cross * theta1 + b32 * theta2),
@@ -596,31 +608,31 @@ def _closed_loop_kernels(
             r2,
             -r1 - damping * err1 - (c11 * g1 + c12 * g2) + (j11 * m1 + j12 * m2 + j13 * m3),
             -r2 - damping * err2 - (c21 * g1 + c22 * g2) + (j21 * m1 + j22 * m2 + j23 * m3),
-        ])
+        ]
 
     def input_error_term(values):
         """Half the input error's squared metric norm; the chart is nonsingular."""
         x1, x2, x3, q, th1, th2, u1, u2 = values
         k1, k2 = chart_feedback(x1, x2, x3, q)
-        return gains.error_term(np.array([u1 - (k1 - th1), u2 - (k2 - th2)]))
+        return gains.error_term([u1 - (k1 - th1), u2 - (k2 - th2)])
 
     def backstep_gap(state):
-        values = state.tolist()
+        values = _floats(state)
         gap_value = nominal_scalars(values)[1]
         if math.isinf(gap_value):
             return math.inf
-        return gap_value + distance_term(state) + input_error_term(values)
+        return gap_value + distance_term(values) + input_error_term(values)
 
     def backstep_potential(state):
-        values = state.tolist()
+        values = _floats(state)
         here = _chart_value(*values[:4], obstacle)
         if math.isinf(here):
             return math.inf
-        return here + true_term(state) + input_error_term(values)
+        return here + true_term(values) + input_error_term(values)
 
-    def backstep_scalars(state, values):
+    def backstep_scalars(values):
         # Both add the same input-error term, evaluated here once.
-        v1, gap1 = adaptive_scalars(state, values)
+        v1, gap1 = adaptive_scalars(values)
         if math.isinf(v1):  # and so gap1: the chart is singular here
             return math.inf, math.inf
         term = input_error_term(values)

@@ -302,13 +302,16 @@ def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, bit for bit.
+    """The 2-norm of each row: ``sqrt`` of its squares added left to right.
 
-    That norm is ``sqrt(v.dot(v))``, a BLAS dot that may fuse its
-    multiply-adds; a stacked ``matmul`` makes the same dot per row.
+    Elementwise products and sums, one column at a time, with no BLAS
+    call, so the bits are those of :func:`~hybridfb.adaptive._norm` on
+    each row, under every BLAS kernel.
     """
-    rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    total = rows[:, 0] * rows[:, 0]
+    for k in range(1, rows.shape[1]):
+        total += rows[:, k] * rows[:, k]
+    return np.sqrt(total)
 
 
 def sample_columns(arc: HybridArc, scenario: Scenario) -> dict[str, np.ndarray]:
@@ -317,13 +320,14 @@ def sample_columns(arc: HybridArc, scenario: Scenario) -> dict[str, np.ndarray]:
     Each state is read once, by ``scenario.readout``; ``dist_origin`` and
     ``est_err`` are the norms of the planar point and of the estimation
     error.  Every value is bit for bit the one the per-sample
-    ``Scenario`` methods and ``np.linalg.norm`` give.
+    ``Scenario`` methods and :func:`~hybridfb.adaptive._norm` give.  The
+    readout reads each interval's states through one ``tolist()``.
     """
     readout = scenario.readout
     rows = (
         (t, j, *readout(state))
         for j, (times, states) in enumerate(arc.samples)
-        for t, state in zip(times.tolist(), states)
+        for t, state in zip(times.tolist(), states.tolist())
     )
     # Streamed into the array: no list of every sample's values is kept.
     shape = (sum(len(times) for times, _ in arc.samples), len(CSV_COLUMNS) - 2)

@@ -166,11 +166,13 @@ def build_closed_loop(
     """Interconnect a plant and a synergistic controller.
 
     The closed-loop state stacks the plant state (first ``plant.n_x``
-    entries) and the controller state.  Flow and jump indicators are the
-    same function object, gap minus the constant ``ctrl.margin``, so the
-    flow and jump sets cover the state space by construction and the
-    solver evaluates it once per state; an infinite gap is clamped to the
-    ``1e18`` sentinel inside the indicator only, forcing a jump.
+    entries) and the controller state; the solver passes it as a list of
+    floats, which the composed maps split into arrays.  Flow and jump
+    indicators are the same function object, gap minus the constant
+    ``ctrl.margin``, so the flow and jump sets cover the state space by
+    construction and the solver evaluates it once per state; an infinite
+    gap is clamped to the ``1e18`` sentinel inside the indicator only,
+    forcing a jump.
 
     The flow map composes ``plant.f`` at the controller's feedback with
     ``ctrl.controller_flow``, the gap is ``ctrl.gap``, and the jump map
@@ -183,12 +185,17 @@ def build_closed_loop(
     """
     theta_true = np.asarray(theta_true, dtype=float)
     n_x = plant.n_x
-    if gap is None:
-        def gap(state: np.ndarray) -> float:
-            return ctrl.gap(state[:n_x], state[n_x:])
 
-    def composed_flow_map(state: np.ndarray) -> np.ndarray:
-        x, xi_c = state[:n_x], state[n_x:]
+    def split(state) -> tuple[np.ndarray, np.ndarray]:
+        state = np.asarray(state, dtype=float)
+        return state[:n_x], state[n_x:]
+
+    if gap is None:
+        def gap(state) -> float:
+            return ctrl.gap(*split(state))
+
+    def composed_flow_map(state) -> np.ndarray:
+        x, xi_c = split(state)
         u = ctrl.feedback(x, xi_c)
         return np.concatenate(
             [plant.f(x, xi_c, u, theta_true), ctrl.controller_flow(x, xi_c)]
@@ -196,11 +203,11 @@ def build_closed_loop(
 
     margin = ctrl.margin
 
-    def indicator(state: np.ndarray) -> float:
+    def indicator(state) -> float:
         return min(gap(state), GAP_SENTINEL) - margin
 
-    def composed_jump_map(state: np.ndarray) -> np.ndarray:
-        x, xi_c = state[:n_x], state[n_x:]
+    def composed_jump_map(state) -> np.ndarray:
+        x, xi_c = split(state)
         return np.concatenate([x, select_jump(ctrl, x, xi_c)])
 
     return HybridSystemDef(

@@ -244,7 +244,7 @@ def test_criterion_10_solver_suite(case_runs, switching_runs):
     timer_err = max(abs(rec.t - (k + 1)) for k, rec in enumerate(arc.jump_records))
 
     decay = HybridSystemDef(
-        flow_map=lambda y: -y,
+        flow_map=lambda y: -np.asarray(y),
         flow_indicator=lambda y: -1.0,
         jump_indicator=lambda y: -1.0,
         jump_map=lambda y: y,

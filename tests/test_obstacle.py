@@ -34,6 +34,7 @@ from hybridfb import (
     to_cylinder,
 )
 from hybridfb import obstacle as obstacle_module
+from hybridfb.adaptive import _norm
 from hybridfb.obstacle import cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
 from hybridfb.synergistic import GAP_SENTINEL
@@ -605,7 +606,7 @@ class TestFlowKernel:
             # an estimate along it or against it takes each projection
             # branch once the estimate is outside the admissible ball.
             drive = -gradient_feedback(x, q, OBS)
-            direction = drive / np.linalg.norm(drive)
+            direction = drive / _norm(drive)
             for norm in ESTIMATE_NORMS:
                 for sign in (1.0, -1.0):
                     xi1 = np.concatenate([xi, sign * norm * direction])
@@ -690,7 +691,7 @@ def _flow_map_digest(kind, gains):
     sc = make_scenario(kind, q0=-1.0, **GAINS[gains])
     digest = hashlib.sha256()
     for state in TestFlowKernel._states(sc, np.random.default_rng(11), n=400):
-        digest.update(sc.system.flow_map(state).tobytes())
+        digest.update(np.asarray(sc.system.flow_map(state), dtype=float).tobytes())
     return digest.hexdigest()
 
 
@@ -709,29 +710,34 @@ class TestKernelBits:
 
     ``TestFlowKernel`` and ``TestAgainstReferenceFormulas`` compare to a
     relative 1e-12, which a reassociated sum passes while it moves every
-    trajectory.  The digests were recorded at commit 6787824, from the
-    kernels as they stood before they took their floats from one helper
-    per evaluation, with CPython's float arithmetic and glibc's ``exp`` on
-    x86-64.  A rewrite must keep every operation's order and association
-    to match them; another ``libm`` may round ``exp`` differently, and
-    then the digests must be recorded again from the same code.
+    trajectory.  The Jacobian digests were recorded at commit 6787824,
+    from the kernels as they stood before they took their floats from one
+    helper per evaluation, with CPython's float arithmetic and glibc's
+    ``exp`` on x86-64.  The flow-map digests were recorded again once the
+    input states were built without BLAS (``_norm`` in
+    ``_random_cylinder_states`` and ``TestFlowKernel._states``), so they
+    read the same under every BLAS kernel; the states the earlier inputs
+    gave, fed to the same kernels, still give the earlier digests.  A
+    rewrite must keep every operation's order and association to match
+    them; another ``libm`` may round ``exp`` differently, and then the
+    digests must be recorded again from the same code.
     """
 
     FLOW_DIGESTS = {
         ("nominal", "unit"): (
-            "61de893a0f4d55a43bcf300468e90dd96e8ecbef136cb98f5ac5193729851d11"
+            "b08e5923c0c6fa9049e468394193fbcfa4576282d0c0fb2476e6161cd3c691ae"
         ),
         ("adaptive", "unit"): (
-            "0b2bc153673b6cc40b57a48fce05b8f3268b4b2d09a9612ae6ed24e568ca9522"
+            "aad51dc35b48f94ff17639d6b23730efa80f60f5118457f48e2853bcbd929301"
         ),
         ("adaptive", "general"): (
-            "100a9b2bc8be4f480d64a2ce02850e7c30acfaa33b36c2f478747cf7942bf2f4"
+            "9f8911ffe9e49edf3ddb495c725620d313d174de04194bd4ae55a923fdf83ecc"
         ),
         ("backstep", "unit"): (
-            "ac0ddc0faee14bc3116a3dbb6adb9d4517de3dab521e286a7c088c0cf0dbf418"
+            "2db73e4f020600f8c53809cc6bbeb5ed8f2d19b70a37e2f47408a6f0424e1f98"
         ),
         ("backstep", "general"): (
-            "913629d0b40a314064bf439c5db92c30dd1e46f2c9aa42b2a1f4d1c2406c3474"
+            "54da0d2fb427364413585a82d5d3d1e931a8938c2f28f1da200115a1b297f958"
         ),
     }
     JACOBIAN_DIGESTS = (

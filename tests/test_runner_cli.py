@@ -33,6 +33,7 @@ from hybridfb import (
     read_summary,
     run,
 )
+from hybridfb.adaptive import _norm
 from hybridfb.cli import main, run_config_file
 from hybridfb.synergistic import monitor_flow_decrease, monitor_jump_decrease
 from hybridfb.runner import CSV_HEADER
@@ -339,8 +340,8 @@ def _reference_csv(arc, scenario) -> str:
             _fmt(u[1]),
             _fmt(scenario.true_potential(state)),
             _fmt(scenario.switching_gap(state)),
-            _fmt(np.linalg.norm(z)),
-            _fmt(np.linalg.norm(estimate - scenario.theta)),
+            _fmt(_norm(z)),
+            _fmt(_norm(estimate - scenario.theta)),
         ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -374,7 +374,7 @@ class TestMonitors:
             flow_map=lambda y: np.ones(1),
             flow_indicator=lambda y: y[0] - 1.0,
             jump_indicator=lambda y: y[0] - 1.0,
-            jump_map=lambda y: y - 1.0,
+            jump_map=lambda y: np.asarray(y) - 1.0,
         )
         arc = solve(sys, np.array([0.0]), SolverConfig(t_max=2.5))
         violations = monitor_jump_decrease(
