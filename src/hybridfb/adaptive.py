@@ -56,21 +56,6 @@ def _dot(a, b) -> float:
     return total
 
 
-def _half_quadratic(columns: tuple, v) -> float:
-    """``0.5 * v @ M @ v`` for the matrix ``M`` with these columns.
-
-    Each entry of ``v @ M`` is the :func:`_dot` of ``v`` with a column, and
-    the result their :func:`_dot` with ``v``, with the loops written inline.
-    """
-    total = 0.0
-    for column, x in zip(columns, v):
-        w = 0.0
-        for y, c in zip(v, column):
-            w += y * c
-        total += w * x
-    return 0.5 * total
-
-
 def _check_spd(name: str, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate an SPD gain with a finite inverse; return both."""
     mat = np.asarray(mat, dtype=float)
@@ -96,8 +81,39 @@ def _scalar_multiple(mat: np.ndarray) -> Optional[float]:
     return None
 
 
+class _GainMetric:
+    """What :class:`ParamBall` and :class:`BackstepGains` share: an SPD
+    ``gain``, its cached inverse ``gain_inv`` and :meth:`error_term`."""
+
+    def _set_gain(self, name: str) -> np.ndarray:
+        """Check ``gain`` (:func:`_check_spd`), cache its inverse, return it."""
+        gain, gain_inv = _check_spd(name, self.gain)
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "gain_inv", gain_inv)
+        object.__setattr__(self, "_inv_columns", tuple(gain_inv.T.tolist()))
+        return gain
+
+    def error_term(self, err: Sequence[float]) -> float:
+        """Half the squared ``gain^{-1}`` norm of an error: ``0.5 * err @ gain_inv @ err``.
+
+        The estimation error for :class:`ParamBall`, the input error for
+        :class:`BackstepGains`.  Written out on floats, for the float
+        kernels and the controllers alike: each entry of ``err @ gain_inv``
+        adds its products left to right, as :func:`_dot` does, and so does
+        the sum of those entries times ``err``.
+        """
+        v = _floats(err)
+        total = 0.0
+        for column, x in zip(self._inv_columns, v):
+            w = 0.0
+            for y, c in zip(v, column):
+                w += y * c
+            total += w * x
+        return 0.5 * total
+
+
 @dataclass(frozen=True)
-class ParamBall:
+class ParamBall(_GainMetric):
     """Admissible parameter ball, projection margin, and adaptation gain.
 
     The unknown parameter satisfies ``norm(theta) <= radius``; the
@@ -128,29 +144,18 @@ class ParamBall:
                     f"ball radius {self.radius:g} and eps {self.eps:g} give "
                     f"{name} = {value:g}, not positive and finite"
                 )
-        gain, gain_inv = _check_spd("adaptation gain", self.gain)
+        gain = self._set_gain("adaptation gain")
         vals, vecs = np.linalg.eigh(gain)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "gain_inv", gain_inv)
-        object.__setattr__(self, "_inv_columns", tuple(gain_inv.T.tolist()))
         pairs = tuple(zip(vals.tolist(), vecs.T.tolist()))
         object.__setattr__(self, "eigenpairs", pairs)
         object.__setattr__(self, "scalar_gain", _scalar_multiple(gain))
         object.__setattr__(self, "radius_sq", radius_sq)
         object.__setattr__(self, "excess_scale", excess_scale)
 
-    def error_term(self, theta_err: Sequence[float]) -> float:
-        """Half the squared ``gain^{-1}`` norm of the estimation error ``theta_err``.
-
-        Written out on floats (:func:`_half_quadratic`), for the float
-        kernels and the controllers alike.
-        """
-        return _half_quadratic(self._inv_columns, _floats(theta_err))
-
 
 @dataclass(frozen=True)
-class BackstepGains:
-    """Backstepping gains: input-error metric ``gain`` and damping rate."""
+class BackstepGains(_GainMetric):
+    """Backstepping gains: input-error metric ``gain`` and damping rate; caches ``gain_inv``."""
 
     gain: np.ndarray
     damping: float
@@ -158,17 +163,7 @@ class BackstepGains:
     def __post_init__(self):
         if not 0.0 < self.damping < math.inf:
             raise ValueError("damping gain must be positive and finite")
-        gain, gain_inv = _check_spd("backstepping gain", self.gain)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "gain_inv", gain_inv)
-        object.__setattr__(self, "_inv_columns", tuple(gain_inv.T.tolist()))
-
-    def error_term(self, u_err: Sequence[float]) -> float:
-        """Half the squared ``gain^{-1}`` norm of the input error ``u_err``.
-
-        Written out on floats, as :meth:`ParamBall.error_term` is.
-        """
-        return _half_quadratic(self._inv_columns, _floats(u_err))
+        self._set_gain("backstepping gain")
 
 
 def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:

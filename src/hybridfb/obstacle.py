@@ -116,11 +116,19 @@ def from_cylinder(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     return obstacle.center + (math.exp(x[0]) + obstacle.radius) * x[1:]
 
 
-def _coords(x) -> list:
-    """The three floats of a cylinder point: a list of three as it is."""
-    if type(x) is list and len(x) == 3:
-        return x
-    return np.asarray(x, dtype=float).reshape(3).tolist()
+def _boundary_distance(x1: float) -> float:
+    """``exp(x1)``, the distance from a cylinder point to the disk.
+
+    Raises :class:`InsideObstacle` where it is at most ``SINGULAR_GUARD``,
+    the band :func:`to_cylinder` refuses.
+    """
+    boundary_dist = math.exp(x1)
+    if boundary_dist <= SINGULAR_GUARD:
+        raise InsideObstacle(
+            f"cylinder height x1={x1} is in the disk's guard band: "
+            f"exp(x1) <= {SINGULAR_GUARD:g}"
+        )
+    return boundary_dist
 
 
 def _chart_error(
@@ -164,19 +172,13 @@ def _flow_terms(
     followed by its circle components ``v``), the entries of
     :func:`cylinder_input_matrix` (``cross`` is both ``b22`` and ``b31``)
     and :func:`gradient_feedback`, each with those functions' operations
-    in their order.  Raises as :func:`_chart_error` does, and
-    :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``, the band
-    :func:`to_cylinder` refuses.
+    in their order.  Raises as :func:`_chart_error` and
+    :func:`_boundary_distance` do.
     """
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1 = e2 / denom
     v2 = q * x2 / denom**2 * e2
-    boundary_dist = math.exp(x1)
-    if boundary_dist <= SINGULAR_GUARD:
-        raise InsideObstacle(
-            f"cylinder height x1={x1} is in the disk's guard band: "
-            f"exp(x1) <= {SINGULAR_GUARD:g}"
-        )
+    boundary_dist = _boundary_distance(x1)
     rho = boundary_dist + obstacle.radius
     b11 = x2 / boundary_dist
     b12 = x3 / boundary_dist
@@ -200,13 +202,8 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     and ``rho = exp(x1) + radius`` the distance to the disk center.
     Raises :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``.
     """
-    x1, x2, x3 = _coords(x)
-    boundary_dist = math.exp(x1)
-    if boundary_dist <= SINGULAR_GUARD:
-        raise InsideObstacle(
-            f"cylinder height x1={x1} is in the disk's guard band: "
-            f"exp(x1) <= {SINGULAR_GUARD:g}"
-        )
+    x1, x2, x3 = _floats(x)
+    boundary_dist = _boundary_distance(x1)
     rho = boundary_dist + obstacle.radius
     cross = -(x2 * x3) / rho
     return np.array([
@@ -218,7 +215,7 @@ def cylinder_input_matrix(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
 
 def chart_potential(x: np.ndarray, q, obstacle: ObstacleDisk) -> float:
     """Quadratic chart potential; +inf off the chart's domain."""
-    x1, x2, x3 = _coords(x)
+    x1, x2, x3 = _floats(x)
     return _chart_value(x1, x2, x3, float(q), obstacle)
 
 
@@ -226,7 +223,7 @@ def chart_potential_gradient(
     x: np.ndarray, q, obstacle: ObstacleDisk
 ) -> np.ndarray:
     """Ambient gradient (3,) of :func:`chart_potential` on the chart domain."""
-    x1, x2, x3 = _coords(x)
+    x1, x2, x3 = _floats(x)
     return np.array(_flow_terms(x1, x2, x3, float(q), obstacle)[:3])
 
 
@@ -237,7 +234,7 @@ def gradient_feedback(x: np.ndarray, q, obstacle: ObstacleDisk) -> np.ndarray:
     potential's gradient.  Along the unperturbed closed loop the
     potential's flow derivative is minus the squared norm of this input.
     """
-    x1, x2, x3 = _coords(x)
+    x1, x2, x3 = _floats(x)
     return np.array(_flow_terms(x1, x2, x3, float(q), obstacle)[-2:])
 
 
@@ -248,16 +245,11 @@ def gradient_feedback_jacobian(
 
     Raises :class:`InsideObstacle` where ``exp(x1) <= SINGULAR_GUARD``.
     """
-    x1, x2, x3 = _coords(x)
+    x1, x2, x3 = _floats(x)
     q = float(q)
     denom, e1, e2 = _chart_error(x1, x2, x3, q, obstacle)
     v1, v2 = e2 / denom, q * x2 / denom**2 * e2  # the potential's gradient
-    boundary_dist = math.exp(x1)
-    if boundary_dist <= SINGULAR_GUARD:
-        raise InsideObstacle(
-            f"cylinder height x1={x1} is in the disk's guard band: "
-            f"exp(x1) <= {SINGULAR_GUARD:g}"
-        )
+    boundary_dist = _boundary_distance(x1)
     a = math.exp(-x1)
     rho = boundary_dist + obstacle.radius
     w = x2 / denom  # second chart coordinate
@@ -358,13 +350,15 @@ def renormalize_circle(state):
 
     The state is a list of floats or an array, and a copy of the same
     type is returned; a state whose circle component has norm exactly 1
-    is returned as is.
+    is returned as is.  Raises :class:`DomainEscape` for a circle
+    component that is zero or not finite.
     """
     norm = math.hypot(state[1], state[2])
     if norm == 1.0:
         return state
-    if not norm > 0.0:
-        raise DomainEscape("circle component collapsed to zero", state=state)
+    if not 0.0 < norm < math.inf:
+        reason = "collapsed to zero" if norm == 0.0 else "is not finite"
+        raise DomainEscape(f"circle component {reason}", state=state)
     out = state.copy()
     out[1] /= norm
     out[2] /= norm
@@ -391,32 +385,54 @@ def _closed_loop_kernels(
     :func:`~hybridfb.adaptive.backstep_true_potential`),
     :attr:`Scenario.readout` and the jump map that
     :func:`build_closed_loop` composes from
-    :func:`~hybridfb.synergistic.select_jump` on ``controller``.  Every
-    chart error comes from :func:`_chart_error`.  Each takes the state as
-    the list of floats the solver hands it, or as an array that it reads
-    through one ``tolist()``; the flow maps return lists and the jump map
-    an array.  A flow map reads the state once and makes one
+    :func:`~hybridfb.synergistic.select_jump` on ``controller``.  Each
+    takes the state as the list of floats the solver hands it, or as an
+    array that it reads through one ``tolist()``; the flow maps return
+    lists and the jump map an array.
+
+    A kind's own code is its flow map and its added terms; the other four
+    functions are shared.  A flow map reads the state once and makes one
     :func:`_flow_terms` call; the ``B u`` and ``B^T y`` products and the
     projected estimate rate are written out on those floats (the matched
     matrix is the identity, so the disturbance enters through the input
     matrix).  The backstep map also calls
     :func:`gradient_feedback_jacobian`, through this module's attribute.
-    The gap, the true potential and the readout read the state once and
-    take one pair of chart values; they take the gap's estimate term from
-    :func:`~hybridfb.adaptive.ball_distance` and the quadratic forms from
-    the gains' ``error_term``, as the controllers do, and equal their
-    values bit for bit (the tests compare with ``==``).  The jump map
-    resets the chart to the one of lower potential, the estimate by
-    :func:`~hybridfb.adaptive.reset_estimate` and the held input to the
-    adaptive feedback there; where the two chart potentials lie within
-    ``TIE_TOL`` of each other it returns the composed map's reset, so the
-    controllers' tie rule decides.  ``TestKernelBits`` pins the flow maps'
-    bytes: every operation keeps its order and association, since a
-    reassociated sum moves every trajectory.
+    ``TestKernelBits`` pins the flow maps' bytes: every operation keeps its
+    order and association, since a reassociated sum moves every trajectory.
+
+    The added terms are the lifts': the gap's half squared distance of the
+    estimate to the ball (from :func:`~hybridfb.adaptive.ball_distance`),
+    the true potential's estimate error, and the input error that both add
+    last (the gains' ``error_term``).  The gap starts from the current
+    chart's value minus the lower chart value, the true potential from the
+    current chart's value, and each adds its terms left to right; +inf
+    stays +inf and the later terms are not evaluated, the lifts' ``_plus``
+    rule.  So both equal the controllers' values bit for bit, NaN included
+    (the tests compare with ``==``).  The readout takes both from one read
+    of the state and one pair of chart values, and evaluates the input
+    error once.  The jump map resets the chart to the one of lower
+    potential, the estimate by :func:`~hybridfb.adaptive.reset_estimate`
+    and the held input to the adaptive feedback there; where the two chart
+    potentials lie within ``TIE_TOL`` of each other it returns the composed
+    map's reset, so the controllers' tie rule decides.
     """
     theta1, theta2 = theta.tolist()
     radius = obstacle.radius
     center1, center2 = obstacle.center.tolist()
+
+    def chart_values(values):
+        """``(here, gap, low, high)`` at a state's floats: the current
+        chart's value, the nominal gap and both chart values."""
+        x1, x2, x3, q = values[:4]
+        low = _chart_value(x1, x2, x3, -1.0, obstacle)
+        high = _chart_value(x1, x2, x3, 1.0, obstacle)
+        # _check_chart_index raises for any other index.
+        here = high if q == 1.0 else low if q == -1.0 else _check_chart_index(q)
+        # The two excluded points are antipodal, so one candidate is finite.
+        # ``min(low, high)`` written out: the same value, NaN included,
+        # without the call's cost.
+        gap = math.inf if math.isinf(here) else here - (high if high < low else low)
+        return here, gap, low, high
 
     def chart_feedback(x1, x2, x3, q):
         """:func:`gradient_feedback` at the point's floats; NaN off the chart
@@ -426,29 +442,47 @@ def _closed_loop_kernels(
         except (ChartSingular, InsideObstacle):
             return math.nan, math.nan
 
-    def nominal_scalars(values):
-        """The nominal potential and gap at a state's floats, from one pair
-        of chart values."""
-        # The two excluded points are antipodal, so one candidate is finite.
-        x1, x2, x3, q = values[:4]
-        low = _chart_value(x1, x2, x3, -1.0, obstacle)
-        high = _chart_value(x1, x2, x3, 1.0, obstacle)
-        here = high if _check_chart_index(q) > 0.0 else low
-        return here, (math.inf if math.isinf(here) else here - min(low, high))
+    def kernels(flow_map, gap_only=(), true_only=(), both=()):
+        """The five functions, from the kind's flow map and added terms."""
+        gap_terms, true_terms = gap_only + both, true_only + both
 
-    def nominal_gap(state):
-        return nominal_scalars(_floats(state))[1]
+        def gap(state):
+            values = _floats(state)
+            _, value, _, _ = chart_values(values)
+            for term in gap_terms:
+                if math.isinf(value):
+                    break
+                value += term(values)
+            return value
 
-    def nominal_potential(state):
-        x1, x2, x3, q = _floats(state)[:4]
-        return _chart_value(x1, x2, x3, q, obstacle)
+        def true_potential(state):
+            values = _floats(state)
+            x1, x2, x3, q = values[:4]
+            value = _chart_value(x1, x2, x3, q, obstacle)
+            for term in true_terms:
+                if math.isinf(value):
+                    break
+                value += term(values)
+            return value
 
-    def readout_of(scalars):
-        """The readout, given the kind's ``(true_potential, gap)`` function."""
         def readout(state):
             values = _floats(state)
             x1, x2, x3, q = values[:4]
-            v_true, gap_value = scalars(values)
+            v_true, gap_value, _, _ = chart_values(values)
+            for term in gap_only:
+                if math.isinf(gap_value):
+                    break
+                gap_value += term(values)
+            for term in true_only:
+                if math.isinf(v_true):
+                    break
+                v_true += term(values)
+            for term in both:  # evaluated once for the two values
+                added = term(values)
+                if not math.isinf(v_true):
+                    v_true += added
+                if not math.isinf(gap_value):
+                    gap_value += added
             if kind == "backstep":
                 controls = values[4:8]  # the held input is the applied one
             else:
@@ -464,31 +498,29 @@ def _closed_loop_kernels(
                 *controls, v_true, gap_value,
             )
 
-        return readout
+        def jump_map(state):
+            values = _floats(state)
+            x1, x2, x3 = values[:3]
+            _, _, low, high = chart_values(values)
+            if low > high + TIE_TOL:
+                q = 1.0
+            elif high > low + TIE_TOL:
+                q = -1.0
+            else:  # a tie, or NaN: the controller's own rule decides
+                array = np.array(values)
+                x, xi_c = array[:3], array[3:]
+                return np.concatenate([x, select_jump(controller, x, xi_c)])
+            reset = [x1, x2, x3, q]
+            if kind != "nominal":
+                th1, th2 = adaptive.reset_estimate(values[4:6], ball).tolist()
+                reset += [th1, th2]
+            if kind == "backstep":
+                # The adaptive feedback at the reset, as in the readout.
+                k1, k2 = _flow_terms(x1, x2, x3, q, obstacle)[-2:]
+                reset += [k1 - (th1 + 0.0), k2 - (th2 + 0.0)]
+            return np.array(reset)
 
-    def jump_map(state):
-        values = _floats(state)
-        x1, x2, x3 = values[:3]
-        _check_chart_index(values[3])  # as the lifts' reset candidates do
-        low = _chart_value(x1, x2, x3, -1.0, obstacle)
-        high = _chart_value(x1, x2, x3, 1.0, obstacle)
-        if low > high + TIE_TOL:
-            q = 1.0
-        elif high > low + TIE_TOL:
-            q = -1.0
-        else:  # a tie, or NaN: the controller's own rule decides
-            array = np.array(values)
-            x, xi_c = array[:3], array[3:]
-            return np.concatenate([x, select_jump(controller, x, xi_c)])
-        reset = [x1, x2, x3, q]
-        if kind != "nominal":
-            th1, th2 = adaptive.reset_estimate(values[4:6], ball).tolist()
-            reset += [th1, th2]
-        if kind == "backstep":
-            # The adaptive feedback at the reset, as in the readout.
-            k1, k2 = _flow_terms(x1, x2, x3, q, obstacle)[-2:]
-            reset += [k1 - (th1 + 0.0), k2 - (th2 + 0.0)]
-        return np.array(reset)
+        return flow_map, gap, true_potential, readout, jump_map
 
     if kind == "nominal":
         def nominal_flow(state):
@@ -503,8 +535,7 @@ def _closed_loop_kernels(
                 0.0,
             ]
 
-        readout = readout_of(nominal_scalars)
-        return nominal_flow, nominal_gap, nominal_potential, readout, jump_map
+        return kernels(nominal_flow)
 
     (a11, a12), (a21, a22) = ball.gain.tolist()
     radius_sq, excess_scale = ball.radius_sq, ball.excess_scale
@@ -521,30 +552,13 @@ def _closed_loop_kernels(
         return a11 * d1 + a12 * d2, a21 * d1 + a22 * d2
 
     def distance_term(values):
-        """The adaptive gap's term: half the estimate's squared distance to the ball."""
+        """The gap's term: half the estimate's squared distance to the ball."""
         return 0.5 * adaptive.ball_distance(values[4:6], ball)[0]
 
     def true_term(values):
-        """The true potential's estimate term."""
+        """The true potential's term: the estimation error's ``error_term``."""
         th1, th2 = values[4:6]
         return ball.error_term([theta1 - th1, theta2 - th2])
-
-    def adaptive_gap(state):
-        values = _floats(state)
-        gap_value = nominal_scalars(values)[1]
-        return math.inf if math.isinf(gap_value) else gap_value + distance_term(values)
-
-    def adaptive_potential(state):
-        values = _floats(state)
-        here = _chart_value(*values[:4], obstacle)
-        return math.inf if math.isinf(here) else here + true_term(values)
-
-    def adaptive_scalars(values):
-        # Both add their term to one pair of chart values.
-        here, gap_value = nominal_scalars(values)
-        if math.isinf(here):  # and so gap_value
-            return math.inf, math.inf
-        return here + true_term(values), gap_value + distance_term(values)
 
     if kind == "adaptive":
         def adaptive_flow(state):
@@ -567,8 +581,7 @@ def _closed_loop_kernels(
                 r2,
             ]
 
-        readout = readout_of(adaptive_scalars)
-        return adaptive_flow, adaptive_gap, adaptive_potential, readout, jump_map
+        return kernels(adaptive_flow, (distance_term,), (true_term,))
 
     (c11, c12), (c21, c22) = gains.gain.tolist()
     (w11, w12), (w21, w22) = gains.gain_inv.tolist()
@@ -611,35 +624,12 @@ def _closed_loop_kernels(
         ]
 
     def input_error_term(values):
-        """Half the input error's squared metric norm; the chart is nonsingular."""
+        """The term both add: the input error's ``error_term`` (NaN off the chart)."""
         x1, x2, x3, q, th1, th2, u1, u2 = values
         k1, k2 = chart_feedback(x1, x2, x3, q)
         return gains.error_term([u1 - (k1 - th1), u2 - (k2 - th2)])
 
-    def backstep_gap(state):
-        values = _floats(state)
-        gap_value = nominal_scalars(values)[1]
-        if math.isinf(gap_value):
-            return math.inf
-        return gap_value + distance_term(values) + input_error_term(values)
-
-    def backstep_potential(state):
-        values = _floats(state)
-        here = _chart_value(*values[:4], obstacle)
-        if math.isinf(here):
-            return math.inf
-        return here + true_term(values) + input_error_term(values)
-
-    def backstep_scalars(values):
-        # Both add the same input-error term, evaluated here once.
-        v1, gap1 = adaptive_scalars(values)
-        if math.isinf(v1):  # and so gap1: the chart is singular here
-            return math.inf, math.inf
-        term = input_error_term(values)
-        return v1 + term, gap1 + term
-
-    readout = readout_of(backstep_scalars)
-    return backstep_flow, backstep_gap, backstep_potential, readout, jump_map
+    return kernels(backstep_flow, (distance_term,), (true_term,), (input_error_term,))
 
 
 DEFAULT_THETA = np.array([math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0])
@@ -656,12 +646,14 @@ class Scenario:
     ``switching_gap(state)`` the implementable synergy gap that drives
     the switching logic (the CSV's ``gap_robust``).  :func:`make_scenario`
     writes both on floats, with the flow map, the readout and the jump
-    map, in one kernel builder per kind, and hands the same gap to the
-    indicator.
+    map: each kind gives its flow map and its added terms, and one gap,
+    one true potential and one readout read them for all three kinds.
+    The indicator uses the same gap.
     ``readout(state)`` is one sample's outputs ``(z1, z2, x1, x2, x3, q,
     that1, that2, u1, u2, V_true, gap)``: :meth:`planar`, the state,
     :meth:`estimate`, :meth:`applied_input`, ``true_potential`` and
-    ``switching_gap``, bit for bit, from one read of the state.
+    ``switching_gap``, bit for bit (NaN and signed zeros included), from
+    one read of the state.
     """
 
     kind: str
@@ -692,11 +684,12 @@ class Scenario:
         """Input the controller commands at ``state``.
 
         NaN at a state outside the current chart's domain (reachable only
-        as the pre-jump sample of a forced switch; no flow happens there).
+        as the pre-jump sample of a forced switch; no flow happens there)
+        and in the disk's guard band, as in :attr:`readout`.
         """
         try:
             return self.controller.feedback(state[:3], state[3:])
-        except ChartSingular:
+        except (ChartSingular, InsideObstacle):
             return np.full(2, math.nan)
 
     def margin_at(self, state: np.ndarray) -> float:
@@ -735,12 +728,13 @@ def make_scenario(
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential, the readout and the jump
-    map written out on floats for ``kind`` by one ``_closed_loop_kernels``
-    call.  The indicator (gap minus the constant ``margin``) uses the gap,
-    the runner's outputs (monitors, clearance, CSV) the readout, and the
-    jump map gives the controllers' reset byte for byte, calling
-    :func:`~hybridfb.synergistic.select_jump` only where the two chart
-    potentials tie.
+    map written out on floats by one ``_closed_loop_kernels`` call: the
+    flow map is ``kind``'s own, and the other four are shared by the
+    kinds and read ``kind``'s added terms.  The indicator (gap minus the
+    constant ``margin``) uses the gap, the runner's outputs (monitors,
+    clearance, CSV) the readout, and the jump map gives the controllers'
+    reset byte for byte, calling :func:`~hybridfb.synergistic.select_jump`
+    only where the two chart potentials tie.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")

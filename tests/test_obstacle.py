@@ -35,7 +35,7 @@ from hybridfb import (
 )
 from hybridfb import obstacle as obstacle_module
 from hybridfb.adaptive import _norm
-from hybridfb.obstacle import cylinder_input_matrix, renormalize_circle
+from hybridfb.obstacle import SINGULAR_GUARD, cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
 from hybridfb.synergistic import GAP_SENTINEL
 
@@ -685,6 +685,37 @@ class TestFlowKernel:
             with pytest.raises(InsideObstacle, match="exp"):
                 evaluate()
 
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_guard_band_edge(self, kind):
+        # The largest x1 with exp(x1) <= SINGULAR_GUARD, and the next float.
+        edge = math.log(SINGULAR_GUARD)
+        while math.exp(edge) > SINGULAR_GUARD:
+            edge = math.nextafter(edge, -math.inf)
+        while math.exp(math.nextafter(edge, math.inf)) <= SINGULAR_GUARD:
+            edge = math.nextafter(edge, math.inf)
+        sc = make_scenario(kind, q0=-1.0)
+
+        def guarded(x1):
+            state = sc.x0.copy()
+            state[0] = x1
+            return (
+                lambda: sc.system.flow_map(state),
+                lambda: cylinder_input_matrix(state[:3], OBS),
+                lambda: gradient_feedback(state[:3], -1.0, OBS),
+                lambda: gradient_feedback_jacobian(state[:3], -1.0, OBS),
+            )
+
+        message = (
+            f"cylinder height x1={edge} is in the disk's guard band: "
+            f"exp(x1) <= {SINGULAR_GUARD:g}"
+        )
+        for evaluate in guarded(edge):
+            with pytest.raises(InsideObstacle) as info:
+                evaluate()
+            assert str(info.value) == message
+        for evaluate in guarded(math.nextafter(edge, math.inf)):
+            evaluate()
+
 
 def _flow_map_digest(kind, gains):
     """SHA-256 over the bytes of the flow map at ``TestFlowKernel``'s states."""
@@ -920,6 +951,42 @@ class TestScenarioReadout:
         with pytest.raises(ValueError, match="chart index"):
             sc.readout(state)
 
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_disk_guard_band(self, kind):
+        # exp(-30) is inside the disk's guard band: the nominal and adaptive
+        # feedbacks are undefined there, and so the backstep input error.
+        sc = TestClosedLoopScalars._scenario(kind)
+        state = sc.x0.copy()
+        state[0] = -30.0
+        readout = [f"{v:.17g}" for v in sc.readout(state)]
+        assert readout == _readout_reference(sc, state)
+        if kind != "backstep":
+            assert readout[8:10] == ["nan", "nan"]
+
+    @pytest.mark.parametrize(
+        "estimate", [(1e200, 0.0), (math.inf, 0.0), (math.nan, 0.0)],
+        ids=["huge", "inf", "nan"],
+    )
+    @pytest.mark.parametrize("kind", ["adaptive", "backstep"])
+    def test_extreme_estimates(self, kind, estimate):
+        # Each of V_true and the gap adds its terms while it is finite, so
+        # an infinite V_true must not make the gap infinite too.
+        sc = TestClosedLoopScalars._scenario(kind)
+        state = sc.x0.copy()
+        state[4:6] = estimate
+        x, xi = state[:3], state[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            readout = sc.readout(state)
+            kernels = sc.true_potential(state), sc.switching_gap(state)
+        # The composed feedback multiplies the identity by the estimate, and
+        # numpy flags the 0 * inf of an infinite one.
+        with np.errstate(invalid="ignore"):
+            potential = TestClosedLoopScalars._reference_potential(sc)
+            controllers = potential(x, xi), sc.controller.gap(x, xi)
+        strings = [[f"{v:.17g}" for v in values] for values in (kernels, controllers)]
+        assert [f"{v:.17g}" for v in readout[-2:]] == strings[0] == strings[1]
+
 
 # Bearing from the obstacle centre (1, 0) in degrees, and distance: the
 # switching starts, run at margin 1e-3.
@@ -1050,6 +1117,12 @@ class TestClosedLoopGeometry:
         with pytest.raises(DomainEscape, match="collapsed") as info:
             renormalize_circle(state)
         assert info.value.state is state
+        for bad in (math.nan, math.inf, -math.inf):
+            for state in (np.array([0.2, bad, 0.0, 1.0]), [0.2, 0.3, bad, 1.0]):
+                with pytest.raises(DomainEscape, match="is not finite$") as info:
+                    renormalize_circle(state)
+                # DomainEscape keeps a float array of the state it was given.
+                np.testing.assert_array_equal(info.value.state, state)
 
     def test_agrees_with_independent_integrator(self):
         # Method-independent check of the whole closed-loop right-hand
