@@ -21,6 +21,14 @@ from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``, and gives its
 located crossings and indicator calls per crossing.
 The ``RK45.step`` line times one step of the stepper on a trivial
 right-hand side that returns the same 8 floats, ``max_step = 0.01``.
+The parameter-ball lines time the property suites' calls on their own
+kind of input, drawn as the suites draw them (seed 1):
+``adaptive.project_rate`` on 2000 ``projection_lipschitz`` draws of an
+estimate in the inflated unit ball and a drive, in the type the
+checkout's ``runner._random_ball`` returns, and
+``adaptive.central_difference`` on the three probes ``jacobian_fd``
+takes at each of 300 of its states (``to_cylinder`` at the planar
+preimage, ``gradient_feedback`` and ``chart_potential``).
 Each figure is the minimum over repeated sweeps of the time per call.
 ``--root`` names the checkout whose ``src/`` to measure (default: the
 one holding this script), so two checkouts can be compared on the same
@@ -132,6 +140,28 @@ def _locate_figures(hybrid, make_scenario, repeats: int = REPEATS):
     return len(spans), best * 1e6, sum(n for _, n in spans) / len(spans)
 
 
+def _suite_calls(adaptive, obstacle, runner, n_rates: int = 2000, n_states: int = 300):
+    """``(project_rate args, central_difference args)`` drawn as the suites draw them."""
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    ball = adaptive.ParamBall(radius=1.0, eps=1.0, gain=np.eye(2))
+    rates = []
+    for _ in range(n_rates):
+        theta_hat = runner._random_ball(rng, 2, 2.0)
+        eta = rng.normal(scale=2.0, size=2)
+        rates.append((eta.tolist() if type(theta_hat) is list else eta, theta_hat, ball))
+    disk = obstacle.ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
+    probes = []
+    for x, q in runner._random_cylinder_states(rng, disk, n_states):
+        probes += [
+            (lambda p: obstacle.to_cylinder(p, disk), obstacle.from_cylinder(x, disk)),
+            (lambda p, q=q: obstacle.gradient_feedback(p, q, disk), x),
+            (lambda p, q=q: obstacle.chart_potential(p, q, disk), x),
+        ]
+    return rates, probes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -177,6 +207,12 @@ def main(argv=None) -> int:
         except (AttributeError, TypeError):  # flow maps that take only arrays
             figure = f"{'-':>8}"
         print(f"{kind + '.flow_map.list':<40} {len(lists):>7} {figure}")
+    rates, probes = _suite_calls(adaptive, obstacle, runner)
+    for name, fn, calls in (
+        ("adaptive.project_rate", adaptive.project_rate, rates),
+        ("adaptive.central_difference", adaptive.central_difference, probes),
+    ):
+        print(f"{name:<40} {len(calls):>7} {_per_call_us(fn, calls):>8.2f}")
     print(f"{'RK45.step':<40} {2000:>7} {_step_us(hybrid):>8.2f}")
     located, us, calls_per = _locate_figures(hybrid, obstacle.make_scenario)
     print(f"{'backstep.locate':<40} {located:>7} {us:>8.2f}"

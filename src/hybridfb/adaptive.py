@@ -17,10 +17,11 @@ The parameter-ball subproblem (metric projection / worst-case distance)
 is solved exactly by Newton on the secular equation of the ball
 constraint's multiplier, in the gain eigenbasis cached on ParamBall.
 
-The simulation path takes no sum through BLAS: :func:`ball_distance`,
-the gains' ``error_term`` and :func:`_norm` add their products left to
-right on Python floats (:func:`_dot`), so their bits do not depend on
-the BLAS kernel or on the Python version.
+The simulation path and the property suites take no sum through BLAS:
+:func:`ball_distance`, :func:`project_rate`, :func:`ball_excess`, the
+gains' ``error_term`` and :func:`_norm` add their products left to right
+on Python floats (:func:`_dot`), so their bits do not depend on the BLAS
+kernel or on the Python version.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ChartSingular, InsideObstacle, NonFiniteJacobian
-from .hybrid import _floats
+from .hybrid import _finite, _floats
 from .synergistic import AffinePlant, ControllerData, min_over_candidates
 
 # Secular-equation Newton: relative norm tolerance and step budget.
@@ -170,37 +171,44 @@ def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:
     """Normalized indicator of how far the estimate exceeds the ball.
 
     Nonpositive inside the admissible ball, zero on its boundary, and
-    exactly one on the boundary of the inflated ball.
+    exactly one on the boundary of the inflated ball.  The squared norm
+    is added left to right (:func:`_dot`).
     """
-    th = np.asarray(theta_hat, dtype=float)
-    return (float(th @ th) - ball.radius_sq) / ball.excess_scale
+    th = _floats(theta_hat)
+    return (_dot(th, th) - ball.radius_sq) / ball.excess_scale
 
 
 def ball_excess_gradient(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
+    """Gradient of :func:`ball_excess`, ``2 theta_hat / excess_scale``, as an array."""
     return 2.0 * np.asarray(theta_hat, dtype=float) / ball.excess_scale
 
 
 def project_rate(
-    rate: np.ndarray, theta_hat: np.ndarray, ball: ParamBall
-) -> np.ndarray:
-    """Lipschitz projection of an adaptation rate.
+    rate: Sequence[float], theta_hat: Sequence[float], ball: ParamBall
+) -> list:
+    """Lipschitz projection of an adaptation rate, as a list of floats.
 
     Passes ``rate`` through unchanged inside the admissible ball or when
-    the rate does not push outward; otherwise removes enough of the
-    outward component (scaled by the excess indicator) that the estimate
-    can never leave the inflated ball.  The excess gradient vanishes
-    only at the origin, where the first branch applies, so the second
-    branch never divides by zero.
+    the rate does not push outward; otherwise returns ``rate - shrink *
+    n``, with ``n = 2 theta_hat / excess_scale`` the excess gradient and
+    ``shrink = excess * (n . rate) / (n . n)``, so the estimate can never
+    leave the inflated ball.  ``n`` vanishes only at the origin, where the
+    first branch applies, so the second never divides by zero; a NaN
+    excess or outward component takes it and reaches every entry.  No
+    BLAS: each sum is added left to right (:func:`_dot`), the arithmetic
+    of the float kernels' ``estimate_rate``.
     """
-    rate = np.asarray(rate, dtype=float)
-    p = ball_excess(theta_hat, ball)
-    if p <= 0.0:
+    rate = _floats(rate)
+    th = _floats(theta_hat)
+    excess = ball_excess(th, ball)
+    if excess <= 0.0:
         return rate
-    grad = ball_excess_gradient(theta_hat, ball)
-    outward = float(grad @ rate)
+    n = [2.0 * t / ball.excess_scale for t in th]
+    outward = _dot(n, rate)
     if outward <= 0.0:
         return rate
-    return rate - (p * outward / float(grad @ grad)) * grad
+    shrink = excess * outward / _dot(n, n)
+    return [r - shrink * g for r, g in zip(rate, n)]
 
 
 def ball_distance(
@@ -282,25 +290,32 @@ def central_difference(
     (m, n) of a vector-valued one; an analytic derivative may replace it
     and must agree to within 1e-6 relative at nonsingular points.
     Raises :class:`NonFiniteJacobian` if a probe hits a singularity or an
-    infinite branch.
+    infinite branch.  ``fun`` is handed each probe as an array; the probes,
+    the finiteness check and the differences are worked on lists of floats,
+    with no BLAS and no numpy reduction.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     h = FD_REL_STEP * max(1.0, _norm(x))
+    two_h = 2.0 * h
     cols = []
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
+    scalar = True
+    for i in range(len(x)):
+        plus, minus = x.copy(), x.copy()
+        plus[i] += h
+        minus[i] -= h
         try:
-            fp = np.asarray(fun(xp), dtype=float)
-            fm = np.asarray(fun(xm), dtype=float)
+            fp = np.asarray(fun(np.array(plus)), dtype=float).tolist()
+            fm = np.asarray(fun(np.array(minus)), dtype=float).tolist()
         except (ChartSingular, InsideObstacle) as exc:
             raise NonFiniteJacobian(f"probe {i} hit a singularity") from exc
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        scalar = type(fp) is float
+        if not _finite([fp, fm] if scalar else fp + fm):
             raise NonFiniteJacobian(f"probe {i} produced a non-finite value")
-        cols.append((fp - fm) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+        if scalar:
+            cols.append((fp - fm) / two_h)
+        else:
+            cols.append([(p - m) / two_h for p, m in zip(fp, fm)])
+    return np.array(cols if scalar else list(zip(*cols)))
 
 
 def _plus(inner: float, term: Callable, x: np.ndarray, xi: np.ndarray) -> float:

@@ -97,23 +97,27 @@ class ObstacleDisk:
 def to_cylinder(z: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
     """Map a planar point outside the obstacle to cylinder coordinates.
 
-    Raises :class:`InsideObstacle` within ``1e-12`` of the disk.
+    Raises :class:`InsideObstacle` within ``1e-12`` of the disk.  Worked
+    on floats, elementwise as numpy would.
     """
-    z = np.asarray(z, dtype=float).reshape(2)
-    w = z - obstacle.center
-    rho = _norm(w)
+    z1, z2 = _floats(z)
+    center1, center2 = obstacle.center.tolist()
+    w1, w2 = z1 - center1, z2 - center2
+    rho = _norm([w1, w2])
     if rho <= obstacle.radius + SINGULAR_GUARD:
         raise InsideObstacle(
             f"point at distance {rho} from the obstacle center "
             f"(radius {obstacle.radius})"
         )
-    return np.concatenate([[math.log(rho - obstacle.radius)], w / rho])
+    return np.array([math.log(rho - obstacle.radius), w1 / rho, w2 / rho])
 
 
 def from_cylinder(x: np.ndarray, obstacle: ObstacleDisk) -> np.ndarray:
-    """Inverse of :func:`to_cylinder`."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    return obstacle.center + (math.exp(x[0]) + obstacle.radius) * x[1:]
+    """Inverse of :func:`to_cylinder`, worked on floats."""
+    x1, x2, x3 = _floats(x)
+    center1, center2 = obstacle.center.tolist()
+    rho = math.exp(x1) + obstacle.radius
+    return np.array([center1 + rho * x2, center2 + rho * x3])
 
 
 def _boundary_distance(x1: float) -> float:
@@ -442,6 +446,13 @@ def _closed_loop_kernels(
         except (ChartSingular, InsideObstacle):
             return math.nan, math.nan
 
+    def matched_product(th1, th2):
+        """The matched matrix (the identity) times the estimate, as numpy's
+        ``eye(2) @ th`` gives it: each ``+ 0.0`` turns -0.0 into +0.0, and
+        the ``0.0 *`` products carry an infinite or NaN entry into the other
+        component.  A finite estimate gives ``(th1 + 0.0, th2 + 0.0)``."""
+        return (th1 + 0.0) + 0.0 * th2, 0.0 * th1 + (th2 + 0.0)
+
     def kernels(flow_map, gap_only=(), true_only=(), both=()):
         """The five functions, from the kind's flow map and added terms."""
         gap_terms, true_terms = gap_only + both, true_only + both
@@ -486,12 +497,10 @@ def _closed_loop_kernels(
             if kind == "backstep":
                 controls = values[4:8]  # the held input is the applied one
             else:
-                # The feedback minus the matched matrix (the identity) times
-                # the estimate: that product turns an estimate of -0.0 into
-                # +0.0, and so does the ``+ 0.0``.
                 th1, th2 = values[4:6] if kind == "adaptive" else (0.0, 0.0)
                 k1, k2 = chart_feedback(x1, x2, x3, q)
-                controls = th1, th2, k1 - (th1 + 0.0), k2 - (th2 + 0.0)
+                m1, m2 = matched_product(th1, th2)
+                controls = th1, th2, k1 - m1, k2 - m2
             rho = math.exp(x1) + radius  # from_cylinder's operations
             return (
                 center1 + rho * x2, center2 + rho * x3, *values[:4],
@@ -517,7 +526,8 @@ def _closed_loop_kernels(
             if kind == "backstep":
                 # The adaptive feedback at the reset, as in the readout.
                 k1, k2 = _flow_terms(x1, x2, x3, q, obstacle)[-2:]
-                reset += [k1 - (th1 + 0.0), k2 - (th2 + 0.0)]
+                m1, m2 = matched_product(th1, th2)
+                reset += [k1 - m1, k2 - m2]
             return np.array(reset)
 
         return flow_map, gap, true_potential, readout, jump_map

@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -25,6 +24,7 @@ from . import adaptive as adaptive_mod
 from . import obstacle as obstacle_mod
 from .adaptive import (
     ParamBall,
+    _dot,
     _norm,
     ball_distance,
     central_difference,
@@ -429,10 +429,16 @@ def _worse(worst: float, value: float) -> float:
     return value if value > worst or math.isnan(value) else worst
 
 
-def _random_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    direction = rng.normal(size=dim)
-    direction /= _norm(direction)
-    return radius * rng.uniform() ** (1.0 / dim) * direction
+def _random_ball(rng: np.random.Generator, dim: int, radius: float) -> list:
+    """A uniform draw from the ``dim``-ball of ``radius``, as a list of floats.
+
+    ``rng.random()`` draws the value ``rng.uniform()`` draws, at a third of
+    its cost.
+    """
+    direction = rng.normal(size=dim).tolist()
+    norm = _norm(direction)
+    scale = radius * rng.random() ** (1.0 / dim)
+    return [scale * (d / norm) for d in direction]
 
 
 def projection_inequality_suite(
@@ -450,11 +456,10 @@ def projection_inequality_suite(
     for _ in range(n):
         theta = _random_ball(rng, 2, ball.radius)
         theta_hat = _random_ball(rng, 2, ball.radius + ball.eps)
-        eta = rng.normal(scale=2.0, size=2)
-        err = theta - theta_hat
-        slack = float(err @ adaptive_mod.project_rate(eta, theta_hat, ball)) - float(
-            err @ eta
-        )
+        eta = rng.normal(scale=2.0, size=2).tolist()
+        err = [a - b for a, b in zip(theta, theta_hat)]
+        projected = adaptive_mod.project_rate(eta, theta_hat, ball)
+        slack = _dot(err, projected) - _dot(err, eta)
         worst = _worse(worst, -slack)
         if not slack >= -tol:  # a NaN slack is a violation too
             violations += 1
@@ -470,22 +475,30 @@ def projection_lipschitz_suite(seed: int, n: int = 10_000) -> SuiteResult:
 
     Estimates a Lipschitz ratio over nearby input pairs and checks that
     no pair jumps more than 10x the bulk (99th percentile) ratio, which
-    a discontinuity would violate by orders of magnitude.
+    a discontinuity would violate by orders of magnitude.  The pair's
+    scale is ``rng.uniform(1e-6, 1e-3)``, drawn as the same value
+    ``1e-6 + (1e-3 - 1e-6) * rng.random()``.
     """
     rng = np.random.default_rng(seed)
     ball = ParamBall(radius=1.0, eps=1.0, gain=np.eye(2))
     ratios = np.empty(n)
     for k in range(n):
         theta_hat = _random_ball(rng, 2, ball.radius + ball.eps)
-        eta = rng.normal(scale=2.0, size=2)
-        d_th = rng.normal(size=2)
-        d_eta = rng.normal(size=2)
-        scale = rng.uniform(1e-6, 1e-3)
-        d_th *= scale / max(_norm(d_th), 1e-300)
-        d_eta *= scale / max(_norm(d_eta), 1e-300)
+        eta = rng.normal(scale=2.0, size=2).tolist()
+        d_th = rng.normal(size=2).tolist()
+        d_eta = rng.normal(size=2).tolist()
+        scale = 1e-6 + (1e-3 - 1e-6) * rng.random()
+        th_step = scale / max(_norm(d_th), 1e-300)
+        eta_step = scale / max(_norm(d_eta), 1e-300)
+        d_th = [d * th_step for d in d_th]
+        d_eta = [d * eta_step for d in d_eta]
         a = adaptive_mod.project_rate(eta, theta_hat, ball)
-        b = adaptive_mod.project_rate(eta + d_eta, theta_hat + d_th, ball)
-        ratios[k] = _norm(a - b) / (_norm(d_eta) + _norm(d_th))
+        b = adaptive_mod.project_rate(
+            [e + d for e, d in zip(eta, d_eta)],
+            [t + d for t, d in zip(theta_hat, d_th)],
+            ball,
+        )
+        ratios[k] = _norm([x - y for x, y in zip(a, b)]) / (_norm(d_eta) + _norm(d_th))
     bulk = float(np.percentile(ratios, 99))
     worst = float(np.max(ratios))
     bound = 10.0 * max(1.0, bulk)
@@ -827,8 +840,16 @@ def jacobian_suite(seed: int, n: int = 1000, tol: float = 1e-6) -> SuiteResult:
 
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    return float(np.max(np.abs(analytic - numeric))) / scale
+    """``max|analytic - numeric| / max(1, max|analytic|)`` over the entries.
+
+    Folded on floats with :func:`_worse`, so a NaN entry makes it NaN, as
+    numpy's ``max`` would.
+    """
+    scale, err = 1.0, 0.0
+    for a, b in zip(np.ravel(analytic).tolist(), np.ravel(numeric).tolist()):
+        scale = _worse(scale, abs(a))
+        err = _worse(err, abs(a - b))
+    return err / scale
 
 
 def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResult:
@@ -907,6 +928,10 @@ def map_in_workers(fn: Callable, items: Sequence) -> list:
     raised raises that exception here.  The pool is shut down, and its
     processes joined, before this returns or raises.
     """
+    # Imported here: the pool's modules cost every fresh interpreter's
+    # start-up, and only this function needs them.
+    from concurrent.futures import ProcessPoolExecutor
+
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

@@ -28,7 +28,7 @@ from hybridfb import (
     solve,
 )
 from hybridfb.adaptive import ball_excess_gradient
-from hybridfb.obstacle import gradient_feedback_jacobian
+from hybridfb.obstacle import _flow_terms, gradient_feedback_jacobian
 from hybridfb.runner import (
     _disk_rows,
     _drop_objective,
@@ -158,6 +158,66 @@ class TestProjectRate:
         eta = np.array([-3.0, 0.0])
         out = project_rate(eta, np.array([1.5, 0.0]), UNIT_BALL)
         assert np.array_equal(out, eta)
+
+    @pytest.mark.parametrize("theta_hat", [(0.0, 0.0), (-0.0, -0.0), (0.3, -0.4)])
+    def test_passthrough_keeps_bits(self, theta_hat):
+        # Inside the admissible ball, the drive comes back bit for bit,
+        # signed zeros included, at the origin and at -0.0.
+        for eta in ([5.0, -7.0], [-0.0, 0.0], [1e-300, -1e300]):
+            out = project_rate(eta, theta_hat, UNIT_BALL)
+            assert np.array(out).tobytes() == np.array(eta).tobytes()
+
+    @pytest.mark.parametrize("eta", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_drive_propagates(self, eta):
+        # Inside the ball the drive passes through; outside, a NaN outward
+        # component takes the correction branch and reaches both entries.
+        inside = project_rate(list(eta), [0.1, 0.2], UNIT_BALL)
+        assert [math.isnan(v) for v in inside] == [math.isnan(v) for v in eta]
+        outside = project_rate(list(eta), [1.5, 0.5], UNIT_BALL)
+        assert all(math.isnan(v) for v in outside)
+
+    def test_matches_numpy_formula(self):
+        # The written-out sums against numpy's ``@`` (a BLAS dot that a
+        # kernel may fuse): the same formula, within a few rounding errors.
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        hits = 0
+        for _ in range(2000):
+            theta_hat = rng.normal(size=2) * rng.uniform(0.5, 2.0)
+            eta = rng.normal(scale=2.0, size=2)
+            grad = ball_excess_gradient(theta_hat, UNIT_BALL)
+            p = ball_excess(theta_hat, UNIT_BALL)
+            outward = float(grad @ eta)
+            expected = eta
+            if p > 0.0 and outward > 0.0:
+                expected = eta - (p * outward / float(grad @ grad)) * grad
+                hits += 1
+            out = project_rate(eta, theta_hat, UNIT_BALL)
+            assert np.allclose(out, expected, rtol=8 * eps, atol=8 * eps * np.abs(eta).max())
+        assert hits > 200
+
+    def test_matches_adaptive_flow_map(self):
+        # With the identity gain, the adaptive flow map's estimate rate is
+        # the projected drive, bit for bit, on and around the ball boundary.
+        sc = make_scenario("adaptive", q0=-1.0)
+        ball = sc.ball
+        rng = np.random.default_rng(13)
+        radii = [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0]
+        states = _random_cylinder_states(rng, sc.obstacle, 40)
+        projected = 0
+        for x, q in states:
+            e1, v1, v2, b11, b12, b21, cross, b32, _, _ = _flow_terms(
+                *x.tolist(), q, sc.obstacle
+            )
+            drive = [b11 * e1 + b21 * v1 + cross * v2, b12 * e1 + cross * v1 + b32 * v2]
+            for radius in radii:
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                theta_hat = [radius * math.cos(angle), radius * math.sin(angle)]
+                rate = sc.system.flow_map(np.concatenate([x, [q], theta_hat]))[4:6]
+                out = project_rate(drive, theta_hat, ball)
+                assert np.array(out).tobytes() == np.array(rate, dtype=float).tobytes()
+                projected += out != drive
+        assert projected > 20
 
     def test_error_alignment_inequality(self):
         result = projection_inequality_suite(seed=2024)
@@ -384,7 +444,7 @@ class TestSuiteNorms:
             direction = reference.normal(size=dim)
             direction /= _written_out_norm(direction)
             expected = radius * reference.uniform() ** (1.0 / dim) * direction
-            assert _random_ball(ours, dim, radius).tobytes() == expected.tobytes()
+            assert np.array(_random_ball(ours, dim, radius)).tobytes() == expected.tobytes()
 
 
 class TestResetEstimate:

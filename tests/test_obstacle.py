@@ -964,6 +964,22 @@ class TestScenarioReadout:
             assert readout[8:10] == ["nan", "nan"]
 
     @pytest.mark.parametrize(
+        "estimate", [(math.inf, 0.0), (0.3, math.inf), (-math.inf, -0.0), (math.nan, 0.5)]
+    )
+    def test_adaptive_input_at_non_finite_estimate(self, estimate):
+        # The identity times an infinite estimate has a NaN in the other
+        # component (0 * inf), and the readout's input must carry it as
+        # ``applied_input`` does.
+        sc = TestClosedLoopScalars._scenario("adaptive")
+        state = sc.x0.copy()
+        state[4:6] = estimate
+        with np.errstate(invalid="ignore"):
+            reference = _readout_reference(sc, state)
+        readout = [f"{v:.17g}" for v in sc.readout(state)]
+        assert readout == reference
+        assert readout[8:10].count("nan") >= 1
+
+    @pytest.mark.parametrize(
         "estimate", [(1e200, 0.0), (math.inf, 0.0), (math.nan, 0.0)],
         ids=["huge", "inf", "nan"],
     )

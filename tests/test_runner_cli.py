@@ -455,6 +455,25 @@ class TestPropertySuite:
     def test_determinism(self):
         assert property_suite(3).lines() == property_suite(3).lines()
 
+    def test_thorough_seed_one_report_pinned(self):
+        # The acceptance-size report, byte for byte: a changed draw, input
+        # count or check changes a line of it.
+        pinned = Path(__file__).parent / "data" / "property_suite_seed1_thorough.txt"
+        lines = property_suite(1, thorough=True).lines()
+        assert "".join(line + "\n" for line in lines) == pinned.read_text()
+
+    def test_cheaper_draws_give_the_same_values(self):
+        # The suites draw ``rng.random()`` for ``rng.uniform()`` and
+        # ``a + (b - a) * rng.random()`` for ``rng.uniform(a, b)``: the same
+        # values bit for bit, with the generators kept in step.
+        ours, reference = np.random.default_rng(2026), np.random.default_rng(2026)
+        drawn, expected = [], []
+        for _ in range(100_000):
+            drawn += [ours.random(), 1e-6 + (1e-3 - 1e-6) * ours.random()]
+            expected += [reference.uniform(), reference.uniform(1e-6, 1e-3)]
+        assert np.array(drawn).tobytes() == np.array(expected).tobytes()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_pooled_report_equals_in_process_run(self, seed):
         # The reference: the seven suites in this process, in the
