@@ -15,13 +15,11 @@ Flow segments are integrated with :class:`RK45`, the Dormand-Prince
 5(4) pair with Shampine's quartic dense output, stepped manually so the
 solver can project states back onto a manifold after each accepted step,
 locate jump-set boundary crossings on the dense output, and stay
-bit-for-bit deterministic.  A crossing's located sample is the one that
-bisecting the jump indicator would return; an Anderson-Bjorck regula
-falsi estimate of the root, stopped once the indicator is within
-``event_tol`` of zero, lets the bisection be replayed with calls only
-near it, and plain bisection runs when no usable estimate is found
-(Anderson & Bjorck 1973; Shampine & Thompson, "Event location for
-ordinary differential equations", 2000).  The stepper runs on Python
+bit-for-bit deterministic.  A crossing is located by one bracketing
+loop on the dense output: Anderson-Bjorck regula falsi iterates, then
+halvings, until the jump indicator is within ``[0, event_tol]`` (Anderson
+& Bjorck 1973; Shampine & Thompson, "Event location for ordinary
+differential equations", 2000).  The stepper runs on Python
 floats, with every sum written out left to right, and hands every
 callback (flow map, indicators, projection, jump map) a list of floats;
 no step goes through BLAS, so a trajectory has the same bits whichever
@@ -60,15 +58,10 @@ ExitReason = Literal["time", "jump_boundary"]
 MIN_STEP = 1e-14
 # Accepted steps one solve may take; the published runs take ~1000.
 MAX_STEPS = 10**7
-# Maximum halvings of the bisection that locates a jump-set crossing,
-# replayed or run in full.
-MAX_BISECT = 60
-# Indicator calls the root estimate may make before plain bisection runs
-# instead.
+# Regula falsi iterates that locating a jump-set crossing takes before
+# it halves the bracket, and the most halvings it takes after them.
 ESTIMATE_BUDGET = 8
-# Half-width of the band around the estimated root, in units of
-# event_tol / slope, inside which the replayed bisection evaluates.
-LOCATE_BAND = 4.0
+MAX_BISECT = 60
 # Flow time (seconds) over the trailing 10 jumps below which a run that
 # exhausts its jump budget is flagged as suspected Zeno behavior.
 ZENO_WINDOW = 1e-6
@@ -444,112 +437,51 @@ def _indicator_value(indicator, y: list, t: float, kind: str) -> float:
     return value
 
 
-def _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, tol):
-    """Anderson-Bjorck regula falsi for the jump indicator's root over one step.
+def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
+    """Locate a sample on the jump set's boundary within one accepted step.
 
-    Starts from the bracket ``g_lo < 0 <= g_hi`` at ``t_lo < t_hi`` and
-    replaces an end by each new iterate.  When an end is kept twice in a
-    row, its value in the secant is weighted by ``m = 1 - g_new / g_old``,
-    with ``g_old`` the replaced end's value, or by 0.5 where ``m <= 0``
-    (Anderson & Bjorck 1973).  Returns ``(t_root, slope)`` once an iterate
-    has ``|g| <= tol``, with ``slope`` the secant of the last bracket's true
-    (unweighted) values, or ``None`` when no iterate converges within
-    ``ESTIMATE_BUDGET`` calls or the slope is not positive and finite.
+    Precondition: ``g_lo < 0`` at ``t_lo`` and ``g_hi >= 0`` at ``t_hi``.
+    Shrinks the bracket ``[a, b]``, whose jump indicator is below zero at
+    ``a`` and at or above zero at ``b``, by one projected dense-output
+    sample per iteration.  The first ``ESTIMATE_BUDGET`` samples are
+    Anderson-Bjorck regula falsi iterates, the later ones midpoints, and
+    so is an iterate that rounds onto an end.  When an end is kept twice
+    in a row, its value in the secant is weighted by ``m = 1 - g_new /
+    g_old``, with ``g_old`` the replaced end's value, or by 0.5 where ``m
+    <= 0`` (Anderson & Bjorck 1973).  Returns the upper end ``(t, state,
+    g)`` once ``0 <= g <= event_tol`` there, or when the bracket is
+    exhausted at float resolution or after ``MAX_BISECT`` halvings.  A
+    non-finite indicator at a sample raises :class:`DomainEscape`.
     """
-    a, g_a, w_a = t_lo, g_lo, g_lo
-    b, g_b, w_b = t_hi, g_hi, g_hi
+    # Each end's weight in the secant; an end just replaced weighs its value.
+    a, w_a = t_lo, g_lo
+    b, y_b, g_b, w_b = t_hi, y_hi, g_hi, g_hi
     kept = 0  # +1: ``a`` kept by the last iterate, -1: ``b`` kept
-    for _ in range(ESTIMATE_BUDGET):
-        t = (a * w_b - b * w_a) / (w_b - w_a)
-        if not a < t < b:
-            return None
+    for k in range(ESTIMATE_BUDGET + MAX_BISECT):
+        if g_b <= event_tol:
+            break
+        t = 0.5 * (a + b)
+        if t <= a or t >= b:  # bracket exhausted at float resolution
+            break
+        if k < ESTIMATE_BUDGET:
+            secant = (a * w_b - b * w_a) / (w_b - w_a)
+            if a < secant < b:
+                t = secant
         y_t = sys.project(dense(t))
         g_t = _indicator_value(sys.jump_indicator, y_t, t, "jump")
         if g_t >= 0.0:
             if kept == 1:
-                m = 1.0 - g_t / g_b
+                m = 1.0 - g_t / w_b
                 w_a *= m if m > 0.0 else 0.5
-            b, g_b, w_b = t, g_t, g_t
+            b, y_b, g_b, w_b = t, y_t, g_t, g_t
             kept = 1
         else:
             if kept == -1:
-                m = 1.0 - g_t / g_a
+                m = 1.0 - g_t / w_a
                 w_b *= m if m > 0.0 else 0.5
-            a, g_a, w_a = t, g_t, g_t
+            a, w_a = t, g_t
             kept = -1
-        if abs(g_t) <= tol:
-            slope = (g_b - g_a) / (b - a)
-            return (t, slope) if 0.0 < slope < math.inf else None
-    return None
-
-
-def _bisect(dense, sys, a, b, y_b, g_b, event_tol, root=0.0, band=math.inf):
-    """Bisect the jump indicator on ``[a, b]`` until ``g_b <= event_tol``.
-
-    Each midpoint within ``band`` of ``root`` is projected and its
-    indicator evaluated; a midpoint farther out is placed on its side of
-    ``root`` without a call.  With the default infinite band this is the
-    plain bisection; with a finite one it replays it wherever the
-    crossing lies within ``band`` of ``root`` and the indicator keeps its
-    sign on each side outside the band.  Returns the last evaluated
-    sample ``(t, y, g)`` that became ``b``: the bisection's sample, or
-    one with ``g > event_tol`` when a replay ends on a ``b`` placed
-    without a call.
-    """
-    t_b = b
-    for _ in range(MAX_BISECT):
-        if g_b <= event_tol:
-            break
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:  # interval exhausted at float resolution
-            break
-        if abs(m - root) > band:
-            # Beyond the band the indicator is above event_tol, or below 0.
-            if m > root:
-                b = m
-            else:
-                a = m
-            continue
-        y_m = sys.project(dense(m))
-        g_m = _indicator_value(sys.jump_indicator, y_m, m, "jump")
-        if g_m >= 0.0:
-            b = t_b = m
-            y_b, g_b = y_m, g_m
-        else:
-            a = m
-    return t_b, y_b, g_b
-
-
-def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
-    """Locate the bisection's boundary sample over one accepted step.
-
-    Precondition: ``g_lo < 0`` at ``t_lo`` and ``g_hi >= 0`` at ``t_hi``.
-    Returns the sample ``(t, state, g)`` that bisecting the jump indicator
-    on ``[t_lo, t_hi]`` until ``0 <= g <= event_tol`` (up to
-    ``MAX_BISECT`` halvings) returns, bit for bit, at a fraction of its
-    indicator calls.  :func:`_estimate_root` first estimates the root on
-    the dense output, to ``|g| <= event_tol``; :func:`_bisect` then
-    replays the bisection and evaluates only the midpoints within
-    ``LOCATE_BAND * event_tol / slope`` of the estimate.  Plain bisection
-    runs instead when there is no estimate, when the replay ends before an
-    evaluated midpoint has ``g <= event_tol``, or when either phase raises
-    :class:`DomainEscape`, so an unusable estimate gives the plain
-    bisection's result or exception.  The replay never evaluates the
-    midpoints it skips, so a non-finite indicator there goes unseen.
-    """
-    try:
-        estimate = _estimate_root(dense, sys, t_lo, g_lo, t_hi, g_hi, event_tol)
-        if estimate is not None:
-            root, slope = estimate
-            t, y, g = _bisect(
-                dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol,
-                root, LOCATE_BAND * event_tol / slope,
-            )
-            if g <= event_tol:
-                return t, y, g
-    except DomainEscape:
-        pass
-    return _bisect(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol)
+    return b, y_b, g_b
 
 
 def advance_flow(
@@ -569,11 +501,10 @@ def advance_flow(
     the last sample; ``reason`` is ``time`` when ``cfg.t_max`` is
     reached, or ``jump_boundary`` when the jump indicator crosses zero
     from below.
-    Boundary crossings are located by :func:`_locate_crossing`, which
-    returns the bisection's sample, so that the final sample satisfies
-    ``0 <= jump_indicator <= cfg.event_tol`` (up to ``MAX_BISECT``
-    halvings); the step's bracket ``(t_prev, g_prev)``, ``(t_new,
-    g_new)`` starts its root estimate.
+    Boundary crossings are located by :func:`_locate_crossing` on the
+    step's dense output, from the bracket ``(t_prev, g_prev)``,
+    ``(t_new, g_new)``, so that the final sample satisfies ``0 <=
+    jump_indicator <= cfg.event_tol`` unless the bracket runs out first.
 
     Each accepted state is projected once and its jump indicator
     evaluated once.  When ``sys.flow_indicator is sys.jump_indicator``

@@ -890,9 +890,8 @@ class TestFloatSemantics:
 def _plain_bisection(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol):
     """Bisect the jump indicator over one step, evaluating every midpoint.
 
-    The event location the solver's estimate-and-replay must reproduce
-    bit for bit: the same bracket, midpoint formula, ``MAX_BISECT`` and
-    break tests.
+    The reference for a located crossing: the same bracket, ``MAX_BISECT``
+    and break tests as the locator's halving, with no regula falsi.
     """
     a, b = t_lo, t_hi
     y_b, g_b = y_hi, g_hi
@@ -916,17 +915,49 @@ def _bits(sample):
     return float(t).hex(), np.asarray(y, dtype=float).tobytes(), float(g).hex()
 
 
+def _indicator_at(dense, sys, t):
+    y = sys.project(dense(t))
+    return y, sys.jump_indicator(y)
+
+
+def _check_boundary_sample(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol, sample):
+    """The located-crossing contract for one step's bracket.
+
+    The sample lies in ``(t_lo, t_hi]``.  It is the upper end itself, or
+    its state and indicator are bit for bit those of the projected dense
+    output at its time.  Its indicator is in ``[0, event_tol]``, unless
+    the bracket ran out at float resolution: then the float below it is
+    outside the jump set.
+    """
+    t, y, g = sample
+    assert t_lo < t <= t_hi
+    if t == t_hi:
+        assert _bits(sample) == _bits((t_hi, y_hi, g_hi))
+    else:
+        assert _bits(sample) == _bits((t, *_indicator_at(dense, sys, t)))
+    assert g >= 0.0
+    if g > event_tol:
+        assert _indicator_at(dense, sys, math.nextafter(t, -math.inf))[1] < 0.0
+
+
 @pytest.fixture
 def bisection_oracle(monkeypatch):
-    """Check every located crossing against plain bisection; list them."""
+    """Check every located crossing's contract; list it with plain bisection's.
+
+    Where both samples are within ``[0, event_tol]``, they lie on one
+    stretch of that band: so does the time halfway between them.
+    """
     located = []
     locate = hybrid._locate_crossing
 
     def checked(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
         got = locate(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol)
+        _check_boundary_sample(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol, got)
         want = _plain_bisection(dense, sys, t_lo, t_hi, y_hi, g_hi, event_tol)
-        assert _bits(got) == _bits(want)
-        located.append(got)
+        if got[2] <= event_tol and want[2] <= event_tol:
+            halfway = 0.5 * (got[0] + want[0])
+            assert 0.0 <= _indicator_at(dense, sys, halfway)[1] <= event_tol
+        located.append((got, want))
         return got
 
     monkeypatch.setattr(hybrid, "_locate_crossing", checked)
@@ -959,8 +990,24 @@ def _recording(indicator, visited):
     return record
 
 
+def _curve(y):
+    return math.expm1(y[0]) - 0.3
+
+
+def _locate_on_line(curve, indicator):
+    """Locate the crossing of ``curve`` over ``[0, 1]`` on ``_line``.
+
+    The bracket's ends take ``curve``'s values and the locator evaluates
+    ``indicator``, a recording or holed ``curve``.
+    """
+    return hybrid._locate_crossing(
+        _line, _line_system(indicator), 0.0, curve(_line(0.0)), 1.0,
+        _line(1.0), curve(_line(1.0)), 1e-10,
+    )
+
+
 class TestLocateCrossing:
-    """A located crossing is the plain bisection's sample, bit for bit."""
+    """A located crossing is a boundary sample of the step, on plain bisection's band."""
 
     # Bearing from the obstacle centre (1, 0) in degrees, and distance.
     SWITCHING_STARTS = ((0.0, 1.5), (150.0, 2.0), (190.0, 1.5), (330.0, 1.5))
@@ -979,10 +1026,12 @@ class TestLocateCrossing:
         arc = solve(sc.system, sc.x0, sc.config)
         assert arc.jump_count >= 40
         assert len(bisection_oracle) >= 20
+        assert all(got[2] <= 1e-10 for got, _ in bisection_oracle)
 
-    def test_switching_starts_take_at_most_seven_calls_per_crossing(self, monkeypatch):
-        # The count is deterministic.  An Illinois estimate that stops at
-        # |g| <= 1e-3 event_tol makes 8.8 calls per crossing here.
+    def test_switching_starts_take_at_most_six_calls_per_crossing(self, monkeypatch):
+        # The count is deterministic.  Plain bisection to event_tol takes
+        # ~21 calls per crossing here, and an estimate replayed as that
+        # bisection 6.9.
         calls, spent = [0], []
         locate = hybrid._locate_crossing
 
@@ -1012,7 +1061,7 @@ class TestLocateCrossing:
                 )
                 solve(system, sc.x0, sc.config)
         assert len(spent) >= 400
-        assert sum(spent) / len(spent) <= 7.0
+        assert sum(spent) / len(spent) <= 6.0
 
     def test_published_adaptive_start_matches_plain_bisection(self, bisection_oracle):
         sc = make_scenario(
@@ -1022,81 +1071,73 @@ class TestLocateCrossing:
         arc = solve(sc.system, sc.x0, sc.config)
         assert arc.jump_count >= 5
         assert len(bisection_oracle) >= 5
+        assert all(got[2] <= 1e-10 for got, _ in bisection_oracle)
 
     def test_step_indicator_falls_back_to_plain_bisection(self, bisection_oracle):
-        # A +-1 indicator gives the root estimate no |g| to shrink.
+        # A +-1 indicator never enters the band: the regula falsi spends
+        # its budget, the halving runs the bracket out at float
+        # resolution, and both end on plain bisection's sample.
         sys = dataclasses.replace(
             timer_system(), flow_indicator=_threshold, jump_indicator=_threshold
         )
-        assert hybrid._estimate_root(
-            _line, sys, 0.0, -1.0, 1.5, 1.0, 1e-13
-        ) is None
         arc = solve(sys, np.array([0.0]), SolverConfig(t_max=2.5))
         assert arc.jump_count == 2
         assert len(bisection_oracle) == 2
-
-    def test_secant_leaving_the_bracket_falls_back(self):
-        # g_hi == 0 puts the first secant on t_hi itself, outside the open
-        # bracket: no estimate, and the plain bisection's sample comes back.
-        def line(y):
-            return y[0] - 1.0
-
-        sys = _line_system(line)
-        assert hybrid._estimate_root(_line, sys, 0.0, -1.0, 1.0, 0.0, 1e-13) is None
-        got = hybrid._locate_crossing(_line, sys, 0.0, -1.0, 1.0, _line(1.0), 0.0, 1e-10)
-        want = _plain_bisection(_line, sys, 0.0, 1.0, _line(1.0), 0.0, 1e-10)
-        assert _bits(got) == _bits(want) == _bits((1.0, _line(1.0), 0.0))
-
-    def test_nan_seen_only_by_the_estimate_falls_back(self):
-        def curve(y):
-            return math.expm1(y[0]) - 0.3
-
-        g_lo, g_hi = curve(_line(0.0)), curve(_line(1.0))
-        estimate_visits, bisection_visits = [], []
-        hybrid._locate_crossing(
-            _line, _line_system(_recording(curve, estimate_visits)),
-            0.0, g_lo, 1.0, _line(1.0), g_hi, 1e-10,
-        )
-        want = _plain_bisection(
-            _line, _line_system(_recording(curve, bisection_visits)),
-            0.0, 1.0, _line(1.0), g_hi, 1e-10,
-        )
-        unseen = sorted(set(estimate_visits) - set(bisection_visits))
-        assert unseen
-        for point in unseen:
-            def holed(y):
-                return math.nan if y[0] == point else curve(y)
-
-            got = hybrid._locate_crossing(
-                _line, _line_system(holed), 0.0, g_lo, 1.0, _line(1.0), g_hi, 1e-10
-            )
+        for got, want in bisection_oracle:
+            assert got[2] == 1.0
             assert _bits(got) == _bits(want)
 
-    def test_nan_seen_by_the_bisection_raises_its_escape(self):
-        def curve(y):
-            return math.expm1(y[0]) - 0.3
-
-        bisection_visits = []
-        _plain_bisection(
-            _line, _line_system(_recording(curve, bisection_visits)),
-            0.0, 1.0, _line(1.0), curve(_line(1.0)), 1e-10,
+    def test_secant_leaving_the_bracket_falls_back(self):
+        # g_hi == 0 would put the first secant on t_hi itself; the upper
+        # end is already in the band, so it comes back without a call.
+        visits = []
+        line = _recording(lambda y: y[0] - 1.0, visits)
+        upper = _line(1.0)
+        got = hybrid._locate_crossing(
+            _line, _line_system(line), 0.0, -1.0, 1.0, upper, 0.0, 1e-10
         )
-        point = bisection_visits[-1]
+        assert got[0] == 1.0 and got[1] is upper and got[2] == 0.0
+        assert visits == []
+        # Here the first secant rounds onto t_hi: the midpoint is taken
+        # instead, and the bracket runs out below the unrepresentable root.
+        def steep(y):
+            return 1e10 * (y[0] - 1.0) + 2e-10
 
-        def holed(y):
-            return math.nan if y[0] == point else curve(y)
+        got = _locate_on_line(steep, _recording(steep, visits))
+        assert visits[0] == 0.5
+        assert got[0] == 1.0 and got[2] == 2e-10
+        assert visits[-1] == math.nextafter(1.0, 0.0)
 
-        with pytest.raises(DomainEscape, match="jump indicator is nan") as want:
-            _plain_bisection(
-                _line, _line_system(holed), 0.0, 1.0, _line(1.0),
-                curve(_line(1.0)), 1e-10,
-            )
-        with pytest.raises(DomainEscape, match="jump indicator is nan") as got:
-            hybrid._locate_crossing(
-                _line, _line_system(holed), 0.0, curve(_line(0.0)), 1.0,
-                _line(1.0), curve(_line(1.0)), 1e-10,
-            )
-        assert got.value.t == want.value.t == point
+    def test_nan_seen_by_the_estimate_raises_its_escape(self):
+        visits = []
+        _locate_on_line(_curve, _recording(_curve, visits))
+        assert 2 <= len(visits) <= hybrid.ESTIMATE_BUDGET
+        for point in visits:
+            def holed(y):
+                return math.nan if y[0] == point else _curve(y)
+
+            with pytest.raises(DomainEscape, match="jump indicator is nan") as info:
+                _locate_on_line(_curve, holed)
+            assert info.value.t == point
+
+    def test_nan_seen_by_the_bisection_raises_its_escape(self):
+        # The +-1 indicator spends the regula falsi budget, so every later
+        # sample is a midpoint.
+        visits = []
+
+        def step(y):
+            return _threshold([y[0] + 0.3])
+
+        _locate_on_line(step, _recording(step, visits))
+        halving = visits[hybrid.ESTIMATE_BUDGET:]
+        assert len(halving) > 40
+        for point in (halving[0], halving[-1]):
+            def holed(y):
+                return math.nan if y[0] == point else step(y)
+
+            with pytest.raises(DomainEscape, match="jump indicator is nan") as info:
+                _locate_on_line(step, holed)
+            assert info.value.t == point
 
     def test_crossing_between_adjacent_floats_matches_plain_bisection(self):
         # The indicator is just below 0 at the float 0.7 and above
