@@ -754,8 +754,8 @@ def validate_domain(arc: HybridArc) -> list[str]:
 
     An empty list means the arc is well formed: it has at least one
     interval, no interval is empty, each interval has as many states as
-    times, the first time is nonnegative, times never decrease, and each
-    interval starts where the one before it ends.  The domain and the
+    times, the first time is nonnegative, times are numbers that never
+    decrease, and each interval starts where the one before it ends.  The domain and the
     jump records are read off the samples, so they agree with them by
     construction and need no check.
     """
@@ -771,14 +771,14 @@ def validate_domain(arc: HybridArc) -> list[str]:
         if len(times) != len(states):
             violations.append(f"interval {k}: times/states length mismatch")
         start = float(times[0])
-        if k == 0 and start < 0.0:
+        if k == 0 and not start >= 0.0:
             violations.append(f"interval 0: negative start time {start}")
         if end is not None and start != end:
             violations.append(
                 f"intervals {k - 1}->{k}: not contiguous "
                 f"(end {end} vs start {start})"
             )
-        if np.any(np.diff(times) < 0.0):
-            violations.append(f"interval {k}: sample times decrease")
+        if not np.all(np.diff(times) >= 0.0):
+            violations.append(f"interval {k}: sample times decrease or are NaN")
         end = float(times[-1])
     return violations

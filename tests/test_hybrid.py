@@ -1223,9 +1223,19 @@ class TestDomainValidation:
                 ((np.array([0.0, 2.0, 1.0]), np.zeros((3, 1))),),
                 "sample times decrease",
             ),
+            (
+                ((np.array([0.0, math.nan, 1.0]), np.zeros((3, 1))),),
+                "sample times decrease or are NaN",
+            ),
+            (((np.array([math.nan, 1.0]), np.zeros((2, 1))),), "start time nan"),
+            (
+                ((np.array([0.0, 1.0, math.nan]), np.zeros((3, 1))),),
+                "sample times decrease or are NaN",
+            ),
         ],
         ids=["no_interval", "empty_interval", "length_mismatch",
-             "negative_start", "decreasing_times"],
+             "negative_start", "decreasing_times", "nan_time", "nan_start",
+             "nan_last_time"],
     )
     def test_malformed_arc(self, samples, message):
         violations = validate_domain(HybridArc(samples=samples))
