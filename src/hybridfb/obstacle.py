@@ -412,7 +412,14 @@ def _closed_loop_kernels(
     current chart's value, and each adds its terms left to right; +inf
     stays +inf and the later terms are not evaluated, the lifts' ``_plus``
     rule.  So both equal the controllers' values bit for bit, NaN included
-    (the tests compare with ``==``).  The readout takes both from one read
+    (the tests compare with ``==``), with one exception: in the disk's
+    guard band (``exp(x1) <= SINGULAR_GUARD``) the backstep input error
+    needs the undefined feedback, so there the backstep gap and true
+    potential are NaN while the controller's ``gap`` and
+    :func:`~hybridfb.adaptive.backstep_true_potential` raise
+    :class:`InsideObstacle`; the nominal and adaptive ones agree there.
+    The solver ends a run either way: a NaN indicator is a
+    :class:`~hybridfb.errors.DomainEscape`.  The readout takes both from one read
     of the state and one pair of chart values, and evaluates the input
     error once.  The jump map resets the chart to the one of lower
     potential, the estimate by :func:`~hybridfb.adaptive.reset_estimate`
@@ -654,7 +661,10 @@ class Scenario:
     held input (2).  ``true_potential(state)`` is the Lyapunov value at
     the true parameter (the monitors' and the CSV's), and
     ``switching_gap(state)`` the implementable synergy gap that drives
-    the switching logic (the CSV's ``gap_robust``).  :func:`make_scenario`
+    the switching logic (the CSV's ``gap_robust``); both equal the
+    controllers' values, except in the disk's guard band of a backstep
+    state, where they are NaN and the controllers raise
+    :class:`InsideObstacle`.  :func:`make_scenario`
     writes both on floats, with the flow map, the readout and the jump
     map: each kind gives its flow map and its added terms, and one gap,
     one true potential and one readout read them for all three kinds.
@@ -732,7 +742,8 @@ def make_scenario(
     hysteresis margin 1; start at rest from ``z = (2, 0)``; zero initial
     estimate.  For the backstepping controller, ``u0`` is ``"feedback"``
     ("at rest": the held input starts on the adaptive feedback) or
-    ``"zero"``.  Any other ``u0``, a ``margin`` at or below
+    ``"zero"``; the other kinds hold no input and ignore it.  Any other
+    ``u0`` (for every kind), a ``margin`` at or below
     ``config.event_tol``, or ``u0="feedback"`` where chart ``q0`` has no
     feedback at ``z_init``, raises :class:`ValueError`.
 
@@ -749,6 +760,8 @@ def make_scenario(
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
     q0 = _check_chart_index(q0)
+    if u0 not in ("feedback", "zero"):
+        raise ValueError(f"unknown initial-input policy {u0!r}")
     if obstacle is None:
         obstacle = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
     theta = DEFAULT_THETA.copy() if theta is None else np.asarray(theta, dtype=float)
@@ -811,10 +824,8 @@ def make_scenario(
                         f"and u0_policy = feedback has no initial input ({exc}); "
                         f"u0_policy = zero or q0 = {-q0:+.0f} runs from there"
                     ) from exc
-            elif u0 == "zero":
-                u_init = np.zeros(2)
             else:
-                raise ValueError(f"unknown initial-input policy {u0!r}")
+                u_init = np.zeros(2)
             x0 = np.concatenate([x_init, xi1_init, u_init])
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")

@@ -539,6 +539,11 @@ class TestScenarioFactory:
         with pytest.raises(ValueError, match="unknown initial-input policy 'bogus'"):
             make_scenario("backstep", q0=1.0, u0="bogus")
 
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_unknown_input_policy_refused_for_every_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown initial-input policy 'bogus'"):
+            make_scenario(kind, q0=-1.0, u0="bogus")
+
     def test_nominal_state_layout(self):
         sc = make_scenario("nominal", q0=-1.0)
         assert sc.x0.shape == (4,)
@@ -877,6 +882,31 @@ class TestClosedLoopScalars:
         assert sc.true_potential(state) == math.inf
         assert potential(x, xi) == math.inf
         assert sc.system.jump_indicator(state) == GAP_SENTINEL - 1.0
+
+    @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
+    def test_disk_guard_band_is_nan_where_backstep_controllers_raise(self, kind):
+        # x1 = -35.5 is in the disk's guard band.  The nominal and adaptive
+        # gaps need no feedback and agree at 0.0; the backstep input error
+        # does, so the float side is NaN where the composed side raises.
+        # Either way the solver ends the run.
+        sc = self._scenario(kind, "unit", "published")
+        potential = self._reference_potential(sc)
+        state = sc.x0.copy()
+        state[0] = -35.5
+        x, xi = state[:3], state[3:]
+        if kind != "backstep":
+            assert sc.switching_gap(state) == sc.controller.gap(x, xi) == 0.0
+            assert sc.true_potential(state) == potential(x, xi)
+            return
+        assert math.isnan(sc.switching_gap(state))
+        assert math.isnan(sc.true_potential(state))
+        assert math.isnan(sc.readout(state)[-1])
+        with pytest.raises(InsideObstacle, match="guard band"):
+            sc.controller.gap(x, xi)
+        with pytest.raises(InsideObstacle, match="guard band"):
+            potential(x, xi)
+        with pytest.raises(DomainEscape, match="jump indicator is nan"):
+            solve(sc.system, state, sc.config)
 
     @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan])
     @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
