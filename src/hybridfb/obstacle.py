@@ -418,10 +418,10 @@ def _closed_loop_kernels(
     potential are NaN while the controller's ``gap`` and
     :func:`~hybridfb.adaptive.backstep_true_potential` raise
     :class:`InsideObstacle`; the nominal and adaptive ones agree there.
-    The solver ends a run either way: a NaN indicator is a
-    :class:`~hybridfb.errors.DomainEscape`.  The readout takes both from one read
-    of the state and one pair of chart values, and evaluates the input
-    error once.  The jump map resets the chart to the one of lower
+    The solver ends a run either way, since a NaN indicator is a
+    :class:`~hybridfb.errors.DomainEscape`.  The readout takes both from
+    one read of the state and one pair of chart values, and evaluates the
+    input error once.  The jump map resets the chart to the one of lower
     potential, the estimate by :func:`~hybridfb.adaptive.reset_estimate`
     and the held input to the adaptive feedback there; where the two chart
     potentials lie within ``TIE_TOL`` of each other it returns the composed

@@ -1029,9 +1029,8 @@ class TestLocateCrossing:
         assert all(got[2] <= 1e-10 for got, _ in bisection_oracle)
 
     def test_switching_starts_take_at_most_six_calls_per_crossing(self, monkeypatch):
-        # The count is deterministic.  Plain bisection to event_tol takes
-        # ~21 calls per crossing here, and an estimate replayed as that
-        # bisection 6.9.
+        # The count is deterministic: 5.1 calls per crossing, against ~22
+        # for plain bisection to event_tol.
         calls, spent = [0], []
         locate = hybrid._locate_crossing
 
@@ -1141,9 +1140,9 @@ class TestLocateCrossing:
 
     def test_crossing_between_adjacent_floats_matches_plain_bisection(self):
         # The indicator is just below 0 at the float 0.7 and above
-        # event_tol at the next float: the replay ends on a b it placed
-        # without a call, and plain bisection, which stops short of
-        # event_tol there too, gives the sample.
+        # event_tol at the next float: the bracket runs out there, and
+        # plain bisection, which stops short of event_tol there too, gives
+        # the same sample.
         def steep(y):
             return 1e8 * (y[0] - 0.7) - 1e-14
 
@@ -1159,8 +1158,8 @@ class TestLocateCrossing:
         "roots", [(0.3, 0.55, 0.85), (0.1, 0.2, 0.9), (0.05, 0.45, 0.95)]
     )
     def test_several_crossings_in_one_step_give_a_boundary_sample(self, roots):
-        # Up, down and up again within one step: the estimate may settle
-        # on a root the bisection does not reach.
+        # Up, down and up again within one step: the regula falsi may
+        # settle on a root the bisection does not reach.
         def cubic(y):
             return (y[0] - roots[0]) * (y[0] - roots[1]) * (y[0] - roots[2])
 

@@ -245,9 +245,8 @@ class TestBuildClosedLoop:
 
     def test_shared_indicator_called_once_per_state(self, monkeypatch):
         # One call for x0, each accepted step and each post-jump state, plus
-        # one per dense-output evaluation (the root estimate's points and
-        # the replayed bisection's evaluated midpoints): the flow set's test
-        # reuses the value.
+        # one per dense-output evaluation (the locator's regula falsi
+        # iterates and midpoints): the flow set's test reuses the value.
         sc = make_scenario(
             "backstep", q0=-1.0, z_init=(1.8, -1.0), margin=1e-3,
             config=SolverConfig(t_max=2.0),
