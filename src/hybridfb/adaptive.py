@@ -178,11 +178,6 @@ def ball_excess(theta_hat: np.ndarray, ball: ParamBall) -> float:
     return (_dot(th, th) - ball.radius_sq) / ball.excess_scale
 
 
-def ball_excess_gradient(theta_hat: np.ndarray, ball: ParamBall) -> np.ndarray:
-    """Gradient of :func:`ball_excess`, ``2 theta_hat / excess_scale``, as an array."""
-    return 2.0 * np.asarray(theta_hat, dtype=float) / ball.excess_scale
-
-
 def project_rate(
     rate: Sequence[float], theta_hat: Sequence[float], ball: ParamBall
 ) -> list:
@@ -287,8 +282,8 @@ def central_difference(
 
     Steps ``FD_REL_STEP * max(1, norm(x))`` along each ambient coordinate of
     ``x``.  Returns the gradient (n,) of a scalar ``fun`` or the Jacobian
-    (m, n) of a vector-valued one; an analytic derivative may replace it
-    and must agree to within 1e-6 relative at nonsingular points.
+    (m, n) of a vector-valued one; an analytic derivative checked against
+    it must agree to within 1e-6 relative at nonsingular points.
     Raises :class:`NonFiniteJacobian` if a probe hits a singularity or an
     infinite branch.  ``fun`` is handed each probe as an array; the probes,
     the finiteness check and the differences are worked on lists of floats,
@@ -376,7 +371,7 @@ def lift_adaptive(
     nominal: ControllerData,
     plant: AffinePlant,
     ball: ParamBall,
-    grad_potential: Optional[Callable] = None,
+    grad_potential: Callable,
 ) -> AdaptiveController:
     """Build the adaptive controller from a nominally synergistic one.
 
@@ -390,13 +385,8 @@ def lift_adaptive(
     computes it in closed form, and enumerating its candidates gives
     the same value.
 
-    ``grad_potential`` supplies the nominal potential's gradient in the
-    plant state; central finite differences are used when omitted.
+    ``grad_potential(x, xi_c)`` is the nominal potential's gradient in ``x``.
     """
-    if grad_potential is None:
-        def grad_potential(x, xi_c):
-            return central_difference(lambda p: nominal.potential(p, xi_c), x)
-
     # The closures read ``ctrl``, the lift built below.
     def feedback(x, xi_c1):
         xi_c, th = ctrl.split(xi_c1)
@@ -463,7 +453,7 @@ class BackstepController(ControllerData):
 def lift_backstep(
     adaptive: AdaptiveController,
     gains: BackstepGains,
-    jac: Optional[Callable] = None,
+    jac: Callable,
     controller_jacobian: Optional[Callable] = None,
 ) -> BackstepController:
     """Build the backstepping controller from an adaptive one.
@@ -480,16 +470,11 @@ def lift_backstep(
     reset to exactly zero at every jump and the implementable gap gains
     the input error's :meth:`BackstepGains.error_term`.
 
-    ``jac`` supplies the x-Jacobian of the adaptive feedback (finite
-    differences when omitted).  ``controller_jacobian`` supplies the
-    feedback's Jacobian in the nominal controller state; it may be
-    omitted only when the nominal controller state does not flow, which
-    is verified at every flow evaluation.
+    ``jac(x, xi_c1)`` is the adaptive feedback's x-Jacobian.  Its
+    Jacobian in the nominal controller state, ``controller_jacobian``,
+    may be omitted only when that state does not flow, which is verified
+    at every flow evaluation.
     """
-    if jac is None:
-        def jac(x, xi_c1):
-            return central_difference(lambda p: adaptive.feedback(p, xi_c1), x)
-
     plant = adaptive.plant
     ball = adaptive.ball
 

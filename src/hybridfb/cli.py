@@ -131,11 +131,11 @@ def run_config_file(path: str) -> tuple[str, int, str]:
 
 
 def _run_batch(paths: list[str]) -> int:
+    # A file whose own out and summary agree is refused by its own run.
     outputs: dict[str, str] = {}
     for path in paths:
         values = read_config_file(path)
-        for key in ("out", "summary"):
-            target = values.get(key)
+        for target in dict.fromkeys(values.get(key) for key in ("out", "summary")):
             if target is None:
                 continue
             if target in outputs:

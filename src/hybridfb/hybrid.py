@@ -581,27 +581,21 @@ def advance_flow(
 
     for _ in range(max_steps):
         message = solver.step()
-        if solver.status == "failed":
-            # The stages hold the last try: a non-finite one, or a try
-            # rejected on a non-finite error norm, means the flow map, not
-            # the step size, ended the step.
-            if solver.nonfinite_rejection or not all(map(_finite, solver.K)):
-                raise flow_map_escape()
-            raise IntegrationStalled(
-                f"integrator failed at t={solver.t:.6g}: {message}"
-            )
         t_new = float(solver.t)
         # The final step is truncated to land on t_bound and may be tiny;
-        # only an interior micro-step signals a stall.  Micro-steps that
-        # creep up to a region where the flow map is not finite come from
-        # rejecting tries into it.
-        if t_new - t_prev < MIN_STEP and solver.status != "finished":
+        # only an interior micro-step signals a stall.
+        stall = None
+        if solver.status == "failed":
+            stall = f"integrator failed at t={t_new:.6g}: {message}"
+        elif t_new - t_prev < MIN_STEP and solver.status != "finished":
+            stall = f"step size underflow at t={t_new:.6g} (step {t_new - t_prev:.3e} s)"
+        if stall is not None:
+            # A non-finite stage makes the error norm non-finite and the try
+            # rejected: a stall that rejected such a try (failing on it, or
+            # creeping up to it in micro-steps) was the flow map's doing.
             if solver.nonfinite_rejection:
                 raise flow_map_escape()
-            raise IntegrationStalled(
-                f"step size underflow at t={t_new:.6g} "
-                f"(step {t_new - t_prev:.3e} s)"
-            )
+            raise IntegrationStalled(stall)
         y_raw = solver.y
         y_new = sys.project(y_raw)
         if not _finite(y_new):

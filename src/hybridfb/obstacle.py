@@ -41,13 +41,6 @@ SINGULAR_GUARD = 1e-12
 CHART_INDICES = (-1.0, 1.0)
 
 
-def _check_chart_index(q) -> float:
-    q = float(q)
-    if q not in (-1.0, 1.0):
-        raise ValueError(f"chart index must be -1 or +1, got {q}")
-    return q
-
-
 @dataclass(frozen=True)
 class ObstacleDisk:
     """Closed disk obstacle ``center + radius * unit ball``.
@@ -437,8 +430,8 @@ def _closed_loop_kernels(
         x1, x2, x3, q = values[:4]
         low = _chart_value(x1, x2, x3, -1.0, obstacle)
         high = _chart_value(x1, x2, x3, 1.0, obstacle)
-        # _check_chart_index raises for any other index.
-        here = high if q == 1.0 else low if q == -1.0 else _check_chart_index(q)
+        # _chart_error raises for any other index.
+        here = high if q == 1.0 else low if q == -1.0 else _chart_value(*values[:4], obstacle)
         # The two excluded points are antipodal, so one candidate is finite.
         # ``min(low, high)`` written out: the same value, NaN included,
         # without the call's cost.
@@ -717,6 +710,14 @@ class Scenario:
         return self.controller.margin
 
 
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a new float array of ``shape``, else ``ValueError``."""
+    array = np.array(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
+
+
 def make_scenario(
     kind: str,
     q0,
@@ -743,9 +744,10 @@ def make_scenario(
     estimate.  For the backstepping controller, ``u0`` is ``"feedback"``
     ("at rest": the held input starts on the adaptive feedback) or
     ``"zero"``; the other kinds hold no input and ignore it.  Any other
-    ``u0`` (for every kind), a ``margin`` at or below
-    ``config.event_tol``, or ``u0="feedback"`` where chart ``q0`` has no
-    feedback at ``z_init``, raises :class:`ValueError`.
+    ``u0`` or ``q0``, a ``theta``, ``theta_hat0`` or ``z_init`` not of
+    shape (2,) or ``gamma1`` or ``gamma2`` not (2, 2) (for every kind), a
+    ``margin`` at or below ``config.event_tol``, or ``u0="feedback"`` where
+    chart ``q0`` has no feedback at ``z_init``, raises :class:`ValueError`.
 
     The closed loop comes from :func:`build_closed_loop`, with the flow
     map, the switching gap, the true potential, the readout and the jump
@@ -759,12 +761,20 @@ def make_scenario(
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
-    q0 = _check_chart_index(q0)
-    if u0 not in ("feedback", "zero"):
-        raise ValueError(f"unknown initial-input policy {u0!r}")
     if obstacle is None:
         obstacle = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
-    theta = DEFAULT_THETA.copy() if theta is None else np.asarray(theta, dtype=float)
+    q0 = float(q0)
+    if q0 not in obstacle.chart_targets:
+        raise ValueError(f"chart index must be -1 or +1, got {q0}")
+    if u0 not in ("feedback", "zero"):
+        raise ValueError(f"unknown initial-input policy {u0!r}")
+    theta = _shaped("theta", DEFAULT_THETA if theta is None else theta, (2,))
+    theta_hat0 = _shaped(
+        "theta_hat0", (0.0, 0.0) if theta_hat0 is None else theta_hat0, (2,)
+    )
+    z_init = _shaped("z_init", z_init, (2,))
+    gamma1 = _shaped("gamma1", np.eye(2) if gamma1 is None else gamma1, (2, 2))
+    gamma2 = _shaped("gamma2", np.eye(2) if gamma2 is None else gamma2, (2, 2))
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"true parameter must be finite, got {theta.tolist()}")
     theta_norm = _norm(theta)
@@ -782,7 +792,7 @@ def make_scenario(
             f"hysteresis margin {nominal.margin:g} is not above the solver's "
             f"event_tol {config.event_tol:g}, so every state is in the jump set"
         )
-    x_init = to_cylinder(np.asarray(z_init, dtype=float), obstacle)
+    x_init = to_cylinder(z_init, obstacle)
 
     if kind == "nominal":
         controller: ControllerData = nominal
@@ -790,11 +800,7 @@ def make_scenario(
         ball = None
         gains = None
     else:
-        gamma1 = np.eye(2) if gamma1 is None else np.asarray(gamma1, dtype=float)
         ball = ParamBall(radius=theta_bound, eps=eps, gain=gamma1)
-        theta_hat0 = (
-            np.zeros(2) if theta_hat0 is None else np.asarray(theta_hat0, dtype=float)
-        )
 
         def grad_potential(x, xi_c):
             return chart_potential_gradient(x, xi_c[0], obstacle)
@@ -805,7 +811,6 @@ def make_scenario(
             gains = None
             x0 = np.concatenate([x_init, [q0], theta_hat0])
         else:
-            gamma2 = np.eye(2) if gamma2 is None else np.asarray(gamma2, dtype=float)
             gains = BackstepGains(gain=gamma2, damping=damping)
 
             def feedback_jac(x, xi_c1):

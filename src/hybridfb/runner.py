@@ -57,8 +57,9 @@ class ScenarioConfig:
     ``seed`` only affects the randomized verification suites; the
     simulation itself is deterministic.  Every float and two-component
     field must be finite, and the monitor tolerances ``flow_tol`` and
-    ``jump_tol`` and the seed nonnegative.  The declared field types give
-    the configuration file's value parsers.
+    ``jump_tol`` and the seed nonnegative; ``out`` and ``summary`` must
+    differ.  The declared field types give the configuration file's
+    value parsers.
     """
 
     controller: str = "adaptive"
@@ -103,6 +104,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value < 0.0:
                 raise ConfigError(f"{name} must be nonnegative, got {value}")
+        if self.out is not None and self.out == self.summary:
+            raise ConfigError(f"out and summary are both {self.out}")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -441,9 +444,10 @@ def _random_ball(rng: np.random.Generator, dim: int, radius: float) -> list:
     return [scale * (d / norm) for d in direction]
 
 
-def projection_inequality_suite(
-    seed: int, n: int = 10_000, tol: float = 1e-12
-) -> SuiteResult:
+PROJECTION_INEQUALITY_TOL = 1e-12
+
+
+def projection_inequality_suite(seed: int, n: int = 10_000) -> SuiteResult:
     """Estimation-error alignment: projecting the rate never hurts.
 
     For admissible true parameters, the inner product of the estimation
@@ -461,7 +465,7 @@ def projection_inequality_suite(
         projected = adaptive_mod.project_rate(eta, theta_hat, ball)
         slack = _dot(err, projected) - _dot(err, eta)
         worst = _worse(worst, -slack)
-        if not slack >= -tol:  # a NaN slack is a violation too
+        if not slack >= -PROJECTION_INEQUALITY_TOL:  # a NaN slack is a violation too
             violations += 1
     return SuiteResult(
         name="projection_inequality",
@@ -648,19 +652,21 @@ def _grid_min_distance(
     return out
 
 
-def ball_distance_oracle_suite(
-    seed: int, n: int = 1000, resolution: float = 1e-3, tol: float = 1e-3
-) -> SuiteResult:
+BALL_DISTANCE_GRID = 1e-3
+BALL_DISTANCE_TOL = 1e-3
+
+
+def ball_distance_oracle_suite(seed: int, n: int = 1000) -> SuiteResult:
     """Worst-case distance term against a grid search over the ball.
 
     The oracle is the exact float64 minimum of the gain-metric distance
-    over every lattice point of ``_disk_rows(resolution, radius)``,
+    over every lattice point of ``_disk_rows(BALL_DISTANCE_GRID, radius)``,
     reduced row by row (``_grid_min_distance``); it never consults the
     solver.
     """
     rng = np.random.default_rng(seed)
     ball = _generic_ball(rng)
-    rows = _disk_rows(resolution, ball.radius)
+    rows = _disk_rows(BALL_DISTANCE_GRID, ball.radius)
     inputs = np.array(
         [_random_ball(rng, 2, ball.radius + ball.eps) for _ in range(n)]
     )
@@ -669,8 +675,8 @@ def ball_distance_oracle_suite(
     worst = float(np.max(np.abs(exact - brute)))
     return SuiteResult(
         name="ball_distance_oracle",
-        passed=worst <= tol,
-        detail=f"max |solver - grid| = {worst:.2e} over {n} inputs (tol {tol})",
+        passed=worst <= BALL_DISTANCE_TOL,
+        detail=f"max |solver - grid| = {worst:.2e} over {n} inputs (tol {BALL_DISTANCE_TOL})",
     )
 
 
@@ -727,9 +733,11 @@ def _row_search_max(
     return best.max(axis=1)
 
 
-def reset_estimate_oracle_suite(
-    seed: int, n: int = 1000, resolution: float = 1e-2, tol: float = 1e-2
-) -> SuiteResult:
+RESET_ESTIMATE_GRID = 1e-2
+RESET_ESTIMATE_TOL = 1e-2
+
+
+def reset_estimate_oracle_suite(seed: int, n: int = 1000) -> SuiteResult:
     """Estimate reset against a grid search of the worst-case drop objective.
 
     The reset maximizes, over candidate estimates in the inflated ball,
@@ -737,8 +745,8 @@ def reset_estimate_oracle_suite(
     inner minimum of the linear-in-parameter part has the closed form
     ``-2 * radius * |metric @ (g - theta_hat)|``.  The oracle is the
     float64 maximum of that objective over the lattice points of
-    ``_disk_rows(resolution, radius + eps)``.  With the metric symmetric
-    positive definite the objective is concave (a negated norm of an
+    ``_disk_rows(RESET_ESTIMATE_GRID, radius + eps)``.  With the metric
+    symmetric positive definite the objective is concave (a negated norm of an
     affine map minus a positive definite quadratic), so on each lattice
     row it rises to one peak and then falls: ``_row_search_max`` finds
     each row's maximum by bisection plus a +-2-point window, and returns
@@ -747,7 +755,7 @@ def reset_estimate_oracle_suite(
     rng = np.random.default_rng(seed)
     ball = _generic_ball(rng)
     metric = ball.gain_inv
-    rows = _disk_rows(resolution, ball.radius + ball.eps)
+    rows = _disk_rows(RESET_ESTIMATE_GRID, ball.radius + ball.eps)
     value = _drop_objective(rows.points(), metric, ball.radius)
     row_first, row_last = rows.flat_bounds()
 
@@ -781,8 +789,8 @@ def reset_estimate_oracle_suite(
             worst = _worse(worst, float(shortfall))
     return SuiteResult(
         name="reset_estimate_oracle",
-        passed=worst <= tol,
-        detail=f"max objective shortfall = {worst:.2e} over {n} inputs (tol {tol})",
+        passed=worst <= RESET_ESTIMATE_TOL,
+        detail=f"max objective shortfall = {worst:.2e} over {n} inputs (tol {RESET_ESTIMATE_TOL})",
     )
 
 
@@ -807,7 +815,10 @@ def _random_cylinder_states(rng, obstacle, n, chart_clearance=0.05):
     return states
 
 
-def jacobian_suite(seed: int, n: int = 1000, tol: float = 1e-6) -> SuiteResult:
+JACOBIAN_TOL = 1e-6
+
+
+def jacobian_suite(seed: int, n: int = 1000) -> SuiteResult:
     """Analytic geometry Jacobians against central finite differences."""
     rng = np.random.default_rng(seed)
     obstacle = ObstacleDisk(center=np.array([1.0, 0.0]), radius=0.5)
@@ -834,8 +845,8 @@ def jacobian_suite(seed: int, n: int = 1000, tol: float = 1e-6) -> SuiteResult:
         worst = _worse(worst, _rel_err(grad, num))
     return SuiteResult(
         name="jacobian_fd",
-        passed=worst <= tol,
-        detail=f"max relative error = {worst:.2e} over {n} states (tol {tol})",
+        passed=worst <= JACOBIAN_TOL,
+        detail=f"max relative error = {worst:.2e} over {n} states (tol {JACOBIAN_TOL})",
     )
 
 
@@ -852,7 +863,10 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return err / scale
 
 
-def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResult:
+GAP_IDENTITY_TOL = 1e-12
+
+
+def gap_identity_suite(seed: int, n: int = 200) -> SuiteResult:
     """Each lift's closed-form gap = enumeration over its reset candidates.
 
     Compares ``ctrl.gap`` with ``ControllerData.gap(ctrl, ...)`` for the
@@ -884,8 +898,8 @@ def gap_identity_suite(seed: int, n: int = 200, tol: float = 1e-12) -> SuiteResu
             worst = _worse(worst, abs(closed - enumerated) / scale)
     return SuiteResult(
         name="gap_identity",
-        passed=worst <= tol,
-        detail=f"max scaled |gap - identity| = {worst:.2e} over {n} states (tol {tol})",
+        passed=worst <= GAP_IDENTITY_TOL,
+        detail=f"max scaled |gap - identity| = {worst:.2e} over {n} states (tol {GAP_IDENTITY_TOL})",
     )
 
 

@@ -191,13 +191,16 @@ def test_criterion_6_estimate_ball_invariance(case_runs, switching_runs):
 
 
 def test_criterion_7_projection_inequality():
-    result = projection_inequality_suite(SEED, n=10_000, tol=1e-12)
+    assert runner.PROJECTION_INEQUALITY_TOL == 1e-12
+    result = projection_inequality_suite(SEED, n=10_000)
     _report(7, "projection never degrades the error alignment", result.passed, result.detail)
 
 
 def test_criterion_8_oracle_equivalence():
-    dist = ball_distance_oracle_suite(SEED, n=1000, resolution=1e-3, tol=1e-3)
-    reset = reset_estimate_oracle_suite(SEED, n=1000, resolution=1e-2, tol=1e-2)
+    assert (runner.BALL_DISTANCE_GRID, runner.BALL_DISTANCE_TOL) == (1e-3, 1e-3)
+    assert (runner.RESET_ESTIMATE_GRID, runner.RESET_ESTIMATE_TOL) == (1e-2, 1e-2)
+    dist = ball_distance_oracle_suite(SEED, n=1000)
+    reset = reset_estimate_oracle_suite(SEED, n=1000)
     _report(
         8,
         "ball subproblems match grid-search oracles",
@@ -224,7 +227,8 @@ def test_criterion_9_geometry_suite():
         forth = to_cylinder(from_cylinder(x, obstacle), obstacle)
         worst_round = max(worst_round, float(np.max(np.abs(forth - x))))
 
-    jac = jacobian_suite(SEED, n=1000, tol=1e-6)
+    assert runner.JACOBIAN_TOL == 1e-6
+    jac = jacobian_suite(SEED, n=1000)
     _report(
         9,
         "coordinate round-trips and analytic Jacobians",

@@ -27,7 +27,6 @@ from hybridfb import (
     reset_estimate,
     solve,
 )
-from hybridfb.adaptive import ball_excess_gradient
 from hybridfb.obstacle import _flow_terms, gradient_feedback_jacobian
 from hybridfb.runner import (
     _disk_rows,
@@ -133,11 +132,6 @@ class TestBallExcess:
     def test_on_inflated_boundary(self):
         assert ball_excess(np.array([0.0, 2.0]), UNIT_BALL) == pytest.approx(1.0)
 
-    def test_gradient_formula(self):
-        th = np.array([0.4, -0.3])
-        grad = ball_excess_gradient(th, UNIT_BALL)
-        assert grad == pytest.approx(2.0 * th / 3.0)
-
 
 class TestProjectRate:
     def test_inside_ball_passthrough(self):
@@ -185,7 +179,7 @@ class TestProjectRate:
         for _ in range(2000):
             theta_hat = rng.normal(size=2) * rng.uniform(0.5, 2.0)
             eta = rng.normal(scale=2.0, size=2)
-            grad = ball_excess_gradient(theta_hat, UNIT_BALL)
+            grad = 2.0 * theta_hat / UNIT_BALL.excess_scale
             p = ball_excess(theta_hat, UNIT_BALL)
             outward = float(grad @ eta)
             expected = eta
@@ -477,7 +471,10 @@ class TestRobustGap:
 
     @staticmethod
     def _robust_gap(nominal, x, xi_c, theta_hat):
-        lifted = lift_adaptive(nominal, simple_plant(), UNIT_BALL)
+        lifted = lift_adaptive(
+            nominal, simple_plant(), UNIT_BALL,
+            grad_potential=lambda x, xi: np.zeros_like(x),
+        )
         return lifted.gap(x, np.concatenate([xi_c, theta_hat]))
 
     def test_estimate_inside_gives_nominal_gap(self):
@@ -518,6 +515,16 @@ def simple_plant():
         n_x=2,
         n_u=2,
     )
+
+
+def quadratic_gradient(x, xi):
+    """Gradient of :func:`quadratic_nominal`'s potential |x|^2/2."""
+    return x
+
+
+def minus_identity_jacobian(x, xi):
+    """x-Jacobian of a feedback ``-x`` plus terms free of ``x``."""
+    return -np.eye(len(x))
 
 
 def quadratic_nominal():
@@ -576,20 +583,24 @@ class TestEstimateFlow:
 
 class TestLiftAdaptive:
     def test_zero_estimate_recovers_nominal_feedback(self):
-        ctrl = lift_adaptive(quadratic_nominal(), simple_plant(), UNIT_BALL)
+        ctrl = lift_adaptive(
+            quadratic_nominal(), simple_plant(), UNIT_BALL, quadratic_gradient
+        )
         x = np.array([1.0, 2.0])
         xi1 = np.array([0.0, 0.0, 0.0])
         assert ctrl.feedback(x, xi1) == pytest.approx(-x)
 
     def test_feedback_subtracts_matched_compensation(self):
-        ctrl = lift_adaptive(quadratic_nominal(), simple_plant(), UNIT_BALL)
+        ctrl = lift_adaptive(
+            quadratic_nominal(), simple_plant(), UNIT_BALL, quadratic_gradient
+        )
         x = np.array([1.0, 2.0])
         xi1 = np.array([0.0, 0.3, -0.4])
         assert ctrl.feedback(x, xi1) == pytest.approx(-x - np.array([0.3, -0.4]))
 
     def test_jump_candidates_pair_minimizer_with_reset(self):
         nominal = quadratic_nominal()
-        ctrl = lift_adaptive(nominal, simple_plant(), UNIT_BALL)
+        ctrl = lift_adaptive(nominal, simple_plant(), UNIT_BALL, quadratic_gradient)
         x = np.array([1.0, 0.0])
         theta_hat = np.array([1.5, 0.0])
         cands = ctrl.candidates(x, np.concatenate([[0.0], theta_hat]))
@@ -599,7 +610,7 @@ class TestLiftAdaptive:
 
     def test_true_potential_at_exact_estimate_equals_nominal(self):
         nominal = quadratic_nominal()
-        ctrl = lift_adaptive(nominal, simple_plant(), UNIT_BALL)
+        ctrl = lift_adaptive(nominal, simple_plant(), UNIT_BALL, quadratic_gradient)
         theta = np.array([0.5, -0.5])
         v_true = adaptive_true_potential(ctrl, theta)
         x = np.array([2.0, 1.0])
@@ -609,7 +620,7 @@ class TestLiftAdaptive:
     def test_implementable_gap_is_robust_gap(self):
         nominal = quadratic_nominal()
         ball = ParamBall(radius=1.0, eps=1.0, gain=np.array([[1.5, 0.2], [0.2, 0.8]]))
-        ctrl = lift_adaptive(nominal, simple_plant(), ball)
+        ctrl = lift_adaptive(nominal, simple_plant(), ball, quadratic_gradient)
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.normal(size=2)
@@ -618,6 +629,10 @@ class TestLiftAdaptive:
             lifted = ControllerData.gap(ctrl, x, xi1)
             direct = ctrl.gap(x, xi1)
             assert lifted == pytest.approx(direct, abs=1e-12)
+
+    def test_gradient_is_required(self):
+        with pytest.raises(TypeError, match="grad_potential"):
+            lift_adaptive(quadratic_nominal(), simple_plant(), UNIT_BALL)
 
     def test_controller_flow_stacks_estimate_law(self):
         nominal = quadratic_nominal()
@@ -631,16 +646,14 @@ class TestLiftAdaptive:
         assert rate[:1] == pytest.approx(np.zeros(1))
         assert rate[1:] == pytest.approx(x)
 
-    def test_finite_difference_gradient_default(self):
-        ctrl = lift_adaptive(quadratic_nominal(), simple_plant(), UNIT_BALL)
+
+class TestFeedbackJacobian:
+    def test_scalar_function_gives_gradient(self):
         x = np.array([1.0, -2.0])
-        assert ctrl.grad_potential(x, np.zeros(1)) == pytest.approx(x, abs=1e-8)
         grad = central_difference(lambda p: 0.5 * float(p @ p), x)
         assert grad.shape == (2,)
         assert grad == pytest.approx(x, abs=1e-8)
 
-
-class TestFeedbackJacobian:
     def test_linear_feedback_exact(self):
         mat = np.array([[1.0, 2.0], [-0.5, 0.3]])
         jac = central_difference(lambda x: mat @ x, np.array([0.4, 0.8]))
@@ -671,7 +684,7 @@ class TestFeedbackJacobian:
         assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
 
 
-def _backstep_rates(adaptive, gains, x, xi2, jac=None):
+def _backstep_rates(adaptive, gains, x, xi2, jac):
     """Estimate and input rates of the backstepping controller flow.
 
     With a unit adaptation gain and the estimate inside the admissible
@@ -694,7 +707,7 @@ class TestBackstepDrive:
         xi1 = np.concatenate([[0.0], theta_hat])
         u = adaptive.feedback(x, xi1)
         xi2 = np.concatenate([xi1, u])
-        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2, minus_identity_jacobian)
         assert drive == pytest.approx(x, abs=1e-9)
 
     def test_zero_at_origin_on_manifold(self):
@@ -707,7 +720,7 @@ class TestBackstepDrive:
         xi1 = np.array([0.0, 0.3, 0.1])
         u = adaptive.feedback(x, xi1)
         xi2 = np.concatenate([xi1, u])
-        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2, minus_identity_jacobian)
         assert drive == pytest.approx(np.zeros(2), abs=1e-9)
 
     def test_correction_term_sign(self):
@@ -724,7 +737,7 @@ class TestBackstepDrive:
         u_err = np.array([0.4, -0.2])
         u = adaptive.feedback(x, xi1) + u_err
         xi2 = np.concatenate([xi1, u])
-        drive, _ = _backstep_rates(adaptive, gains, x, xi2)
+        drive, _ = _backstep_rates(adaptive, gains, x, xi2, minus_identity_jacobian)
         expected = x + np.linalg.inv(gamma2) @ u_err
         assert drive == pytest.approx(expected, abs=1e-9)
 
@@ -757,7 +770,9 @@ class TestInputFlow:
         xi1 = np.array([0.0, 0.1, 0.2])
         u = const + np.array([0.5, 0.0])
         xi2 = np.concatenate([xi1, u])
-        _, rate = _backstep_rates(adaptive, gains, x, xi2)
+        _, rate = _backstep_rates(
+            adaptive, gains, x, xi2, jac=lambda x, xi1: np.zeros((2, 2))
+        )
         assert rate == pytest.approx(-3.0 * np.array([0.5, 0.0]), abs=1e-9)
 
     def test_matches_assembly_from_fd_jacobian(self):
@@ -811,7 +826,7 @@ class TestInputFlow:
         )
         gains = BackstepGains(gain=np.array([[2.0, 0.3], [0.3, 1.0]]), damping=1.5)
         ctrl = lift_backstep(
-            adaptive, gains,
+            adaptive, gains, jac=minus_identity_jacobian,
             controller_jacobian=lambda x, xi1: math.cos(xi1[0]) * direction[:, None],
         )
         x = np.array([0.9, -0.4])
@@ -884,7 +899,12 @@ class TestLiftBackstep:
         gains = BackstepGains(
             gain=np.eye(2) if gamma2 is None else gamma2, damping=1.0
         )
-        return adaptive, lift_backstep(adaptive, gains)
+        return adaptive, lift_backstep(adaptive, gains, minus_identity_jacobian)
+
+    def test_feedback_jacobian_is_required(self):
+        adaptive, _ = self._controllers()
+        with pytest.raises(TypeError, match="jac"):
+            lift_backstep(adaptive, BackstepGains(gain=np.eye(2), damping=1.0))
 
     def test_gap_equals_adaptive_gap_on_manifold(self):
         adaptive, backstep = self._controllers()
@@ -926,7 +946,8 @@ class TestLiftBackstep:
             grad_potential=lambda x, xi: x,
         )
         backstep = lift_backstep(
-            adaptive, BackstepGains(gain=np.eye(2), damping=1.0)
+            adaptive, BackstepGains(gain=np.eye(2), damping=1.0),
+            minus_identity_jacobian,
         )
         xi2 = np.concatenate([np.zeros(3), np.zeros(2)])
         with pytest.raises(ValueError):
@@ -1113,7 +1134,12 @@ class TestJumpDecreaseBound:
         ctrl = scenario.controller
         x = scenario.x0[:3]
         xi2 = np.concatenate([[1.0], [0.3, -0.2], [0.4, 0.1]])
-        with_fd, _ = _backstep_rates(ctrl.adaptive, ctrl.gains, x, xi2)
+        adaptive = ctrl.adaptive
+
+        def fd_jac(p, xi1):
+            return central_difference(lambda y: adaptive.feedback(y, xi1), p)
+
+        with_fd, _ = _backstep_rates(adaptive, ctrl.gains, x, xi2, fd_jac)
         with_analytic = ctrl.controller_flow(x, xi2)[1:3]
         scale = max(1.0, float(np.max(np.abs(with_analytic))))
         assert np.max(np.abs(with_fd - with_analytic)) / scale <= 1e-6

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -580,6 +581,27 @@ class TestScenarioFactory:
             make_scenario(
                 "backstep", q0=1.0, config=SolverConfig(t_max=0.05), **overrides
             )
+
+    @pytest.mark.parametrize(
+        "kind, name, value, shape",
+        [
+            ("adaptive", "theta_hat0", (0.1, 0.2, 0.3), (3,)),
+            ("backstep", "theta_hat0", (0.1,), (1,)),
+            ("adaptive", "theta", (0.1, 0.2, 0.3), (3,)),
+            ("nominal", "z_init", (2.0, 0.0, 0.0), (3,)),
+            ("adaptive", "gamma1", np.eye(3), (3, 3)),
+            ("backstep", "gamma2", np.eye(1), (1, 1)),
+        ],
+        ids=[
+            "theta_hat0-3", "theta_hat0-1", "theta-3", "z_init-3",
+            "gamma1-3x3", "gamma2-1x1",
+        ],
+    )
+    def test_wrong_shape_named(self, kind, name, value, shape):
+        expected = (2, 2) if name.startswith("gamma") else (2,)
+        message = f"{name} must have shape {expected}, got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scenario(kind, q0=-1.0, **{name: value})
 
 
 GAMMA1 = np.array([[2.0, 0.3], [0.3, 1.0]])

@@ -552,7 +552,7 @@ class TestPropertySuite:
             out = original(rate, theta_hat, ball)
             p = adaptive_mod.ball_excess(theta_hat, ball)
             if p > 0.0:
-                grad = adaptive_mod.ball_excess_gradient(theta_hat, ball)
+                grad = 2.0 * np.asarray(theta_hat, dtype=float) / ball.excess_scale
                 if float(grad @ rate) > 0.0:
                     # flip the sign of the correction term
                     return 2.0 * np.asarray(rate, dtype=float) - out
@@ -917,6 +917,31 @@ class TestCli:
             ["--batch", str(tmp_path / "run0.cfg"), str(tmp_path / "run1.cfg")]
         )
         assert code == 4
+
+    def test_out_equal_to_summary_exit_four(self, tmp_path, capsys):
+        # The CSV would be overwritten by the summary: refused before the run.
+        path = tmp_path / "run.cfg"
+        path.write_text("controller = nominal\nt_max = 0.5\n")
+        same = tmp_path / "same.txt"
+        argv = ["--config", str(path), "--out", str(same), "--summary", str(same)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: out and summary are both {same}\n"
+        assert captured.out == ""
+        assert not same.exists()
+
+    def test_batch_file_with_out_equal_to_summary_exit_four(self, tmp_path, capsys):
+        # Only that file is refused; the other file of the batch still runs.
+        same = tmp_path / "same.txt"
+        bad, good = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+        bad.write_text(f"controller = nominal\nt_max = 0.5\nout = {same}\nsummary = {same}\n")
+        good.write_text(f"controller = nominal\nt_max = 0.5\nout = {tmp_path / 'good.csv'}\n")
+        assert main(["--batch", str(bad), str(good)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{bad}: exit 4 (out and summary are both {same})"
+        assert lines[1].startswith(f"{good}: exit 0 ")
+        assert not same.exists()
+        assert (tmp_path / "good.csv").exists()
 
 
 # Configs whose adaptation constants break: the squared radius, the
