@@ -8,6 +8,7 @@ output (``--out``, ``--summary``) that cannot be written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -131,19 +132,19 @@ def run_config_file(path: str) -> tuple[str, int, str]:
 
 
 def _run_batch(paths: list[str]) -> int:
-    # A file whose own out and summary agree is refused by its own run.
+    # Resolved paths compare; a file whose own out and summary name one
+    # file is refused by its own run.
     outputs: dict[str, str] = {}
     for path in paths:
-        values = read_config_file(path)
-        for target in dict.fromkeys(values.get(key) for key in ("out", "summary")):
-            if target is None:
-                continue
-            if target in outputs:
+        named = (read_config_file(path).get(key) for key in ("out", "summary"))
+        targets = {os.path.realpath(t): t for t in named if t is not None}
+        for real, target in targets.items():
+            if real in outputs:
                 raise ConfigError(
                     f"output collision: {target} used by both "
-                    f"{outputs[target]} and {path}"
+                    f"{outputs[real]} and {path}"
                 )
-            outputs[target] = path
+            outputs[real] = path
 
     status = EXIT_OK
     for path, code, message in map_in_workers(run_config_file, paths):

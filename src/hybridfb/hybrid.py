@@ -281,7 +281,7 @@ class RK45:
     RTOL_FLOOR = 100 * np.finfo(float).eps
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol, first_step=None):
+    def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol):
         y = np.asarray(y0, dtype=float).tolist()
         if not _finite(y):
             raise DomainEscape(
@@ -296,7 +296,7 @@ class RK45:
         self.status = "running"
         self.nonfinite_rejection = False
         self.f = fun(t0, y)
-        self.h_abs = self._initial_step() if first_step is None else first_step
+        self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
         """Empirical initial step of Hairer et al., II.4."""

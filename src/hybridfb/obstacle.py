@@ -24,15 +24,9 @@ import numpy as np
 
 from . import adaptive
 from .adaptive import BackstepGains, ParamBall, _norm, lift_adaptive, lift_backstep
-from .errors import ChartSingular, DomainEscape, InsideObstacle
+from .errors import ChartSingular, DomainEscape, InfeasibleCandidates, InsideObstacle
 from .hybrid import SolverConfig, _floats
-from .synergistic import (
-    TIE_TOL,
-    AffinePlant,
-    ControllerData,
-    build_closed_loop,
-    select_jump,
-)
+from .synergistic import TIE_TOL, AffinePlant, ControllerData, build_closed_loop
 
 # Guard band on chart denominators and on the distance to the disk
 # boundary: closer evaluations raise typed errors instead of overflowing.
@@ -366,7 +360,6 @@ def _closed_loop_kernels(
     kind: str,
     obstacle: ObstacleDisk,
     theta: np.ndarray,
-    controller: ControllerData,
     ball: Optional[ParamBall] = None,
     gains: Optional[BackstepGains] = None,
 ) -> tuple[Callable, Callable, Callable, Callable, Callable]:
@@ -382,10 +375,10 @@ def _closed_loop_kernels(
     :func:`~hybridfb.adaptive.backstep_true_potential`),
     :attr:`Scenario.readout` and the jump map that
     :func:`build_closed_loop` composes from
-    :func:`~hybridfb.synergistic.select_jump` on ``controller``.  Each
-    takes the state as the list of floats the solver hands it, or as an
-    array that it reads through one ``tolist()``; the flow maps return
-    lists and the jump map an array.
+    :func:`~hybridfb.synergistic.select_jump`.  Each takes the state as
+    the list of floats the solver hands it, or as an array that it reads
+    through one ``tolist()``; the flow maps return lists and the jump map
+    an array.
 
     A kind's own code is its flow map and its added terms; the other four
     functions are shared.  A flow map reads the state once and makes one
@@ -402,23 +395,23 @@ def _closed_loop_kernels(
     the true potential's estimate error, and the input error that both add
     last (the gains' ``error_term``).  The gap starts from the current
     chart's value minus the lower chart value, the true potential from the
-    current chart's value, and each adds its terms left to right; +inf
-    stays +inf and the later terms are not evaluated, the lifts' ``_plus``
-    rule.  So both equal the controllers' values bit for bit, NaN included
-    (the tests compare with ``==``), with one exception: in the disk's
-    guard band (``exp(x1) <= SINGULAR_GUARD``) the backstep input error
-    needs the undefined feedback, so there the backstep gap and true
-    potential are NaN while the controller's ``gap`` and
+    current chart's value, and each adds its terms by the lifts' ``_plus``
+    rule (``add_terms``).  So both equal the controllers' values bit for
+    bit, NaN included (the tests compare with ``==``), with one exception:
+    in the disk's guard band (``exp(x1) <= SINGULAR_GUARD``) the backstep
+    input error needs the undefined feedback, so there the backstep gap and
+    true potential are NaN while the controller's ``gap`` and
     :func:`~hybridfb.adaptive.backstep_true_potential` raise
-    :class:`InsideObstacle`; the nominal and adaptive ones agree there.
-    The solver ends a run either way, since a NaN indicator is a
-    :class:`~hybridfb.errors.DomainEscape`.  The readout takes both from
-    one read of the state and one pair of chart values, and evaluates the
-    input error once.  The jump map resets the chart to the one of lower
-    potential, the estimate by :func:`~hybridfb.adaptive.reset_estimate`
-    and the held input to the adaptive feedback there; where the two chart
-    potentials lie within ``TIE_TOL`` of each other it returns the composed
-    map's reset, so the controllers' tie rule decides.
+    :class:`InsideObstacle`; the nominal and adaptive ones agree there.  The
+    solver ends a run either way, since a NaN indicator is a
+    :class:`~hybridfb.errors.DomainEscape`.  The readout takes both from one
+    read of the state and one pair of chart values, and evaluates the input
+    error once.  The jump map resets the chart by the rule of
+    :func:`~hybridfb.synergistic.select_jump` (a tie within ``TIE_TOL`` goes
+    to -1; a least value of +inf or NaN raises
+    :class:`InfeasibleCandidates`), the estimate by
+    :func:`~hybridfb.adaptive.reset_estimate` and the held input to the
+    adaptive feedback there.
     """
     theta1, theta2 = theta.tolist()
     radius = obstacle.radius
@@ -437,6 +430,16 @@ def _closed_loop_kernels(
         # without the call's cost.
         gap = math.inf if math.isinf(here) else here - (high if high < low else low)
         return here, gap, low, high
+
+    def add_terms(value, terms, values):
+        """``value`` plus each of ``terms`` at ``values``, left to right; +inf
+        stays +inf and the later terms are not evaluated, the lifts' ``_plus``
+        rule."""
+        for term in terms:
+            if math.isinf(value):
+                break
+            value += term(values)
+        return value
 
     def chart_feedback(x1, x2, x3, q):
         """:func:`gradient_feedback` at the point's floats; NaN off the chart
@@ -459,35 +462,19 @@ def _closed_loop_kernels(
 
         def gap(state):
             values = _floats(state)
-            _, value, _, _ = chart_values(values)
-            for term in gap_terms:
-                if math.isinf(value):
-                    break
-                value += term(values)
-            return value
+            return add_terms(chart_values(values)[1], gap_terms, values)
 
         def true_potential(state):
             values = _floats(state)
             x1, x2, x3, q = values[:4]
-            value = _chart_value(x1, x2, x3, q, obstacle)
-            for term in true_terms:
-                if math.isinf(value):
-                    break
-                value += term(values)
-            return value
+            return add_terms(_chart_value(x1, x2, x3, q, obstacle), true_terms, values)
 
         def readout(state):
             values = _floats(state)
             x1, x2, x3, q = values[:4]
             v_true, gap_value, _, _ = chart_values(values)
-            for term in gap_only:
-                if math.isinf(gap_value):
-                    break
-                gap_value += term(values)
-            for term in true_only:
-                if math.isinf(v_true):
-                    break
-                v_true += term(values)
+            gap_value = add_terms(gap_value, gap_only, values)
+            v_true = add_terms(v_true, true_only, values)
             for term in both:  # evaluated once for the two values
                 added = term(values)
                 if not math.isinf(v_true):
@@ -511,14 +498,12 @@ def _closed_loop_kernels(
             values = _floats(state)
             x1, x2, x3 = values[:3]
             _, _, low, high = chart_values(values)
-            if low > high + TIE_TOL:
-                q = 1.0
-            elif high > low + TIE_TOL:
-                q = -1.0
-            else:  # a tie, or NaN: the controller's own rule decides
-                array = np.array(values)
-                x, xi_c = array[:3], array[3:]
-                return np.concatenate([x, select_jump(controller, x, xi_c)])
+            least = high if high < low else low  # min(low, high), NaN included
+            if not least < math.inf:
+                raise InfeasibleCandidates(
+                    f"no reset candidate has finite potential (least {least})"
+                )
+            q = -1.0 if low <= least + TIE_TOL else 1.0
             reset = [x1, x2, x3, q]
             if kind != "nominal":
                 th1, th2 = adaptive.reset_estimate(values[4:6], ball).tolist()
@@ -756,8 +741,8 @@ def make_scenario(
     kinds and read ``kind``'s added terms.  The indicator (gap minus the
     constant ``margin``) uses the gap, the runner's outputs (monitors,
     clearance, CSV) the readout, and the jump map gives the controllers'
-    reset byte for byte, calling :func:`~hybridfb.synergistic.select_jump`
-    only where the two chart potentials tie.
+    reset byte for byte, by :func:`~hybridfb.synergistic.select_jump`'s
+    rule written on the two chart values.
     """
     if kind not in ("nominal", "adaptive", "backstep"):
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -836,7 +821,7 @@ def make_scenario(
         raise ValueError(f"initial state must be finite, got {x0.tolist()}")
 
     flow_map, gap, true_potential, readout, jump_map = _closed_loop_kernels(
-        kind, obstacle, theta, controller, ball, gains
+        kind, obstacle, theta, ball, gains
     )
     system = build_closed_loop(
         plant,

@@ -58,8 +58,8 @@ class ScenarioConfig:
     simulation itself is deterministic.  Every float and two-component
     field must be finite, and the monitor tolerances ``flow_tol`` and
     ``jump_tol`` and the seed nonnegative; ``out`` and ``summary`` must
-    differ.  The declared field types give the configuration file's
-    value parsers.
+    name different files.  The declared field types give the configuration
+    file's value parsers.
     """
 
     controller: str = "adaptive"
@@ -104,7 +104,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value < 0.0:
                 raise ConfigError(f"{name} must be nonnegative, got {value}")
-        if self.out is not None and self.out == self.summary:
+        both = self.out is not None and self.summary is not None
+        if both and os.path.realpath(self.out) == os.path.realpath(self.summary):
             raise ConfigError(f"out and summary are both {self.out}")
 
     def solver_config(self) -> SolverConfig:

@@ -98,7 +98,7 @@ def _minimize_candidates(ctrl: ControllerData, x, xi_c):
     """The least candidate potential and its minimizers.
 
     Returns ``(min_value, minimizers)``: the least candidate potential and
-    the candidates within ``TIE_TOL`` of it, in candidate-list order.
+    the candidates within ``TIE_TOL`` of it (none if it is NaN), in list order.
     """
     cands = list(ctrl.candidates(x, xi_c))
     if not cands:
@@ -110,6 +110,15 @@ def _minimize_candidates(ctrl: ControllerData, x, xi_c):
             "every reset candidate has infinite potential"
         )
     return min_value, [g for g, v in zip(cands, values) if v <= min_value + TIE_TOL]
+
+
+def _require_minimizers(min_value: float, minimizers: list) -> list:
+    """``minimizers``, refused where there are none (a NaN ``min_value``)."""
+    if not minimizers:
+        raise InfeasibleCandidates(
+            f"no reset candidate ties the least potential {min_value}"
+        )
+    return minimizers
 
 
 def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
@@ -136,9 +145,10 @@ def min_over_candidates(
     ``math.inf`` when the current potential is infinite.
 
     Raises :class:`InfeasibleCandidates` when no candidate has finite
-    potential or the gap is negative.
+    potential, the least is NaN, or the gap is negative.
     """
     min_value, minimizers, gap = _evaluate_candidates(ctrl, x, xi_c)
+    _require_minimizers(min_value, minimizers)
     if gap < 0.0:
         raise InfeasibleCandidates(
             "current potential lies below every reset candidate "
@@ -150,7 +160,8 @@ def min_over_candidates(
 
 def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
     """Deterministic reset: the first-listed minimizing candidate."""
-    return np.asarray(_minimize_candidates(ctrl, x, xi_c)[1][0], dtype=float)
+    minimizers = _require_minimizers(*_minimize_candidates(ctrl, x, xi_c))
+    return np.asarray(minimizers[0], dtype=float)
 
 
 def build_closed_loop(

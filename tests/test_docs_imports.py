@@ -1,11 +1,12 @@
 """The demos and the README match the package.
 
 Every ``from hybridfb... import X`` in the demos and the README resolves,
-and every demo runs to exit 0 (each under a second).  A demo runs as a
-copy in a temporary directory, since the adaptive case study writes its
-CSVs next to itself.  ``scripts/kernel_us.py`` runs and times each of
-its kernels.  The README's configuration defaults list every
-config key and each key's default.
+every demo runs to exit 0 (each under a second), and every ``python``
+block of the README runs.  A demo runs as a copy in a temporary
+directory, since the adaptive case study writes its CSVs next to itself.
+``scripts/kernel_us.py`` runs and times each of its kernels.  The
+README's configuration defaults list every config key and each key's
+default.
 """
 
 import ast
@@ -61,6 +62,18 @@ def test_package_imports_resolve(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+README_BLOCKS = [(name, src) for name, src in SOURCES if name.startswith("README")]
+
+
+@pytest.mark.parametrize(
+    "name, source", README_BLOCKS, ids=[name for name, _ in README_BLOCKS]
+)
+def test_readme_block_runs(name, source, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, name, "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out
 
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

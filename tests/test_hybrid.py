@@ -443,7 +443,8 @@ class TestStepperReseat:
         y = np.asarray(reseated.y) * (1.0 + 1e-9)
         reseated.y = y
         reseated.f = reseated.fun(t, y)
-        fresh = hybrid.RK45(self._pendulum, t, y, first_step=h, **kwargs)
+        fresh = hybrid.RK45(self._pendulum, t, y, **kwargs)
+        fresh.h_abs = h
         for _ in range(30):
             reseated.step()
             fresh.step()
@@ -499,7 +500,8 @@ class TestStepperReseat:
             ref_states.append(y)
             if ref.status == "running":
                 first = min(ref.h_abs, cfg.t_max - ref.t)
-                ref = hybrid.RK45(rhs, ref.t, y, cfg.t_max, first_step=first, **kwargs)
+                ref = hybrid.RK45(rhs, ref.t, y, cfg.t_max, **kwargs)
+                ref.h_abs = first
         assert np.array_equal(times, ref_times)
         assert np.array_equal(states, np.array(ref_states))
 

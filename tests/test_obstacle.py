@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -13,6 +14,7 @@ from hybridfb import (
     ChartSingular,
     ControllerData,
     DomainEscape,
+    InfeasibleCandidates,
     IntegrationStalled,
     SolverConfig,
     InsideObstacle,
@@ -34,7 +36,6 @@ from hybridfb import (
     solve,
     to_cylinder,
 )
-from hybridfb import obstacle as obstacle_module
 from hybridfb.adaptive import _norm
 from hybridfb.obstacle import SINGULAR_GUARD, cylinder_input_matrix, renormalize_circle
 from hybridfb.runner import _random_cylinder_states, jacobian_suite
@@ -1063,6 +1064,9 @@ SWITCHING_STARTS = ((0.0, 1.5), (150.0, 2.0), (190.0, 1.5), (330.0, 1.5))
 # Chart index and planar start of the published runs.
 PUBLISHED_STARTS = ((-1.0, (2.0, 0.0)), (1.0, (2.0, 0.0)), (-1.0, (1.8, -1.0)))
 
+# Estimates inside, just outside and about 1e6 from the unit ball.
+TIE_ESTIMATES = ((0.3, -0.2), (1.2, -0.9), (6e5, -8e5))
+
 
 @functools.lru_cache(maxsize=None)
 def _pre_jump_states(kind):
@@ -1102,30 +1106,16 @@ class TestJumpMapKernel:
     def _composed(sc):
         return build_closed_loop(sc.plant, sc.theta, sc.controller).jump_map
 
-    @staticmethod
-    def _counting_select_jump(monkeypatch):
-        """Count the float jump map's calls of the composed reset."""
-        calls = []
-
-        def counted(ctrl, x, xi_c):
-            calls.append(x.copy())
-            return select_jump(ctrl, x, xi_c)
-
-        monkeypatch.setattr(obstacle_module, "select_jump", counted)
-        return calls
-
-    def test_pre_jump_states(self, runs, monkeypatch):
+    def test_pre_jump_states(self, runs):
         sc, states = runs
         assert len(states) >= 400
         composed = self._composed(sc)
-        fallbacks = self._counting_select_jump(monkeypatch)
         resets = set()
         for state in states:
             got = sc.system.jump_map(state)
             assert got.dtype == np.float64
             assert got.tobytes() == composed(state).tobytes()
             resets.add((float(state[3]), float(got[3])))
-        assert not fallbacks  # none of them ties
         assert {after for _, after in resets} == {-1.0, 1.0}
 
     @pytest.mark.parametrize(
@@ -1133,10 +1123,9 @@ class TestJumpMapKernel:
         ids=["neg_zero_1", "neg_zero_2", "neg_zeros", "outside", "far_outside"],
     )
     @pytest.mark.parametrize("kind", ["adaptive", "backstep"])
-    def test_estimate_edge_cases(self, kind, monkeypatch, estimate):
+    def test_estimate_edge_cases(self, kind, estimate):
         sc, states = _pre_jump_states(kind)
         composed = self._composed(sc)
-        fallbacks = self._counting_select_jump(monkeypatch)
         for state in states[:: max(1, len(states) // 10)]:
             state = state.copy()
             state[4:6] = estimate
@@ -1144,29 +1133,39 @@ class TestJumpMapKernel:
             assert got.tobytes() == composed(state).tobytes()
             if math.hypot(*estimate) <= 1.0:  # kept as is, signed zeros too
                 assert got[4:6].tobytes() == np.array(estimate).tobytes()
-        assert not fallbacks
 
     @pytest.mark.parametrize("gap", [0.0, 5e-13, 2e-12])
     @pytest.mark.parametrize("q", [-1.0, 1.0])
-    def test_chart_potentials_tie(self, runs, monkeypatch, q, gap):
+    def test_chart_potentials_tie(self, runs, q, gap):
         # On the published obstacle's x3 = 0 both charts read the same
-        # potential; near (x2, x3) = (1, 0) they differ by about 4 * x3.
+        # potential; near (x2, x3) = (1, 0) they differ by about 4 * x3, and
+        # near (-1, 0) only at second order, so those states tie.
         sc, _ = runs
-        x3 = gap / 4.0
-        state = sc.x0.copy()
-        state[:4] = [0.4, math.sqrt(1.0 - x3 * x3), x3, q]
-        if sc.kind != "nominal":
-            state[4:6] = [1.2, -0.9]
         composed = self._composed(sc)
-        fallbacks = self._counting_select_jump(monkeypatch)
-        got = sc.system.jump_map(state)
-        assert got.tobytes() == composed(state).tobytes()
-        low, high = (chart_potential(state[:3], c, sc.obstacle) for c in (-1.0, 1.0))
-        tied = not (low > high + 1e-12 or high > low + 1e-12)
-        assert tied == (gap < 1e-12) and len(fallbacks) == tied
-        if gap == 0.0:
-            assert got[3] == -1.0  # the first-listed chart
+        x3 = gap / 4.0
+        estimates = [None] if sc.kind == "nominal" else TIE_ESTIMATES
+        for x1, x2, estimate in itertools.product((-3.0, 0.4, 5.0), (1.0, -1.0), estimates):
+            state = sc.x0.copy()
+            state[:4] = [x1, x2 * math.sqrt(1.0 - x3 * x3), x3, q]
+            if estimate is not None:
+                state[4:6] = estimate
+            got = sc.system.jump_map(state)
+            assert got.tobytes() == composed(state).tobytes()
+            low, high = (chart_potential(state[:3], c, sc.obstacle) for c in (-1.0, 1.0))
+            tied = not (low > high + 1e-12 or high > low + 1e-12)
+            assert tied == (gap < 1e-12 or x2 < 0.0)
+            if tied:
+                assert got[3] == -1.0  # the first-listed chart
 
+    @pytest.mark.parametrize("height", [math.inf, -math.inf, math.nan])
+    def test_non_finite_height_raises(self, runs, height):
+        # Both chart potentials are +inf or NaN there: no candidate resets.
+        sc, _ = runs
+        state = sc.x0.copy()
+        state[0] = height
+        for jump_map in (sc.system.jump_map, self._composed(sc)):
+            with pytest.raises(InfeasibleCandidates):
+                jump_map(state)
 
     @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
     def test_chart_index_outside_pair_raises(self, kind):

@@ -930,6 +930,30 @@ class TestCli:
         assert captured.out == ""
         assert not same.exists()
 
+    def test_out_aliasing_summary_exit_four(self, tmp_path, monkeypatch, capsys):
+        # Two spellings of one file: the summary would overwrite the CSV.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("controller = nominal\nt_max = 0.5\n")
+        argv = ["--config", "run.cfg", "--out", "./same.txt", "--summary", "same.txt"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: out and summary are both ./same.txt\n"
+        assert captured.out == ""
+        assert not (tmp_path / "same.txt").exists()
+
+    def test_batch_aliased_outputs_exit_four(self, tmp_path, monkeypatch, capsys):
+        # One file's out is another file's summary, spelled differently.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b1.cfg").write_text("controller = nominal\nt_max = 0.5\nout = ./b.txt\n")
+        (tmp_path / "b2.cfg").write_text("controller = nominal\nt_max = 0.5\nsummary = b.txt\n")
+        assert main(["--batch", "b1.cfg", "b2.cfg"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "configuration error: output collision: b.txt used by both b1.cfg and b2.cfg\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "b.txt").exists()
+
     def test_batch_file_with_out_equal_to_summary_exit_four(self, tmp_path, capsys):
         # Only that file is refused; the other file of the batch still runs.
         same = tmp_path / "same.txt"

@@ -198,6 +198,24 @@ class TestSelectJump:
         out = select_jump(ctrl, np.zeros(1), np.array([1.0]))
         assert out[0] == -1.0
 
+    def test_nan_least_potential_raises(self):
+        # min() of [nan, 1.0] is nan, and no candidate lies within the tie
+        # tolerance of it, so there is no reset.
+        ctrl = toggle_controller(
+            {-1.0: math.nan, 1.0: 1.0}, current_extra={0.0: math.inf}
+        )
+        x, here = np.zeros(1), np.array([0.0])
+        with pytest.raises(InfeasibleCandidates, match="least potential nan"):
+            select_jump(ctrl, x, here)
+        with pytest.raises(InfeasibleCandidates, match="least potential nan"):
+            min_over_candidates(ctrl, x, here)
+        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        with pytest.raises(InfeasibleCandidates, match="least potential nan"):
+            solve(sys, np.array([0.5, 0.0]), SolverConfig(t_max=0.1, j_max=10))
+        # The gap stays a float there, as the obstacle kernels' gap does.
+        assert ctrl.gap(x, here) == math.inf
+        assert math.isnan(ctrl.gap(x, np.array([1.0])))
+
 
 def scalar_plant():
     """xdot = -x + u, with no disturbance channel."""
