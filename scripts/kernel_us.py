@@ -18,7 +18,11 @@ the published runs jump once each.  The ``backstep.locate`` line times
 the solver's location of each jump-set crossing
 (``hybrid._locate_crossing``) over one backstep run with margin 1e-3
 from ``z = (1.8, -1)``, ``q0 = -1``, ``t_max = 2``, and gives its
-located crossings and indicator calls per crossing.
+located crossings and indicator calls per crossing.  On the same run,
+counted rather than timed, ``backstep.flow_calls_per_step`` gives the
+accepted steps and the flow-map calls per step, and
+``backstep.flow_calls_per_jump`` the jumps and the flow-map calls each
+jump costs beyond its interval's tries (:func:`_flow_call_figures`).
 The ``RK45.step`` line times one step of the stepper on a trivial
 right-hand side that returns the same 8 floats, ``max_step = 0.01``.
 The parameter-ball lines time the property suites' calls on their own
@@ -102,12 +106,16 @@ def _pre_jump_states(hybrid, make_scenario):
     return states
 
 
-def _locate_figures(hybrid, make_scenario, repeats: int = REPEATS):
-    """Crossings, us per crossing and indicator calls per crossing, one run."""
-    scenario = make_scenario(
+def _switching_run(hybrid, make_scenario):
+    """The backstep run with margin 1e-3 from the forced-switch start, to t = 2."""
+    return make_scenario(
         "backstep", q0=-1.0, z_init=(1.8, -1.0), margin=1e-3,
         config=hybrid.SolverConfig(t_max=2.0),
     )
+
+
+def _locate_figures(hybrid, scenario, repeats: int = REPEATS):
+    """Crossings, us per crossing and indicator calls per crossing, one run."""
     gap_indicator = scenario.system.jump_indicator
     calls = [0]
 
@@ -138,6 +146,49 @@ def _locate_figures(hybrid, make_scenario, repeats: int = REPEATS):
     finally:
         hybrid._locate_crossing = locate
     return len(spans), best * 1e6, sum(n for _, n in spans) / len(spans)
+
+
+def _flow_call_figures(hybrid, scenario):
+    """Accepted steps, jumps, and flow-map calls per step and per jump, one run.
+
+    The flow map, indicator and jump map are wrapped by
+    ``dataclasses.replace``.  The solver calls the indicator once per
+    state it records or the locator samples, and a try of the stepper
+    makes six flow-map calls, so of the calls between two indicator calls
+    all but the remainder below six are tries.  The remainder that
+    follows a jump (from its post-jump indicator call to the next one) is
+    what the jump cost: the first stage at the post-jump state, and the
+    initial step's probe where a new stepper is built (this run's first
+    jump, at t = 0, comes before the solve's stepper is built).
+    """
+    base = scenario.system
+    counts = {"flow": 0, "window": 0, "jump_calls": 0}
+    marks = {"jumped": False, "after_jump": False}
+
+    def flow_map(state):
+        counts["flow"] += 1
+        counts["window"] += 1
+        return base.flow_map(state)
+
+    def indicator(state):
+        if marks["after_jump"]:
+            counts["jump_calls"] += counts["window"] % 6
+        counts["window"] = 0
+        marks["after_jump"], marks["jumped"] = marks["jumped"], False
+        return base.jump_indicator(state)
+
+    def jump_map(state):
+        marks["jumped"] = True
+        return base.jump_map(state)
+
+    system = dataclasses.replace(
+        base, flow_map=flow_map, flow_indicator=indicator,
+        jump_indicator=indicator, jump_map=jump_map,
+    )
+    arc = hybrid.solve(system, scenario.x0, scenario.config)
+    steps = sum(len(times) - 1 for times, _ in arc.samples)
+    jumps = arc.jump_count
+    return steps, jumps, counts["flow"] / steps, counts["jump_calls"] / jumps
 
 
 def _suite_calls(adaptive, obstacle, runner, n_rates: int = 2000, n_states: int = 300):
@@ -214,7 +265,11 @@ def main(argv=None) -> int:
     ):
         print(f"{name:<40} {len(calls):>7} {_per_call_us(fn, calls):>8.2f}")
     print(f"{'RK45.step':<40} {2000:>7} {_step_us(hybrid):>8.2f}")
-    located, us, calls_per = _locate_figures(hybrid, obstacle.make_scenario)
+    scenario = _switching_run(hybrid, obstacle.make_scenario)
+    steps, jumps, per_step, per_jump = _flow_call_figures(hybrid, scenario)
+    print(f"{'backstep.flow_calls_per_step':<40} {steps:>7} {per_step:>8.2f}")
+    print(f"{'backstep.flow_calls_per_jump':<40} {jumps:>7} {per_jump:>8.2f}")
+    located, us, calls_per = _locate_figures(hybrid, scenario)
     print(f"{'backstep.locate':<40} {located:>7} {us:>8.2f}"
           f"  ({calls_per:.1f} indicator calls per crossing)")
     return 0

@@ -30,10 +30,12 @@ dependency, and builds each interval's sample arrays once.
 Each state the solver records is projected once, where it is made, and
 its jump indicator is evaluated once.  The value travels with the state
 into the jump decision, :func:`apply_jump` and the next flow interval.
-When a projection moves an accepted state, the stepper is reseated on it
-in place instead of being rebuilt.  A non-finite state, indicator value
-or flow-map value raises :class:`DomainEscape`, and one solve takes at
-most ``MAX_STEPS`` accepted steps.
+One stepper serves a whole solve: a projection that moves an accepted
+state keeps its last stage as the next first stage (first same as last),
+and a jump reseats it at one flow-map call, keeping its step size.  A
+non-finite state, indicator value or flow-map value raises
+:class:`DomainEscape`, and one solve takes at most ``MAX_STEPS`` accepted
+steps.
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ class HybridSystemDef:
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
     vector component).  It returns a new sequence, or its argument when
-    that needs no change, and never modifies its argument: the stepper
-    keeps stepping from the accepted state it is given.
+    that needs no change, and never modifies its argument.  The stepper
+    keeps the flow map at the unprojected state as its next first stage,
+    so a manifold the flow does not keep shrinks the steps.
     """
 
     flow_map: Callable[[list], Sequence[float]]
@@ -262,8 +265,9 @@ class RK45:
     ``RK45``, which ``TestRK45Oracle`` steps beside it.  ``t_bound`` must
     exceed ``t0``.
 
-    Between steps the caller may reassign ``y`` together with ``f``
-    (``fun`` at ``(t, y)``, the first stage of the next step).  ``step``
+    Between steps the caller may reassign ``y`` alone, keeping ``f``, the
+    next step's first stage, at the state the last step reached (first
+    same as last), or :meth:`reseat` the stepper, keeping ``h_abs``.  ``step``
     returns ``None``, or a message when the step size fell below ten
     times the spacing of floats at ``t``; ``status`` is then
     ``"failed"``.  ``K`` holds the seven stages of the last try.
@@ -282,21 +286,27 @@ class RK45:
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
     def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol):
-        y = np.asarray(y0, dtype=float).tolist()
-        if not _finite(y):
-            raise DomainEscape(
-                f"flow started from a non-finite state at t={t0:.6g}",
-                state=y,
-                t=t0,
-            )
-        self.fun, self.t, self.y, self.t_bound = fun, t0, y, t_bound
+        self.fun, self.t_bound = fun, t_bound
         self.max_step, self.atol = max_step, atol
         self.rtol = max(rtol, self.RTOL_FLOOR)
         self.t_old = self.y_old = self.K = None
-        self.status = "running"
         self.nonfinite_rejection = False
-        self.f = fun(t0, y)
+        self.reseat(t0, np.asarray(y0, dtype=float).tolist())
         self.h_abs = self._initial_step()
+
+    def reseat(self, t: float, y: list) -> None:
+        """Run on from ``(t, y)`` with ``f = fun(t, y)``, keeping ``h_abs``.
+
+        ``y`` is a list of floats; a non-finite one raises :class:`DomainEscape`.
+        """
+        if not _finite(y):
+            raise DomainEscape(
+                f"flow started from a non-finite state at t={t:.6g}",
+                state=y,
+                t=t,
+            )
+        self.t, self.y, self.status = t, y, "running"
+        self.f = self.fun(t, y)
 
     def _initial_step(self) -> float:
         """Empirical initial step of Hairer et al., II.4."""
@@ -510,9 +520,10 @@ def advance_flow(
     evaluated once.  When ``sys.flow_indicator is sys.jump_indicator``
     (as :func:`~hybridfb.synergistic.build_closed_loop` builds them), the
     flow indicator's value at a state is that jump value, so the entry
-    state and each accepted state cost one indicator call.  When the
-    projection moves the state, the stepper is reseated on the projected
-    state in place, keeping its step size.
+    state and each accepted state cost one indicator call.  A new
+    :class:`RK45` makes two flow-map calls to start and six per try; a
+    projection that moves a state makes none, as the stepper keeps its
+    last stage.
 
     Raises
     ------
@@ -529,6 +540,15 @@ def advance_flow(
         accepted steps.
     """
     y0 = np.asarray(state, dtype=float).tolist()
+    return _flow(None, y0, g, sys, cfg, float(t0), max_steps)[:3]
+
+
+def _flow(solver: Optional[RK45], y0: list, g: float, sys: HybridSystemDef,
+          cfg: SolverConfig, t0: float, max_steps: int) -> tuple:
+    """:func:`advance_flow`'s result and the stepper that made it.
+
+    ``solver`` is reseated at ``(t0, y0)``, or built there where it is ``None``.
+    """
     shared = sys.flow_indicator is sys.jump_indicator
     f0 = g if shared else _indicator_value(sys.flow_indicator, y0, t0, "flow")
     if f0 > cfg.event_tol:
@@ -538,20 +558,15 @@ def advance_flow(
             t=t0,
         )
 
-    times = [float(t0)]
+    times = [t0]
     states = [y0]
 
     def _exit(g_end: float, reason: ExitReason):
         samples = (np.asarray(times, dtype=float), np.asarray(states, dtype=float))
-        return samples, g_end, reason
+        return samples, g_end, reason, solver
 
     if t0 >= cfg.t_max:
         return _exit(g, "time")
-
-    flow_map = sys.flow_map
-
-    def rhs(_t, y):
-        return flow_map(y)
 
     def flow_map_escape():
         return DomainEscape(
@@ -560,25 +575,22 @@ def advance_flow(
             t=solver.t,
         )
 
-    def check_flow_values(values):
-        if not _finite(values):
-            raise flow_map_escape()
+    if solver is None:
+        flow_map = sys.flow_map
 
-    g_prev = g
-    t_prev = float(t0)
-    solver = RK45(
-        rhs,
-        t_prev,
-        y0,
-        t_bound=cfg.t_max,
-        max_step=cfg.max_step,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-    )
-    # A non-finite first stage would make the initial step size NaN, and
-    # the stepper would then reject its tries forever.
-    check_flow_values(solver.f)
+        def rhs(_t, y):
+            return flow_map(y)
 
+        solver = RK45(rhs, t0, y0, t_bound=cfg.t_max, max_step=cfg.max_step,
+                      rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    else:
+        solver.reseat(t0, y0)
+    # A non-finite first stage would make the initial step size or every
+    # error norm NaN, and the stepper would reject its tries forever.
+    if not _finite(solver.f):
+        raise flow_map_escape()
+
+    g_prev, t_prev = g, t0
     for _ in range(max_steps):
         message = solver.step()
         t_new = float(solver.t)
@@ -596,8 +608,7 @@ def advance_flow(
             if solver.nonfinite_rejection:
                 raise flow_map_escape()
             raise IntegrationStalled(stall)
-        y_raw = solver.y
-        y_new = sys.project(y_raw)
+        y_new = sys.project(solver.y)
         if not _finite(y_new):
             raise DomainEscape(
                 f"flow reached a non-finite state at t={t_new:.6g}",
@@ -640,15 +651,11 @@ def advance_flow(
         if solver.status == "finished":
             return _exit(g_new, "time")
 
-        if y_new is not y_raw and y_new != y_raw:
-            # Projection moved the state: reseat the stepper on it.  Besides
-            # t and h_abs, RK45 carries only y and f (the first stage of
-            # the next step) between steps, and clips h_abs to max_step
-            # and to the horizon itself, so it then steps as one built
-            # fresh from (t_new, y_new, h_abs) would (TestStepperReseat).
-            solver.y = y_new
-            solver.f = solver.fun(t_new, y_new)
-            check_flow_values(solver.f)
+        # The kept first stage is the step's last, at the unprojected state:
+        # finite, since E7 != 0 rejects a try whose k7 is not.  Onto an
+        # invariant manifold the projection moves the state by about the
+        # step's error, so the next step moves by O(h * L * err).
+        solver.y = y_new
         t_prev, g_prev = t_new, g_new
     raise IntegrationStalled(
         f"step budget exhausted at t={t_prev:.6g}: one solve takes at most "
@@ -687,8 +694,11 @@ def solve(
     Every recorded state is projected once, where it is made (``x0``,
     each accepted step, each jump), and its jump indicator is evaluated
     once.  That value decides the jump, is checked by :func:`apply_jump`
-    and starts the next flow interval.  The samples :func:`advance_flow`
-    returns become the arc's interval as they are.
+    and starts the next flow interval.  Each interval is made as
+    :func:`advance_flow` makes one, and its samples become the arc's
+    interval as they are, but one :class:`RK45` steps the whole solve:
+    after a jump it is reseated at the post-jump state, at one flow-map
+    call, keeping its step size.
 
     Raises
     ------
@@ -705,6 +715,7 @@ def solve(
     t = 0.0
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
     steps = 0
+    solver = None
     samples: list[tuple] = []
     # The open interval: its entry sample until it flows.  It flows at most
     # once, since a flow that stops on the jump set is followed by a jump.
@@ -727,10 +738,10 @@ def solve(
             interval = (np.array([t]), np.array([y]))
             continue
 
-        # Outside the jump set: advance_flow raises DomainEscape if the
-        # state is outside the flow set too.
-        interval, g, reason = advance_flow(
-            y, g, sys, cfg, t0=t, max_steps=MAX_STEPS - steps
+        # Outside the jump set: the flow raises DomainEscape if the state
+        # is outside the flow set too.
+        interval, g, reason, solver = _flow(
+            solver, y, g, sys, cfg, t, MAX_STEPS - steps
         )
         times, states = interval
         steps += len(times) - 1

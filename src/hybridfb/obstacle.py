@@ -411,7 +411,9 @@ def _closed_loop_kernels(
     to -1; a least value of +inf or NaN raises
     :class:`InfeasibleCandidates`), the estimate by
     :func:`~hybridfb.adaptive.reset_estimate` and the held input to the
-    adaptive feedback there.
+    adaptive feedback there; a reset estimate or input that is not finite
+    raises :class:`InfeasibleCandidates` too, as the composed candidate's
+    potential is then +inf or NaN.
     """
     theta1, theta2 = theta.tolist()
     radius = obstacle.radius
@@ -513,6 +515,9 @@ def _closed_loop_kernels(
                 k1, k2 = _flow_terms(x1, x2, x3, q, obstacle)[-2:]
                 m1, m2 = matched_product(th1, th2)
                 reset += [k1 - m1, k2 - m2]
+            # The composed candidate's potential is then +inf or NaN.
+            if not all(map(math.isfinite, reset[4:])):
+                raise InfeasibleCandidates(f"non-finite reset estimate or input {reset[4:]}")
             return np.array(reset)
 
         return flow_map, gap, true_potential, readout, jump_map

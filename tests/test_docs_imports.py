@@ -108,7 +108,7 @@ def test_kernel_us_script_runs():
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     names = {row[0] for row in rows}
-    assert len(rows) == len(names) == 25
+    assert len(rows) == len(names) == 27
     assert {"adaptive.project_rate", "adaptive.central_difference"} <= names
     assert all(float(row[2]) > 0.0 for row in rows)
     assert rows[-1][0] == "backstep.locate" and int(rows[-1][1]) > 0

@@ -134,15 +134,15 @@ def test_general_gain_endpoint(kind, theta_hat0):
 
 SWITCHING = {
     (-1.0, (-0.6732911896168576, 0.9642926804211792)): (
-        [-0.6911420382000381, -0.28088613728130196, 0.9597410994029534, -1.0,
-         0.25006601862754824, 0.5278940131635582, -0.6942579974918192,
-         -0.6661051692295116],
+        [-0.6911420381351705, -0.28088613726159056, 0.9597410994087223, -1.0,
+         0.2500660186241011, 0.5278940130897947, -0.6942579967173161,
+         -0.6661051689140661],
         41,
     ),
     (1.0, (2.431591456777412, 0.023308339735769405)): (
-        [-0.09514888029621296, -0.021858290728507035, 0.999761079021597, -1.0,
-         0.9660117785213927, 0.2905296867823665, -1.3126714437791414,
-         -0.962583439308499],
+        [-0.09514887861263487, -0.02185829200588992, 0.999761078993669, -1.0,
+         0.9660118122364739, 0.2905296960711977, -1.3126715169636318,
+         -0.9625834770093855],
         64,
     ),
 }

@@ -427,8 +427,29 @@ class TestOnePassPerState:
             assert np.array_equal(first, arc.samples[k][1][0]), k
 
 
+def rotation_system(growth, calls=None):
+    """A rotation, plus ``growth`` times the state, renormalized onto the circle.
+
+    The projection moves every state; the circle is invariant only at
+    ``growth = 0``.  ``calls``, when given, collects each flow-map state.
+    """
+
+    def flow_map(y):
+        if calls is not None:
+            calls.append(y)
+        return np.array([-y[1], y[0]]) + growth * np.asarray(y)
+
+    return HybridSystemDef(
+        flow_map=flow_map,
+        flow_indicator=lambda y: -1.0,
+        jump_indicator=lambda y: -1.0,
+        jump_map=lambda y: y,
+        project_state=lambda y: np.asarray(y) / math.hypot(y[0], y[1]),
+    )
+
+
 class TestStepperReseat:
-    """advance_flow reseats ``hybrid.RK45`` in place after a projection."""
+    """One ``hybrid.RK45`` steps a solve; a projection keeps its last stage."""
 
     @staticmethod
     def _pendulum(t, y):
@@ -459,16 +480,8 @@ class TestStepperReseat:
 
     def test_advance_flow_builds_one_stepper(self, monkeypatch):
         # Renormalized rotation: every projection moves the state.
-        def project(y):
-            return np.asarray(y) / math.hypot(y[0], y[1])
-
-        sys = HybridSystemDef(
-            flow_map=lambda y: np.array([-y[1], y[0]]) + 0.05 * np.asarray(y),
-            flow_indicator=lambda y: -1.0,
-            jump_indicator=lambda y: -1.0,
-            jump_map=lambda y: y,
-            project_state=project,
-        )
+        sys = rotation_system(0.05)
+        project = sys.project_state
         cfg = SolverConfig(t_max=2.0, max_step=0.1, abs_tol=1e-8, rel_tol=1e-8)
         built = []
 
@@ -485,7 +498,8 @@ class TestStepperReseat:
         assert reason == "time"
         assert built == [0.0]
 
-        # Reference: a fresh stepper from (t, projected y, h) after every step.
+        # Reference: one stepper that takes the projected y after every
+        # step and keeps its last stage, the flow map at the unprojected y.
         def rhs(_t, y):
             return sys.flow_map(y)
 
@@ -494,16 +508,56 @@ class TestStepperReseat:
         ref_times, ref_states = [0.0], [np.array([1.0, 0.0])]
         while ref.status == "running":
             ref.step()
-            y = project(ref.y.copy())
-            assert not np.array_equal(y, ref.y)
+            y = project(ref.y).tolist()
+            assert y != ref.y
             ref_times.append(ref.t)
             ref_states.append(y)
-            if ref.status == "running":
-                first = min(ref.h_abs, cfg.t_max - ref.t)
-                ref = hybrid.RK45(rhs, ref.t, y, cfg.t_max, **kwargs)
-                ref.h_abs = first
+            ref.y = y
         assert np.array_equal(times, ref_times)
         assert np.array_equal(states, np.array(ref_states))
+
+    def test_advance_flow_call_budget(self):
+        # The initial stage and the initial step's probe, then six calls per
+        # try (no try is rejected here), and none where a projection moves
+        # the state: the last stage is kept.
+        calls, moved = [], []
+        sys = rotation_system(0.0, calls)
+        project = sys.project_state
+
+        def counted_project(y):
+            projected = project(y)
+            moved.append(not np.array_equal(projected, y))
+            return projected
+
+        sys = dataclasses.replace(sys, project_state=counted_project)
+        cfg = SolverConfig(t_max=2.0, max_step=0.1, abs_tol=1e-8, rel_tol=1e-8)
+        (times, _), _, _ = advance_flow(np.array([1.0, 0.0]), -1.0, sys, cfg)
+        steps = len(times) - 1
+        assert steps == len(moved) > 10
+        assert all(moved)
+        assert len(calls) == 2 + 6 * steps
+
+    def test_solve_call_budget(self, monkeypatch):
+        # One stepper for the whole solve; a jump adds one call (the first
+        # stage at the post-jump state), and a projection that moves the
+        # state none.
+        log = []
+        sys = clock_timer_system(lambda y: np.asarray(y) + 2.0**-30, log)
+        built = []
+
+        class CountingRK45(hybrid.RK45):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "RK45", CountingRK45)
+        arc = solve(sys, np.array([0.25, 0.0]), SolverConfig(t_max=3.5, max_step=0.1))
+        monkeypatch.undo()
+        assert built == [0.0]
+        assert arc.jump_count == 3
+        steps = sum(len(times) - 1 for times, _ in arc.samples)
+        flows = sum(kind == "flow" for kind, _ in log)
+        assert flows == 2 + 6 * steps + arc.jump_count
 
 
 def _pendulum(t, y):

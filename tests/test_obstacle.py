@@ -1167,6 +1167,37 @@ class TestJumpMapKernel:
             with pytest.raises(InfeasibleCandidates):
                 jump_map(state)
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            # x3 = +-inf with a finite x2: one chart value is finite, but the
+            # feedback there, so the reset's held input, is NaN.
+            [0.3, 0.2, math.inf, -1.0, 0.1, 0.2, 0.5, -0.5],
+            [5.0, -1.0, -math.inf, 1.0, 0.1, 0.2, 0.5, -0.5],
+            # An overflowing feedback: the held input would be +inf.
+            [0.3, 1e154, 0.3, -1.0, 0.1, 0.2, 0.5, -0.5],
+            # A NaN estimate: the reset estimate, so the held input, is NaN.
+            [0.3, 0.3, 0.3, -1.0, math.nan, 0.1, 0.5, -0.5],
+        ],
+        ids=["x3_inf", "x3_neg_inf", "input_overflow", "nan_estimate"],
+    )
+    def test_non_finite_reset_raises(self, state):
+        # The composed candidate's potential is +inf or NaN there, so
+        # select_jump refuses it; the float map once reset to it instead.
+        sc = make_scenario("backstep", q0=-1.0)
+        for jump_map in (sc.system.jump_map, self._composed(sc)):
+            # The composed input error subtracts inf from inf.
+            with pytest.raises(InfeasibleCandidates), np.errstate(invalid="ignore"):
+                jump_map(np.array(state))
+
+    @pytest.mark.parametrize("estimate", [(math.inf, 0.0), (math.nan, 0.1)])
+    def test_non_finite_adaptive_estimate_raises(self, estimate):
+        sc = make_scenario("adaptive", q0=-1.0)
+        state = np.array([0.3, 0.3, 0.3, -1.0, *estimate])
+        for jump_map in (sc.system.jump_map, self._composed(sc)):
+            with pytest.raises(InfeasibleCandidates):
+                jump_map(state)
+
     @pytest.mark.parametrize("kind", ["nominal", "adaptive", "backstep"])
     def test_chart_index_outside_pair_raises(self, kind):
         sc, states = _pre_jump_states(kind)
