@@ -25,6 +25,7 @@ from .errors import (
     JumpOutsideJumpSet,
     MalformedArc,
     NonFiniteJacobian,
+    StateLengthMismatch,
     ZenoSuspected,
 )
 from .hybrid import (
@@ -32,7 +33,6 @@ from .hybrid import (
     HybridSystemDef,
     JumpRecord,
     SolverConfig,
-    advance_flow,
     apply_jump,
     solve,
     validate_domain,

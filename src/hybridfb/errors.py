@@ -28,6 +28,21 @@ class JumpOutsideJumpSet(HybridFeedbackError):
     """A jump was requested at a state outside the jump set."""
 
 
+class StateLengthMismatch(HybridFeedbackError):
+    """A solver callback returned a state of the wrong length.
+
+    ``callback`` names it (``flow_map``, ``jump_map`` or
+    ``project_state``); ``expected`` is the state's length and ``got``
+    the length of what it returned.
+    """
+
+    def __init__(self, callback, expected, got):
+        super().__init__(
+            f"{callback} returned {got} values for a state of {expected}"
+        )
+        self.callback, self.expected, self.got = callback, expected, got
+
+
 class MalformedArc(HybridFeedbackError):
     """The solver returned an arc that fails ``validate_domain``."""
 

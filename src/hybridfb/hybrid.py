@@ -16,8 +16,9 @@ Flow segments are integrated with :class:`RK45`, the Dormand-Prince
 solver can project states back onto a manifold after each accepted step,
 locate jump-set boundary crossings on the dense output, and stay
 bit-for-bit deterministic.  A crossing is located by one bracketing
-loop on the dense output: Anderson-Bjorck regula falsi iterates, then
-halvings, until the jump indicator is within ``[0, event_tol]`` (Anderson
+loop on the dense output of the step whose ends bracket it:
+Anderson-Bjorck regula falsi iterates, then halvings, until the jump
+indicator is within ``[0, event_tol]`` or the bracket runs out (Anderson
 & Bjorck 1973; Shampine & Thompson, "Event location for ordinary
 differential equations", 2000).  The stepper runs on Python
 floats, with every sum written out left to right, and hands every
@@ -27,15 +28,19 @@ kernel the BLAS library picks.  Its step-size rule is scipy's ``RK45``,
 which ``TestRK45Oracle`` steps beside it; numpy is the only runtime
 dependency, and builds each interval's sample arrays once.
 
-Each state the solver records is projected once, where it is made, and
-its jump indicator is evaluated once.  The value travels with the state
-into the jump decision, :func:`apply_jump` and the next flow interval.
-One stepper serves a whole solve: a projection that moves an accepted
-state keeps its last stage as the next first stage (first same as last),
-and a jump reseats it at one flow-map call, keeping its step size.  A
-non-finite state, indicator value or flow-map value raises
-:class:`DomainEscape`, and one solve takes at most ``MAX_STEPS`` accepted
-steps.
+Each state the solver records is projected once, where it is made
+(``x0``, each accepted step, each jump), and its jump indicator is
+evaluated once; a flow indicator that is the jump indicator's object, as
+:func:`~hybridfb.synergistic.build_closed_loop` builds them, is not
+called again.  The value travels with the state into the jump decision,
+:func:`apply_jump` and the next flow interval.  One stepper serves a
+whole solve.  It is built at the first flow, at two flow-map calls, and
+takes six per try.  A projection that moves an accepted state keeps its
+last stage as the next first stage (first same as last), and a jump
+reseats it at one flow-map call, keeping its step size.  A non-finite
+state, indicator value or flow-map value raises :class:`DomainEscape`, a
+callback result not of the state's length :class:`StateLengthMismatch`,
+and one solve takes at most ``MAX_STEPS`` accepted steps.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +56,9 @@ from .errors import (
     DomainEscape,
     IntegrationStalled,
     JumpOutsideJumpSet,
+    StateLengthMismatch,
     ZenoSuspected,
 )
-
-ExitReason = Literal["time", "jump_boundary"]
 
 # Step sizes below this (seconds) count as an integrator stall.
 MIN_STEP = 1e-14
@@ -141,7 +145,9 @@ class HybridSystemDef:
     The flow and jump maps are deterministic selections chosen by the
     caller; set-valued dynamics are outside the solver's scope.
     The solver calls every callback with a state that is a list of
-    floats, and takes back any sequence of floats.
+    floats, and takes back any sequence of floats of the state's length.
+    A result of another length raises :class:`StateLengthMismatch`; the
+    flow map's is checked where each flow interval starts.
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
     vector component).  It returns a new sequence, or its argument when
@@ -160,7 +166,7 @@ class HybridSystemDef:
         """``project_state`` at ``state``, as a list of floats."""
         if self.project_state is None:
             return state
-        return _floats(self.project_state(state))
+        return _same_length("project_state", state, _floats(self.project_state(state)))
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,13 @@ class SolverConfig:
 
     A run stops at the flow-time horizon ``t_max`` or when the jump
     budget ``j_max`` is spent.  ``t_max`` and tolerances must be finite,
-    and ``t_max / max_step`` at most ``MAX_STEPS``.
+    and ``t_max / max_step`` at most ``MAX_STEPS``.  ``abs_tol`` and
+    ``rel_tol`` bound each step's RMS error estimate, not the global
+    error.  ``max_step`` caps every step, and at the defaults it binds
+    first: 993-999 of the 1001-1005 steps of each published case-study
+    run are exactly ``max_step`` long.  ``event_tol`` bounds a located
+    crossing's jump indicator to ``[0, event_tol]``, unless the bracket
+    runs out first, and is the slack of the flow- and jump-set tests.
     """
 
     t_max: float = 10.0
@@ -201,6 +213,13 @@ def _finite(values) -> bool:
 def _floats(values) -> list:
     """``values`` as a list of floats: a list as it is, anything else converted."""
     return values if type(values) is list else np.asarray(values, dtype=float).tolist()
+
+
+def _same_length(callback: str, state, result):
+    """``result``, or :class:`StateLengthMismatch` where its length is not ``state``'s."""
+    if len(result) != len(state):
+        raise StateLengthMismatch(callback, len(state), len(result))
+    return result
 
 
 def _quotient(num: float, den: float) -> float:
@@ -494,175 +513,6 @@ def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
     return b, y_b, g_b
 
 
-def advance_flow(
-    state: Sequence[float],
-    g: float,
-    sys: HybridSystemDef,
-    cfg: SolverConfig,
-    t0: float = 0.0,
-    max_steps: int = MAX_STEPS,
-) -> tuple[tuple, float, ExitReason]:
-    """Integrate one flow interval from ``state`` at time ``t0``.
-
-    ``state`` is taken as already projected and ``g`` as its jump
-    indicator value; neither is recomputed.  Returns ``(samples, g_end,
-    reason)``: ``samples`` is the pair ``(times, states)`` of the
-    interval, entry sample included; ``g_end`` is the jump indicator at
-    the last sample; ``reason`` is ``time`` when ``cfg.t_max`` is
-    reached, or ``jump_boundary`` when the jump indicator crosses zero
-    from below.
-    Boundary crossings are located by :func:`_locate_crossing` on the
-    step's dense output, from the bracket ``(t_prev, g_prev)``,
-    ``(t_new, g_new)``, so that the final sample satisfies ``0 <=
-    jump_indicator <= cfg.event_tol`` unless the bracket runs out first.
-
-    Each accepted state is projected once and its jump indicator
-    evaluated once.  When ``sys.flow_indicator is sys.jump_indicator``
-    (as :func:`~hybridfb.synergistic.build_closed_loop` builds them), the
-    flow indicator's value at a state is that jump value, so the entry
-    state and each accepted state cost one indicator call.  A new
-    :class:`RK45` makes two flow-map calls to start and six per try; a
-    projection that moves a state makes none, as the stepper keeps its
-    last stage.
-
-    Raises
-    ------
-    DomainEscape
-        If the flow indicator exceeds ``event_tol`` at the initial state
-        or at an accepted step whose state is also outside the jump set,
-        if a state or an indicator value is not finite, or if the flow
-        map returns a non-finite value at a finite state, also when the
-        step size underflows while the stepper rejects such values.
-    IntegrationStalled
-        If an interior accepted step is shorter than ``1e-14`` s, or the
-        stepper fails on its minimum step, with the flow map finite on
-        every try; or if the interval would take more than ``max_steps``
-        accepted steps.
-    """
-    y0 = np.asarray(state, dtype=float).tolist()
-    return _flow(None, y0, g, sys, cfg, float(t0), max_steps)[:3]
-
-
-def _flow(solver: Optional[RK45], y0: list, g: float, sys: HybridSystemDef,
-          cfg: SolverConfig, t0: float, max_steps: int) -> tuple:
-    """:func:`advance_flow`'s result and the stepper that made it.
-
-    ``solver`` is reseated at ``(t0, y0)``, or built there where it is ``None``.
-    """
-    shared = sys.flow_indicator is sys.jump_indicator
-    f0 = g if shared else _indicator_value(sys.flow_indicator, y0, t0, "flow")
-    if f0 > cfg.event_tol:
-        raise DomainEscape(
-            f"flow started outside the flow set (indicator {f0:.3e})",
-            state=y0,
-            t=t0,
-        )
-
-    times = [t0]
-    states = [y0]
-
-    def _exit(g_end: float, reason: ExitReason):
-        samples = (np.asarray(times, dtype=float), np.asarray(states, dtype=float))
-        return samples, g_end, reason, solver
-
-    if t0 >= cfg.t_max:
-        return _exit(g, "time")
-
-    def flow_map_escape():
-        return DomainEscape(
-            f"flow map returned a non-finite value near t={solver.t:.6g}",
-            state=solver.y,
-            t=solver.t,
-        )
-
-    if solver is None:
-        flow_map = sys.flow_map
-
-        def rhs(_t, y):
-            return flow_map(y)
-
-        solver = RK45(rhs, t0, y0, t_bound=cfg.t_max, max_step=cfg.max_step,
-                      rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    else:
-        solver.reseat(t0, y0)
-    # A non-finite first stage would make the initial step size or every
-    # error norm NaN, and the stepper would reject its tries forever.
-    if not _finite(solver.f):
-        raise flow_map_escape()
-
-    g_prev, t_prev = g, t0
-    for _ in range(max_steps):
-        message = solver.step()
-        t_new = float(solver.t)
-        # The final step is truncated to land on t_bound and may be tiny;
-        # only an interior micro-step signals a stall.
-        stall = None
-        if solver.status == "failed":
-            stall = f"integrator failed at t={t_new:.6g}: {message}"
-        elif t_new - t_prev < MIN_STEP and solver.status != "finished":
-            stall = f"step size underflow at t={t_new:.6g} (step {t_new - t_prev:.3e} s)"
-        if stall is not None:
-            # A non-finite stage makes the error norm non-finite and the try
-            # rejected: a stall that rejected such a try (failing on it, or
-            # creeping up to it in micro-steps) was the flow map's doing.
-            if solver.nonfinite_rejection:
-                raise flow_map_escape()
-            raise IntegrationStalled(stall)
-        y_new = sys.project(solver.y)
-        if not _finite(y_new):
-            raise DomainEscape(
-                f"flow reached a non-finite state at t={t_new:.6g}",
-                state=y_new,
-                t=t_new,
-            )
-        g_new = _indicator_value(sys.jump_indicator, y_new, t_new, "jump")
-
-        if g_prev < 0.0 <= g_new:
-            t_star, y_star, g_star = _locate_crossing(
-                solver.dense_output(), sys, t_prev, g_prev, t_new, y_new, g_new,
-                cfg.event_tol,
-            )
-            times.append(t_star)
-            states.append(y_star)
-            return _exit(g_star, "jump_boundary")
-
-        f_new = (
-            g_new if shared
-            else _indicator_value(sys.flow_indicator, y_new, t_new, "flow")
-        )
-        if f_new > cfg.event_tol:
-            if g_new >= -cfg.event_tol:
-                # Left the flow set but already inside the jump set: the
-                # segment started on (or within tolerance of) the
-                # boundary, so hand over to the jump logic here.
-                times.append(t_new)
-                states.append(y_new)
-                return _exit(g_new, "jump_boundary")
-            raise DomainEscape(
-                f"flow left the flow set at t={t_new:.6g} without entering "
-                f"the jump set (flow indicator {f_new:.3e})",
-                state=y_new,
-                t=t_new,
-            )
-
-        times.append(t_new)
-        states.append(y_new)
-
-        if solver.status == "finished":
-            return _exit(g_new, "time")
-
-        # The kept first stage is the step's last, at the unprojected state:
-        # finite, since E7 != 0 rejects a try whose k7 is not.  Onto an
-        # invariant manifold the projection moves the state by about the
-        # step's error, so the next step moves by O(h * L * err).
-        solver.y = y_new
-        t_prev, g_prev = t_new, g_new
-    raise IntegrationStalled(
-        f"step budget exhausted at t={t_prev:.6g}: one solve takes at most "
-        f"MAX_STEPS={MAX_STEPS} accepted steps"
-    )
-
-
 def apply_jump(
     state: list, g: float, sys: HybridSystemDef, cfg: SolverConfig
 ) -> list:
@@ -670,13 +520,15 @@ def apply_jump(
 
     ``g`` is the value the caller evaluated at ``state``; it is checked,
     not recomputed.  Raises :class:`JumpOutsideJumpSet` when it is below
-    ``-cfg.event_tol``.  The result, a list of floats, is not projected.
+    ``-cfg.event_tol``, and :class:`StateLengthMismatch` when the jump
+    map's result is not of the state's length.  The result, a list of
+    floats, is not projected.
     """
     if g < -cfg.event_tol:
         raise JumpOutsideJumpSet(
             f"jump requested outside the jump set (indicator {g:.3e})"
         )
-    return _floats(sys.jump_map(state))
+    return _same_length("jump_map", state, _floats(sys.jump_map(state)))
 
 
 def solve(
@@ -684,29 +536,33 @@ def solve(
 ) -> HybridArc:
     """Simulate the hybrid system from ``x0`` until a termination rule fires.
 
-    The solver alternates :func:`advance_flow` and :func:`apply_jump`.
-    Where both actions are admissible (the shared boundary of the flow
-    and jump sets), the jump wins.  The run stops at
-    ``cfg.t_max`` or when the jump budget ``cfg.j_max`` is exhausted.
-    The accepted flow steps of all intervals together may not exceed
-    ``MAX_STEPS``.
-
-    Every recorded state is projected once, where it is made (``x0``,
-    each accepted step, each jump), and its jump indicator is evaluated
-    once.  That value decides the jump, is checked by :func:`apply_jump`
-    and starts the next flow interval.  Each interval is made as
-    :func:`advance_flow` makes one, and its samples become the arc's
-    interval as they are, but one :class:`RK45` steps the whole solve:
-    after a jump it is reseated at the post-jump state, at one flow-map
-    call, keeping its step size.
+    Flow intervals alternate with :func:`apply_jump`; where both are
+    admissible (the shared boundary of the flow and jump sets), the jump
+    wins.  The run stops at ``cfg.t_max`` or when the jump budget
+    ``cfg.j_max`` is spent.  A flow interval ends at ``cfg.t_max``, at a
+    crossing into the jump set, or at a step that leaves the flow set
+    within ``cfg.event_tol`` of the jump set.  A crossing is located by
+    :func:`_locate_crossing` on the step's dense output, from the step's
+    two ends, so that the interval's last sample satisfies ``0 <=
+    jump_indicator <= cfg.event_tol`` unless the bracket runs out first.
 
     Raises
     ------
     DomainEscape
-        If ``x0`` (or a post-jump state) lies outside both sets, or a
-        state, an indicator value or a flow-map value is not finite.
+        If a flow starts outside the flow set (flow indicator above
+        ``event_tol``), or an accepted step leaves it without coming
+        within ``event_tol`` of the jump set; if a state or an indicator
+        value is not finite, or if the flow map returns a non-finite
+        value at a finite state, also when the step size underflows
+        while the stepper rejects such values.
+    StateLengthMismatch
+        If the flow map (at the start of a flow interval), the jump map
+        or the projection returns a sequence not of the state's length.
     IntegrationStalled
-        If the step size underflows or the step budget is exhausted.
+        If an interior accepted step is shorter than ``1e-14`` s, or the
+        stepper fails on its minimum step, with the flow map finite on
+        every try; or if the solve would take more than ``MAX_STEPS``
+        accepted steps.
     ZenoSuspected
         If the jump budget is exhausted with less than ``1e-6`` s of flow
         since the 10th-to-last jump.
@@ -714,12 +570,20 @@ def solve(
     y = sys.project(np.asarray(x0, dtype=float).tolist())
     t = 0.0
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
-    steps = 0
+    shared = sys.flow_indicator is sys.jump_indicator
     solver = None
+    steps = 0
     samples: list[tuple] = []
-    # The open interval: its entry sample until it flows.  It flows at most
-    # once, since a flow that stops on the jump set is followed by a jump.
-    interval = (np.array([t]), np.array([y]))
+    # The open interval's samples.  It flows at most once, since a flow
+    # that stops on the jump set is followed by a jump.
+    times, states = [t], [y]
+
+    def flow_map_escape():
+        return DomainEscape(
+            f"flow map returned a non-finite value near t={solver.t:.6g}",
+            state=solver.y,
+            t=solver.t,
+        )
 
     while t < cfg.t_max:
         if g >= -cfg.event_tol:
@@ -734,23 +598,102 @@ def solve(
                 break
             y = sys.project(apply_jump(y, g, sys, cfg))
             g = _indicator_value(sys.jump_indicator, y, t, "jump")
-            samples.append(interval)
-            interval = (np.array([t]), np.array([y]))
+            samples.append((np.array(times), np.array(states, dtype=float)))
+            times, states = [t], [y]
             continue
 
-        # Outside the jump set: the flow raises DomainEscape if the state
-        # is outside the flow set too.
-        interval, g, reason, solver = _flow(
-            solver, y, g, sys, cfg, t, MAX_STEPS - steps
-        )
-        times, states = interval
-        steps += len(times) - 1
-        t = float(times[-1])
-        y = states[-1].tolist()
-        if reason != "jump_boundary":
-            break
+        # Outside the jump set, so the state must be inside the flow set.
+        f = g if shared else _indicator_value(sys.flow_indicator, y, t, "flow")
+        if f > cfg.event_tol:
+            raise DomainEscape(
+                f"flow started outside the flow set (indicator {f:.3e})",
+                state=y,
+                t=t,
+            )
+        if solver is None:
+            flow_map = sys.flow_map
 
-    samples.append(interval)
+            def rhs(_t, state):
+                return flow_map(state)
+
+            solver = RK45(rhs, t, y, t_bound=cfg.t_max, max_step=cfg.max_step,
+                          rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        else:
+            solver.reseat(t, y)
+        _same_length("flow_map", y, solver.f)
+        # A non-finite first stage would make the initial step size or every
+        # error norm NaN, and the stepper would reject its tries forever.
+        if not _finite(solver.f):
+            raise flow_map_escape()
+
+        while True:
+            if steps >= MAX_STEPS:
+                raise IntegrationStalled(
+                    f"step budget exhausted at t={t:.6g}: one solve takes at "
+                    f"most MAX_STEPS={MAX_STEPS} accepted steps"
+                )
+            message = solver.step()
+            steps += 1
+            t_new = float(solver.t)
+            # The final step is truncated to land on t_bound and may be tiny;
+            # only an interior micro-step signals a stall.
+            stall = None
+            if solver.status == "failed":
+                stall = f"integrator failed at t={t_new:.6g}: {message}"
+            elif t_new - t < MIN_STEP and solver.status != "finished":
+                stall = f"step size underflow at t={t_new:.6g} (step {t_new - t:.3e} s)"
+            if stall is not None:
+                # A non-finite stage makes the error norm non-finite and the
+                # try rejected: a stall that rejected such a try (failing on
+                # it, or creeping up to it in micro-steps) was the flow map's
+                # doing.
+                if solver.nonfinite_rejection:
+                    raise flow_map_escape()
+                raise IntegrationStalled(stall)
+            y_new = sys.project(solver.y)
+            if not _finite(y_new):
+                raise DomainEscape(
+                    f"flow reached a non-finite state at t={t_new:.6g}",
+                    state=y_new,
+                    t=t_new,
+                )
+            g_new = _indicator_value(sys.jump_indicator, y_new, t_new, "jump")
+
+            if g < 0.0 <= g_new:
+                t, y, g = _locate_crossing(
+                    solver.dense_output(), sys, t, g, t_new, y_new, g_new,
+                    cfg.event_tol,
+                )
+                times.append(t)
+                states.append(y)
+                break
+
+            f_new = (
+                g_new if shared
+                else _indicator_value(sys.flow_indicator, y_new, t_new, "flow")
+            )
+            if f_new > cfg.event_tol and g_new < -cfg.event_tol:
+                raise DomainEscape(
+                    f"flow left the flow set at t={t_new:.6g} without entering "
+                    f"the jump set (flow indicator {f_new:.3e})",
+                    state=y_new,
+                    t=t_new,
+                )
+            t, y, g = t_new, y_new, g_new
+            times.append(t)
+            states.append(y)
+            # A step that left the flow set is within event_tol of the jump
+            # set: the interval started on (or within tolerance of) the
+            # boundary, so it hands over to the jump logic here.
+            if f_new > cfg.event_tol or solver.status == "finished":
+                break
+            # The kept first stage is the step's last, at the unprojected
+            # state: finite, since E7 != 0 rejects a try whose k7 is not.
+            # Onto an invariant manifold the projection moves the state by
+            # about the step's error, so the next step moves by O(h * L * err).
+            solver.y = y
+
+    samples.append((np.array(times), np.array(states, dtype=float)))
     return HybridArc(samples=tuple(samples))
 
 

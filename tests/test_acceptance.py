@@ -17,7 +17,6 @@ import pytest
 from hybridfb import (
     HybridSystemDef,
     SolverConfig,
-    advance_flow,
     from_cylinder,
     make_scenario,
     monitor_flow_decrease,
@@ -253,7 +252,7 @@ def test_criterion_10_solver_suite(case_runs, switching_runs):
         jump_indicator=lambda y: -1.0,
         jump_map=lambda y: y,
     )
-    (_, states), _, _ = advance_flow(np.array([1.0]), -1.0, decay, SolverConfig(t_max=1.0))
+    _, states = solve(decay, np.array([1.0]), SolverConfig(t_max=1.0)).samples[0]
     decay_err = abs(float(states[-1][0]) - math.exp(-1.0))
 
     arcs = [a for _, a, _ in case_runs.values()]

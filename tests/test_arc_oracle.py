@@ -35,7 +35,7 @@ from hybridfb.synergistic import build_closed_loop
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 # Jump-time and final-state bounds.  The solver and the reference differ
-# by at most 1.2e-7 s and 6.7e-8 on these runs; with the located samples
+# by at most 5.5e-8 s and 5.4e-8 on these runs; with the located samples
 # of plain bisection, by 4.2e-7 s and 1.3e-7.
 JUMP_TIME_TOL = 5e-7
 FINAL_STATE_TOL = 2.5e-7

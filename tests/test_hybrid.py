@@ -18,8 +18,8 @@ from hybridfb import (
     JumpOutsideJumpSet,
     JumpRecord,
     SolverConfig,
+    StateLengthMismatch,
     ZenoSuspected,
-    advance_flow,
     apply_jump,
     hybrid,
     make_scenario,
@@ -47,11 +47,14 @@ def timer_system(reset=None):
 
 
 class TestAdvanceFlow:
+    """One flow interval of :func:`solve`, read as the arc's first."""
+
     def test_exponential_decay_endpoint(self):
         cfg = SolverConfig(t_max=1.0)
-        (_, states), g, reason = advance_flow(np.array([1.0]), -1.0, decay_system(), cfg)
-        assert reason == "time"
-        assert g == -1.0
+        arc = solve(decay_system(), np.array([1.0]), cfg)
+        times, states = arc.samples[0]
+        assert arc.jump_count == 0
+        assert times[-1] == 1.0
         assert abs(states[-1][0] - math.exp(-1.0)) <= cfg.abs_tol
 
     def test_zero_dynamics_constant_segment(self):
@@ -62,22 +65,22 @@ class TestAdvanceFlow:
             jump_map=lambda y: y,
         )
         cfg = SolverConfig(t_max=5.0)
-        (times, states), _, reason = advance_flow(np.array([3.0, -2.0]), -1.0, sys, cfg)
-        assert reason == "time"
+        arc = solve(sys, np.array([3.0, -2.0]), cfg)
+        times, states = arc.samples[0]
+        assert arc.jump_count == 0
         assert times[-1] == 5.0
         assert np.all(states == np.array([3.0, -2.0]))
 
     def test_timer_boundary_location(self):
-        cfg = SolverConfig(t_max=5.0)
+        cfg = SolverConfig(t_max=1.5)
         sys = timer_system()
-        (times, states), g, reason = advance_flow(np.array([0.0]), -1.0, sys, cfg)
-        assert reason == "jump_boundary"
+        arc = solve(sys, np.array([0.0]), cfg)
+        times, states = arc.samples[0]
+        assert arc.jump_count == 1
         assert abs(times[-1] - 1.0) <= cfg.event_tol
         # located boundary sample sits on the indicator zero within tolerance
         assert abs(states[-1][0] - 1.0) <= cfg.event_tol
-        # the returned value is the jump indicator at that sample
-        assert g == sys.jump_indicator(states[-1])
-        assert 0.0 <= g <= cfg.event_tol
+        assert 0.0 <= sys.jump_indicator(states[-1]) <= cfg.event_tol
 
     def test_precondition_outside_flow_set(self):
         cfg = SolverConfig(t_max=1.0)
@@ -87,8 +90,8 @@ class TestAdvanceFlow:
             jump_indicator=lambda y: -1.0,
             jump_map=lambda y: y,
         )
-        with pytest.raises(DomainEscape):
-            advance_flow(np.array([1.0]), -1.0, sys, cfg)
+        with pytest.raises(DomainEscape, match="started outside the flow set"):
+            solve(sys, np.array([1.0]), cfg)
 
     def test_domain_escape_mid_flow(self):
         # Flow set is x <= 1 but the jump set is far away: leaving C is an error.
@@ -100,7 +103,7 @@ class TestAdvanceFlow:
         )
         cfg = SolverConfig(t_max=5.0)
         with pytest.raises(DomainEscape) as excinfo:
-            advance_flow(np.array([0.0]), -100.0, sys, cfg)
+            solve(sys, np.array([0.0]), cfg)
         assert excinfo.value.state is not None
 
     def test_left_flow_set_without_entering_jump_set(self):
@@ -121,64 +124,81 @@ class TestAdvanceFlow:
         assert info.value.state[0] == pytest.approx(info.value.t, abs=1e-12)
 
     def test_left_flow_set_within_event_tol_of_jump_set(self):
-        # The jump indicator sits just below zero, within event_tol: on
-        # leaving the flow set y <= 0.5 the interval hands over to the
-        # jump logic at the first step past 0.5.
-        near = -0.5e-10
+        # Above y = 0.5 the jump indicator sits just below zero, within
+        # event_tol: on leaving the flow set y <= 0.5 the interval hands
+        # over to the jump logic at the first step past 0.5.
         sys = HybridSystemDef(
             flow_map=lambda y: np.ones(1),
             flow_indicator=lambda y: y[0] - 0.5,
-            jump_indicator=lambda y: near,
+            jump_indicator=lambda y: -1.0 if y[0] <= 0.5 else -0.5e-10,
             jump_map=lambda y: np.zeros(1),
         )
         cfg = SolverConfig(t_max=2.0)
-        (times, states), g, reason = advance_flow(np.array([0.0]), near, sys, cfg)
-        assert reason == "jump_boundary"
-        assert g == near
+        arc = solve(sys, np.array([0.0]), cfg)
+        times, states = arc.samples[0]
         assert 0.5 < times[-1] <= 0.5 + cfg.max_step + 1e-12
         assert times[-2] <= 0.5
         assert states[-1][0] == pytest.approx(times[-1], abs=1e-12)
-
-    def test_t0_already_at_horizon(self):
-        cfg = SolverConfig(t_max=1.0)
-        (times, _), g, reason = advance_flow(
-            np.array([2.0]), -1.0, decay_system(), cfg, t0=1.0
-        )
-        assert reason == "time"
-        assert len(times) == 1
-        assert g == -1.0
+        assert arc.jump_count >= 1
+        assert arc.jump_records[0].t == times[-1]
+        assert arc.samples[1][1][0][0] == 0.0
 
     def test_order_improves_with_tolerance(self):
         errors = []
         for tol in (1e-5, 1e-7, 1e-9, 1e-11):
             cfg = SolverConfig(t_max=1.0, abs_tol=tol, rel_tol=tol, max_step=1.0)
-            (_, states), _, _ = advance_flow(np.array([1.0]), -1.0, decay_system(), cfg)
+            _, states = solve(decay_system(), np.array([1.0]), cfg).samples[0]
             err = abs(states[-1][0] - math.exp(-1.0))
             assert err <= 10.0 * tol
             errors.append(err)
         assert all(b <= a for a, b in zip(errors, errors[1:]))
 
-    def test_indicator_value_taken_not_recomputed(self):
-        # The entry state's jump indicator comes from the caller, and the
-        # entry state is taken as already projected.
-        seen = []
 
-        def jump_indicator(y):
-            seen.append(y[0])
-            return y[0] - 1.0
+def _plane_system(**callbacks):
+    """A 2-state timer on ``y[0]`` with jump set ``y[0] >= 1``, callbacks replaced."""
+    sys = HybridSystemDef(
+        flow_map=lambda y: np.array([1.0, 0.0]),
+        flow_indicator=lambda y: y[0] - 1.0,
+        jump_indicator=lambda y: y[0] - 1.0,
+        jump_map=lambda y: np.array([0.0, y[1]]),
+    )
+    return dataclasses.replace(sys, **callbacks)
 
-        sys = HybridSystemDef(
-            flow_map=lambda y: np.ones(1),
-            flow_indicator=lambda y: y[0] - 1.0,
-            jump_indicator=jump_indicator,
-            jump_map=lambda y: np.zeros(1),
-            project_state=lambda y: np.asarray(y) + 0.0,
+
+class TestCallbackLength:
+    """A callback whose result is not of the state's length is refused."""
+
+    @staticmethod
+    def _refused(sys, callback, got):
+        with pytest.raises(StateLengthMismatch) as info:
+            solve(sys, np.array([0.0, 0.5]), SolverConfig(t_max=1.5))
+        assert (info.value.callback, info.value.expected, info.value.got) == (
+            callback, 2, got
         )
-        cfg = SolverConfig(t_max=0.5)
-        (_, states), _, _ = advance_flow(np.array([0.25]), -0.75, sys, cfg)
-        assert states[0][0] == 0.25
-        assert 0.25 not in seen
-        assert len(seen) == len(states) - 1
+        assert str(info.value) == f"{callback} returned {got} values for a state of 2"
+
+    def test_three_valued_flow_map(self):
+        # It used to run silently, its third rate ignored.
+        sys = _plane_system(flow_map=lambda y: np.array([1.0, 0.0, 5.0]))
+        self._refused(sys, "flow_map", 3)
+
+    def test_one_valued_flow_map(self):
+        # It used to integrate one state and end in numpy's ValueError.
+        self._refused(_plane_system(flow_map=lambda y: np.ones(1)), "flow_map", 1)
+
+    def test_three_valued_jump_map(self):
+        sys = _plane_system(jump_map=lambda y: np.array([0.0, y[1], 0.0]))
+        self._refused(sys, "jump_map", 3)
+
+    def test_one_valued_projection(self):
+        # It used to end in a bare IndexError.
+        sys = _plane_system(project_state=lambda y: y[:1])
+        self._refused(sys, "project_state", 1)
+
+    def test_three_valued_projection(self):
+        # It used to return an arc of 3-state samples.
+        sys = _plane_system(project_state=lambda y: [*y, 0.0])
+        self._refused(sys, "project_state", 3)
 
 
 class TestApplyJump:
@@ -491,11 +511,10 @@ class TestStepperReseat:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(hybrid, "RK45", CountingRK45)
-        (times, states), _, reason = advance_flow(
-            np.array([1.0, 0.0]), -1.0, sys, cfg
-        )
+        arc = solve(sys, np.array([1.0, 0.0]), cfg)
         monkeypatch.undo()
-        assert reason == "time"
+        times, states = arc.samples[0]
+        assert arc.jump_count == 0
         assert built == [0.0]
 
         # Reference: one stepper that takes the projected y after every
@@ -531,10 +550,11 @@ class TestStepperReseat:
 
         sys = dataclasses.replace(sys, project_state=counted_project)
         cfg = SolverConfig(t_max=2.0, max_step=0.1, abs_tol=1e-8, rel_tol=1e-8)
-        (times, _), _, _ = advance_flow(np.array([1.0, 0.0]), -1.0, sys, cfg)
+        times, _ = solve(sys, np.array([1.0, 0.0]), cfg).samples[0]
         steps = len(times) - 1
-        assert steps == len(moved) > 10
-        assert all(moved)
+        # One projection of x0, which it leaves, then one per step.
+        assert steps == len(moved) - 1 > 10
+        assert all(moved[1:])
         assert len(calls) == 2 + 6 * steps
 
     def test_solve_call_budget(self, monkeypatch):

@@ -784,6 +784,28 @@ class TestCli:
         assert "solver error: jump indicator is nan" in err
         assert "Traceback" not in err
 
+    def test_wrong_length_jump_map_exit_three(self, tmp_path, monkeypatch, capsys):
+        make_scenario = runner_mod.make_scenario
+
+        def faulty_scenario(*args, **kwargs):
+            sc = make_scenario(*args, **kwargs)
+
+            def jump_map(state):
+                return np.append(sc.system.jump_map(state), 0.0)
+
+            system = dataclasses.replace(sc.system, jump_map=jump_map)
+            return dataclasses.replace(sc, system=system)
+
+        monkeypatch.setattr(runner_mod, "make_scenario", faulty_scenario)
+        path = tmp_path / "forced.cfg"
+        path.write_text(
+            "controller = backstep\nq0 = -1\nt_max = 1\nz_init = 1.8, -1\n"
+        )
+        assert main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "solver error: jump_map returned 9 values for a state of 8" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_four(self, capsys):
         assert main(["--warp", "9"]) == 4
 
