@@ -85,8 +85,6 @@ from .runner import (
     emit_csv,
     property_suite,
     read_config_file,
-    read_csv,
-    read_summary,
     run,
     write_summary,
 )

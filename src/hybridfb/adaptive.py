@@ -434,7 +434,6 @@ class BackstepController(ControllerData):
 
     adaptive: AdaptiveController
     gains: BackstepGains
-    feedback_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def split(self, xi_c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.adaptive.n_state
@@ -530,7 +529,6 @@ def lift_backstep(
         margin=adaptive.margin,
         adaptive=adaptive,
         gains=gains,
-        feedback_jacobian=jac,
     )
     return ctrl
 

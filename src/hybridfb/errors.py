@@ -29,17 +29,17 @@ class JumpOutsideJumpSet(HybridFeedbackError):
 
 
 class StateLengthMismatch(HybridFeedbackError):
-    """A solver callback returned a state of the wrong length.
+    """A solver callback returned a state of the wrong length or shape.
 
     ``callback`` names it (``flow_map``, ``jump_map`` or
     ``project_state``); ``expected`` is the state's length and ``got``
-    the length of what it returned.
+    the length of what it returned, or its shape where that is not
+    one-dimensional.
     """
 
     def __init__(self, callback, expected, got):
-        super().__init__(
-            f"{callback} returned {got} values for a state of {expected}"
-        )
+        what = f"shape {got}" if isinstance(got, tuple) else f"{got} values"
+        super().__init__(f"{callback} returned {what} for a state of {expected}")
         self.callback, self.expected, self.got = callback, expected, got
 
 

@@ -38,9 +38,10 @@ whole solve.  It is built at the first flow, at two flow-map calls, and
 takes six per try.  A projection that moves an accepted state keeps its
 last stage as the next first stage (first same as last), and a jump
 reseats it at one flow-map call, keeping its step size.  A non-finite
-state, indicator value or flow-map value raises :class:`DomainEscape`, a
-callback result not of the state's length :class:`StateLengthMismatch`,
-and one solve takes at most ``MAX_STEPS`` accepted steps.
+state, indicator value or flow-map value, or a callback result that is
+not real, raises :class:`DomainEscape`, a callback result not of the
+state's length or shape :class:`StateLengthMismatch`, and one solve
+takes at most ``MAX_STEPS`` accepted steps.
 """
 
 from __future__ import annotations
@@ -145,9 +146,16 @@ class HybridSystemDef:
     The flow and jump maps are deterministic selections chosen by the
     caller; set-valued dynamics are outside the solver's scope.
     The solver calls every callback with a state that is a list of
-    floats, and takes back any sequence of floats of the state's length.
-    A result of another length raises :class:`StateLengthMismatch`; the
-    flow map's is checked where each flow interval starts.
+    floats.  The flow map, the jump map and ``project_state`` return a
+    one-dimensional sequence of real numbers (ints, floats or bools) of
+    the state's length, the indicators one real number (a Python or
+    numpy int, float or bool).  A result of another length or shape
+    raises :class:`StateLengthMismatch`, and one whose values are not
+    real numbers :class:`DomainEscape`, each naming the callback; a
+    non-finite one raises :class:`DomainEscape` too.  The flow map's
+    result is checked where each flow interval starts, every other
+    result at every call.  A callback's own exception propagates as it
+    is.
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
     vector component).  It returns a new sequence, or its argument when
@@ -163,10 +171,17 @@ class HybridSystemDef:
     project_state: Optional[Callable[[list], Sequence[float]]] = None
 
     def project(self, state: list) -> list:
-        """``project_state`` at ``state``, as a list of floats."""
+        """``project_state`` at ``state``, as a list of floats.
+
+        A list of the state's length is taken as it is; :func:`solve`
+        checks its values where it checks that the state is finite.
+        """
         if self.project_state is None:
             return state
-        return _same_length("project_state", state, _floats(self.project_state(state)))
+        result = self.project_state(state)
+        if type(result) is list and len(result) == len(state):
+            return result
+        return _state_result("project_state", state, result)
 
 
 @dataclass(frozen=True)
@@ -215,11 +230,30 @@ def _floats(values) -> list:
     return values if type(values) is list else np.asarray(values, dtype=float).tolist()
 
 
-def _same_length(callback: str, state, result):
-    """``result``, or :class:`StateLengthMismatch` where its length is not ``state``'s."""
-    if len(result) != len(state):
-        raise StateLengthMismatch(callback, len(state), len(result))
-    return result
+def _state_result(callback: str, state: list, result) -> list:
+    """``result``, which ``callback`` returned at ``state``, as a list of floats.
+
+    It must be a one-dimensional sequence of real numbers (ints, floats or
+    bools) of the state's length: :class:`DomainEscape` where its values
+    are not real, :class:`StateLengthMismatch` where its length or shape
+    is wrong.
+    """
+    try:
+        values = np.asarray(result)
+    except ValueError as exc:  # a ragged nesting
+        raise DomainEscape(f"{callback} returned values that are not all numbers") from exc
+    if values.dtype.kind not in "biuf":
+        raise DomainEscape(
+            f"{callback} returned values of dtype {values.dtype}, not real numbers"
+        )
+    if values.shape != (len(state),):
+        got = len(values) if values.ndim == 1 else values.shape
+        raise StateLengthMismatch(callback, len(state), got)
+    return values.astype(float).tolist()
+
+
+def _flow_map_escape(t: float, y: list) -> DomainEscape:
+    return DomainEscape(f"flow map returned a non-finite value near t={t:.6g}", state=y, t=t)
 
 
 def _quotient(num: float, den: float) -> float:
@@ -317,6 +351,8 @@ class RK45:
         """Run on from ``(t, y)`` with ``f = fun(t, y)``, keeping ``h_abs``.
 
         ``y`` is a list of floats; a non-finite one raises :class:`DomainEscape`.
+        ``f``, the flow map's value, is converted by :func:`_state_result`,
+        and a non-finite one raises :class:`DomainEscape` too.
         """
         if not _finite(y):
             raise DomainEscape(
@@ -325,7 +361,11 @@ class RK45:
                 t=t,
             )
         self.t, self.y, self.status = t, y, "running"
-        self.f = self.fun(t, y)
+        self.f = _state_result("flow_map", y, self.fun(t, y))
+        # A non-finite first stage would make the initial step size or every
+        # error norm NaN, and the stepper would reject its tries forever.
+        if not _finite(self.f):
+            raise _flow_map_escape(t, y)
 
     def _initial_step(self) -> float:
         """Empirical initial step of Hairer et al., II.4."""
@@ -457,8 +497,17 @@ class RK45:
 
 
 def _indicator_value(indicator, y: list, t: float, kind: str) -> float:
-    """Evaluate a flow or jump indicator; a non-finite value is a DomainEscape."""
-    value = float(indicator(y))
+    """Evaluate a flow or jump indicator; a value that is not a finite real
+    number is a DomainEscape."""
+    value = indicator(y)
+    if not isinstance(value, (float, int, np.floating, np.integer, np.bool_)):
+        raise DomainEscape(
+            f"{kind} indicator returned a value of type {type(value).__name__}, "
+            f"not a real number, at t={t:.6g}",
+            state=y,
+            t=t,
+        )
+    value = float(value)
     if not math.isfinite(value):
         raise DomainEscape(
             f"{kind} indicator is {value} at t={t:.6g}", state=y, t=t
@@ -496,7 +545,7 @@ def _locate_crossing(dense, sys, t_lo, g_lo, t_hi, y_hi, g_hi, event_tol):
             secant = (a * w_b - b * w_a) / (w_b - w_a)
             if a < secant < b:
                 t = secant
-        y_t = sys.project(dense(t))
+        y_t = _projected(sys, dense(t), t, "flow reached")
         g_t = _indicator_value(sys.jump_indicator, y_t, t, "jump")
         if g_t >= 0.0:
             if kept == 1:
@@ -520,15 +569,32 @@ def apply_jump(
 
     ``g`` is the value the caller evaluated at ``state``; it is checked,
     not recomputed.  Raises :class:`JumpOutsideJumpSet` when it is below
-    ``-cfg.event_tol``, and :class:`StateLengthMismatch` when the jump
-    map's result is not of the state's length.  The result, a list of
-    floats, is not projected.
+    ``-cfg.event_tol``, and as :func:`_state_result` does when the jump
+    map's result is not a state.  The result, a list of floats, is not
+    projected.
     """
     if g < -cfg.event_tol:
         raise JumpOutsideJumpSet(
             f"jump requested outside the jump set (indicator {g:.3e})"
         )
-    return _same_length("jump_map", state, _floats(sys.jump_map(state)))
+    return _state_result("jump_map", state, sys.jump_map(state))
+
+
+def _projected(sys: HybridSystemDef, state: list, t: float, source: str) -> list:
+    """``sys.project(state)`` at ``t``, or :class:`DomainEscape` unless it is finite.
+
+    ``source`` says, in the message, how the state came about.  A value
+    of the projection's list that is not a real number raises as in
+    :func:`_state_result`.
+    """
+    y = sys.project(state)
+    try:
+        finite = _finite(y)
+    except TypeError:
+        finite = _finite(_state_result("project_state", state, y))
+    if not finite:
+        raise DomainEscape(f"{source} a non-finite state at t={t:.6g}", state=y, t=t)
+    return y
 
 
 def solve(
@@ -551,13 +617,16 @@ def solve(
     DomainEscape
         If a flow starts outside the flow set (flow indicator above
         ``event_tol``), or an accepted step leaves it without coming
-        within ``event_tol`` of the jump set; if a state or an indicator
-        value is not finite, or if the flow map returns a non-finite
-        value at a finite state, also when the step size underflows
-        while the stepper rejects such values.
+        within ``event_tol`` of the jump set; if ``x0``, a projected
+        state (after each step, at each jump, and at each sample that
+        locates a crossing) or an indicator value is not finite, or if
+        the flow map returns a non-finite value at a finite state, also
+        when the step size underflows while the stepper rejects such
+        values; if a callback returns values that are not real numbers.
     StateLengthMismatch
         If the flow map (at the start of a flow interval), the jump map
-        or the projection returns a sequence not of the state's length.
+        or the projection returns a result not of the state's length or
+        not one-dimensional.
     IntegrationStalled
         If an interior accepted step is shorter than ``1e-14`` s, or the
         stepper fails on its minimum step, with the flow map finite on
@@ -567,8 +636,8 @@ def solve(
         If the jump budget is exhausted with less than ``1e-6`` s of flow
         since the 10th-to-last jump.
     """
-    y = sys.project(np.asarray(x0, dtype=float).tolist())
     t = 0.0
+    y = _projected(sys, np.asarray(x0, dtype=float).tolist(), t, "solve started from")
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
     shared = sys.flow_indicator is sys.jump_indicator
     solver = None
@@ -577,13 +646,6 @@ def solve(
     # The open interval's samples.  It flows at most once, since a flow
     # that stops on the jump set is followed by a jump.
     times, states = [t], [y]
-
-    def flow_map_escape():
-        return DomainEscape(
-            f"flow map returned a non-finite value near t={solver.t:.6g}",
-            state=solver.y,
-            t=solver.t,
-        )
 
     while t < cfg.t_max:
         if g >= -cfg.event_tol:
@@ -596,7 +658,7 @@ def solve(
                             f"{window:.3e} s of flow over the last {ZENO_JUMPS} jumps"
                         )
                 break
-            y = sys.project(apply_jump(y, g, sys, cfg))
+            y = _projected(sys, apply_jump(y, g, sys, cfg), t, "jump map returned")
             g = _indicator_value(sys.jump_indicator, y, t, "jump")
             samples.append((np.array(times), np.array(states, dtype=float)))
             times, states = [t], [y]
@@ -620,11 +682,6 @@ def solve(
                           rtol=cfg.rel_tol, atol=cfg.abs_tol)
         else:
             solver.reseat(t, y)
-        _same_length("flow_map", y, solver.f)
-        # A non-finite first stage would make the initial step size or every
-        # error norm NaN, and the stepper would reject its tries forever.
-        if not _finite(solver.f):
-            raise flow_map_escape()
 
         while True:
             if steps >= MAX_STEPS:
@@ -648,15 +705,9 @@ def solve(
                 # it, or creeping up to it in micro-steps) was the flow map's
                 # doing.
                 if solver.nonfinite_rejection:
-                    raise flow_map_escape()
+                    raise _flow_map_escape(solver.t, solver.y)
                 raise IntegrationStalled(stall)
-            y_new = sys.project(solver.y)
-            if not _finite(y_new):
-                raise DomainEscape(
-                    f"flow reached a non-finite state at t={t_new:.6g}",
-                    state=y_new,
-                    t=t_new,
-                )
+            y_new = _projected(sys, solver.y, t_new, "flow reached")
             g_new = _indicator_value(sys.jump_indicator, y_new, t_new, "jump")
 
             if g < 0.0 <= g_new:

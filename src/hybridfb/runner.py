@@ -48,6 +48,10 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 # One row and its newline: the jump index as an integer and every float
 # with 17 significant digits.
 CSV_ROW = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(CSV_COLUMNS) - 2)) + "\n"
+# The Lyapunov monitors' slack: the rise of the true potential allowed
+# along a flow, and the shortfall from the margin allowed at a jump.
+FLOW_TOL = 1e-6
+JUMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,9 @@ class ScenarioConfig:
 
     ``seed`` only affects the randomized verification suites; the
     simulation itself is deterministic.  Every float and two-component
-    field must be finite, and the monitor tolerances ``flow_tol`` and
-    ``jump_tol`` and the seed nonnegative; ``out`` and ``summary`` must
-    name different files.  The declared field types give the configuration
-    file's value parsers.
+    field must be finite, and the seed nonnegative; ``out`` and
+    ``summary`` must name different files.  The declared field types give
+    the configuration file's value parsers.
     """
 
     controller: str = "adaptive"
@@ -82,8 +85,6 @@ class ScenarioConfig:
     rel_tol: float = SolverConfig.rel_tol
     event_tol: float = SolverConfig.event_tol
     max_step: float = SolverConfig.max_step
-    flow_tol: float = 1e-6
-    jump_tol: float = 1e-9
     out: Optional[str] = None
     summary: Optional[str] = None
     strict: bool = False
@@ -100,10 +101,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if parser in (float, _parse_vec2) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name in ("flow_tol", "jump_tol", "seed"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         both = self.out is not None and self.summary is not None
         if both and os.path.realpath(self.out) == os.path.realpath(self.summary):
             raise ConfigError(f"out and summary are both {self.out}")
@@ -247,9 +246,6 @@ class RunSummary:
         ]
 
 
-SUMMARY_KEYS = tuple(f.name for f in fields(RunSummary))
-
-
 def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
     """Execute one scenario: solve, monitor, and write any outputs.
 
@@ -271,9 +267,9 @@ def run(config: ScenarioConfig) -> tuple[HybridArc, RunSummary]:
 
     columns = sample_columns(arc, scenario)
     potential = columns["V_true"]
-    flow_violations = monitor_flow_decrease(arc, potential, tol=config.flow_tol)
+    flow_violations = monitor_flow_decrease(arc, potential, tol=FLOW_TOL)
     jump_violations = monitor_jump_decrease(
-        arc, potential, scenario.margin_at, tol=config.jump_tol
+        arc, potential, scenario.margin_at, tol=JUMP_TOL
     )
 
     planar = np.column_stack([columns["z1"], columns["z2"]])
@@ -364,32 +360,11 @@ def emit_csv(arc: HybridArc, scenario: Scenario, path, columns=None) -> None:
         raise OSError(f"writing trajectory CSV {path}: {exc}") from exc
 
 
-def read_csv(path) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into named float columns."""
-    text = Path(path).read_text().splitlines()
-    names = text[0].split(",")
-    rows = [line.split(",") for line in text[1:] if line]
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.size == 0:
-        data = data.reshape(0, len(names))
-    return {name: data[:, k] for k, name in enumerate(names)}
-
-
 def write_summary(summary: RunSummary, path) -> None:
     try:
         Path(path).write_text("\n".join(summary.lines()) + "\n")
     except OSError as exc:
         raise OSError(f"writing summary {path}: {exc}") from exc
-
-
-def read_summary(path) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = float(value)
-    return values
 
 
 # ---------------------------------------------------------------------------

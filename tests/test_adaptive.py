@@ -881,9 +881,8 @@ class TestInputFlow:
             xdot = plant.f(x, xi_c, u, scenario.theta)
             flow = ctrl.controller_flow(x, s[3:])
             theta_dot = flow[1:3]
-            chain = ctrl.feedback_jacobian(x, xi1) @ xdot - plant.matched_matrix(
-                x, xi_c
-            ) @ theta_dot
+            jac = gradient_feedback_jacobian(x, xi1[0], scenario.obstacle)
+            chain = jac @ xdot - plant.matched_matrix(x, xi_c) @ theta_dot
             scale = max(1.0, float(np.max(np.abs(chain))))
             worst = max(worst, float(np.max(np.abs(fd_rate - chain))) / scale)
         assert worst <= 1e-5

@@ -1,5 +1,6 @@
 """Solver-level tests: flow integration, event location, jumps, domains."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -13,6 +14,7 @@ import pytest
 from hybridfb import (
     DomainEscape,
     HybridArc,
+    HybridFeedbackError,
     HybridSystemDef,
     IntegrationStalled,
     JumpOutsideJumpSet,
@@ -199,6 +201,201 @@ class TestCallbackLength:
         # It used to return an arc of 3-state samples.
         sys = _plane_system(project_state=lambda y: [*y, 0.0])
         self._refused(sys, "project_state", 3)
+
+
+class TestCallbackResults:
+    """A callback result that is not a state, or not a real number, raises
+    a library error that names the callback: never a bare exception, never
+    a run on misread values."""
+
+    X0 = np.array([0.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "result, error",
+        [
+            (None, DomainEscape),
+            ("ab", DomainEscape),
+            (1.0, StateLengthMismatch),
+            ([[1.0], [2.0]], StateLengthMismatch),
+            ([1j, 0.0], DomainEscape),
+            (np.ones((2, 1)), StateLengthMismatch),
+        ],
+        ids=["none", "string", "scalar", "nested_list", "complex", "column"],
+    )
+    def test_malformed_flow_map(self, result, error):
+        sys = _plane_system(flow_map=lambda y: result)
+        with pytest.raises(error, match="^flow_map returned"):
+            solve(sys, np.array([1.0, 2.0]), SolverConfig(t_max=0.05))
+
+    def test_dict_flow_map(self):
+        # A dict has the state's length, but iterating it gives its keys.
+        sys = _plane_system(
+            flow_map=lambda y: {0: 1.0, 1: 2.0},
+            flow_indicator=lambda y: -1.0,
+            jump_indicator=lambda y: -1.0,
+        )
+        with pytest.raises(DomainEscape, match="^flow_map returned values of dtype object"):
+            solve(sys, np.array([1.0, 2.0]), SolverConfig(t_max=0.05))
+
+    @pytest.mark.parametrize("callback", ["project_state", "jump_map"])
+    @pytest.mark.parametrize(
+        "result, error",
+        [(None, DomainEscape), (3.0, StateLengthMismatch), ("ab", DomainEscape)],
+        ids=["none", "scalar", "string"],
+    )
+    def test_malformed_projection_or_jump_map(self, callback, result, error):
+        sys = _plane_system(**{callback: lambda y: result})
+        with pytest.raises(error, match=f"^{callback} returned"):
+            solve(sys, self.X0, SolverConfig(t_max=1.5))
+
+    def test_nested_jump_map_of_one_state(self):
+        # [[0.0]] has the state's length: only its shape tells it from a state.
+        sys = timer_system(reset=lambda y: [[0.0]])
+        with pytest.raises(StateLengthMismatch) as info:
+            solve(sys, np.array([0.0]), SolverConfig(t_max=1.5))
+        assert str(info.value) == "jump_map returned shape (1, 1) for a state of 1"
+
+    @pytest.mark.parametrize("kind", ["jump", "flow"])
+    @pytest.mark.parametrize(
+        "value",
+        [None, "x", [1.0], np.array([1.0, 2.0]), 1j],
+        ids=["none", "string", "list", "array", "complex"],
+    )
+    def test_indicator_not_a_real_number(self, kind, value):
+        sys = _plane_system(**{f"{kind}_indicator": lambda y: value})
+        with pytest.raises(
+            DomainEscape, match=f"^{kind} indicator returned a value of type"
+        ) as info:
+            solve(sys, self.X0, SolverConfig(t_max=1.5))
+        assert info.value.t == 0.0
+
+    @pytest.mark.parametrize(
+        "value", [1, True, np.float32(-0.5), np.int64(-1), np.bool_(False)]
+    )
+    def test_indicator_real_scalars_accepted(self, value):
+        sys = _plane_system(jump_indicator=lambda y: value)
+        arc = solve(sys, self.X0, SolverConfig(t_max=0.05, j_max=3))
+        assert arc.jump_count == (3 if value >= 0 else 0)
+
+    @pytest.mark.parametrize("result", [(0.0, 0.5), [0, 1], np.array([False, True])])
+    def test_real_sequences_accepted(self, result):
+        sys = _plane_system(jump_map=lambda y: result, project_state=lambda y: y)
+        arc = solve(sys, self.X0, SolverConfig(t_max=1.5))
+        assert arc.jump_count == 1
+        assert arc.samples[1][1][0].tolist() == [float(v) for v in result]
+
+
+class TestNonFiniteJump:
+    """A non-finite post-jump state raises DomainEscape at the jump."""
+
+    @staticmethod
+    def _nan_reset():
+        return HybridSystemDef(
+            flow_map=lambda y: [1.0],
+            flow_indicator=lambda y: -1.0,
+            jump_indicator=lambda y: 1.0,
+            jump_map=lambda y: [math.nan],
+        )
+
+    def test_within_the_jump_budget(self):
+        # The indicator keeps every state in the jump set, so no flow
+        # starts from the NaN state to refuse it.
+        with pytest.raises(DomainEscape, match="jump map returned a non-finite") as info:
+            solve(self._nan_reset(), np.array([0.0]), SolverConfig(t_max=1.0, j_max=5))
+        assert info.value.t == 0.0 and math.isnan(info.value.state[0])
+
+    def test_not_taken_for_zeno(self):
+        # Refused at the first jump, before a spent budget reads as Zeno.
+        with pytest.raises(DomainEscape, match="jump map returned a non-finite"):
+            solve(self._nan_reset(), np.array([0.0]), SolverConfig(t_max=1.0, j_max=100))
+
+
+class PlantedFault(Exception):
+    """A callback's own exception, which the solver must let through."""
+
+
+# A fuzzed callback returns its good value for its first ``onset`` calls,
+# then one of these on every call; _RAISE raises PlantedFault instead.
+_RAISE = object()
+_BAD_STATES = [
+    [1.0], [1.0, 0.0, 0.0], np.ones(3), None, 1.0, np.float64(1.0), 3, "ab",
+    [[1.0], [0.0]], [[1.0], 0.0], {0: 1.0, 1: 0.0}, [1j, 0.0],
+    np.array([1.0 + 0j, 0.0]), np.ones((2, 1)), np.ones((1, 2)), [math.inf, 0.0],
+    [0.0, -math.inf], [math.nan, 0.0], np.array([0.0, math.nan]), ["1.0", "0.0"],
+    [None, 0.0], (0.5, 0.5), [0, 1], [True, False], _RAISE,
+]
+_BAD_SCALARS = [
+    None, "x", "1.5", [1.0], np.array([1.0, 2.0]), np.array(1.0), 1j, math.inf,
+    -math.inf, math.nan, np.float64(math.nan), -1, True, np.float32(0.5), _RAISE,
+]
+
+
+def _faulty(good, bad, onset):
+    calls = []
+
+    def callback(y):
+        calls.append(None)
+        if len(calls) <= onset:
+            return good(y)
+        if bad is _RAISE:
+            raise PlantedFault
+        return copy.deepcopy(bad)
+
+    return callback
+
+
+class TestCallbackFuzz:
+    """Seeded fuzz of every callback: each case runs to a well-formed,
+    finite arc, or raises a HybridFeedbackError, or the callback's own
+    PlantedFault."""
+
+    @staticmethod
+    def _system():
+        # A 2-state timer on y[0] that resets to 0 at 1, with a projection
+        # and separate indicator objects, so that every callback is called.
+        return HybridSystemDef(
+            flow_map=lambda y: [1.0, 0.0],
+            flow_indicator=lambda y: y[0] - 1.0,
+            jump_indicator=lambda y: y[0] - 1.0,
+            jump_map=lambda y: [0.0, y[1]],
+            project_state=lambda y: [y[0], y[1]],
+        )
+
+    def test_every_case_runs_or_raises_a_library_error(self):
+        rng = np.random.default_rng(20261021)
+        callbacks = ["flow_map", "jump_map", "project_state", "jump_indicator",
+                     "flow_indicator"]
+        cfg = SolverConfig(t_max=3.5, max_step=0.1)
+        outcomes = set()
+        for case in range(1500):
+            callback = callbacks[case % len(callbacks)]
+            pool = _BAD_SCALARS if callback.endswith("indicator") else _BAD_STATES
+            bad = pool[int(rng.integers(len(pool)))]
+            # The flow map's result is checked where each flow interval
+            # starts, so its fault is there from the first call on; the
+            # jump map is called once per jump, three times a run.
+            onset = {"flow_map": 0, "jump_map": int(rng.integers(0, 4))}.get(
+                callback, int(rng.integers(0, 40))
+            )
+            sys = self._system()
+            good = getattr(sys, callback)
+            sys = dataclasses.replace(sys, **{callback: _faulty(good, bad, onset)})
+            x0 = np.array([rng.uniform(0.0, 0.9), rng.uniform(-1.0, 1.0)])
+            where = f"case {case}: {callback} -> {bad!r} from call {onset}"
+            try:
+                arc = solve(sys, x0, cfg)
+            except (HybridFeedbackError, PlantedFault) as exc:
+                outcomes.add(type(exc).__name__)
+                continue
+            except Exception as exc:
+                pytest.fail(f"{where}: bare {type(exc).__name__}: {exc}")
+            assert validate_domain(arc) == [], where
+            for _, states in arc.samples:
+                assert states.shape[1:] == (2,) and np.isfinite(states).all(), where
+            outcomes.add("ran")
+        assert outcomes >= {
+            "ran", "DomainEscape", "StateLengthMismatch", "PlantedFault"
+        }
 
 
 class TestApplyJump:
