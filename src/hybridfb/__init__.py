@@ -42,6 +42,7 @@ from .synergistic import (
     ControllerData,
     MonitorViolation,
     build_closed_loop,
+    compose_closed_loop,
     min_over_candidates,
     monitor_flow_decrease,
     monitor_jump_decrease,

@@ -152,10 +152,11 @@ class HybridSystemDef:
     numpy int, float or bool).  A result of another length or shape
     raises :class:`StateLengthMismatch`, and one whose values are not
     real numbers :class:`DomainEscape`, each naming the callback; a
-    non-finite one raises :class:`DomainEscape` too.  The flow map's
-    result is checked where each flow interval starts, every other
-    result at every call.  A callback's own exception propagates as it
-    is.
+    non-finite one raises :class:`DomainEscape` too.  Every result is
+    checked at every call, the flow map's at every stage of the stepper;
+    a list of the state's length from the flow map or the projection is
+    taken as it is, and its values are checked where they are used.  A
+    callback's own exception propagates as it is.
     ``project_state``, when given, is applied to every accepted state to
     pull it back onto an invariant manifold (e.g. renormalizing a unit
     vector component).  It returns a new sequence, or its argument when
@@ -252,6 +253,21 @@ def _state_result(callback: str, state: list, result) -> list:
     return values.astype(float).tolist()
 
 
+def _initial_state(x0) -> list:
+    """``x0`` as a list of floats, or :class:`DomainEscape` unless it is a
+    non-empty one-dimensional sequence of real numbers (ints, floats or bools)."""
+    try:
+        values = np.asarray(x0)
+        real = values.dtype.kind in "biuf" and values.ndim == 1 and values.size > 0
+    except ValueError:  # a ragged nesting
+        real = False
+    if not real:
+        raise DomainEscape(
+            f"x0 is not a non-empty one-dimensional sequence of real numbers: {x0!r}"
+        )
+    return values.astype(float).tolist()
+
+
 def _flow_map_escape(t: float, y: list) -> DomainEscape:
     return DomainEscape(f"flow map returned a non-finite value near t={t:.6g}", state=y, t=t)
 
@@ -308,8 +324,12 @@ class RK45:
     """Dormand-Prince 5(4) stepper with Shampine's dense output, forward in time.
 
     It runs on Python floats.  The state ``y`` and the stages are lists of
-    floats; ``fun(t, y)`` is called with a list and may return any
-    sequence of floats.  Every stage sum, the RMS error norm, the initial
+    floats; ``fun(t, y)`` is called with a list and returns a sequence of
+    real numbers of its length.  A result that is not a list of that
+    length goes through :func:`_state_result`, and one whose values the
+    step's arithmetic fails on is refused there too, so a malformed stage
+    raises :class:`StateLengthMismatch` or :class:`DomainEscape` naming
+    the flow map.  Every stage sum, the RMS error norm, the initial
     step and the dense output are written out, each sum added left to
     right in tableau order, so no step goes through BLAS and the bits of
     every step are the same under every BLAS kernel.  The step-size rule,
@@ -377,7 +397,13 @@ class RK45:
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, [v + h0 * a for v, a in zip(y0, f0)])
-        d2 = _quotient(_rms([b - a for a, b in zip(f0, f1)], scale), h0)
+        if type(f1) is not list or len(f1) != len(y0):
+            f1 = _state_result("flow_map", y0, f1)
+        try:
+            d2 = _quotient(_rms([b - a for a, b in zip(f0, f1)], scale), h0)
+        except (TypeError, ValueError):
+            _state_result("flow_map", y0, f1)
+            raise
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -396,6 +422,8 @@ class RK45:
         else:
             h_abs = self.h_abs
 
+        n = len(y)
+        k2 = k3 = k4 = k5 = k6 = k7 = None
         rejected = self.nonfinite_rejection = False
         while True:
             if h_abs < min_step:
@@ -404,40 +432,60 @@ class RK45:
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
 
-            # Each stage's state is y + h * (its weighted stages).
-            k2 = fun(t + C2 * h, [v + h * (A21 * a) for v, a in zip(y, k1)])
-            k3 = fun(t + C3 * h, [
-                v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)
-            ])
-            k4 = fun(t + C4 * h, [
-                v + h * (A41 * a + A42 * b + A43 * c)
-                for v, a, b, c in zip(y, k1, k2, k3)
-            ])
-            k5 = fun(t + C5 * h, [
-                v + h * (A51 * a + A52 * b + A53 * c + A54 * d)
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ])
-            k6 = fun(t + h, [
-                v + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ])
-            y_new = [
-                v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
-                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = fun(t + h, y_new)
-            self.K = (k1, k2, k3, k4, k5, k6, k7)
+            # Each stage's state is y + h * (its weighted stages).  A stage
+            # that is a list of the state's length is taken as it is; its
+            # values are checked only where the arithmetic fails on them.
+            try:
+                k2 = fun(t + C2 * h, [v + h * (A21 * a) for v, a in zip(y, k1)])
+                if type(k2) is not list or len(k2) != n:
+                    k2 = _state_result("flow_map", y, k2)
+                k3 = fun(t + C3 * h, [
+                    v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)
+                ])
+                if type(k3) is not list or len(k3) != n:
+                    k3 = _state_result("flow_map", y, k3)
+                k4 = fun(t + C4 * h, [
+                    v + h * (A41 * a + A42 * b + A43 * c)
+                    for v, a, b, c in zip(y, k1, k2, k3)
+                ])
+                if type(k4) is not list or len(k4) != n:
+                    k4 = _state_result("flow_map", y, k4)
+                k5 = fun(t + C5 * h, [
+                    v + h * (A51 * a + A52 * b + A53 * c + A54 * d)
+                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+                ])
+                if type(k5) is not list or len(k5) != n:
+                    k5 = _state_result("flow_map", y, k5)
+                k6 = fun(t + h, [
+                    v + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+                ])
+                if type(k6) is not list or len(k6) != n:
+                    k6 = _state_result("flow_map", y, k6)
+                y_new = [
+                    v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
+                    for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+                ]
+                k7 = fun(t + h, y_new)
+                if type(k7) is not list or len(k7) != n:
+                    k7 = _state_result("flow_map", y, k7)
+                self.K = (k1, k2, k3, k4, k5, k6, k7)
 
-            # The error weights keep stage 2's zero, so a non-finite second
-            # stage makes the norm NaN and rejects the try.
-            sq = 0.0
-            for v, w, a, b, c, d, e, g, p in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
-                v, w = abs(v), abs(w)
-                err = h * (
-                    E1 * a + 0.0 * b + E3 * c + E4 * d + E5 * e + E6 * g + E7 * p
-                ) / (atol + (v if v > w else w) * rtol)
-                sq += err * err
-            error_norm = math.sqrt(sq) / len(y) ** 0.5
+                # The error weights keep stage 2's zero, so a non-finite
+                # second stage makes the norm NaN and rejects the try.
+                sq = 0.0
+                for v, w, a, b, c, d, e, g, p in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+                    v, w = abs(v), abs(w)
+                    err = h * (
+                        E1 * a + 0.0 * b + E3 * c + E4 * d + E5 * e + E6 * g + E7 * p
+                    ) / (atol + (v if v > w else w) * rtol)
+                    sq += err * err
+                error_norm = math.sqrt(sq) / n ** 0.5
+            except (TypeError, ValueError):
+                for k in (k2, k3, k4, k5, k6, k7):
+                    if k is not None:
+                        _state_result("flow_map", y, k)
+                raise
             if error_norm < 1:
                 if error_norm == 0:
                     factor = self.MAX_FACTOR
@@ -622,11 +670,13 @@ def solve(
         locates a crossing) or an indicator value is not finite, or if
         the flow map returns a non-finite value at a finite state, also
         when the step size underflows while the stepper rejects such
-        values; if a callback returns values that are not real numbers.
+        values; if a callback returns values that are not real numbers,
+        or ``x0`` is not a non-empty one-dimensional sequence of real
+        numbers.
     StateLengthMismatch
-        If the flow map (at the start of a flow interval), the jump map
-        or the projection returns a result not of the state's length or
-        not one-dimensional.
+        If the flow map (at any stage), the jump map or the projection
+        returns a result not of the state's length or not
+        one-dimensional.
     IntegrationStalled
         If an interior accepted step is shorter than ``1e-14`` s, or the
         stepper fails on its minimum step, with the flow map finite on
@@ -637,7 +687,7 @@ def solve(
         since the 10th-to-last jump.
     """
     t = 0.0
-    y = _projected(sys, np.asarray(x0, dtype=float).tolist(), t, "solve started from")
+    y = _projected(sys, _initial_state(x0), t, "solve started from")
     g = _indicator_value(sys.jump_indicator, y, t, "jump")
     shared = sys.flow_indicator is sys.jump_indicator
     solver = None

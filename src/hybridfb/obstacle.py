@@ -367,15 +367,15 @@ def _closed_loop_kernels(
 
     Returns ``(flow_map, gap, true_potential, readout, jump_map)``,
     functions of the closed-loop state written out on floats for this
-    plant: the vector field that :func:`build_closed_loop` composes from
-    ``plant.f`` and the lift's ``controller_flow``, the controller's
+    plant: the vector field and the jump map that
+    :func:`~hybridfb.synergistic.compose_closed_loop` composes from
+    ``plant.f`` and the lift's ``controller_flow`` and from
+    :func:`~hybridfb.synergistic.select_jump`, the controller's
     :meth:`~hybridfb.synergistic.ControllerData.gap`, the true-parameter
     Lyapunov value (:func:`chart_potential`,
     :func:`~hybridfb.adaptive.adaptive_true_potential` or
-    :func:`~hybridfb.adaptive.backstep_true_potential`),
-    :attr:`Scenario.readout` and the jump map that
-    :func:`build_closed_loop` composes from
-    :func:`~hybridfb.synergistic.select_jump`.  Each takes the state as
+    :func:`~hybridfb.adaptive.backstep_true_potential`) and
+    :attr:`Scenario.readout`.  Each takes the state as
     the list of floats the solver hands it, or as an array that it reads
     through one ``tolist()``; the flow maps return lists and the jump map
     an array.
@@ -828,15 +828,7 @@ def make_scenario(
     flow_map, gap, true_potential, readout, jump_map = _closed_loop_kernels(
         kind, obstacle, theta, ball, gains
     )
-    system = build_closed_loop(
-        plant,
-        theta,
-        controller,
-        project_state=renormalize_circle,
-        flow_map=flow_map,
-        gap=gap,
-        jump_map=jump_map,
-    )
+    system = build_closed_loop(flow_map, gap, jump_map, controller, renormalize_circle)
     return Scenario(
         kind=kind,
         obstacle=obstacle,

@@ -10,8 +10,9 @@ reset picks a minimizing candidate.
 
 This module evaluates the gap by enumerating the candidates (the
 adaptive and backstepped lifts override it with their closed form),
-builds the closed-loop hybrid system for a given plant, and provides
-post-hoc Lyapunov monitors on hybrid arcs.
+assembles the closed-loop hybrid system from its maps or composes them
+for a given plant, and provides post-hoc Lyapunov monitors on hybrid
+arcs.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class ControllerData:
 
     def gap(self, x, xi_c) -> float:
         """Synergy gap as a float (``math.inf`` when the potential is infinite)."""
-        return _evaluate_candidates(self, x, xi_c)[2]
+        return _gap_above(self, x, xi_c, _minimize_candidates(self, x, xi_c)[0])
 
 
 def _minimize_candidates(ctrl: ControllerData, x, xi_c):
@@ -121,17 +122,12 @@ def _require_minimizers(min_value: float, minimizers: list) -> list:
     return minimizers
 
 
-def _evaluate_candidates(ctrl: ControllerData, x, xi_c):
-    """Shared float-valued core of the gap computation.
-
-    Returns ``(min_value, minimizers, gap)``: :func:`_minimize_candidates`
-    and the synergy gap, the current potential minus that minimum, or
-    ``math.inf`` where the current potential is infinite.
-    """
-    min_value, minimizers = _minimize_candidates(ctrl, x, xi_c)
+def _gap_above(ctrl: ControllerData, x, xi_c, min_value: float) -> float:
+    """The synergy gap over ``min_value``, the least candidate potential:
+    the current potential minus it, or ``math.inf`` where the current
+    potential is infinite."""
     value_here = float(ctrl.potential(x, xi_c))
-    gap = math.inf if math.isinf(value_here) else value_here - min_value
-    return min_value, minimizers, gap
+    return math.inf if math.isinf(value_here) else value_here - min_value
 
 
 def min_over_candidates(
@@ -147,7 +143,8 @@ def min_over_candidates(
     Raises :class:`InfeasibleCandidates` when no candidate has finite
     potential, the least is NaN, or the gap is negative.
     """
-    min_value, minimizers, gap = _evaluate_candidates(ctrl, x, xi_c)
+    min_value, minimizers = _minimize_candidates(ctrl, x, xi_c)
+    gap = _gap_above(ctrl, x, xi_c, min_value)
     _require_minimizers(min_value, minimizers)
     if gap < 0.0:
         raise InfeasibleCandidates(
@@ -165,34 +162,46 @@ def select_jump(ctrl: ControllerData, x, xi_c) -> np.ndarray:
 
 
 def build_closed_loop(
+    flow_map: Callable[[list], Sequence[float]],
+    gap: Callable[[list], float],
+    jump_map: Callable[[list], Sequence[float]],
+    ctrl: ControllerData,
+    project_state: Optional[Callable[[list], Sequence[float]]] = None,
+) -> HybridSystemDef:
+    """Assemble a synergistic closed loop from its flow map, gap and jump map.
+
+    Each map is a function of the closed-loop state, which the solver
+    passes as a list of floats.  Flow and jump indicators are the same
+    function object, ``gap`` minus the constant ``ctrl.margin``, so the
+    flow and jump sets cover the state space by construction and the
+    solver evaluates it once per state; an infinite gap is clamped to the
+    ``1e18`` sentinel inside the indicator only, forcing a jump.  A margin
+    at or below the solver's ``event_tol`` puts every state of
+    nonnegative gap in the jump set; only
+    :func:`~hybridfb.obstacle.make_scenario` refuses such a margin.
+    """
+    margin = ctrl.margin
+
+    def indicator(state) -> float:
+        return min(gap(state), GAP_SENTINEL) - margin
+
+    return HybridSystemDef(flow_map, indicator, indicator, jump_map, project_state)
+
+
+def compose_closed_loop(
     plant: AffinePlant,
     theta_true: np.ndarray,
     ctrl: ControllerData,
-    project_state: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    *,
-    flow_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    gap: Optional[Callable[[np.ndarray], float]] = None,
-    jump_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    project_state: Optional[Callable[[list], Sequence[float]]] = None,
 ) -> HybridSystemDef:
-    """Interconnect a plant and a synergistic controller.
+    """Interconnect a plant and a synergistic controller by :func:`build_closed_loop`.
 
     The closed-loop state stacks the plant state (first ``plant.n_x``
-    entries) and the controller state; the solver passes it as a list of
-    floats, which the composed maps split into arrays.  Flow and jump
-    indicators are the same function object, gap minus the constant
-    ``ctrl.margin``, so the flow and jump sets cover the state space by
-    construction and the solver evaluates it once per state; an infinite
-    gap is clamped to the ``1e18`` sentinel inside the indicator only,
-    forcing a jump.
-
-    The flow map composes ``plant.f`` at the controller's feedback with
-    ``ctrl.controller_flow``, the gap is ``ctrl.gap``, and the jump map
-    keeps the plant state and resets the controller state by
-    :func:`select_jump`.  A caller that has the same vector field, gap or
-    reset written out for its plant passes it as ``flow_map``, ``gap`` or
-    ``jump_map`` (a function of the closed-loop state) instead; the
-    obstacle world's :func:`~hybridfb.obstacle.make_scenario` passes all
-    three.
+    entries) and the controller state, which the composed maps split into
+    arrays.  The flow map composes ``plant.f`` at the controller's
+    feedback with ``ctrl.controller_flow``, the gap is ``ctrl.gap``, and
+    the jump map keeps the plant state and resets the controller state by
+    :func:`select_jump`.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     n_x = plant.n_x
@@ -201,33 +210,21 @@ def build_closed_loop(
         state = np.asarray(state, dtype=float)
         return state[:n_x], state[n_x:]
 
-    if gap is None:
-        def gap(state) -> float:
-            return ctrl.gap(*split(state))
-
-    def composed_flow_map(state) -> np.ndarray:
+    def flow_map(state) -> np.ndarray:
         x, xi_c = split(state)
         u = ctrl.feedback(x, xi_c)
         return np.concatenate(
             [plant.f(x, xi_c, u, theta_true), ctrl.controller_flow(x, xi_c)]
         )
 
-    margin = ctrl.margin
+    def gap(state) -> float:
+        return ctrl.gap(*split(state))
 
-    def indicator(state) -> float:
-        return min(gap(state), GAP_SENTINEL) - margin
-
-    def composed_jump_map(state) -> np.ndarray:
+    def jump_map(state) -> np.ndarray:
         x, xi_c = split(state)
         return np.concatenate([x, select_jump(ctrl, x, xi_c)])
 
-    return HybridSystemDef(
-        flow_map=composed_flow_map if flow_map is None else flow_map,
-        flow_indicator=indicator,
-        jump_indicator=indicator,
-        jump_map=composed_jump_map if jump_map is None else jump_map,
-        project_state=project_state,
-    )
+    return build_closed_loop(flow_map, gap, jump_map, ctrl, project_state)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The reference simulates each arc the way the HyEQ toolbox does: an ODE
 solver with a terminal event.  scipy's ``solve_ivp`` (DOP853, ``rtol =
 atol = 1e-12``, the run's ``max_step``) integrates the composed closed
-loop, ``build_closed_loop`` on the scenario's plant, true parameter and
+loop, ``compose_closed_loop`` on the scenario's plant, true parameter and
 controller with the circle projection, and stops on the event ``jump
 indicator of the projected state`` crossing zero upward.  There it
 applies the composed jump map, projects, and restarts; a state already
@@ -30,7 +30,7 @@ import pytest
 from hybridfb import hybrid, runner, solve
 from hybridfb.errors import ZenoSuspected
 from hybridfb.obstacle import renormalize_circle
-from hybridfb.synergistic import build_closed_loop
+from hybridfb.synergistic import compose_closed_loop
 
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
@@ -77,7 +77,7 @@ def reference_arc(sc):
     Returns ``(jumps, final_state)``: one ``(t, chart before, chart after)``
     per jump, and the projected state at ``sc.config.t_max``.
     """
-    sys = build_closed_loop(
+    sys = compose_closed_loop(
         sc.plant, sc.theta, sc.controller, project_state=renormalize_circle
     )
     cfg = sc.config

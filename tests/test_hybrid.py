@@ -310,6 +310,143 @@ class TestNonFiniteJump:
             solve(self._nan_reset(), np.array([0.0]), SolverConfig(t_max=1.0, j_max=100))
 
 
+def _stage_timer(bad, first, last=None):
+    """A 2-state timer that never jumps, whose flow map returns ``bad`` on
+    calls ``first`` to ``last`` (1-based; to the end when ``last`` is None)
+    and ``[1.0, 0.5]`` otherwise.  Call 1 is the first stage, call 2 the
+    initial-step probe and calls 3-8 stages 2-7 of the first step.
+
+    Returns the system and the list of the states' lengths it was called with.
+    """
+    lengths = []
+
+    def flow_map(y):
+        lengths.append(len(y))
+        if first <= len(lengths) and (last is None or len(lengths) <= last):
+            return copy.deepcopy(bad)
+        return [1.0, 0.5]
+
+    sys = HybridSystemDef(
+        flow_map=flow_map,
+        flow_indicator=lambda y: -1.0,
+        jump_indicator=lambda y: -1.0,
+        jump_map=lambda y: y,
+    )
+    return sys, lengths
+
+
+class TestFlowMapStages:
+    """Every flow-map result the stepper takes, the initial-step probe and
+    stages 2-7 included, meets the first stage's contract."""
+
+    CFG = SolverConfig(t_max=1.5)
+    X0 = np.array([0.0, 0.0])
+
+    def test_short_stage_after_the_first(self):
+        # It used to run ~150 steps on a 1-component state, then fail on
+        # stacking the interval's samples.
+        sys, lengths = _stage_timer([1.0], first=6)
+        with pytest.raises(StateLengthMismatch) as info:
+            solve(sys, self.X0, self.CFG)
+        assert str(info.value) == "flow_map returned 1 values for a state of 2"
+        assert set(lengths) == {2}
+
+    def test_long_stage_after_the_first(self):
+        # It used to reach t = 1.5 with the extra value dropped.
+        sys, _ = _stage_timer([1.0, 0.5, 7.0], first=6)
+        with pytest.raises(StateLengthMismatch) as info:
+            solve(sys, self.X0, self.CFG)
+        assert str(info.value) == "flow_map returned 3 values for a state of 2"
+
+    @pytest.mark.parametrize(
+        "bad", [[1j, 0.0], None, "ab"], ids=["complex", "none", "string"]
+    )
+    def test_stage_not_real_after_the_first(self, bad):
+        sys, _ = _stage_timer(bad, first=6)
+        with pytest.raises(DomainEscape, match="^flow_map returned values of dtype"):
+            solve(sys, self.X0, self.CFG)
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0], [1.0, 0.5, 9.0]], ids=["short", "long"]
+    )
+    def test_initial_step_probe_of_wrong_length(self, bad):
+        sys, lengths = _stage_timer(bad, first=2, last=2)
+        with pytest.raises(StateLengthMismatch, match="^flow_map returned"):
+            solve(sys, self.X0, self.CFG)
+        assert lengths == [2, 2]
+
+    @pytest.mark.parametrize(
+        "bad", [None, [1j, 0.0], "ab"], ids=["none", "complex", "string"]
+    )
+    def test_initial_step_probe_not_real(self, bad):
+        sys, _ = _stage_timer(bad, first=2, last=2)
+        with pytest.raises(DomainEscape, match="^flow_map returned values of dtype"):
+            solve(sys, self.X0, self.CFG)
+
+    def test_short_second_stage_never_shortens_the_next_input(self):
+        sys, lengths = _stage_timer([1.0], first=3, last=3)
+        with pytest.raises(StateLengthMismatch, match="^flow_map returned 1 values"):
+            solve(sys, self.X0, self.CFG)
+        assert lengths == [2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([1.0], StateLengthMismatch), ([1j, 0.0], DomainEscape)],
+        ids=["short", "complex"],
+    )
+    def test_kept_last_stage(self, bad, error):
+        # Call 8 is the first step's last stage, kept as the next first stage.
+        sys, lengths = _stage_timer(bad, first=8, last=8)
+        with pytest.raises(error, match="^flow_map returned"):
+            solve(sys, self.X0, self.CFG)
+        assert lengths == [2] * 8
+
+    @pytest.mark.parametrize("first", [2, 6], ids=["probe", "stage"])
+    def test_flow_maps_own_type_error_propagates(self, first):
+        fault = TypeError("the flow map's own")
+
+        def flow_map(y):
+            calls.append(None)
+            if len(calls) >= first:
+                raise fault
+            return [1.0, 0.5]
+
+        calls = []
+        sys = dataclasses.replace(_stage_timer([1.0, 0.5], first=math.inf)[0], flow_map=flow_map)
+        with pytest.raises(TypeError) as info:
+            solve(sys, self.X0, self.CFG)
+        assert info.value is fault
+
+
+class TestInitialState:
+    """``solve`` refuses an ``x0`` that is not a non-empty one-dimensional
+    sequence of real numbers, naming it."""
+
+    @pytest.mark.parametrize(
+        "x0",
+        [[], (), [[0.0], [1.0, 2.0]], ["a", "b"], [1j, 0.0], None, 3.0, [[0.0, 0.0]]],
+        ids=["empty_list", "empty_tuple", "ragged", "strings", "complex", "none",
+             "scalar", "row"],
+    )
+    def test_refused(self, x0):
+        sys, lengths = _stage_timer([1.0, 0.5], first=math.inf)
+        with pytest.raises(DomainEscape, match="^x0 is not a non-empty one-dimensional"):
+            solve(sys, x0, SolverConfig(t_max=0.1))
+        assert lengths == []
+
+    def test_bools_and_ints_run(self):
+        sys, _ = _stage_timer([1.0, 0.5], first=math.inf)
+        arc = solve(sys, [True, 2], SolverConfig(t_max=0.1))
+        assert arc.samples[0][1][0].tolist() == [1.0, 2.0]
+
+    def test_valid_x0_keeps_its_bits(self):
+        x0 = [0.1, -3.0000000000000004]
+        sys, _ = _stage_timer([1.0, 0.5], first=math.inf)
+        for given in (x0, tuple(x0), np.array(x0), np.array(x0, dtype=np.float32)):
+            arc = solve(sys, given, SolverConfig(t_max=0.1))
+            assert arc.samples[0][1][0].tolist() == np.asarray(given, dtype=float).tolist()
+
+
 class PlantedFault(Exception):
     """A callback's own exception, which the solver must let through."""
 
@@ -327,6 +464,17 @@ _BAD_STATES = [
 _BAD_SCALARS = [
     None, "x", "1.5", [1.0], np.array([1.0, 2.0]), np.array(1.0), 1j, math.inf,
     -math.inf, math.nan, np.float64(math.nan), -1, True, np.float32(0.5), _RAISE,
+]
+
+
+# Initial states, each with whether solve takes it.
+_X0S = [
+    ([], False), ((), False), ([[0.0], [1.0, 2.0]], False), (["a", "b"], False),
+    ([1j, 0.0], False), (None, False), (3.0, False), ([[0.0, 0.0]], False),
+    (np.ones((2, 1)), False), (np.array([0.5 + 0j, 0.0]), False), ("ab", False),
+    ({0: 0.5, 1: 0.0}, False), ([None, 0.0], False), ([0.5, "0.0"], False),
+    ([0.5, 0.0], True), ((0.25, -0.5), True), ([True, False], True), ([0, 1], True),
+    (np.array([0.5, 0.0], dtype=np.float32), True), (np.array([0, 1]), True),
 ]
 
 
@@ -361,6 +509,20 @@ class TestCallbackFuzz:
             project_state=lambda y: [y[0], y[1]],
         )
 
+    @staticmethod
+    def _outcome(sys, x0, cfg, where):
+        """``"ran"`` for a well-formed, finite arc, else the library error's name."""
+        try:
+            arc = solve(sys, x0, cfg)
+        except (HybridFeedbackError, PlantedFault) as exc:
+            return type(exc).__name__
+        except Exception as exc:
+            pytest.fail(f"{where}: bare {type(exc).__name__}: {exc}")
+        assert validate_domain(arc) == [], where
+        for _, states in arc.samples:
+            assert states.shape[1:] == (2,) and np.isfinite(states).all(), where
+        return "ran"
+
     def test_every_case_runs_or_raises_a_library_error(self):
         rng = np.random.default_rng(20261021)
         callbacks = ["flow_map", "jump_map", "project_state", "jump_indicator",
@@ -371,9 +533,9 @@ class TestCallbackFuzz:
             callback = callbacks[case % len(callbacks)]
             pool = _BAD_SCALARS if callback.endswith("indicator") else _BAD_STATES
             bad = pool[int(rng.integers(len(pool)))]
-            # The flow map's result is checked where each flow interval
-            # starts, so its fault is there from the first call on; the
-            # jump map is called once per jump, three times a run.
+            # Here the flow map is faulted from its first call on, the first
+            # stage of the first interval; the jump map is called once per
+            # jump, three times a run.
             onset = {"flow_map": 0, "jump_map": int(rng.integers(0, 4))}.get(
                 callback, int(rng.integers(0, 40))
             )
@@ -382,17 +544,34 @@ class TestCallbackFuzz:
             sys = dataclasses.replace(sys, **{callback: _faulty(good, bad, onset)})
             x0 = np.array([rng.uniform(0.0, 0.9), rng.uniform(-1.0, 1.0)])
             where = f"case {case}: {callback} -> {bad!r} from call {onset}"
-            try:
-                arc = solve(sys, x0, cfg)
-            except (HybridFeedbackError, PlantedFault) as exc:
-                outcomes.add(type(exc).__name__)
-                continue
-            except Exception as exc:
-                pytest.fail(f"{where}: bare {type(exc).__name__}: {exc}")
-            assert validate_domain(arc) == [], where
-            for _, states in arc.samples:
-                assert states.shape[1:] == (2,) and np.isfinite(states).all(), where
-            outcomes.add("ran")
+            outcomes.add(self._outcome(sys, x0, cfg, where))
+        assert outcomes >= {
+            "ran", "DomainEscape", "StateLengthMismatch", "PlantedFault"
+        }
+
+    def test_later_flow_map_faults_and_malformed_x0(self):
+        # Even cases fault the flow map from a later call: a later stage, the
+        # initial-step probe or a later interval's first stage (a run makes
+        # ~230 calls).  Odd cases hand solve an x0 from _X0S.
+        rng = np.random.default_rng(20261022)
+        cfg = SolverConfig(t_max=3.5, max_step=0.1)
+        outcomes = set()
+        for case in range(600):
+            x0 = [rng.uniform(0.0, 0.9), rng.uniform(-1.0, 1.0)]
+            sys = self._system()
+            if case % 2:
+                x0, valid = _X0S[int(rng.integers(len(_X0S)))]
+                where = f"case {case}: x0 = {x0!r}"
+                outcome = self._outcome(sys, copy.deepcopy(x0), cfg, where)
+                assert outcome == ("ran" if valid else "DomainEscape"), where
+            else:
+                bad = _BAD_STATES[int(rng.integers(len(_BAD_STATES)))]
+                onset = int(rng.integers(1, 240))
+                flow_map = _faulty(sys.flow_map, bad, onset)
+                sys = dataclasses.replace(sys, flow_map=flow_map)
+                where = f"case {case}: flow_map -> {bad!r} from call {onset}"
+                outcome = self._outcome(sys, np.array(x0), cfg, where)
+            outcomes.add(outcome)
         assert outcomes >= {
             "ran", "DomainEscape", "StateLengthMismatch", "PlantedFault"
         }

@@ -21,7 +21,7 @@ from hybridfb import (
     ObstacleDisk,
     adaptive_true_potential,
     backstep_true_potential,
-    build_closed_loop,
+    compose_closed_loop,
     build_nominal_controller,
     central_difference,
     chart_potential,
@@ -617,12 +617,12 @@ ESTIMATE_NORMS = (0.5, 1.5, 2.5)
 
 
 class TestFlowKernel:
-    """``make_scenario``'s flow map against ``build_closed_loop``'s composition."""
+    """``make_scenario``'s flow map against ``compose_closed_loop``'s composition."""
 
     @staticmethod
     def _pair(kind, gains):
         sc = make_scenario(kind, q0=-1.0, **GAINS[gains])
-        return sc, build_closed_loop(sc.plant, sc.theta, sc.controller).flow_map
+        return sc, compose_closed_loop(sc.plant, sc.theta, sc.controller).flow_map
 
     @staticmethod
     def _states(sc, rng, n):
@@ -871,7 +871,7 @@ class TestClosedLoopScalars:
         sc = self._scenario(kind, gains, obstacle)
         ctrl = sc.controller
         potential = self._reference_potential(sc)
-        indicator = build_closed_loop(sc.plant, sc.theta, ctrl).jump_indicator
+        indicator = compose_closed_loop(sc.plant, sc.theta, ctrl).jump_indicator
         charts, shells = set(), set()
         for state in self._states(sc, np.random.default_rng(29), n=150):
             x, xi = state[:3], state[3:]
@@ -1104,7 +1104,7 @@ class TestJumpMapKernel:
 
     @staticmethod
     def _composed(sc):
-        return build_closed_loop(sc.plant, sc.theta, sc.controller).jump_map
+        return compose_closed_loop(sc.plant, sc.theta, sc.controller).jump_map
 
     def test_pre_jump_states(self, runs):
         sc, states = runs

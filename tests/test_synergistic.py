@@ -13,6 +13,7 @@ from hybridfb import (
     InfeasibleCandidates,
     SolverConfig,
     build_closed_loop,
+    compose_closed_loop,
     hybrid,
     make_scenario,
     min_over_candidates,
@@ -182,7 +183,7 @@ class TestMargin:
         with pytest.raises(ValueError, match="positive and finite; got 0.0"):
             toggle_controller({-1.0: 1.0, 1.0: 1.0}, margin=0.0)
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 1.0}, margin=1e-6)
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         arc = solve(sys, np.array([0.5, 1.0]), SolverConfig(t_max=0.1, j_max=10))
         assert arc.jump_count == 0
 
@@ -209,7 +210,7 @@ class TestSelectJump:
             select_jump(ctrl, x, here)
         with pytest.raises(InfeasibleCandidates, match="least potential nan"):
             min_over_candidates(ctrl, x, here)
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         with pytest.raises(InfeasibleCandidates, match="least potential nan"):
             solve(sys, np.array([0.5, 0.0]), SolverConfig(t_max=0.1, j_max=10))
         # The gap stays a float there, as the obstacle kernels' gap does.
@@ -231,21 +232,21 @@ def scalar_plant():
 class TestBuildClosedLoop:
     def test_indicator_sign_in_flow_set(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 1.0})
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         state = np.array([0.5, 1.0])
         assert sys.flow_indicator(state) == -1.0  # gap 0, margin 1
         assert sys.jump_indicator(state) == -1.0
 
     def test_infinite_gap_clamps_to_sentinel(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: math.inf})
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         state = np.array([0.5, 1.0])
         assert sys.jump_indicator(state) == GAP_SENTINEL - 1.0
         assert sys.jump_indicator(state) > 0.0
 
     def test_flow_and_jump_indicators_identical(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 2.0})
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         assert sys.flow_indicator is sys.jump_indicator
 
     def test_gap_keyword_replaces_controller_gap(self):
@@ -256,7 +257,8 @@ class TestBuildClosedLoop:
             seen.append(state.tolist())
             return 3.0 if state[0] > 0.0 else math.inf
 
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl, gap=gap)
+        composed = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = build_closed_loop(composed.flow_map, gap, composed.jump_map, ctrl)
         assert sys.jump_indicator(np.array([0.5, 1.0])) == 3.0 - 0.25
         assert sys.jump_indicator(np.array([-0.5, 1.0])) == GAP_SENTINEL - 0.25
         assert seen == [[0.5, 1.0], [-0.5, 1.0]]
@@ -324,13 +326,13 @@ class TestBuildClosedLoop:
             controller_flow=lambda x, xi: np.array([-3.0]),
             margin=1.0,
         )
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         rate = sys.flow_map(np.array([1.0, 0.0]))
         assert rate.tolist() == [-1.0 + 2.0, -3.0]
 
     def test_jump_map_keeps_plant_state(self):
         ctrl = toggle_controller({-1.0: 1.0, 1.0: 3.0})
-        sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+        sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
         out = sys.jump_map(np.array([0.7, 1.0]))
         assert out.tolist() == [0.7, -1.0]
 
@@ -351,7 +353,7 @@ class TestAffinePlant:
 def _decay_arc(v0=4.0):
     """Arc of the scalar closed loop xdot = -x with a gap-0 controller."""
     ctrl = toggle_controller({-1.0: 0.0, 1.0: 0.0})
-    sys = build_closed_loop(scalar_plant(), np.zeros(1), ctrl)
+    sys = compose_closed_loop(scalar_plant(), np.zeros(1), ctrl)
     # feedback is 0, so xdot = -x
     return solve(sys, np.array([v0, 1.0]), SolverConfig(t_max=2.0))
 
